@@ -6,6 +6,8 @@ use alaya_index::graph::NeighborGraph;
 use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
 use alaya_vector::VecStore;
 
+use crate::executor::HeadView;
+
 /// One `(layer, kv_head)` context as the attention engines see it: keys,
 /// values and optional pre-built indexes.
 pub struct HeadContext {
@@ -62,6 +64,16 @@ impl HeadContext {
     /// Builds the coarse block index.
     pub fn build_coarse(&mut self, block_size: usize, scoring: BlockScoring) {
         self.coarse = Some(CoarseIndex::build(&self.keys, block_size, scoring));
+    }
+
+    /// The executor's borrowed view of this context: every row stored, no
+    /// session-local part.
+    pub fn view(&self) -> HeadView<'_> {
+        HeadView {
+            graph: self.graph.as_ref(),
+            coarse: self.coarse.as_ref(),
+            ..HeadView::stored(&self.keys, &self.values)
+        }
     }
 
     /// `1/√d` — the attention scale of Equation (1).

@@ -1,19 +1,19 @@
-//! The sparse attention engines compared in the paper's evaluation.
+//! The sparse attention engines compared in the paper's evaluation — each
+//! one a parameterisation of the shared executor ([`attend`]).
 
-use alaya_index::flat::FlatIndex;
-use alaya_index::graph::SearchParams;
-use alaya_query::diprs::{diprs, DiprsParams};
-use alaya_vector::softmax::OnlineSoftmax;
+use alaya_query::optimizer::Plan;
+use alaya_query::types::{IndexChoice, QueryType};
 
 use crate::context::HeadContext;
-use crate::partial::{attend_all, attend_selected, partial_softmax, AttendOutput};
+use crate::executor::{attend, attend_all, attend_selected, AttendOutput};
 use crate::window::WindowSpec;
 
-/// One sparse attention method: token selection + memory accounting.
+/// One sparse attention method: an executor plan + memory accounting.
 ///
-/// The shared data-centric path ([`attend_selected`]) turns any selection
-/// into an attention output, so engines only differ in *which* tokens they
-/// pick and *what* they must keep GPU-resident.
+/// Every engine runs the plan the query optimizer would emit for it through
+/// [`attend`] — the code `alaya_core::Session` serves — so engines only
+/// differ in *which* tokens the plan selects and *what* they must keep
+/// GPU-resident.
 pub trait SparseAttention {
     /// Method name as it appears in result tables.
     fn name(&self) -> String;
@@ -107,19 +107,12 @@ impl SparseAttention for InfLlm {
     }
 
     fn attend(&self, q: &[f32], ctx: &HeadContext) -> AttendOutput {
-        let coarse = ctx
-            .coarse
-            .as_ref()
-            .expect("InfLLM requires a coarse index (HeadContext::build_coarse)");
-        let retrieved = coarse.select_tokens(q, self.n_select_blocks);
-        attend_selected(
-            q,
-            &ctx.keys,
-            &ctx.values,
-            ctx.scale(),
-            self.window,
-            &retrieved,
-        )
+        // Without a coarse index the plan degrades to a flat top-k scan and
+        // a "block" to a single token.
+        let block_size = ctx.coarse.as_ref().map_or(1, |c| c.block_size());
+        let k = self.n_select_blocks * block_size;
+        let plan = sparse(QueryType::TopK { k }, IndexChoice::Coarse);
+        attend(q, &ctx.view(), self.window, &plan, 0)
     }
 
     fn gpu_bytes(&self, n_tokens: usize, kv_bytes_per_token: u64) -> u64 {
@@ -169,28 +162,10 @@ impl SparseAttention for TopKRetrieval {
     }
 
     fn attend(&self, q: &[f32], ctx: &HeadContext) -> AttendOutput {
-        let retrieved: Vec<u32> = match ctx.graph.as_ref() {
-            Some(graph) => graph
-                .search_topk(&ctx.keys, q, self.k, SearchParams { ef: self.ef })
-                .into_iter()
-                .map(|s| s.idx as u32)
-                .collect(),
-            // Without a graph the plan degrades to a flat scan (the
-            // optimizer's first-layer choice).
-            None => FlatIndex
-                .search_topk(&ctx.keys, q, self.k)
-                .into_iter()
-                .map(|s| s.idx as u32)
-                .collect(),
-        };
-        attend_selected(
-            q,
-            &ctx.keys,
-            &ctx.values,
-            ctx.scale(),
-            self.window,
-            &retrieved,
-        )
+        // Without a graph the plan degrades to a flat scan (the optimizer's
+        // first-layer choice).
+        let plan = sparse(QueryType::TopK { k: self.k }, IndexChoice::Fine);
+        attend(q, &ctx.view(), self.window, &plan, self.ef)
     }
 
     fn gpu_bytes(&self, n_tokens: usize, kv_bytes_per_token: u64) -> u64 {
@@ -205,10 +180,10 @@ impl SparseAttention for TopKRetrieval {
 pub struct DiprsAttention {
     /// The retained window (also the pruning seed, §7.1).
     pub window: WindowSpec,
-    /// DIPRS parameters (β, l0).
-    pub params: DiprsParams,
-    /// Seed DIPRS with the window's max inner product.
-    pub window_seeding: bool,
+    /// Inner-product margin β (Definition 3).
+    pub beta: f32,
+    /// DIPRS capacity threshold `l0` (Algorithm 1).
+    pub l0: usize,
 }
 
 impl DiprsAttention {
@@ -216,68 +191,33 @@ impl DiprsAttention {
     pub fn paper_default() -> Self {
         Self {
             window: WindowSpec::paper_default(),
-            params: DiprsParams {
-                beta: 50.0,
-                l0: 64,
-                max_visits: usize::MAX,
-            },
-            window_seeding: true,
+            beta: 50.0,
+            l0: 64,
         }
     }
 }
 
 impl SparseAttention for DiprsAttention {
     fn name(&self) -> String {
-        format!("DIPRS(beta={:.0})", self.params.beta)
+        format!("DIPRS(beta={:.0})", self.beta)
     }
 
     fn attend(&self, q: &[f32], ctx: &HeadContext) -> AttendOutput {
-        let n = ctx.len();
-        let scale = ctx.scale();
-
-        // The window partition doubles as the DIPRS seed: its max scaled
-        // logit, un-scaled back to raw IP.
-        let window_acc: OnlineSoftmax =
-            partial_softmax(q, &ctx.keys, &ctx.values, scale, self.window.token_ids(n));
-        let seed = if self.window_seeding && !window_acc.is_empty() {
-            Some(window_acc.max_score() / scale)
-        } else {
-            None
-        };
-
-        let retrieved: Vec<u32> = match ctx.graph.as_ref() {
-            Some(graph) => diprs(graph, &ctx.keys, q, &self.params, seed)
-                .tokens
-                .into_iter()
-                .map(|s| s.idx as u32)
-                .collect(),
-            None => FlatIndex
-                .search_dipr(&ctx.keys, q, self.params.beta)
-                .into_iter()
-                .map(|s| s.idx as u32)
-                .collect(),
-        };
-
-        // Merge: window partition already computed — reuse it. Retrieved
-        // tokens outside the window are scored in blocks via
-        // `partial_softmax` (bitwise-identical to the per-key loop).
-        let extras: Vec<u32> = retrieved
-            .into_iter()
-            .filter(|&id| !self.window.contains(id as usize, n))
-            .collect();
-        let extra = extras.len();
-        let cpu_acc = partial_softmax(q, &ctx.keys, &ctx.values, scale, extras);
-        let mut merged = window_acc;
-        merged.merge(&cpu_acc);
-        AttendOutput {
-            out: merged.output(),
-            n_attended: self.window.len(n) + extra,
-            max_logit: merged.max_score(),
-        }
+        let plan = sparse(QueryType::Dipr { beta: self.beta }, IndexChoice::Fine);
+        attend(q, &ctx.view(), self.window, &plan, self.l0)
     }
 
     fn gpu_bytes(&self, n_tokens: usize, kv_bytes_per_token: u64) -> u64 {
         self.window.len(n_tokens) as u64 * kv_bytes_per_token
+    }
+}
+
+/// An unfiltered sparse plan: engines attend whole contexts.
+fn sparse(query: QueryType, index: IndexChoice) -> Plan {
+    Plan::Sparse {
+        query,
+        index,
+        filter: None,
     }
 }
 
@@ -287,7 +227,6 @@ mod tests {
     use alaya_index::coarse::BlockScoring;
     use alaya_index::roargraph::RoarGraphParams;
     use alaya_vector::rng::{gaussian_store, gaussian_vec, seeded};
-    use alaya_vector::VecStore;
 
     /// A context with one planted critical token in the middle.
     fn planted_ctx(n: usize, dim: usize, critical: usize) -> (HeadContext, Vec<f32>) {
@@ -334,12 +273,8 @@ mod tests {
             }),
             Box::new(DiprsAttention {
                 window,
-                params: DiprsParams {
-                    beta: 8.0,
-                    l0: 32,
-                    max_visits: usize::MAX,
-                },
-                window_seeding: true,
+                beta: 8.0,
+                l0: 32,
             }),
         ];
         for e in &engines {
@@ -364,12 +299,8 @@ mod tests {
         let (ctx, q) = planted_ctx(512, 16, 300);
         let diprs_out = DiprsAttention {
             window: WindowSpec::new(4, 8),
-            params: DiprsParams {
-                beta: 2.0,
-                l0: 16,
-                max_visits: usize::MAX,
-            },
-            window_seeding: true,
+            beta: 2.0,
+            l0: 16,
         }
         .attend(&q, &ctx);
         let topk_out = TopKRetrieval {
@@ -447,58 +378,13 @@ mod tests {
             },
             &DiprsAttention {
                 window: w,
-                params: DiprsParams::default(),
-                window_seeding: true,
+                beta: 1.0,
+                l0: 64,
             },
         ] {
             let out = e.attend(&q, &ctx);
             assert_eq!(out.n_attended, 3, "{}", e.name());
             assert!(out.out.iter().all(|v| v.is_finite()));
         }
-    }
-
-    #[test]
-    fn flat_fallbacks_used_without_indexes() {
-        // No graph, no coarse index: top-k and DIPRS fall back to flat scans.
-        let mut rng = seeded(3);
-        let keys = gaussian_store(&mut rng, 64, 8, 1.0);
-        let values = gaussian_store(&mut rng, 64, 8, 1.0);
-        let ctx = HeadContext::new(keys, values);
-        let q = gaussian_vec(&mut rng, 8, 1.0);
-        let full = FullAttention.attend(&q, &ctx);
-
-        let topk = TopKRetrieval {
-            window: WindowSpec::new(4, 4),
-            k: 64,
-            ef: 64,
-        }
-        .attend(&q, &ctx);
-        // k = n → identical to full attention.
-        for (a, b) in topk.out.iter().zip(&full.out) {
-            assert!((a - b).abs() < 1e-4);
-        }
-
-        let dipr = DiprsAttention {
-            window: WindowSpec::new(4, 4),
-            params: DiprsParams {
-                beta: 1e9,
-                l0: 8,
-                max_visits: usize::MAX,
-            },
-            window_seeding: false,
-        }
-        .attend(&q, &ctx);
-        // Infinite beta → every token critical → identical to full attention.
-        for (a, b) in dipr.out.iter().zip(&full.out) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn vecstore_alias_used() {
-        // Silence the unused-import lint pattern in this test module by
-        // exercising VecStore directly.
-        let s = VecStore::from_flat(1, vec![1.0]);
-        assert_eq!(s.len(), 1);
     }
 }

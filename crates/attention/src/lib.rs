@@ -1,13 +1,14 @@
-//! Sparse attention engines for AlayaDB.
+//! Attention execution for AlayaDB.
 //!
-//! Every method compared in the paper's evaluation (Table 5, Figure 9) is
-//! implemented here behind one interface, [`SparseAttention`]: given a query
-//! vector and one head's KV context, an engine *selects* the tokens to
-//! attend to, and the shared **data-centric attention** path
-//! ([`partial::attend_selected`]) computes the output by merging partial
-//! attention over the GPU-cached window with partial attention over the
-//! CPU-retrieved tokens (FlashAttention-style log-sum-exp aggregation,
-//! §7.2).
+//! One executor, [`executor::attend`], runs every optimizer plan over a
+//! borrowed [`HeadView`] of one head: it selects the tokens the plan's
+//! query retrieves from the plan's index, streams the cached window, the
+//! session-local rows and the retrieved tokens into a single online-softmax
+//! accumulator (the FlashAttention-style log-sum-exp aggregation of §7.2),
+//! and returns the output. `alaya_core::Session` serves through it, and
+//! every method compared in the paper's evaluation (Table 5, Figure 9) is a
+//! parameterisation of it behind [`SparseAttention`] over a
+//! [`HeadContext`] — so the reproduction bins measure the served code.
 //!
 //! Engines:
 //!
@@ -23,12 +24,12 @@
 
 pub mod context;
 pub mod engines;
-pub mod partial;
+pub mod executor;
 pub mod window;
 
 pub use context::HeadContext;
 pub use engines::{
     DiprsAttention, FullAttention, InfLlm, SparseAttention, StreamingLlm, TopKRetrieval,
 };
-pub use partial::{attend_all, attend_selected, AttendOutput};
+pub use executor::{attend, attend_all, attend_selected, AttendOutput, HeadView};
 pub use window::WindowSpec;

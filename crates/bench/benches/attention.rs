@@ -9,7 +9,6 @@ use alaya_attention::{
 };
 use alaya_index::coarse::BlockScoring;
 use alaya_index::roargraph::RoarGraphParams;
-use alaya_query::diprs::DiprsParams;
 use alaya_vector::rng::{gaussian_store, gaussian_vec, seeded};
 
 fn context(n: usize, dim: usize) -> (HeadContext, Vec<f32>) {
@@ -54,12 +53,8 @@ fn bench_engines(c: &mut Criterion) {
             "diprs",
             Box::new(DiprsAttention {
                 window: w,
-                params: DiprsParams {
-                    beta: 2.0 * sqrt_d,
-                    l0: 64,
-                    max_visits: usize::MAX,
-                },
-                window_seeding: true,
+                beta: 2.0 * sqrt_d,
+                l0: 64,
             }),
         ),
     ];

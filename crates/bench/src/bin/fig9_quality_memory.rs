@@ -13,7 +13,6 @@ use alaya_attention::{
 };
 use alaya_bench::{fmt_bytes, print_header, print_row, write_json, Scale};
 use alaya_device::cost::ModelShape;
-use alaya_query::diprs::DiprsParams;
 use alaya_workloads::{evaluate_engines, Task, TaskKind};
 use serde::Serialize;
 
@@ -109,12 +108,8 @@ fn main() {
         };
         let diprs = DiprsAttention {
             window: WindowSpec::new(16, 64),
-            params: DiprsParams {
-                beta: 4.0 * sqrt_d,
-                l0: 64,
-                max_visits: usize::MAX,
-            },
-            window_seeding: true,
+            beta: 4.0 * sqrt_d,
+            l0: 64,
         };
         let scores = evaluate_engines(
             &[&top100 as &dyn SparseAttention, &diprs],

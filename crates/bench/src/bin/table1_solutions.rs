@@ -14,7 +14,6 @@ use alaya_bench::{
     TpotInputs,
 };
 use alaya_device::cost::ModelShape;
-use alaya_query::diprs::DiprsParams;
 use alaya_workloads::{evaluate_engines, Task, TaskKind};
 use serde::Serialize;
 
@@ -47,12 +46,8 @@ fn main() {
     };
     let diprs = DiprsAttention {
         window: w,
-        params: DiprsParams {
-            beta: 4.0 * sqrt_d,
-            l0: 64,
-            max_visits: usize::MAX,
-        },
-        window_seeding: true,
+        beta: 4.0 * sqrt_d,
+        l0: 64,
     };
     let engines: [&dyn SparseAttention; 3] = [&full, &topk, &diprs];
     let mut quality = [0.0f64; 3];

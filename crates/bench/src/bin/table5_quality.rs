@@ -18,7 +18,6 @@ use alaya_bench::{
     TpotInputs,
 };
 use alaya_device::slo::Slo;
-use alaya_query::diprs::DiprsParams;
 use alaya_workloads::{evaluate_engines, Task, TaskKind};
 use serde::Serialize;
 
@@ -64,12 +63,8 @@ fn main() {
     };
     let diprs = DiprsAttention {
         window: w_small,
-        params: DiprsParams {
-            beta: 4.0 * sqrt_d,
-            l0: 128,
-            max_visits: usize::MAX,
-        },
-        window_seeding: true,
+        beta: 4.0 * sqrt_d,
+        l0: 128,
     };
 
     let engines: Vec<(&dyn SparseAttention, &str)> = vec![

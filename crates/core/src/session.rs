@@ -6,19 +6,17 @@
 //! local window — never to the stored index (late materialization, §7.2) —
 //! and records query-vector samples so a later `DB.store` can train fine
 //! indexes from the true decode distribution. `attention` asks the query
-//! optimizer for a plan and executes it per query head, merging the cached
-//! window, the local window and the retrieved critical tokens through the
-//! data-centric log-sum-exp aggregation.
+//! optimizer for a plan and hands each query head, as a borrowed
+//! [`HeadView`], to the shared executor ([`alaya_attention::attend`]) — the
+//! same code the evaluation engines run.
 
 use std::sync::Arc;
 
+use alaya_attention::{attend, HeadView};
 use alaya_llm::backend::{AttentionBackend, StepInput};
 use alaya_llm::kv::KvCache;
-use alaya_query::diprs::{diprs_filtered, graph_topk_filtered, DiprsParams};
 use alaya_query::optimizer::{Optimizer, Plan, QuerySpec};
-use alaya_query::types::{IndexChoice, QueryType};
-use alaya_vector::softmax::OnlineSoftmax;
-use alaya_vector::topk::ScoredIdx;
+use alaya_query::types::QueryType;
 use alaya_vector::VecStore;
 
 use crate::config::DbConfig;
@@ -34,7 +32,7 @@ pub struct Session {
     tokens: Vec<u32>,
     queries: QueryReservoir,
     /// Plans chosen so far, newest last (diagnostics / EXPLAIN).
-    plan_log: Vec<String>,
+    plan_log: Vec<Plan>,
 }
 
 impl Session {
@@ -103,8 +101,9 @@ impl Session {
         &self.queries
     }
 
-    /// Recent plan explanations, newest last.
-    pub fn plan_log(&self) -> &[String] {
+    /// The plans chosen so far, newest last, consecutive repeats collapsed
+    /// ([`Plan::explain`] renders one).
+    pub fn plan_log(&self) -> &[Plan] {
         &self.plan_log
     }
 
@@ -181,13 +180,8 @@ impl Session {
     /// Records `plan` in the plan log (deduplicating consecutive repeats) —
     /// the logging half of what [`Session::attention`] does implicitly.
     pub fn note_plan(&mut self, plan: &Plan) {
-        if self
-            .plan_log
-            .last()
-            .map(|p| p != &plan.explain())
-            .unwrap_or(true)
-        {
-            self.plan_log.push(plan.explain());
+        if self.plan_log.last() != Some(plan) {
+            self.plan_log.push(plan.clone());
         }
     }
 
@@ -248,205 +242,30 @@ impl Session {
         self.attend_head(q, qh / self.cfg.model.gqa_group_size(), layer, plan)
     }
 
-    /// One head's attention under `plan`.
+    /// One head's attention under `plan`: the shared executor over a borrowed
+    /// view of the reused stored prefix and the session-local window.
     fn attend_head(&self, q: &[f32], kv_head: usize, layer: usize, plan: &Plan) -> Vec<f32> {
-        let dim = self.cfg.model.head_dim;
-        let scale = 1.0 / (dim as f32).sqrt();
-        let n_stored = self.reused_len;
-        let n_local = self.local.seq_len(layer);
-        let n = n_stored + n_local;
-        let mut acc = OnlineSoftmax::new(dim);
-
-        let local_kv = self.local.head(layer, kv_head);
-        let stored_kv = self.base.as_ref().map(|b| b.kv.head(layer, kv_head));
-
-        match plan {
-            Plan::FullAttention { .. } => {
-                if let Some(kv) = stored_kv {
-                    push_range(&mut acc, q, &kv.keys, &kv.values, scale, 0, n_stored);
-                }
-                push_range(
-                    &mut acc,
-                    q,
-                    &local_kv.keys,
-                    &local_kv.values,
-                    scale,
-                    0,
-                    n_local,
-                );
-                acc.output()
-            }
+        let base = self.base.as_deref();
+        let stored = base.map(|b| b.kv.head(layer, kv_head));
+        let local = self.local.head(layer, kv_head);
+        let view = HeadView {
+            stored: stored.map(|kv| (&kv.keys, &kv.values)),
+            n_stored: self.reused_len,
+            local: Some((&local.keys, &local.values)),
+            graph: base.and_then(|b| b.graph(layer, kv_head)),
+            coarse: base.map(|b| b.coarse(layer, kv_head)),
+        };
+        // Graph-search list size: a 2k beam for top-k, the configured DIPRS
+        // capacity threshold otherwise.
+        let l0 = match plan {
             Plan::Sparse {
-                query,
-                index,
-                filter,
-            } => {
-                let window = self.cfg.window;
-
-                // Partition 1 ("GPU"): cached window over the combined
-                // sequence, restricted to the stored part (local tokens are
-                // partition 2 in full).
-                let mut in_window = vec![false; n_stored];
-                if let Some(kv) = stored_kv {
-                    let wids: Vec<u32> = window
-                        .token_ids(n)
-                        .filter(|&id| (id as usize) < n_stored)
-                        .collect();
-                    for &id in &wids {
-                        in_window[id as usize] = true;
-                    }
-                    push_ids(&mut acc, q, &kv.keys, &kv.values, scale, &wids);
-                }
-
-                // Partition 2: the session-local window — always attended
-                // (late materialization keeps it un-indexed).
-                push_range(
-                    &mut acc,
-                    q,
-                    &local_kv.keys,
-                    &local_kv.values,
-                    scale,
-                    0,
-                    n_local,
-                );
-
-                // Window seeding for DIPRS (§7.1): best-so-far IP from the
-                // already-computed partitions.
-                let seed = if acc.is_empty() {
-                    None
-                } else {
-                    Some(acc.max_score() / scale)
-                };
-
-                // Partition 3 ("CPU"): retrieved critical tokens from the
-                // stored context.
-                let (Some(base), Some(kv)) = (self.base.as_ref(), stored_kv) else {
-                    return acc.output();
-                };
-                let prefix_len = filter.map(|f| f.prefix_len).unwrap_or(n_stored);
-                let pred = |id: u32| (id as usize) < prefix_len;
-                let retrieved: Vec<ScoredIdx> = match (query, index) {
-                    (QueryType::TopK { k }, IndexChoice::Coarse) => {
-                        let coarse = base.coarse(layer, kv_head);
-                        let blocks = k.div_ceil(coarse.block_size()).max(1);
-                        coarse
-                            .select_tokens(q, blocks)
-                            .into_iter()
-                            .filter(|&t| pred(t))
-                            .map(|t| ScoredIdx {
-                                idx: t as usize,
-                                score: 0.0,
-                            })
-                            .collect()
-                    }
-                    (QueryType::TopK { k }, IndexChoice::Fine) => {
-                        match base.graph(layer, kv_head) {
-                            Some(g) => graph_topk_filtered(g, &kv.keys, q, *k, k * 2, pred),
-                            None => flat_topk_filtered(&kv.keys, q, *k, pred),
-                        }
-                    }
-                    (QueryType::TopK { k }, IndexChoice::Flat) => {
-                        flat_topk_filtered(&kv.keys, q, *k, pred)
-                    }
-                    (QueryType::Dipr { beta }, IndexChoice::Fine) => {
-                        let params = DiprsParams {
-                            beta: *beta,
-                            l0: self.cfg.optimizer.default_k.max(16),
-                            max_visits: usize::MAX,
-                        };
-                        match base.graph(layer, kv_head) {
-                            Some(g) => diprs_filtered(g, &kv.keys, q, &params, seed, pred).tokens,
-                            None => flat_dipr_filtered(&kv.keys, q, *beta, pred),
-                        }
-                    }
-                    (QueryType::Dipr { beta }, IndexChoice::Flat | IndexChoice::Coarse) => {
-                        flat_dipr_filtered(&kv.keys, q, *beta, pred)
-                    }
-                };
-
-                let mut extras: Vec<u32> = Vec::with_capacity(retrieved.len());
-                for s in retrieved {
-                    let id = s.idx;
-                    if id < n_stored && !in_window[id] {
-                        in_window[id] = true; // guards duplicate retrievals
-                        extras.push(id as u32);
-                    }
-                }
-                push_ids(&mut acc, q, &kv.keys, &kv.values, scale, &extras);
-                acc.output()
-            }
-        }
+                query: QueryType::TopK { k },
+                ..
+            } => k * 2,
+            _ => self.cfg.optimizer.default_k.max(16),
+        };
+        attend(q, &view, self.cfg.window, plan, l0).out
     }
-}
-
-/// Keys scored per batched call below — big enough to amortize per-key row
-/// arithmetic, small enough that the score buffer lives on the stack.
-const SCORE_BLOCK: usize = 64;
-
-/// Streams rows `[start, start + len)` into `acc` in order, scoring
-/// [`SCORE_BLOCK`] contiguous keys per [`VecStore::dot_block`] call.
-/// `dot_block` is bitwise-identical to per-row `dot_row` and the push order
-/// is unchanged, so the accumulator state matches the one-push-per-key loop
-/// exactly — `attention_sequential` stays a bitwise oracle.
-fn push_range(
-    acc: &mut OnlineSoftmax,
-    q: &[f32],
-    keys: &VecStore,
-    values: &VecStore,
-    scale: f32,
-    start: usize,
-    len: usize,
-) {
-    let mut scores = [0.0f32; SCORE_BLOCK];
-    let mut i = start;
-    let end = start + len;
-    while i < end {
-        let b = SCORE_BLOCK.min(end - i);
-        let scores = &mut scores[..b];
-        keys.dot_block(q, i, scores);
-        for (j, &s) in scores.iter().enumerate() {
-            acc.push(s * scale, values.row(i + j));
-        }
-        i += b;
-    }
-}
-
-/// [`push_range`] for a non-contiguous id gather (same bitwise contract,
-/// via [`VecStore::dot_ids`]).
-fn push_ids(
-    acc: &mut OnlineSoftmax,
-    q: &[f32],
-    keys: &VecStore,
-    values: &VecStore,
-    scale: f32,
-    ids: &[u32],
-) {
-    let mut scores = [0.0f32; SCORE_BLOCK];
-    for chunk in ids.chunks(SCORE_BLOCK) {
-        let scores = &mut scores[..chunk.len()];
-        keys.dot_ids(q, chunk, scores);
-        for (&id, &s) in chunk.iter().zip(scores.iter()) {
-            acc.push(s * scale, values.row(id as usize));
-        }
-    }
-}
-
-fn flat_topk_filtered(
-    keys: &VecStore,
-    q: &[f32],
-    k: usize,
-    pred: impl Fn(u32) -> bool,
-) -> Vec<ScoredIdx> {
-    alaya_index::flat::FlatIndex.search_topk_filtered(keys, q, k, pred)
-}
-
-fn flat_dipr_filtered(
-    keys: &VecStore,
-    q: &[f32],
-    beta: f32,
-    pred: impl Fn(u32) -> bool,
-) -> Vec<ScoredIdx> {
-    alaya_index::flat::FlatIndex.search_dipr_filtered(keys, q, beta, pred)
 }
 
 /// Below this many attended tokens, a per-head task is microseconds of

@@ -111,7 +111,10 @@ fn sparse_session_approximates_full_attention() {
     assert!(max_err < 0.15, "sparse logits diverged: max err {max_err}");
     // A sparse plan must actually have been chosen.
     assert!(
-        session.plan_log().iter().any(|p| p.contains("DIPR")),
+        session
+            .plan_log()
+            .iter()
+            .any(|p| p.explain().contains("DIPR")),
         "expected a DIPR plan, log: {:?}",
         session.plan_log()
     );
@@ -157,7 +160,10 @@ fn partial_reuse_with_attribute_filtering() {
         "filtered sparse logits diverged: max err {max_err}"
     );
     assert!(
-        session.plan_log().iter().any(|p| p.contains("token<80")),
+        session
+            .plan_log()
+            .iter()
+            .any(|p| p.explain().contains("token<80")),
         "expected a filtered plan, log: {:?}",
         session.plan_log()
     );

@@ -125,11 +125,14 @@ fn thread_spawn_outside_pool(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Crates whose non-test code must not panic on fallible paths: the
 /// serving stack answers requests with typed errors; a stray `.unwrap()`
-/// aborts a co-batched tenant's request or a whole worker.
-const NO_PANIC_CRATES: [&str; 3] = [
+/// aborts a co-batched tenant's request or a whole worker. The attention
+/// executor and the query layer are what every served head runs.
+const NO_PANIC_CRATES: [&str; 5] = [
     "crates/serve/src/",
     "crates/core/src/",
     "crates/device/src/",
+    "crates/attention/src/",
+    "crates/query/src/",
 ];
 
 fn no_unwrap_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -150,7 +153,7 @@ fn no_unwrap_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
                     file,
                     i,
                     "no-unwrap-hot-path",
-                    format!("{what} in non-test serving/core/device code"),
+                    format!("{what} in non-test serving-path code"),
                 ));
             }
         }
@@ -379,9 +382,11 @@ mod tests {
 
     #[test]
     fn unwrap_rule_is_scoped_to_the_serving_stack() {
-        let bad = findings("crates/serve/src/a.rs", "x.unwrap();\ny.expect(\"m\");\n");
-        assert_eq!(bad.len(), 2);
-        assert!(bad.iter().all(|f| f.rule == "no-unwrap-hot-path"));
+        for served in ["crates/serve/src/a.rs", "crates/attention/src/a.rs"] {
+            let bad = findings(served, "x.unwrap();\ny.expect(\"m\");\n");
+            assert_eq!(bad.len(), 2);
+            assert!(bad.iter().all(|f| f.rule == "no-unwrap-hot-path"));
+        }
         let elsewhere = findings("crates/workloads/src/a.rs", "x.unwrap();\n");
         assert!(elsewhere.is_empty());
     }

@@ -85,11 +85,6 @@ impl AttentionBackend for FullKvBackend {
         self.cache.push_token(layer, &input.keys, &input.values);
         let head_dim = self.cache.head_dim();
 
-        // Scores are computed a block of keys at a time (`dot_block` is
-        // bitwise-identical to per-row `dot_row`) and pushed in id order, so
-        // the accumulator matches the per-key loop bit for bit.
-        const SCORE_BLOCK: usize = 64;
-        let mut scores = [0.0f32; SCORE_BLOCK];
         input
             .queries
             .iter()
@@ -97,16 +92,7 @@ impl AttentionBackend for FullKvBackend {
             .map(|(qh, q)| {
                 let kv = self.cache.head(layer, qh / self.gqa_group);
                 let mut acc = OnlineSoftmax::new(head_dim);
-                let mut i = 0;
-                while i < kv.len() {
-                    let b = SCORE_BLOCK.min(kv.len() - i);
-                    let scores = &mut scores[..b];
-                    kv.keys.dot_block(q, i, scores);
-                    for (j, &s) in scores.iter().enumerate() {
-                        acc.push(s * self.inv_sqrt_d, kv.values.row(i + j));
-                    }
-                    i += b;
-                }
+                acc.push_rows(q, &kv.keys, &kv.values, self.inv_sqrt_d, 0..kv.len());
                 acc.output()
             })
             .collect()

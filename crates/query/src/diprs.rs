@@ -144,41 +144,14 @@ where
     // from its neighborhood before the main loop (C would stay empty
     // otherwise).
     if c.is_empty() {
-        fresh.clear();
-        for &n in graph.neighbors(entry) {
-            if predicate(n) {
-                if visited.insert(n) {
-                    fresh.push(n);
-                }
-            } else if visited.insert(n) {
-                for &m in graph.neighbors(n) {
-                    if predicate(m) && visited.insert(m) {
-                        fresh.push(m);
-                    }
-                }
-            }
-        }
+        gather_frontier(graph, entry, &predicate, &mut visited, &mut fresh);
         append_block(&fresh, &mut fresh_scores, &mut c, &mut result);
     }
 
     while i < c.len() {
         let ci = c[i].idx as u32;
         i += 1;
-        fresh.clear();
-        for &n in graph.neighbors(ci) {
-            if predicate(n) {
-                if visited.insert(n) {
-                    fresh.push(n);
-                }
-            } else if visited.insert(n) {
-                // 2-hop expansion through the excluded node.
-                for &m in graph.neighbors(n) {
-                    if predicate(m) && visited.insert(m) {
-                        fresh.push(m);
-                    }
-                }
-            }
-        }
+        gather_frontier(graph, ci, &predicate, &mut visited, &mut fresh);
         append_block(&fresh, &mut fresh_scores, &mut c, &mut result);
         if result.visited >= params.max_visits {
             break;
@@ -191,6 +164,34 @@ where
     c.sort_unstable_by(|a, b| b.cmp(a));
     result.tokens = c;
     result
+}
+
+/// The ACORN-style frontier gather shared by [`diprs_filtered`] and
+/// [`graph_topk_filtered`]: refills `fresh` with `node`'s unvisited,
+/// predicate-passing neighbors in traversal order, widening to the 2-hop
+/// neighborhood through each excluded neighbor so that excluded nodes do
+/// not disconnect the reused-prefix subgraph.
+fn gather_frontier<P: Fn(u32) -> bool>(
+    graph: &NeighborGraph,
+    node: u32,
+    predicate: &P,
+    visited: &mut VisitedSet,
+    fresh: &mut Vec<u32>,
+) {
+    fresh.clear();
+    for &n in graph.neighbors(node) {
+        if predicate(n) {
+            if visited.insert(n) {
+                fresh.push(n);
+            }
+        } else if visited.insert(n) {
+            for &m in graph.neighbors(n) {
+                if predicate(m) && visited.insert(m) {
+                    fresh.push(m);
+                }
+            }
+        }
+    }
 }
 
 /// The *naive* filtered DIPRS baseline (§7.1): nodes failing the predicate
@@ -310,14 +311,15 @@ where
                     idx: id as usize,
                     score,
                 };
-                if results.len() < ef {
-                    results.push(std::cmp::Reverse(item));
-                    frontier.push(item);
-                } else if item > results.peek().unwrap().0 {
+                if results.len() >= ef {
+                    // Full: admit only by evicting a strictly worse result.
+                    if results.peek().is_none_or(|worst| item <= worst.0) {
+                        continue;
+                    }
                     results.pop();
-                    results.push(std::cmp::Reverse(item));
-                    frontier.push(item);
                 }
+                results.push(std::cmp::Reverse(item));
+                frontier.push(item);
             }
         };
 
@@ -342,20 +344,7 @@ where
                 }
             }
         }
-        fresh.clear();
-        for &n in graph.neighbors(cand.idx as u32) {
-            if predicate(n) {
-                if visited.insert(n) {
-                    fresh.push(n);
-                }
-            } else if visited.insert(n) {
-                for &m in graph.neighbors(n) {
-                    if predicate(m) && visited.insert(m) {
-                        fresh.push(m);
-                    }
-                }
-            }
-        }
+        gather_frontier(graph, cand.idx as u32, &predicate, &mut visited, &mut fresh);
         consider_block(&fresh, &mut fresh_scores, &mut frontier, &mut results);
     }
 

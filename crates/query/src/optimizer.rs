@@ -31,7 +31,8 @@ pub struct OptimizerConfig {
     pub short_context_threshold: usize,
     /// Default β for DIPR plans.
     pub default_beta: f32,
-    /// Default k for top-k plans (coarse path: number of *blocks*).
+    /// Default k for top-k plans, in tokens (the coarse path selects
+    /// `k.div_ceil(block_size)` blocks).
     pub default_k: usize,
     /// How many leading layers take the flat-index path (the paper observes
     /// first-layer heads need huge candidate sets — Figure 5 — so layer 1

@@ -35,6 +35,7 @@
 //! so `±inf` edge cases keep their historical behavior.
 
 use crate::ops::axpy;
+use crate::store::VecStore;
 
 /// Documented per-element relative error bound of [`softmax_in_place`]
 /// against an exact f64 softmax (polynomial exp + re-associated sum).
@@ -183,6 +184,11 @@ pub fn log_sum_exp(x: &[f32]) -> f32 {
     m + s.ln()
 }
 
+/// Keys scored per batched call in [`OnlineSoftmax::push_rows`] and
+/// [`OnlineSoftmax::push_ids`] — big enough to amortize per-key row
+/// arithmetic, small enough that the score buffer lives on the stack.
+const SCORE_BLOCK: usize = 64;
+
 /// Streaming softmax-weighted vector accumulator.
 ///
 /// Maintains the invariant that after absorbing scores `z_1..z_n` with value
@@ -244,6 +250,51 @@ impl OnlineSoftmax {
         let w = (score - self.max).exp();
         self.sum += w;
         axpy(w, value, &mut self.acc);
+    }
+
+    /// Absorbs rows `rows` of one head in order, each with score
+    /// `scale · (q · key)`, scoring a block of contiguous keys per
+    /// [`VecStore::dot_block`] call. `dot_block` is bitwise-identical to
+    /// per-row `dot_row` and the push order is the row order, so the state
+    /// matches the one-push-per-key loop exactly.
+    pub fn push_rows(
+        &mut self,
+        q: &[f32],
+        keys: &VecStore,
+        values: &VecStore,
+        scale: f32,
+        rows: std::ops::Range<usize>,
+    ) {
+        let mut scores = [0.0f32; SCORE_BLOCK];
+        let mut i = rows.start;
+        while i < rows.end {
+            let scores = &mut scores[..SCORE_BLOCK.min(rows.end - i)];
+            keys.dot_block(q, i, scores);
+            for (j, &s) in scores.iter().enumerate() {
+                self.push(s * scale, values.row(i + j));
+            }
+            i += scores.len();
+        }
+    }
+
+    /// [`OnlineSoftmax::push_rows`] for a non-contiguous id gather, in `ids`
+    /// order (same bitwise contract, via [`VecStore::dot_ids`]).
+    pub fn push_ids(
+        &mut self,
+        q: &[f32],
+        keys: &VecStore,
+        values: &VecStore,
+        scale: f32,
+        ids: &[u32],
+    ) {
+        let mut scores = [0.0f32; SCORE_BLOCK];
+        for chunk in ids.chunks(SCORE_BLOCK) {
+            let scores = &mut scores[..chunk.len()];
+            keys.dot_ids(q, chunk, scores);
+            for (&id, &s) in chunk.iter().zip(scores.iter()) {
+                self.push(s * scale, values.row(id as usize));
+            }
+        }
     }
 
     /// Merges another accumulator into this one.

@@ -130,18 +130,13 @@ mod tests {
     use super::*;
     use crate::tasks::TaskKind;
     use alaya_attention::{DiprsAttention, FullAttention, StreamingLlm, TopKRetrieval, WindowSpec};
-    use alaya_query::diprs::DiprsParams;
 
     fn dipr_engine(dim: usize) -> DiprsAttention {
         DiprsAttention {
             window: WindowSpec::new(16, 32),
             // β in IP units: 4 logits × √d.
-            params: DiprsParams {
-                beta: 4.0 * (dim as f32).sqrt(),
-                l0: 64,
-                max_visits: usize::MAX,
-            },
-            window_seeding: true,
+            beta: 4.0 * (dim as f32).sqrt(),
+            l0: 64,
         }
     }
 

@@ -81,9 +81,9 @@ fn main() {
             session
                 .plan_log()
                 .iter()
+                .map(|p| p.explain())
                 .find(|p| p.contains("DIPR") || p.contains("TopK"))
-                .map(|p| p.as_str())
-                .unwrap_or("full-attention"),
+                .unwrap_or_else(|| "full-attention".into()),
         );
         let _ = answer;
     }

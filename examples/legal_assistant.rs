@@ -74,8 +74,8 @@ fn main() {
     let filtered_plan = session
         .plan_log()
         .iter()
+        .map(|p| p.explain())
         .find(|p| p.contains("token<"))
-        .cloned()
         .expect("partial reuse must produce a filtered plan");
     println!("filtered plan: {filtered_plan}");
 

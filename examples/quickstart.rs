@@ -58,5 +58,6 @@ fn main() {
     );
     let more = model.generate(&truncated2, 12, &mut s2);
     println!("continuation     : {:?}", tok.decode(&more));
-    println!("plans used       : {:?}", s2.plan_log());
+    let plans: Vec<String> = s2.plan_log().iter().map(|p| p.explain()).collect();
+    println!("plans used       : {plans:?}");
 }

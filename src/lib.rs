@@ -3,7 +3,7 @@
 //!
 //! * [`core`] — the `DB` / `Session` public API,
 //! * [`llm`] — the transformer substrate and `AttentionBackend` seam,
-//! * [`attention`] — sparse attention engines,
+//! * [`attention`] — the attention executor and the evaluation engines over it,
 //! * [`serve`] — concurrent multi-session serving: scheduler, pool, admission,
 //! * [`query`] — query types, DIPRS, and the optimizer,
 //! * [`index`] — flat / graph / coarse vector indexes,

@@ -68,12 +68,8 @@ fn diprs_engine_beats_small_topk_on_deep_task() {
     let window = WindowSpec::new(8, 24);
     let diprs_engine = DiprsAttention {
         window,
-        params: DiprsParams {
-            beta: 4.0 * (dim as f32).sqrt(),
-            l0: 128,
-            max_visits: usize::MAX,
-        },
-        window_seeding: true,
+        beta: 4.0 * (dim as f32).sqrt(),
+        l0: 128,
     };
     let top50 = alayadb::attention::TopKRetrieval {
         window,
@@ -127,7 +123,10 @@ fn plans_shift_with_gpu_budget_and_stay_correct() {
         let (mut session, truncated) = db.create_session(&full_prompt);
         let got = model.prefill(&truncated, session.seq_len(0), &mut session);
         assert!(
-            session.plan_log().iter().any(|p| p.contains(expect_plan)),
+            session
+                .plan_log()
+                .iter()
+                .any(|p| p.explain().contains(expect_plan)),
             "budget {budget}: wanted a {expect_plan} plan, got {:?}",
             session.plan_log()
         );
@@ -394,12 +393,8 @@ fn gpu_memory_ordering_across_architectures() {
     let full = FullAttention.gpu_bytes(n, kv_per_token);
     let diprs = DiprsAttention {
         window: WindowSpec::paper_default(),
-        params: DiprsParams {
-            beta: 50.0,
-            l0: 64,
-            max_visits: usize::MAX,
-        },
-        window_seeding: true,
+        beta: 50.0,
+        l0: 64,
     }
     .gpu_bytes(n, kv_per_token);
     // Coupled/disaggregated architectures hold the full cache; AlayaDB
