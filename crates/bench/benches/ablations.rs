@@ -94,6 +94,7 @@ fn bench_gqa_sharing(c: &mut Criterion) {
     let keys: Vec<VecStore> = (0..2)
         .map(|_| gaussian_store(&mut rng, n, dim, 1.0))
         .collect();
+    let key_refs: Vec<&VecStore> = keys.iter().collect();
     let queries: Vec<VecStore> = (0..2 * group_size)
         .map(|_| gaussian_store(&mut rng, n, dim, 1.1))
         .collect();
@@ -105,7 +106,7 @@ fn bench_gqa_sharing(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
                 build_shared_indexes(
-                    &keys,
+                    &key_refs,
                     &queries,
                     &SharingConfig {
                         group_size,

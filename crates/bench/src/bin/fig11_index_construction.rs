@@ -71,6 +71,7 @@ fn main() {
         let keys: Vec<VecStore> = (0..n_kv)
             .map(|_| gaussian_store(&mut rng, n, dim, 1.0))
             .collect();
+        let key_refs: Vec<&VecStore> = keys.iter().collect();
         let queries: Vec<VecStore> = (0..n_kv * group)
             .map(|_| gaussian_store(&mut rng, n, dim, 1.1))
             .collect();
@@ -91,7 +92,7 @@ fn main() {
                 },
                 share,
             };
-            let res = build_shared_indexes(&keys, &queries, &cfg);
+            let res = build_shared_indexes(&key_refs, &queries, &cfg);
             let knn_measured: f64 = res.indexes.iter().map(|i| i.stats().knn_seconds).sum();
             let enhance: f64 = res.indexes.iter().map(|i| i.stats().enhance_seconds).sum();
             let total = if gpu {

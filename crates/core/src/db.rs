@@ -3,8 +3,8 @@
 //! # Canonical lock order
 //!
 //! Threads that nest lock acquisitions involving the DB must follow the
-//! workspace-wide order (outermost first), which the `lock-tracing` CI
-//! lane enforces dynamically via the shim's acquisition-order graph:
+//! workspace-wide order (outermost first), which the `instrumented` CI
+//! job enforces dynamically via the shim's acquisition-order graph:
 //!
 //! ```text
 //! serve.sessions → serve.session → serve.growth
@@ -16,8 +16,8 @@
 //! session lock is held (`ServeEngine::store_background` snapshots under
 //! the session lock and reserves the [`ContextId`] under the contexts
 //! write lock). The background publish task is stricter than the order
-//! above requires: it computes the final [`StoreState`] *under* the
-//! contexts write lock but drops that guard before taking
+//! above requires: it publishes (or abandons) its [`Reservation`] under
+//! the contexts write lock and drops that guard before taking
 //! `core.db.store_state`, so the two locks are never held together at all
 //! (the tracing shim's acquisition graph shows no edge between them —
 //! `tests/lock_tracing.rs` pins this down). Nothing may take a session or
@@ -28,6 +28,7 @@
 //! [`Db::store_background`] can never order-invert against them.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -204,28 +205,13 @@ impl Db {
             kv.seq_len(0),
             "token sequence and KV cache must have equal length"
         );
-        // Allocate under the contexts lock and leave the id reserved, so a
-        // concurrent `adopt` cannot claim it while the context is still
-        // building. Index construction itself runs outside the lock, so
-        // imports do not block concurrent session creation or lookup.
-        let id = {
-            let mut contexts = self.contexts.write();
-            let id = ContextId(self.next_id.fetch_add(1, Ordering::Relaxed));
-            contexts.reserved.insert(id);
-            id
-        };
-        // Un-reserve on every exit path — if the build below panics, the id
-        // must not stay reserved forever (redundant removal is a no-op).
-        struct Unreserve<'a>(&'a Db, ContextId);
-        impl Drop for Unreserve<'_> {
-            fn drop(&mut self) {
-                self.0.contexts.write().reserved.remove(&self.1);
-            }
-        }
-        let _unreserve = Unreserve(self, id);
+        // Index construction runs outside the contexts lock, so imports do
+        // not block concurrent session creation or lookup; a panicking
+        // build drops the reservation unpublished.
+        let reservation = Reservation::new(self);
+        let id = reservation.id;
         let ctx = StoredContext::build(id, tokens, kv, queries, &self.cfg);
-        self.contexts.write().insert(Arc::new(ctx));
-        self.stats.contexts_imported.inc();
+        reservation.publish(ctx);
         id
     }
 
@@ -300,42 +286,33 @@ impl Db {
         let local = session.local_kv().clone();
         let queries = session.query_samples().clone();
 
-        // Reserve the id like `import` does, so concurrent `adopt` cannot
-        // claim it while the build runs outside the lock.
-        let id = {
-            let mut contexts = self.contexts.write();
-            let id = ContextId(self.next_id.fetch_add(1, Ordering::Relaxed));
-            contexts.reserved.insert(id);
-            id
-        };
+        let reservation = Reservation::new(Arc::clone(self));
+        let id = reservation.id;
 
         let shared = Arc::new(StoreShared {
             state: Mutex::new_named(StoreState::Pending, "core.db.store_state"),
             cv: Condvar::new(),
         });
-        let db = Arc::clone(self);
         let task_shared = Arc::clone(&shared);
         alaya_device::pool::global().execute(move || {
+            let cfg = &reservation.db.cfg;
             let built = catch_unwind(AssertUnwindSafe(|| {
-                let kv = merge_session_kv(&db.cfg, base.as_ref(), reused_len, &local);
-                StoredContext::build(id, tokens, kv, Some(&queries), &db.cfg)
+                let kv = merge_session_kv(cfg, base.as_ref(), reused_len, &local);
+                StoredContext::build(id, tokens, kv, Some(&queries), cfg)
             }));
-            // Publish (or abandon) and un-reserve under one write-lock
-            // hold: the context becomes visible in the same atomic step
-            // that releases the reservation.
-            let state = {
-                let mut contexts = db.contexts.write();
-                contexts.reserved.remove(&id);
-                match built {
-                    Ok(ctx) => {
-                        contexts.insert(Arc::new(ctx));
-                        db.stats.contexts_imported.inc();
-                        StoreState::Ready
-                    }
-                    Err(payload) => {
-                        db.stats.store_failures.inc();
-                        StoreState::Failed(panic_message(payload.as_ref()))
-                    }
+            // The contexts write lock (inside publish/drop) is released
+            // before the store-state lock below is taken.
+            let state = match built {
+                Ok(ctx) => {
+                    reservation.publish(ctx);
+                    StoreState::Ready
+                }
+                Err(payload) => {
+                    reservation.db.stats.store_failures.inc();
+                    drop(reservation);
+                    StoreState::Failed(StoreError {
+                        message: panic_message(payload.as_ref()),
+                    })
                 }
             };
             *task_shared.state.lock() = state;
@@ -346,14 +323,54 @@ impl Db {
     }
 }
 
-/// Checks that a session's noted tokens cover its KV positions, returning
-/// the storable length. The final generated token is sampled but not yet
-/// forward-passed, so its KV does not exist; tolerate exactly that
-/// off-by-one.
+/// A [`ContextId`] handed out while its context still builds outside the
+/// contexts lock: `adopt` treats it as taken. Ending the reservation —
+/// [`Reservation::publish`] or a plain drop (build panicked, task never
+/// ran) — un-reserves the id and, when a context was built, inserts it
+/// under one write-lock hold, so the context becomes visible in the same
+/// atomic step that releases the reservation.
+struct Reservation<D: Deref<Target = Db>> {
+    db: D,
+    id: ContextId,
+    built: Option<StoredContext>,
+}
+
+impl<D: Deref<Target = Db>> Reservation<D> {
+    fn new(db: D) -> Self {
+        let id = {
+            let mut contexts = db.contexts.write();
+            let id = ContextId(db.next_id.fetch_add(1, Ordering::Relaxed));
+            contexts.reserved.insert(id);
+            id
+        };
+        Self {
+            db,
+            id,
+            built: None,
+        }
+    }
+
+    fn publish(mut self, ctx: StoredContext) {
+        self.built = Some(ctx);
+    }
+}
+
+impl<D: Deref<Target = Db>> Drop for Reservation<D> {
+    fn drop(&mut self) {
+        let mut contexts = self.db.contexts.write();
+        contexts.reserved.remove(&self.id);
+        if let Some(ctx) = self.built.take() {
+            contexts.insert(Arc::new(ctx));
+            self.db.stats.contexts_imported.inc();
+        }
+    }
+}
+
+/// Panics unless [`Session::storable_len`] holds; returns that length.
 fn validate_store_coverage(session: &Session) -> usize {
     let total = session.total_len();
     assert!(
-        session.tokens().len() == total || session.tokens().len() == total + 1,
+        session.storable_len().is_some(),
         "session knows {} tokens but holds {} positions; call note_tokens()",
         session.tokens().len(),
         total
@@ -396,11 +413,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A background store whose KV merge or index build panicked: no context
+/// was published. Carries the panic's message.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoreError {
+    /// The build panic's message.
+    pub message: String,
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "store build panicked: {}", self.message)
+    }
+}
+
+impl std::error::Error for StoreError {}
+
 /// Completion state of one background store.
 enum StoreState {
     Pending,
     Ready,
-    Failed(String),
+    Failed(StoreError),
 }
 
 struct StoreShared {
@@ -428,14 +461,14 @@ impl StoreHandle {
     }
 
     /// Blocks until the context is published; returns its id, or the build
-    /// panic's message.
-    pub fn wait(&self) -> Result<ContextId, String> {
+    /// failure.
+    pub fn wait(&self) -> Result<ContextId, StoreError> {
         let mut state = self.shared.state.lock();
         loop {
             match &*state {
                 StoreState::Pending => self.shared.cv.wait(&mut state),
                 StoreState::Ready => return Ok(self.id),
-                StoreState::Failed(msg) => return Err(msg.clone()),
+                StoreState::Failed(err) => return Err(err.clone()),
             }
         }
     }
@@ -574,6 +607,15 @@ mod tests {
         assert_eq!(ka.keys.as_flat(), kb.keys.as_flat());
         assert_eq!(ka.values.as_flat(), kb.values.as_flat());
         assert_eq!(a.graph_bytes(), b.graph_bytes());
+        for layer in 0..a.kv.n_layers() {
+            for h in 0..a.kv.n_kv_heads() {
+                assert_eq!(
+                    a.graph(layer, h),
+                    b.graph(layer, h),
+                    "adjacency at ({layer}, {h})"
+                );
+            }
+        }
         assert_eq!(db.n_contexts(), 2);
     }
 }

@@ -27,7 +27,7 @@ pub mod session;
 pub mod stored;
 
 pub use config::DbConfig;
-pub use db::{Db, DbStats, StoreHandle};
+pub use db::{Db, DbStats, StoreError, StoreHandle};
 pub use persist::{load_context, save_context};
 pub use session::Session;
 pub use stored::{ContextId, StoredContext};

@@ -83,6 +83,15 @@ impl Session {
         self.reused_len + self.local_len()
     }
 
+    /// The length `DB.store` would persist, or `None` when the noted
+    /// tokens do not cover the session's KV positions (its precondition).
+    /// The final generated token is sampled but not yet forward-passed, so
+    /// its KV does not exist; exactly that off-by-one is tolerated.
+    pub fn storable_len(&self) -> Option<usize> {
+        let total = self.total_len();
+        (self.tokens.len() == total || self.tokens.len() == total + 1).then_some(total)
+    }
+
     /// Records the token ids the engine is processing, so `DB.store` can
     /// persist the full context. Call before/after `Model::generate` with
     /// the truncated prompt and the generated tokens.

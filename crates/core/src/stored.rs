@@ -92,8 +92,8 @@ impl StoredContext {
         let mut coarse: Vec<Vec<CoarseIndex>> = Vec::with_capacity(n_layers);
 
         for layer in 0..n_layers {
-            let keys_per_head: Vec<VecStore> =
-                (0..n_kv).map(|h| kv.head(layer, h).keys.clone()).collect();
+            let keys_per_head: Vec<&VecStore> =
+                (0..n_kv).map(|h| &kv.head(layer, h).keys).collect();
 
             // Coarse indexes: always available (high-budget plan).
             coarse.push(
@@ -114,7 +114,7 @@ impl StoredContext {
                 Some(r) if r.layer(layer).iter().all(|s| !s.is_empty()) => r.layer(layer).to_vec(),
                 _ => (0..n_kv * group)
                     .map(|qh| {
-                        let keys = &keys_per_head[qh / group];
+                        let keys = keys_per_head[qh / group];
                         sample_rows(keys, (keys.len() / 2).max(1))
                     })
                     .collect(),

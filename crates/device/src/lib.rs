@@ -30,5 +30,5 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use cost::{CostModel, ModelShape};
 pub use memory::{MemoryGuard, MemoryTracker, OutOfMemory};
 pub use pool::{PoolStats, WorkStealingPool};
-pub use slo::{DispatchBudget, Slo, SloReport};
+pub use slo::{Slo, SloReport};
 pub use spec::{DeviceKind, DeviceSpec, LinkSpec};

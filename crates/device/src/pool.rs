@@ -101,14 +101,14 @@ struct Shared {
     stats: PoolStats,
     /// Armed failpoint registry (chaos builds only); a `OnceLock` rather
     /// than a lock so probing it adds no lock site and no ordering edges.
-    #[cfg(feature = "chaos")]
+    #[cfg(feature = "instrumented")]
     chaos: OnceLock<Arc<alaya_chaos::Chaos>>,
 }
 
 /// Failpoint: fires inside a scoped task's panic-containment wrapper, so
 /// an injected panic exercises exactly the real worker-panic path (scope
 /// marked panicked, `remaining` still decremented, owner re-raises).
-#[cfg(feature = "chaos")]
+#[cfg(feature = "instrumented")]
 pub const CHAOS_TASK_PANIC: &str = "device.pool.task_panic";
 
 impl Shared {
@@ -245,7 +245,7 @@ impl WorkStealingPool {
             next: AtomicUsize::new(0),
             idle_workers: AtomicUsize::new(0),
             stats: PoolStats::default(),
-            #[cfg(feature = "chaos")]
+            #[cfg(feature = "instrumented")]
             chaos: OnceLock::new(),
         });
         let workers = (0..threads)
@@ -274,7 +274,7 @@ impl WorkStealingPool {
     /// Installs the failpoint registry scoped tasks probe (first call
     /// wins). Only sensible on a dedicated pool — injecting into the
     /// process-wide [`global`] pool would fault unrelated tests.
-    #[cfg(feature = "chaos")]
+    #[cfg(feature = "instrumented")]
     pub fn inject_chaos(&self, chaos: Arc<alaya_chaos::Chaos>) {
         let _ = self.shared.chaos.set(chaos);
     }
@@ -450,7 +450,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         };
         let scope = Arc::as_ptr(&self.state) as usize;
         let panics = Arc::clone(&self.pool.shared.stats.panics_contained);
-        #[cfg(feature = "chaos")]
+        #[cfg(feature = "instrumented")]
         let shared = Arc::clone(&self.pool.shared);
         self.pool.shared.push(Task {
             scope,
@@ -461,7 +461,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                 // re-raise) — injecting outside it would instead leak
                 // `remaining` and deadlock the scope.
                 let guarded = AssertUnwindSafe(move || {
-                    #[cfg(feature = "chaos")]
+                    #[cfg(feature = "instrumented")]
                     if let Some(chaos) = shared.chaos.get() {
                         if chaos.should_fire(CHAOS_TASK_PANIC) {
                             panic!("chaos: injected worker panic");
@@ -609,7 +609,7 @@ mod tests {
     /// Injected worker panics are indistinguishable from real ones: the
     /// scope re-raises each one, `remaining` reaches zero (no deadlock),
     /// and once the failpoint exhausts the pool serves normally.
-    #[cfg(feature = "chaos")]
+    #[cfg(feature = "instrumented")]
     #[test]
     fn injected_worker_panics_follow_the_real_panic_path() {
         let pool = WorkStealingPool::new(2);

@@ -5,8 +5,6 @@
 //! step. §9.1 fixes TPOT ≤ 0.24 s — the human reading speed from the
 //! DistServe measurements the paper cites.
 
-use std::time::Duration;
-
 use serde::{Deserialize, Serialize};
 
 /// An SLO specification for one serving workload.
@@ -36,54 +34,6 @@ impl Slo {
         }
     }
 
-    /// The tightest per-request time budget this SLO implies, in seconds:
-    /// a scheduler that answers every request within this bound satisfies
-    /// both phases. `None` when the SLO is fully unbounded.
-    pub fn step_budget_s(&self) -> Option<f64> {
-        match (self.ttft_s, self.tpot_s) {
-            (Some(t), Some(p)) => Some(t.min(p)),
-            (Some(t), None) => Some(t),
-            (None, Some(p)) => Some(p),
-            (None, None) => None,
-        }
-    }
-
-    /// Derives scheduler dispatch parameters from this SLO given an
-    /// estimated per-request execution time (`est_request_s`, typically
-    /// [`crate::CostModel::decode_step_time`] at the admitted context
-    /// length) and the executor's worker count.
-    ///
-    /// The per-request budget `B` ([`Slo::step_budget_s`]) is split three
-    /// ways: up to `B/4` of *lingering* in the dispatch window (waiting
-    /// for batchmates — the cross-session plan sharing that lingering buys
-    /// is the whole point of batching), up to `B/2` of *execution* (which
-    /// caps the batch at `workers * floor((B/2) / est)` requests so the
-    /// batch ahead of a request cannot eat its budget), and the remainder
-    /// as slack for queueing. The full budget `B` becomes the default
-    /// deadline: a request that cannot start executing inside `B` is shed
-    /// rather than answered late.
-    ///
-    /// `None` when the SLO is fully unbounded (nothing to derive from).
-    /// An unknown execution estimate (`est_request_s <= 0`) falls back to
-    /// 4 requests per worker.
-    pub fn dispatch_budget(&self, est_request_s: f64, workers: usize) -> Option<DispatchBudget> {
-        let budget = self.step_budget_s()?;
-        let workers = workers.max(1);
-        let per_worker = if est_request_s > 0.0 {
-            ((budget * 0.5) / est_request_s).floor() as usize
-        } else {
-            4
-        };
-        // Even a budget tighter than one request still dispatches one at a
-        // time — shedding is the deadline's job, not the batch bound's.
-        let max_batch = (workers * per_worker.max(1)).min(4096);
-        Some(DispatchBudget {
-            window: Duration::from_secs_f64(budget * 0.25),
-            max_batch,
-            deadline: Duration::from_secs_f64(budget),
-        })
-    }
-
     /// Checks measured latencies against this SLO.
     pub fn check(&self, ttft_s: f64, tpot_s: f64) -> SloReport {
         SloReport {
@@ -93,21 +43,6 @@ impl Slo {
             tpot_ok: self.tpot_s.map(|lim| tpot_s <= lim).unwrap_or(true),
         }
     }
-}
-
-/// Scheduler dispatch parameters derived from an [`Slo`] by
-/// [`Slo::dispatch_budget`]: how long a batch may linger for batchmates,
-/// how many requests it may hold, and how long a request may wait before
-/// it is shed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DispatchBudget {
-    /// Maximum time the dispatcher lingers collecting a batch.
-    pub window: Duration,
-    /// Maximum requests per batch.
-    pub max_batch: usize,
-    /// Default deadline: queue time a request may accumulate before it is
-    /// shed instead of executed.
-    pub deadline: Duration,
 }
 
 /// Result of checking measured latencies against an [`Slo`].
@@ -166,42 +101,6 @@ mod tests {
     fn boundary_is_inclusive() {
         let slo = Slo::new(1.0, 0.24);
         assert!(slo.check(1.0, 0.24).satisfied());
-    }
-
-    #[test]
-    fn step_budget_is_the_tightest_bound() {
-        assert_eq!(Slo::new(1.0, 0.24).step_budget_s(), Some(0.24));
-        assert_eq!(Slo::new(0.1, 0.24).step_budget_s(), Some(0.1));
-        assert_eq!(Slo::reading_speed().step_budget_s(), Some(0.24));
-        let unbounded = Slo {
-            ttft_s: None,
-            tpot_s: None,
-        };
-        assert_eq!(unbounded.step_budget_s(), None);
-        assert_eq!(unbounded.dispatch_budget(0.01, 8), None);
-    }
-
-    #[test]
-    fn dispatch_budget_splits_the_slo() {
-        // B = 0.24 s, est = 20 ms → floor(0.12/0.02) = 6 per worker.
-        let b = Slo::reading_speed().dispatch_budget(0.020, 4).unwrap();
-        assert_eq!(b.max_batch, 24);
-        assert_eq!(b.window, Duration::from_secs_f64(0.06));
-        assert_eq!(b.deadline, Duration::from_secs_f64(0.24));
-    }
-
-    #[test]
-    fn dispatch_budget_edge_cases() {
-        // Request slower than the whole budget: still dispatch one at a
-        // time per worker (the deadline sheds, the batch bound does not).
-        let slow = Slo::reading_speed().dispatch_budget(10.0, 4).unwrap();
-        assert_eq!(slow.max_batch, 4);
-        // Unknown estimate: 4 per worker; zero workers treated as one.
-        let unknown = Slo::reading_speed().dispatch_budget(0.0, 0).unwrap();
-        assert_eq!(unknown.max_batch, 4);
-        // Vanishingly cheap requests: the batch stays bounded.
-        let cheap = Slo::reading_speed().dispatch_budget(1e-12, 64).unwrap();
-        assert_eq!(cheap.max_batch, 4096);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub fn sample_rows(store: &VecStore, n: usize) -> VecStore {
 /// * `queries_per_q_head[h]` — query-vector sample of query head `h`
 ///   (length `h_kv * group_size`).
 pub fn build_shared_indexes(
-    keys_per_kv_head: &[VecStore],
+    keys_per_kv_head: &[&VecStore],
     queries_per_q_head: &[VecStore],
     cfg: &SharingConfig,
 ) -> SharedBuildResult {
@@ -81,7 +81,7 @@ pub fn build_shared_indexes(
     if cfg.share {
         // One index per KV head: merge a (sample_ratio * n_keys)-sized query
         // sample drawn evenly across the group's query heads.
-        for (g, keys) in keys_per_kv_head.iter().enumerate() {
+        for (g, &keys) in keys_per_kv_head.iter().enumerate() {
             let total = (keys.len() as f64 * cfg.sample_ratio).ceil() as usize;
             let per_head = total.div_ceil(cfg.group_size).max(1);
             let mut merged = VecStore::new(keys.dim());
@@ -94,7 +94,7 @@ pub fn build_shared_indexes(
         // RetrievalAttention baseline: one index per query head, trained on
         // that head's own samples.
         for (h, queries) in queries_per_q_head.iter().enumerate() {
-            let keys = &keys_per_kv_head[h / cfg.group_size];
+            let keys = keys_per_kv_head[h / cfg.group_size];
             let total = (keys.len() as f64 * cfg.sample_ratio).ceil() as usize;
             let sampled = sample_rows(queries, total.max(1));
             indexes.push(RoarGraph::build(keys, &sampled, cfg.params));
@@ -130,6 +130,10 @@ mod tests {
         (keys, queries)
     }
 
+    fn refs(keys: &[VecStore]) -> Vec<&VecStore> {
+        keys.iter().collect()
+    }
+
     #[test]
     fn shared_build_produces_one_index_per_kv_head() {
         let (keys, queries) = layer_data(2, 2, 200, 8);
@@ -139,7 +143,7 @@ mod tests {
             params: RoarGraphParams::default(),
             share: true,
         };
-        let res = build_shared_indexes(&keys, &queries, &cfg);
+        let res = build_shared_indexes(&refs(&keys), &queries, &cfg);
         assert_eq!(res.indexes.len(), 2);
         assert!(res.bytes() > 0);
     }
@@ -153,7 +157,7 @@ mod tests {
             params: RoarGraphParams::default(),
             share: false,
         };
-        let res = build_shared_indexes(&keys, &queries, &cfg);
+        let res = build_shared_indexes(&refs(&keys), &queries, &cfg);
         assert_eq!(res.indexes.len(), 4);
     }
 
@@ -161,7 +165,7 @@ mod tests {
     fn sharing_reduces_memory() {
         let (keys, queries) = layer_data(2, 4, 200, 8);
         let shared = build_shared_indexes(
-            &keys,
+            &refs(&keys),
             &queries,
             &SharingConfig {
                 group_size: 4,
@@ -171,7 +175,7 @@ mod tests {
             },
         );
         let unshared = build_shared_indexes(
-            &keys,
+            &refs(&keys),
             &queries,
             &SharingConfig {
                 group_size: 4,
@@ -194,7 +198,7 @@ mod tests {
             params: RoarGraphParams::default(),
             share: true,
         };
-        let res = build_shared_indexes(&keys, &queries, &cfg);
+        let res = build_shared_indexes(&refs(&keys), &queries, &cfg);
         let idx = &res.indexes[0];
         for (h, head_queries) in queries.iter().enumerate() {
             let mut hits = 0;
@@ -230,7 +234,7 @@ mod tests {
     fn mismatched_heads_panic() {
         let (keys, queries) = layer_data(2, 2, 50, 4);
         build_shared_indexes(
-            &keys,
+            &refs(&keys),
             &queries[..3],
             &SharingConfig {
                 group_size: 2,

@@ -18,10 +18,8 @@ use parking_lot::{Mutex, RwLock};
 use alaya_core::stored::ContextId;
 use alaya_core::{Db, StoreHandle};
 use alaya_device::clock::{Clock, SystemClock};
-use alaya_device::cost::CostModel;
 use alaya_device::memory::MemoryTracker;
 use alaya_device::pool::{self, WorkStealingPool};
-use alaya_device::slo::Slo;
 use alaya_llm::backend::{AttentionBackend, StepInput};
 
 use crate::admission::{per_token_bytes, session_bytes, AdmissionController};
@@ -35,30 +33,17 @@ use crate::telemetry::{LaneCounters, LaneStats, TelemetrySnapshot};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
 
-/// Batch-size fallback when neither [`ServeConfig::max_batch`] nor an
-/// SLO + cost model pair is configured to derive one.
-const DEFAULT_MAX_BATCH: usize = 64;
-
-/// Queue-depth default: far above any sane in-flight count, so the bound
-/// only trips under genuine overload (it exists to convert "silent
-/// unbounded queue growth" into typed [`ServeError::Overloaded`]).
-const DEFAULT_MAX_QUEUE_REQUESTS: usize = 4096;
-
-/// Queue-bytes default (256 MiB of queued query tensors).
-const DEFAULT_MAX_QUEUE_BYTES: u64 = 256 << 20;
-
 /// Engine construction options.
 ///
-/// The defaults serve without shedding: no SLO, no deadlines, dispatch
-/// immediately, batch up to [`DEFAULT_MAX_BATCH`], and bound the queue at
-/// [`DEFAULT_MAX_QUEUE_REQUESTS`] requests / [`DEFAULT_MAX_QUEUE_BYTES`]
-/// bytes — limits sized to stay invisible until the server is genuinely
-/// drowning, at which point submissions get typed
+/// The defaults serve without shedding: no deadlines, dispatch
+/// immediately, and the batch and queue bounds of
+/// [`BatchPolicy::default`] — limits sized to stay invisible until the
+/// server is genuinely drowning, at which point submissions get typed
 /// [`ServeError::Overloaded`] backpressure instead of queueing without
-/// bound. Configuring `slo` + `cost` turns on the SLO-aware path: batch
-/// size, dispatch window and default deadline derive from
-/// [`Slo::dispatch_budget`], and requests that cannot meet their deadline
-/// are shed with [`ServeError::DeadlineExceeded`].
+/// bound. The dispatch window, deadline and queue bound are explicit
+/// policy; the execution estimate behind `retry_after_hint` and the
+/// deadline-shedding margin is measured (an EWMA of observed batch
+/// times), never configured.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Worker threads for execution. `0` (the default) shares the
@@ -72,56 +57,33 @@ pub struct ServeConfig {
     /// tracker, so admitted sessions and the query optimizer see one
     /// consistent budget.
     pub admission: Option<Arc<MemoryTracker>>,
-    /// Latency targets. With a `cost` model this derives the dispatch
-    /// window, batch bound and default deadline. Default `None`.
-    pub slo: Option<Slo>,
-    /// Hardware cost model estimating per-request execution time (sizes
-    /// batches against the SLO budget and the `retry_after_hint` on
-    /// overload). Default `None`.
-    pub cost: Option<CostModel>,
-    /// Maximum requests per dispatched batch. `0` (the default) derives
-    /// from `slo` + `cost`, falling back to [`DEFAULT_MAX_BATCH`].
-    pub max_batch: usize,
-    /// Explicit dispatch-window override (how long an under-full batch
-    /// lingers for batchmates). `None` (the default) derives from the SLO
-    /// or dispatches immediately.
-    pub dispatch_window: Option<Duration>,
+    /// How long an under-full batch lingers for batchmates. Zero (the
+    /// default) dispatches whatever is queued immediately.
+    pub dispatch_window: Duration,
     /// Deadline applied to every `attention` submission (relative to
-    /// enqueue). `None` (the default) derives from the SLO when present,
-    /// else requests never expire. Per-request deadlines via
-    /// [`ServeEngine::attention_with_deadline`] override this.
+    /// enqueue). `None` (the default): requests never expire. Per-request
+    /// deadlines via [`ServeEngine::attention_with_deadline`] override
+    /// this.
     pub default_deadline: Option<Duration>,
     /// Queue-depth bound; submissions beyond it are rejected with
-    /// [`ServeError::Overloaded`]. Default
-    /// [`DEFAULT_MAX_QUEUE_REQUESTS`].
+    /// [`ServeError::Overloaded`]. Default 4096.
     pub max_queue_requests: usize,
-    /// Queue-bytes bound (queued query tensors), same rejection. Default
-    /// [`DEFAULT_MAX_QUEUE_BYTES`].
-    pub max_queue_bytes: u64,
     /// Time source for deadlines and dispatch windows. `None` (the
-    /// default) uses the monotonic [`SystemClock`]; tests and the chaos
-    /// harness inject a
-    /// [`ManualClock`](alaya_device::clock::ManualClock).
+    /// default) uses the monotonic [`SystemClock`]; the substitution seam
+    /// for a [`ManualClock`](alaya_device::clock::ManualClock).
     pub clock: Option<Arc<dyn Clock>>,
 }
 
-/// The pre-overload-control name of [`ServeConfig`], kept as an alias so
-/// existing call sites compile unchanged.
-pub type ServeOptions = ServeConfig;
-
 impl Default for ServeConfig {
     fn default() -> Self {
+        let policy = BatchPolicy::default();
         Self {
             threads: 0,
             max_local_tokens: 256,
             admission: None,
-            slo: None,
-            cost: None,
-            max_batch: 0,
-            dispatch_window: None,
+            dispatch_window: policy.window,
             default_deadline: None,
-            max_queue_requests: DEFAULT_MAX_QUEUE_REQUESTS,
-            max_queue_bytes: DEFAULT_MAX_QUEUE_BYTES,
+            max_queue_requests: policy.max_queue_requests,
             clock: None,
         }
     }
@@ -151,15 +113,7 @@ impl ServeEngine {
         Self::with_options(db, ServeConfig::default())
     }
 
-    /// Creates an engine with explicit options. When `opts.slo` and
-    /// `opts.cost` are both set, the dispatch policy derives from
-    /// [`Slo::dispatch_budget`]: the per-request execution estimate is the
-    /// cost model's decode-step time over a worst-case context
-    /// (`window.initial + window.last + max_local_tokens` attended
-    /// tokens), and batch size / linger window / default deadline follow
-    /// from the tighter of the TTFT and TPOT budgets. Explicit fields
-    /// (`max_batch`, `dispatch_window`, `default_deadline`) override the
-    /// derivation piecewise.
+    /// Creates an engine with explicit options.
     pub fn with_options(db: Arc<Db>, opts: ServeConfig) -> Self {
         let pool: Arc<WorkStealingPool> = if opts.threads == 0 {
             Arc::clone(pool::global())
@@ -170,37 +124,16 @@ impl ServeEngine {
         let admission =
             AdmissionController::new(tracker, session_bytes(db.config(), opts.max_local_tokens));
 
-        // Worst-case attended tokens for one request: the stored window
-        // plus the full session-local cap. Doubles as the DRR quantum, so
-        // one round of credit dispatches roughly one worst-case request.
+        // DRR quantum: worst-case attended tokens for one request (the
+        // stored window plus the full session-local cap), so one round of
+        // credit dispatches roughly one worst-case request.
         let cfg = db.config();
-        let est_tokens = cfg.window.initial + cfg.window.last + opts.max_local_tokens;
-        let est_s = opts
-            .cost
-            .as_ref()
-            .map(|c| c.decode_step_time(est_tokens))
-            .unwrap_or(0.0);
-        let derived = opts
-            .slo
-            .as_ref()
-            .and_then(|slo| slo.dispatch_budget(est_s, pool.threads()));
-        let max_batch = if opts.max_batch > 0 {
-            opts.max_batch
-        } else {
-            derived.map(|d| d.max_batch).unwrap_or(DEFAULT_MAX_BATCH)
-        };
-        let window = opts
-            .dispatch_window
-            .or(derived.map(|d| d.window))
-            .unwrap_or(Duration::ZERO);
-        let default_deadline = opts.default_deadline.or(derived.map(|d| d.deadline));
+        let quantum = cfg.window.initial + cfg.window.last + opts.max_local_tokens;
         let policy = BatchPolicy {
-            max_batch: max_batch.max(1),
-            window,
+            window: opts.dispatch_window,
             max_queue_requests: opts.max_queue_requests.max(1),
-            max_queue_bytes: opts.max_queue_bytes.max(1),
-            quantum: est_tokens.max(1) as u64,
-            est_exec: Duration::try_from_secs_f64(est_s.max(0.0)).unwrap_or(Duration::ZERO),
+            quantum: quantum.max(1) as u64,
+            ..BatchPolicy::default()
         };
         let clock: Arc<dyn Clock> = opts.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
 
@@ -226,7 +159,7 @@ impl ServeEngine {
             scheduler: Some(scheduler),
             reserve_tokens: opts.max_local_tokens.max(1),
             per_token,
-            default_deadline,
+            default_deadline: opts.default_deadline,
             clock,
         }
     }
@@ -244,13 +177,6 @@ impl ServeEngine {
     /// Scheduler counters so far.
     pub fn stats(&self) -> SchedulerStats {
         self.core.stats.snapshot()
-    }
-
-    /// The dispatch policy in force (explicit, SLO-derived, or default).
-    /// Its `est_exec` is the static seed; see
-    /// [`ServeEngine::calibrated_est_exec`] for the live estimate.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.core.policy
     }
 
     /// A point-in-time telemetry snapshot: the classic counters, the
@@ -297,8 +223,8 @@ impl ServeEngine {
     }
 
     /// The EWMA-calibrated per-batch execution estimate currently sizing
-    /// `retry_after_hint` and deadline-shedding margins. Seeded from the
-    /// cost model (or zero), then tracks observed batch wall times.
+    /// `retry_after_hint` and deadline-shedding margins: zero until the
+    /// first batch, then tracks observed batch wall times.
     pub fn calibrated_est_exec(&self) -> Duration {
         self.core.stats.est_exec()
     }
@@ -314,7 +240,7 @@ impl ServeEngine {
     /// is deliberately left alone: injecting panics into workers shared
     /// with unrelated tests would make chaos non-hermetic. First call
     /// wins; later calls are ignored.
-    #[cfg(feature = "chaos")]
+    #[cfg(feature = "instrumented")]
     pub fn inject_chaos(&self, chaos: Arc<alaya_chaos::Chaos>) {
         let _ = self.core.chaos.set(Arc::clone(&chaos));
         if !Arc::ptr_eq(&self.core.pool, pool::global()) {
@@ -330,8 +256,12 @@ impl ServeEngine {
     /// Admits a session for `prompt`: reserves its device bytes first
     /// (returning [`ServeError::OutOfMemory`] when the budget is full),
     /// then opens the session with the DB's longest-prefix reuse. Returns
-    /// the handle and the truncated prompt still to prefill.
+    /// the handle and the truncated prompt still to prefill. An empty
+    /// prompt is [`ServeError::EmptyPrompt`] and reserves nothing.
     pub fn admit(&self, prompt: &[u32]) -> Result<(SessionId, Vec<u32>), ServeError> {
+        if prompt.is_empty() {
+            return Err(ServeError::EmptyPrompt);
+        }
         let reservation = self.admission.admit()?;
         let (session, truncated) = self.db.create_session(prompt);
         let slot = Arc::new(SessionSlot {
@@ -563,10 +493,17 @@ impl ServeEngine {
     /// and builds the context on the shared pool. The returned handle
     /// carries the reserved [`ContextId`]; the context appears in the DB
     /// atomically when the build finishes — readers never observe a
-    /// partially built context.
+    /// partially built context. A session whose noted tokens do not cover
+    /// its KV positions is [`ServeError::TokensNotNoted`]; it stays usable.
     pub fn store_background(&self, id: SessionId) -> Result<StoreHandle, ServeError> {
         let slot = self.slot(id)?;
         let session = slot.lock();
+        if session.storable_len().is_none() {
+            return Err(ServeError::TokensNotNoted {
+                noted: session.tokens().len(),
+                positions: session.total_len(),
+            });
+        }
         Ok(self.db.store_background(&session))
     }
 
@@ -735,7 +672,7 @@ mod tests {
         let db = Arc::new(Db::new(cfg));
         let eng = ServeEngine::with_options(
             Arc::clone(&db),
-            ServeOptions {
+            ServeConfig {
                 max_local_tokens,
                 ..Default::default()
             },
@@ -768,6 +705,73 @@ mod tests {
         // Closing releases admission plus all growth reservations.
         eng.close(sid).unwrap();
         assert_eq!(db.gpu().in_use(), 0);
+    }
+
+    /// The dispatch policy `perfbench` runs under (it sets only
+    /// `admission`): batch 64, zero window, no deadline, 4096 requests /
+    /// 256 MiB.
+    #[test]
+    fn default_dispatch_policy_is_pinned() {
+        let (eng, _) = engine();
+        let policy = &eng.core.policy;
+        assert_eq!(policy.max_batch, 64);
+        assert_eq!(policy.window, Duration::ZERO);
+        assert_eq!(policy.max_queue_requests, 4096);
+        assert_eq!(policy.max_queue_bytes, 256 << 20);
+        assert_eq!(eng.default_deadline, None);
+        assert_eq!(eng.calibrated_est_exec(), Duration::ZERO);
+    }
+
+    /// Caller mistakes are typed errors that reserve nothing and leave
+    /// the engine serving.
+    #[test]
+    fn empty_prompt_is_a_typed_error_that_reserves_nothing() {
+        let (eng, cfg) = engine();
+        assert_eq!(eng.admit(&[]).unwrap_err(), ServeError::EmptyPrompt);
+        assert_eq!(eng.n_sessions(), 0);
+        assert_eq!(eng.db().gpu().in_use(), 0);
+
+        let (sid, _) = eng.admit(&[1, 2, 3]).unwrap();
+        let queries = vec![vec![1.0; cfg.head_dim]; cfg.n_q_heads];
+        let kv = vec![vec![0.5; cfg.head_dim]; cfg.n_kv_heads];
+        eng.update(sid, &queries, &kv, &kv, 0).unwrap();
+        assert_eq!(
+            eng.attention(sid, &queries, 0).unwrap().len(),
+            cfg.n_q_heads
+        );
+        eng.close(sid).unwrap();
+        assert_eq!(eng.db().gpu().in_use(), 0);
+    }
+
+    #[test]
+    fn storing_without_noted_tokens_is_a_typed_error_and_the_session_lives_on() {
+        let (eng, cfg) = engine();
+        let model = Model::new(cfg.clone());
+        let prompt: Vec<u32> = (5..15).collect();
+        let (sid, truncated) = eng.admit(&prompt).unwrap();
+        // Prefill without note_tokens: the session holds KV positions it
+        // knows no token ids for.
+        model.prefill(&truncated, 0, &mut eng.backend(sid));
+        let want = ServeError::TokensNotNoted {
+            noted: 0,
+            positions: prompt.len(),
+        };
+        assert_eq!(eng.store(sid).unwrap_err(), want);
+        assert_eq!(eng.store_background(sid).err(), Some(want));
+        assert_eq!(eng.db().n_contexts(), 0);
+
+        // The session lock was released: the session still serves, and
+        // stores once the tokens are noted.
+        let queries = vec![vec![1.0; cfg.head_dim]; cfg.n_q_heads];
+        assert_eq!(
+            eng.attention(sid, &queries, 0).unwrap().len(),
+            cfg.n_q_heads
+        );
+        eng.note_tokens(sid, &truncated).unwrap();
+        let ctx = eng.store(sid).unwrap();
+        assert_eq!(eng.db().context(ctx).unwrap().len(), prompt.len());
+        eng.close(sid).unwrap();
+        assert_eq!(eng.db().gpu().in_use(), 0);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use std::time::Duration;
 
+use alaya_core::StoreError;
 use alaya_device::memory::OutOfMemory;
 
 use crate::engine::SessionId;
@@ -51,7 +52,19 @@ pub enum ServeError {
     ExecutionPanicked,
     /// A background store's KV merge or index build panicked; no context
     /// was published and the session lives on.
-    StoreFailed(String),
+    StoreFailed(StoreError),
+    /// `admit` was called with an empty prompt (the engine needs at least
+    /// one token to produce logits); nothing was reserved.
+    EmptyPrompt,
+    /// `store` was called on a session whose noted tokens do not cover its
+    /// KV positions (call `note_tokens` during generation); nothing was
+    /// stored and the session stays usable.
+    TokensNotNoted {
+        /// Token ids the session knows.
+        noted: usize,
+        /// KV positions the session holds.
+        positions: usize,
+    },
     /// Typed backpressure: the scheduler queue is at its configured
     /// request/byte limit and the request was rejected *at submission*
     /// (it never occupied a queue slot). Retry after `retry_after_hint` —
@@ -94,7 +107,9 @@ impl ServeError {
             | ServeError::ShuttingDown
             | ServeError::InvalidLayer { .. }
             | ServeError::InvalidShape { .. }
-            | ServeError::StoreFailed(_) => false,
+            | ServeError::StoreFailed(_)
+            | ServeError::EmptyPrompt
+            | ServeError::TokensNotNoted { .. } => false,
         }
     }
 }
@@ -122,7 +137,12 @@ impl std::fmt::Display for ServeError {
             ServeError::ExecutionPanicked => {
                 write!(f, "batch execution panicked; request aborted")
             }
-            ServeError::StoreFailed(msg) => write!(f, "background store failed: {msg}"),
+            ServeError::StoreFailed(err) => write!(f, "background store failed: {err}"),
+            ServeError::EmptyPrompt => write!(f, "prompt must contain at least one token"),
+            ServeError::TokensNotNoted { noted, positions } => write!(
+                f,
+                "session knows {noted} tokens but holds {positions} positions; call note_tokens()"
+            ),
             ServeError::Overloaded {
                 queued_requests,
                 queued_bytes,
@@ -146,6 +166,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::OutOfMemory(oom) => Some(oom),
+            ServeError::StoreFailed(err) => Some(err),
             _ => None,
         }
     }
@@ -184,7 +205,9 @@ mod tests {
                 expected_dim: 16,
             },
             ServeError::ExecutionPanicked,
-            ServeError::StoreFailed("index build panicked".into()),
+            ServeError::StoreFailed(StoreError {
+                message: "index build panicked".into(),
+            }),
             ServeError::Overloaded {
                 queued_requests: 4096,
                 queued_bytes: 1 << 20,
@@ -192,6 +215,11 @@ mod tests {
             },
             ServeError::DeadlineExceeded {
                 queued_for: Duration::from_millis(250),
+            },
+            ServeError::EmptyPrompt,
+            ServeError::TokensNotNoted {
+                noted: 0,
+                positions: 12,
             },
         ];
         for e in &all {
@@ -205,7 +233,9 @@ mod tests {
                 | ServeError::ExecutionPanicked
                 | ServeError::StoreFailed(_)
                 | ServeError::Overloaded { .. }
-                | ServeError::DeadlineExceeded { .. } => {}
+                | ServeError::DeadlineExceeded { .. }
+                | ServeError::EmptyPrompt
+                | ServeError::TokensNotNoted { .. } => {}
             }
         }
         all.into()
@@ -229,7 +259,9 @@ mod tests {
 
     #[test]
     fn retry_classification_is_exhaustive_and_stable() {
-        let want = [false, true, false, false, false, true, false, true, true];
+        let want = [
+            false, true, false, false, false, true, false, true, true, false, false,
+        ];
         let got: Vec<bool> = witnesses().iter().map(|e| e.is_retryable()).collect();
         assert_eq!(got, want);
     }
@@ -244,6 +276,10 @@ mod tests {
                 ServeError::OutOfMemory(oom) => {
                     let src = e.source().expect("OutOfMemory exposes its source");
                     assert_eq!(src.to_string(), oom.to_string());
+                }
+                ServeError::StoreFailed(err) => {
+                    let src = e.source().expect("StoreFailed exposes its source");
+                    assert_eq!(src.to_string(), err.to_string());
                 }
                 _ => assert!(e.source().is_none()),
             }

@@ -26,12 +26,13 @@
 //!   overloaded server returns [`ServeError::OutOfMemory`] instead of
 //!   thrashing (or panicking).
 //! * **Overload control** ([`error`], plus the scheduler's
-//!   [`BatchPolicy`]) — batches are bounded and SLO-aware, queue depth is
+//!   [`BatchPolicy`]) — batch size, dispatch window and deadline are
+//!   explicit policy ([`ServeConfig`]), queue depth is
 //!   bounded with typed [`ServeError::Overloaded`] backpressure, requests
 //!   carry deadlines and are shed with [`ServeError::DeadlineExceeded`]
 //!   when they can no longer be met, and per-session deficit-round-robin
 //!   keeps one heavy tenant from monopolizing consecutive batches. Every
-//!   accepted request terminates in exactly one reply. The `chaos`
+//!   accepted request terminates in exactly one reply. The `instrumented`
 //!   feature compiles in deterministic failpoints (worker panics, slow
 //!   batches — see `alaya-chaos`) that the chaos test suite uses to prove
 //!   these properties hold *under* injected faults.
@@ -41,11 +42,9 @@
 //!   shed/reject exits) into log-bucketed per-stage histograms, per-tenant
 //!   lane stats ride the session slots, and a ring-buffer flight recorder
 //!   captures the events leading up to a batch panic or chaos fault.
-//!   Observed batch wall time feeds an EWMA back into the dispatch
-//!   policy's execution estimate, so `retry_after_hint` and deadline
-//!   shedding track the live machine instead of the static cost model.
-//!   [`ServeEngine::telemetry`] exposes the whole view; the `telemetry-off`
-//!   feature compiles every record path to a no-op for A/B overhead runs.
+//!   Observed batch wall time feeds an EWMA that is the scheduler's only
+//!   execution estimate, so `retry_after_hint` and deadline shedding track
+//!   the live machine. [`ServeEngine::telemetry`] exposes the whole view.
 //!
 //! [`ServeEngine`] packages the layers behind a handle-based API:
 //! `admit → update/attention (any thread) → store/close`.
@@ -62,7 +61,7 @@ pub mod telemetry;
 
 pub use admission::AdmissionController;
 pub use alaya_device::pool::{self, Scope, WorkStealingPool};
-pub use engine::{ServeConfig, ServeEngine, ServeOptions, SessionId};
+pub use engine::{ServeConfig, ServeEngine, SessionId};
 pub use error::ServeError;
 pub use scheduler::{BatchPolicy, SchedulerStats};
 pub use telemetry::{LaneStats, SpanCounts, StageBreakdown, StageStats, TelemetrySnapshot};

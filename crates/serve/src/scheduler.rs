@@ -4,16 +4,16 @@
 //! scheduler thread collects them into *bounded* batches and:
 //!
 //! 1. **Collects** a batch under the dispatch policy ([`BatchPolicy`]):
-//!    *bounded size* (`max_batch`, derived from the SLO budget and the
-//!    cost model's per-request estimate — the batch ahead of a request
-//!    must not eat its latency budget), an *SLO-aware dispatch window*
-//!    (an under-full batch lingers up to `window` collecting batchmates,
-//!    buying the cross-session plan sharing below), *deficit-round-robin
+//!    *bounded size* (`max_batch` — the batch ahead of a request must not
+//!    eat its latency budget), a *dispatch window* (an under-full batch
+//!    lingers up to `window` collecting batchmates, buying the
+//!    cross-session plan sharing below), *deficit-round-robin
 //!    fairness* across sessions (each lane banks `quantum` cost units per
 //!    round and dispatches while its deficit covers the head request's
 //!    cost, so a million-token tenant cannot monopolize consecutive
 //!    batches), and *deadline shedding* (a request whose deadline cannot
-//!    be met anymore is answered with a typed
+//!    be met anymore — `now` plus the measured per-batch execution
+//!    estimate is past it — is answered with a typed
 //!    [`ServeError::DeadlineExceeded`] instead of executing). Queue depth
 //!    is bounded at submission: [`SchedulerCore::enqueue`] rejects with
 //!    [`ServeError::Overloaded`] rather than queueing without bound.
@@ -36,7 +36,7 @@
 //! All time is read through the engine's injectable
 //! [`Clock`](alaya_device::clock::Clock), so deadline and window logic is
 //! deterministic under the chaos harness's [`ManualClock`]. With the
-//! `chaos` feature the loop carries a batch-delay failpoint
+//! `instrumented` feature the loop carries a batch-delay failpoint
 //! ([`CHAOS_BATCH_DELAY`]) simulating slow execution.
 //!
 //! The scheduler locks each involved session for the duration of the
@@ -51,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-#[cfg(feature = "chaos")]
+#[cfg(feature = "instrumented")]
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -74,7 +74,7 @@ pub use crate::error::ServeError;
 /// Failpoint: the scheduler sleeps before executing a collected batch,
 /// simulating a slow tenant / slow device so queued requests pile up and
 /// deadlines expire. Fired with no locks held.
-#[cfg(feature = "chaos")]
+#[cfg(feature = "instrumented")]
 pub const CHAOS_BATCH_DELAY: &str = "serve.sched.batch_delay";
 
 /// A request heavier than `COST_CLAMP * quantum` is billed as exactly
@@ -83,9 +83,8 @@ pub const CHAOS_BATCH_DELAY: &str = "serve.sched.batch_delay";
 const COST_CLAMP: u64 = 8;
 
 /// Dispatch policy: how the scheduler bounds its batches and its queue.
-/// Derived from [`ServeConfig`](crate::engine::ServeConfig) (and, when an
-/// SLO + cost model are configured, from
-/// [`Slo::dispatch_budget`](alaya_device::slo::Slo::dispatch_budget)).
+/// Built from [`ServeConfig`](crate::engine::ServeConfig); the defaults
+/// here are the engine's defaults.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum requests per dispatched batch.
@@ -101,10 +100,6 @@ pub struct BatchPolicy {
     /// Cost units (attended tokens) each session lane banks per DRR
     /// round.
     pub quantum: u64,
-    /// Estimated execution time of one request; sizes the
-    /// `retry_after_hint` on [`ServeError::Overloaded`] and the margin
-    /// for "this deadline can no longer be met".
-    pub est_exec: Duration,
 }
 
 impl Default for BatchPolicy {
@@ -115,7 +110,6 @@ impl Default for BatchPolicy {
             max_queue_requests: 4096,
             max_queue_bytes: 256 << 20,
             quantum: 512,
-            est_exec: Duration::ZERO,
         }
     }
 }
@@ -247,13 +241,19 @@ impl SchedQueue {
     }
 
     /// Collects the next batch by deficit round robin, shedding requests
-    /// whose deadline can no longer be met (`now + est_exec` past it).
+    /// whose deadline can no longer be met (`now + est_exec` past it;
+    /// `est_exec` is the measured per-batch execution estimate).
     /// Returns `(batch, shed)`. Progress guarantee: when the queue is
     /// nonempty the union is nonempty — each unvisited-lane round banks
     /// another `quantum`, and costs are clamped to `COST_CLAMP * quantum`,
     /// so some head request becomes dispatchable within `COST_CLAMP`
     /// rounds.
-    fn collect(&mut self, policy: &BatchPolicy, now: Duration) -> (Vec<Pending>, Vec<Pending>) {
+    fn collect(
+        &mut self,
+        policy: &BatchPolicy,
+        est_exec: Duration,
+        now: Duration,
+    ) -> (Vec<Pending>, Vec<Pending>) {
         let mut batch = Vec::new();
         let mut shed = Vec::new();
         while batch.len() < policy.max_batch {
@@ -270,7 +270,7 @@ impl SchedQueue {
                 };
                 let expired = head
                     .deadline
-                    .is_some_and(|dl| now.saturating_add(policy.est_exec) >= dl);
+                    .is_some_and(|dl| now.saturating_add(est_exec) >= dl);
                 if expired {
                     // Shedding consumes no deficit: the lane did no work.
                     if let Some(p) = lane.queue.pop_front() {
@@ -316,7 +316,7 @@ pub(crate) struct SchedulerCore {
     pub(crate) clock: Arc<dyn Clock>,
     /// Armed failpoint registry (chaos builds only); a `OnceLock` rather
     /// than a lock so probing it adds no lock site and no ordering edges.
-    #[cfg(feature = "chaos")]
+    #[cfg(feature = "instrumented")]
     pub(crate) chaos: OnceLock<Arc<alaya_chaos::Chaos>>,
 }
 
@@ -330,13 +330,11 @@ impl SchedulerCore {
             queue: Mutex::new_named(SchedQueue::default(), "serve.sched.queue"),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            // The EWMA seeds from the static cost-model estimate, then
-            // tracks observed batches.
-            stats: SchedTelemetry::new(policy.est_exec),
+            stats: SchedTelemetry::new(),
             pool,
             policy,
             clock,
-            #[cfg(feature = "chaos")]
+            #[cfg(feature = "instrumented")]
             chaos: OnceLock::new(),
         }
     }
@@ -383,11 +381,9 @@ impl SchedulerCore {
     }
 
     /// Client-backoff estimate: batches ahead of a new submission times
-    /// the per-batch execution estimate (1 ms floor when no estimate has
-    /// been calibrated or configured — "come back after the queue has
-    /// turned over at least once", not "hammer immediately"). Uses the
-    /// EWMA-calibrated estimate, so hints track the live machine rather
-    /// than the static cost model.
+    /// the measured per-batch execution estimate (1 ms floor before the
+    /// first batch has been observed — "come back after the queue has
+    /// turned over at least once", not "hammer immediately").
     fn retry_after_hint(&self, queued: usize) -> Duration {
         let batches_ahead = (queued / self.policy.max_batch.max(1) + 1) as u32;
         let est = self.stats.est_exec();
@@ -404,9 +400,6 @@ impl SchedulerCore {
 /// shutdown is signalled *and* the queue is empty (queued requests are
 /// always answered — executed or shed — never dropped).
 pub(crate) fn run(core: Arc<SchedulerCore>) {
-    // Local policy copy whose `est_exec` is refreshed from the EWMA before
-    // every collect, so deadline-shedding margins track observed batches.
-    let mut policy = core.policy.clone();
     loop {
         let (batch, shed) = {
             let mut q = core.queue.lock();
@@ -418,7 +411,7 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
                     core.cv.wait(&mut q);
                     continue;
                 }
-                // SLO dispatch window: an under-full batch lingers for
+                // Dispatch window: an under-full batch lingers for
                 // batchmates (plan sharing), but never past `window`.
                 // Both exits are checked — elapsed clock time for the
                 // injectable clock, and the real `wait_for` timeout as
@@ -442,9 +435,9 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
                         }
                     }
                 }
-                let now = core.clock.now();
-                policy.est_exec = core.stats.est_exec();
-                let out = q.collect(&policy, now);
+                // The shed margin is the EWMA of observed batch times,
+                // read fresh per collect.
+                let out = q.collect(&core.policy, core.stats.est_exec(), core.clock.now());
                 if out.0.is_empty() && out.1.is_empty() {
                     // Lost a race (another collect drained the queue
                     // between wait and here); re-check from the top.
@@ -492,7 +485,7 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
         let t_batch0 = core.clock.now();
 
         // Chaos: simulate a slow batch (no locks held while sleeping).
-        #[cfg(feature = "chaos")]
+        #[cfg(feature = "instrumented")]
         if let Some(chaos) = core.chaos.get() {
             if let Some(delay) = chaos.fire_delay(CHAOS_BATCH_DELAY) {
                 core.stats.recorder.record(Event::new(
@@ -890,7 +883,7 @@ mod tests {
             rxs.push(rx);
         }
 
-        let (batch, shed) = queue.collect(&policy, Duration::ZERO);
+        let (batch, shed) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
         assert!(shed.is_empty());
         assert_eq!(batch.len(), 4);
         let light_in_batch = batch.iter().filter(|p| p.layer == 1).count();
@@ -904,7 +897,7 @@ mod tests {
         // drain its lane.
         let mut drained = 0;
         while queue.len() > 0 {
-            let (b, s) = queue.collect(&policy, Duration::ZERO);
+            let (b, s) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
             assert!(s.is_empty());
             assert!(!b.is_empty(), "collect must make progress");
             drained += b.len();
@@ -986,7 +979,7 @@ mod tests {
         queue.push(forever);
 
         clock.advance(Duration::from_millis(11));
-        let (batch, shed) = queue.collect(&policy, clock.now());
+        let (batch, shed) = queue.collect(&policy, Duration::ZERO, clock.now());
         assert_eq!(shed.len(), 1, "only the expired request is shed");
         assert_eq!(shed[0].deadline, Some(Duration::from_millis(10)));
         assert_eq!(batch.len(), 2);
@@ -998,9 +991,25 @@ mod tests {
         let mut queue = SchedQueue::default();
         let (boundary, _r4) = pending(&slot, q.clone(), 0, 1, Some(clock.now()));
         queue.push(boundary);
-        let (batch, shed) = queue.collect(&policy, clock.now());
+        let (batch, shed) = queue.collect(&policy, Duration::ZERO, clock.now());
         assert!(batch.is_empty());
         assert_eq!(shed.len(), 1);
+
+        // A non-zero execution estimate widens the margin: a deadline
+        // inside `now + est` is shed, one outside it executes.
+        let est = Duration::from_millis(5);
+        let mut queue = SchedQueue::default();
+        let inside = clock.now() + Duration::from_millis(4);
+        let outside = clock.now() + Duration::from_millis(6);
+        let (too_late, _r5) = pending(&slot, q.clone(), 0, 1, Some(inside));
+        let (in_time, _r6) = pending(&slot, q.clone(), 1, 1, Some(outside));
+        queue.push(too_late);
+        queue.push(in_time);
+        let (batch, shed) = queue.collect(&policy, est, clock.now());
+        assert_eq!(shed.len(), 1);
+        assert_eq!(shed[0].deadline, Some(inside));
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].deadline, Some(outside));
     }
 
     /// Batches respect `max_batch` and the remainder stays queued in
@@ -1020,11 +1029,11 @@ mod tests {
             let (p, _r) = pending(&slot, q.clone(), 0, 1, None);
             queue.push(p);
         }
-        let (b1, _) = queue.collect(&policy, Duration::ZERO);
+        let (b1, _) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
         assert_eq!(b1.len(), 3);
-        let (b2, _) = queue.collect(&policy, Duration::ZERO);
+        let (b2, _) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
         assert_eq!(b2.len(), 3);
-        let (b3, _) = queue.collect(&policy, Duration::ZERO);
+        let (b3, _) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
         assert_eq!(b3.len(), 2);
         assert_eq!(queue.len(), 0);
     }

@@ -12,9 +12,9 @@
 //!
 //! The same cells the registry snapshots also *drive* the scheduler: the
 //! observed per-batch execution time feeds an EWMA
-//! ([`SchedTelemetry::observe_batch`]) whose estimate replaces the static
-//! cost-model `BatchPolicy::est_exec` in `retry_after_hint` and in
-//! deadline shedding, so backpressure tracks the live machine.
+//! ([`SchedTelemetry::observe_batch`]) whose estimate sizes
+//! `retry_after_hint` and the deadline-shedding margin, so backpressure
+//! tracks the live machine.
 //!
 //! [`SchedulerCore::enqueue`]: crate::scheduler::SchedulerCore
 
@@ -82,15 +82,15 @@ pub(crate) struct SchedTelemetry {
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) queue_bytes: Arc<Gauge>,
 
-    /// EWMA-calibrated per-batch execution estimate in nanoseconds,
-    /// seeded from the static `BatchPolicy::est_exec`. Written only by
-    /// the scheduler thread; read relaxed by enqueue (retry hints) and
-    /// collect (deadline margins).
+    /// EWMA-calibrated per-batch execution estimate in nanoseconds; zero
+    /// until the first batch is observed. Written only by the scheduler
+    /// thread; read relaxed by enqueue (retry hints) and collect
+    /// (deadline margins).
     est_exec_nanos: AtomicU64,
 }
 
 impl SchedTelemetry {
-    pub(crate) fn new(seed_est_exec: Duration) -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Arc::new(Registry::new());
         let r = &registry;
         Self {
@@ -114,7 +114,7 @@ impl SchedTelemetry {
             batch_exec: r.histogram("serve.batch.exec"),
             queue_depth: r.gauge("serve.queue.depth"),
             queue_bytes: r.gauge("serve.queue.bytes"),
-            est_exec_nanos: AtomicU64::new(nanos(seed_est_exec)),
+            est_exec_nanos: AtomicU64::new(0),
             registry,
         }
     }
@@ -139,16 +139,15 @@ impl SchedTelemetry {
     }
 
     /// Folds one observed batch (wall time, chaos delay included) into
-    /// the histogram and the EWMA. Deliberately *not* compiled out under
-    /// `telemetry-off`: the calibrated estimate drives scheduling
-    /// decisions (retry hints, shedding), not just reporting.
+    /// the histogram and the EWMA. The calibrated estimate drives
+    /// scheduling decisions (retry hints, shedding), not just reporting.
     pub(crate) fn observe_batch(&self, elapsed: Duration, batch_len: usize) {
         let obs = nanos(elapsed);
         self.batch_exec.record(obs);
         let old = self.est_exec_nanos.load(Ordering::Relaxed);
         let new = if old == 0 {
-            // No static cost model and first observation: adopt it whole
-            // rather than creeping up from zero one eighth at a time.
+            // First observation: adopt it whole rather than creeping up
+            // from zero one eighth at a time.
             obs
         } else {
             old.saturating_sub(old >> EWMA_SHIFT)
@@ -161,9 +160,8 @@ impl SchedTelemetry {
     }
 }
 
-/// Per-session (lane) counters, carried on the session slot. Detached
-/// telemetry cells: compiled to no-ops under `telemetry-off` like every
-/// other record path.
+/// Per-session (lane) counters, carried on the session slot (detached
+/// telemetry cells, not in the registry).
 #[derive(Default)]
 pub(crate) struct LaneCounters {
     pub(crate) executed: Counter,

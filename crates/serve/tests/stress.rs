@@ -12,7 +12,7 @@ use std::time::Duration;
 use alaya_core::{Db, DbConfig};
 use alaya_device::memory::MemoryTracker;
 use alaya_llm::{FullKvBackend, Model, ModelConfig};
-use alaya_serve::{ServeEngine, ServeError, ServeOptions};
+use alaya_serve::{ServeConfig, ServeEngine, ServeError};
 use alaya_vector::rng::{gaussian_vec, seeded};
 
 /// Builds a DB holding one stored context every test session reuses.
@@ -169,7 +169,7 @@ fn admission_control_returns_out_of_memory() {
     let db = Arc::new(Db::new(cfg));
     let engine = ServeEngine::with_options(
         Arc::clone(&db),
-        ServeOptions {
+        ServeConfig {
             max_local_tokens,
             ..Default::default()
         },
@@ -343,7 +343,7 @@ fn deadline_shed_is_typed_retryable_and_releases_reservations() {
     // every attention is shed, deterministically.
     let engine = ServeEngine::with_options(
         Arc::clone(&db),
-        ServeOptions {
+        ServeConfig {
             default_deadline: Some(Duration::ZERO),
             ..Default::default()
         },
@@ -393,10 +393,10 @@ fn overloaded_queue_rejects_typed_and_leaks_nothing() {
     let db = Arc::new(Db::new(DbConfig::for_tests(model_cfg.clone())));
     let engine = ServeEngine::with_options(
         Arc::clone(&db),
-        ServeOptions {
+        ServeConfig {
             // Long linger: the first arrivals sit in the queue while the
             // rest of the burst slams into the cap.
-            dispatch_window: Some(Duration::from_millis(300)),
+            dispatch_window: Duration::from_millis(300),
             max_queue_requests: MAX_QUEUE,
             ..Default::default()
         },
@@ -465,10 +465,10 @@ fn close_mid_flight_serves_the_request_and_releases_the_reservation() {
     let db = Arc::new(Db::new(DbConfig::for_tests(model_cfg.clone())));
     let engine = ServeEngine::with_options(
         Arc::clone(&db),
-        ServeOptions {
+        ServeConfig {
             // Linger long enough for the close below to land while the
             // request is still queued.
-            dispatch_window: Some(Duration::from_millis(100)),
+            dispatch_window: Duration::from_millis(100),
             ..Default::default()
         },
     );
@@ -513,7 +513,7 @@ fn concurrent_admission_never_overshoots() {
     let db = Arc::new(Db::new(cfg));
     let engine = ServeEngine::with_options(
         Arc::clone(&db),
-        ServeOptions {
+        ServeConfig {
             max_local_tokens,
             ..Default::default()
         },

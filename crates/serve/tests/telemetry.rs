@@ -3,19 +3,15 @@
 //! counters reconcile with the classic [`SchedulerStats`], stage
 //! histograms count what actually ran, and per-tenant lane stats
 //! attribute outcomes to the right session.
-//!
-//! Histogram-backed assertions are skipped under `telemetry-off` (where
-//! recording compiles to a no-op); counters and span accounting stay
-//! live in both builds and are asserted unconditionally.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use alaya_core::{Db, DbConfig};
 use alaya_llm::ModelConfig;
-use alaya_serve::{ServeEngine, ServeError, ServeOptions};
+use alaya_serve::{ServeConfig, ServeEngine, ServeError};
 
-fn tiny_engine(opts: ServeOptions) -> (ServeEngine, ModelConfig, Arc<Db>) {
+fn tiny_engine(opts: ServeConfig) -> (ServeEngine, ModelConfig, Arc<Db>) {
     let model_cfg = ModelConfig::tiny();
     let db = Arc::new(Db::new(DbConfig::for_tests(model_cfg.clone())));
     let engine = ServeEngine::with_options(Arc::clone(&db), opts);
@@ -33,7 +29,7 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
     const CALLERS: usize = 6;
     const MAX_QUEUE: usize = 2;
 
-    let (engine, model_cfg, db) = tiny_engine(ServeOptions {
+    let (engine, model_cfg, db) = tiny_engine(ServeConfig {
         max_queue_requests: MAX_QUEUE,
         ..Default::default()
     });
@@ -68,8 +64,8 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
 
     // Phase 3 — rejected: a synchronized burst into a MAX_QUEUE-slot
     // queue held open by a long dispatch window.
-    let (engine2, _, db2) = tiny_engine(ServeOptions {
-        dispatch_window: Some(Duration::from_millis(300)),
+    let (engine2, _, db2) = tiny_engine(ServeConfig {
+        dispatch_window: Duration::from_millis(300),
         max_queue_requests: MAX_QUEUE,
         ..Default::default()
     });
@@ -136,7 +132,7 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
 fn stage_histograms_and_registry_rendering_track_execution() {
     const REQUESTS: usize = 8;
 
-    let (engine, model_cfg, _db) = tiny_engine(ServeOptions::default());
+    let (engine, model_cfg, _db) = tiny_engine(ServeConfig::default());
     let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
     let kv = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_kv_heads];
     let (sid, _) = engine.admit(&[4, 5, 6]).unwrap();
@@ -151,35 +147,30 @@ fn stage_histograms_and_registry_rendering_track_execution() {
     // beat to fold the last batch in before snapshotting.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let mut t = engine.telemetry();
-    while alaya_telemetry::enabled()
-        && t.stages.batch_exec.count < t.stats.batches
-        && std::time::Instant::now() < deadline
-    {
+    while t.stages.batch_exec.count < t.stats.batches && std::time::Instant::now() < deadline {
         std::thread::yield_now();
         t = engine.telemetry();
     }
     assert_eq!(t.spans.executed, REQUESTS as u64);
 
-    if alaya_telemetry::enabled() {
-        // One observation per executed request in every per-request stage;
-        // one per dispatched batch in the batch histogram.
-        for (stage, name) in [
-            (&t.stages.queue, "queue"),
-            (&t.stages.plan, "plan"),
-            (&t.stages.exec, "exec"),
-            (&t.stages.total, "total"),
-        ] {
-            assert_eq!(stage.count, REQUESTS as u64, "stage {name}");
-            assert!(stage.max >= stage.p50, "stage {name} is ordered");
-        }
-        assert_eq!(t.stages.batch_exec.count, t.stats.batches);
-        // total spans the whole timeline: its tail cannot be shorter than
-        // the queueing stage's tail.
-        assert!(t.stages.total.max >= t.stages.queue.max);
-        // Executed batches took nonzero wall time, so the EWMA moved off
-        // its `BatchPolicy::est_exec` seed (zero by default).
-        assert!(t.est_exec > Duration::ZERO);
+    // One observation per executed request in every per-request stage;
+    // one per dispatched batch in the batch histogram.
+    for (stage, name) in [
+        (&t.stages.queue, "queue"),
+        (&t.stages.plan, "plan"),
+        (&t.stages.exec, "exec"),
+        (&t.stages.total, "total"),
+    ] {
+        assert_eq!(stage.count, REQUESTS as u64, "stage {name}");
+        assert!(stage.max >= stage.p50, "stage {name} is ordered");
     }
+    assert_eq!(t.stages.batch_exec.count, t.stats.batches);
+    // total spans the whole timeline: its tail cannot be shorter than
+    // the queueing stage's tail.
+    assert!(t.stages.total.max >= t.stages.queue.max);
+    // Executed batches took nonzero wall time, so the EWMA moved off
+    // zero.
+    assert!(t.est_exec > Duration::ZERO);
 
     // The registry snapshot carries the serve cells and renders.
     assert_eq!(
@@ -214,8 +205,8 @@ fn stage_histograms_and_registry_rendering_track_execution() {
 /// another engine's span ledger.
 #[test]
 fn engines_do_not_alias_each_others_spans() {
-    let (busy, model_cfg, _db1) = tiny_engine(ServeOptions::default());
-    let (idle, _, _db2) = tiny_engine(ServeOptions::default());
+    let (busy, model_cfg, _db1) = tiny_engine(ServeConfig::default());
+    let (idle, _, _db2) = tiny_engine(ServeConfig::default());
 
     let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
     let kv = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_kv_heads];

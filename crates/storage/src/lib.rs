@@ -26,14 +26,14 @@
 
 pub mod buffer;
 pub mod device;
-#[cfg(feature = "chaos")]
+#[cfg(feature = "instrumented")]
 pub mod failpoint;
 pub mod file;
 pub mod vsource;
 
 pub use buffer::{BlockKind, BufferManager, BufferStats, PageGuard};
 pub use device::{BlockDevice, FileDevice, MemDevice};
-#[cfg(feature = "chaos")]
+#[cfg(feature = "instrumented")]
 pub use failpoint::ChaosDevice;
 pub use file::VectorFile;
 pub use vsource::BufferedVectorSource;

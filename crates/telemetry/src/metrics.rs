@@ -1,13 +1,6 @@
 //! The metric cells: relaxed-atomic counters, gauges, and a log-bucketed
 //! histogram. Every hot-path operation is a handful of `Relaxed` atomic
 //! RMWs — lock-free and allocation-free.
-//!
-//! The `off` feature compiles [`Histogram::record`] (the multi-cell
-//! path) to a no-op and shrinks the bucket array to nothing. Counters
-//! and gauges stay live even under `off`: they are single relaxed RMWs
-//! that existed in the serving stack before this crate (and schedulers
-//! make decisions from them), so the uninstrumented baseline the `off`
-//! build measures is "the seed's counting", not "no counting".
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -91,10 +84,6 @@ const OCTAVES: usize = 64 - SUB_BITS as usize; // 58
 /// (~30 KiB per histogram) covering the full `u64` range.
 const N_BUCKETS: usize = LINEAR + OCTAVES * SUBS;
 
-/// Under `off` the bucket array shrinks to nothing: record is a no-op and
-/// nothing ever indexes it.
-const N_ALLOC: usize = if cfg!(feature = "off") { 1 } else { N_BUCKETS };
-
 /// An HDR-style log-bucketed histogram over `u64` values.
 ///
 /// `record` is one relaxed fetch-add into the value's bucket plus
@@ -103,7 +92,7 @@ const N_ALLOC: usize = if cfg!(feature = "off") { 1 } else { N_BUCKETS };
 /// works; bucketing is unit-agnostic).
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: Box<[AtomicU64; N_ALLOC]>,
+    buckets: Box<[AtomicU64; N_BUCKETS]>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -154,10 +143,10 @@ impl Histogram {
     pub fn new() -> Self {
         // A Box<[AtomicU64; N]> built without materializing the array on
         // the stack (30 KiB would be fine, but Vec::into is cleaner).
-        let v: Vec<AtomicU64> = (0..N_ALLOC).map(|_| AtomicU64::new(0)).collect();
+        let v: Vec<AtomicU64> = (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect();
         let buckets = match v.into_boxed_slice().try_into() {
             Ok(b) => b,
-            // Unreachable: the Vec has exactly N_ALLOC elements.
+            // Unreachable: the Vec has exactly N_BUCKETS elements.
             Err(_) => unreachable!("bucket allocation has a fixed length"),
         };
         Self {
@@ -169,13 +158,9 @@ impl Histogram {
         }
     }
 
-    /// Records one observation. Lock-free, allocation-free; a no-op under
-    /// the `off` feature.
+    /// Records one observation. Lock-free, allocation-free.
     #[inline]
     pub fn record(&self, v: u64) {
-        if cfg!(feature = "off") {
-            return;
-        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -192,13 +177,11 @@ impl Histogram {
     /// relaxed one at a time; a racing `record` may or may not be seen).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
-        if !cfg!(feature = "off") {
-            for (idx, b) in self.buckets.iter().enumerate() {
-                let c = b.load(Ordering::Relaxed);
-                if c > 0 {
-                    let (lo, hi) = bucket_bounds(idx);
-                    buckets.push(BucketCount { lo, hi, count: c });
-                }
+        for (idx, b) in self.buckets.iter().enumerate() {
+            let c = b.load(Ordering::Relaxed);
+            if c > 0 {
+                let (lo, hi) = bucket_bounds(idx);
+                buckets.push(BucketCount { lo, hi, count: c });
             }
         }
         let count = self.count.load(Ordering::Relaxed);
@@ -325,7 +308,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn counter_and_gauge_basics() {
         let c = Counter::new();
@@ -342,24 +324,8 @@ mod tests {
         assert_eq!(g.get(), 9);
     }
 
-    #[cfg(feature = "off")]
-    #[test]
-    fn off_feature_compiles_histogram_recording_to_noops() {
-        // Counters stay live under `off` — they predate this crate in the
-        // serving stack and scheduling decisions read them.
-        let c = Counter::new();
-        c.add(5);
-        assert_eq!(c.get(), 5);
-        let h = Histogram::new();
-        h.record(123);
-        assert_eq!(h.count(), 0);
-        assert!(h.snapshot().buckets.is_empty());
-    }
-
     /// Hand-rolled deterministic generator (the crate is dependency-free,
-    /// so no rand shim here): splitmix64. Only the quantile-accuracy test
-    /// uses it, and that test needs live histograms.
-    #[cfg(not(feature = "off"))]
+    /// so no rand shim here): splitmix64.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
@@ -368,7 +334,6 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    #[cfg(not(feature = "off"))]
     fn assert_quantiles_within_one_bucket(values: &mut [u64], what: &str) {
         let h = Histogram::new();
         for &v in values.iter() {
@@ -394,7 +359,6 @@ mod tests {
     /// The satellite acceptance test: log-bucket quantile estimates stay
     /// within one bucket of the exact sorted quantiles, over random and
     /// adversarial distributions.
-    #[cfg(not(feature = "off"))]
     #[test]
     fn quantile_estimates_track_exact_sorted_quantiles() {
         let mut s = 0xA1A7_ADB0_0B5E_7E11u64;
@@ -435,7 +399,6 @@ mod tests {
         assert_quantiles_within_one_bucket(&mut bimodal, "bimodal extremes");
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn empty_and_single_value_histograms_are_sane() {
         let h = Histogram::new();

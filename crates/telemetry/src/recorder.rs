@@ -84,12 +84,8 @@ impl FlightRecorder {
         self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records one event, overwriting the oldest when full. No-op under
-    /// the `off` feature.
+    /// Records one event, overwriting the oldest when full.
     pub fn record(&self, ev: Event) {
-        if cfg!(feature = "off") {
-            return;
-        }
         let mut r = self.ring();
         let head = r.head;
         r.buf[head] = ev;
@@ -143,9 +139,7 @@ impl FlightRecorder {
             .last_panic
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(dump.clone());
-        if !cfg!(feature = "off") {
-            eprintln!("{dump}");
-        }
+        eprintln!("{dump}");
         dump
     }
 
@@ -162,7 +156,6 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn ring_keeps_the_most_recent_events_in_order() {
         let rec = FlightRecorder::new(4);
@@ -181,7 +174,6 @@ mod tests {
         assert!(!dump.contains("t=5ns"), "oldest events overwritten");
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn panic_dump_is_frozen_and_retrievable() {
         let rec = FlightRecorder::new(8);
@@ -191,13 +183,5 @@ mod tests {
         assert!(dump.contains("batch exploded"));
         assert!(dump.contains("serve.enqueue"));
         assert_eq!(rec.last_panic_dump().as_deref(), Some(dump.as_str()));
-    }
-
-    #[cfg(feature = "off")]
-    #[test]
-    fn off_feature_records_nothing() {
-        let rec = FlightRecorder::new(4);
-        rec.record(Event::new(1, "tick", 0, 0, 0));
-        assert!(rec.is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Registration and snapshotting are cold paths behind a
 //! `std::sync::Mutex` (deliberately *not* the workspace lock shim: an
-//! untraced lock cannot add lock-order edges under `lock-tracing`).
+//! untraced lock cannot add lock-order edges in the `instrumented` build).
 //! Recording into a metric obtained from the registry never touches the
 //! registry again — callers hold `Arc`s to the cells.
 
@@ -282,7 +282,6 @@ impl RegistrySnapshot {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn get_or_create_returns_the_same_cell() {
         let r = Registry::new();
@@ -297,7 +296,6 @@ mod tests {
         assert_eq!(r.snapshot().counter("x.count"), Some(3));
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn registering_an_external_cell_shares_it() {
         let r = Registry::new();
@@ -312,7 +310,6 @@ mod tests {
         assert_eq!(r.snapshot().counter("ext.hits"), Some(7));
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn snapshot_renders_json_and_prometheus() {
         let r = Registry::new();

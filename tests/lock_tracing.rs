@@ -7,13 +7,13 @@
 //! The positive half — an intentional inversion panics with both site
 //! names and backtraces — lives in `shims/parking_lot/tests/lock_order.rs`.
 
-#![cfg(feature = "lock-tracing")]
+#![cfg(feature = "instrumented")]
 
 use std::sync::Arc;
 
 use alayadb::core::{Db, DbConfig};
 use alayadb::llm::{Model, ModelConfig};
-use alayadb::serve::{ServeEngine, ServeOptions};
+use alayadb::serve::{ServeConfig, ServeEngine};
 
 /// Drives admission, prefill, decode, background store and reuse through
 /// the full stack, then asserts (a) nothing panicked — the canonical order
@@ -26,7 +26,7 @@ fn legal_lock_order_is_silent_and_traced() {
     let model = Model::new(model_cfg);
     let eng = ServeEngine::with_options(
         Arc::clone(&db),
-        ServeOptions {
+        ServeConfig {
             threads: 2,
             ..Default::default()
         },
@@ -58,6 +58,15 @@ fn legal_lock_order_is_silent_and_traced() {
     }
     eng.close(sid2).unwrap();
     drop(eng);
+
+    // The one `instrumented` feature arms both halves: the failpoint
+    // constants exist only when the chaos probes are compiled in.
+    let failpoints = [
+        alayadb::serve::scheduler::CHAOS_BATCH_DELAY,
+        alayadb::device::pool::CHAOS_TASK_PANIC,
+        alayadb::storage::failpoint::CHAOS_READ,
+    ];
+    assert!(failpoints.iter().all(|site| !site.is_empty()));
 
     // Reaching this point at all is the real assertion: any ordering
     // inconsistency would have panicked inside a lock() call above. Now
