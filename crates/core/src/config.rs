@@ -33,6 +33,12 @@ pub struct DbConfig {
     /// Cap on retained query samples per (layer, query head) used to train
     /// indexes at `store()` time.
     pub max_query_samples: usize,
+    /// Bytes of stored contexts ([`StoredContext::bytes`](crate::StoredContext::bytes):
+    /// KV + graphs + coarse summaries + tokens) the DB keeps resident.
+    /// Publishing past it evicts least-recently-reused contexts; a single
+    /// context larger than the budget is kept alone. A deployment setting:
+    /// the host memory granted to reusable contexts.
+    pub context_budget_bytes: u64,
 }
 
 impl DbConfig {
@@ -54,11 +60,18 @@ impl DbConfig {
             coarse_block_size: 16,
             coarse_scoring: BlockScoring::MinMaxBounds,
             max_query_samples: 4096,
+            // Two orders of magnitude above any test context, small enough
+            // that a store/reuse loop reaches it within seconds.
+            context_budget_bytes: 32 << 20,
         }
     }
 
     /// A paper-faithful configuration for the given model geometry:
-    /// `[128+512]` window, β=50, 4096-token short-context threshold.
+    /// `[128+512]` window, β=50, 4096-token short-context threshold, and a
+    /// 64 GiB stored-context budget: one 128K-token context of an 8B GQA
+    /// model (32 layers × 8 KV heads × 128 dims) is 32 GiB of this repo's
+    /// f32 KV before indexes, so one such context stays resident while the
+    /// next is published.
     pub fn paper_defaults(model: ModelConfig, gpu: Arc<MemoryTracker>) -> Self {
         Self {
             model,
@@ -70,6 +83,7 @@ impl DbConfig {
             coarse_block_size: 128,
             coarse_scoring: BlockScoring::Representatives { reps: 4 },
             max_query_samples: 4096,
+            context_budget_bytes: 64 << 30,
         }
     }
 }
@@ -84,6 +98,7 @@ mod tests {
         cfg.model.validate();
         assert!(cfg.sample_ratio > 0.0 && cfg.sample_ratio <= 1.0);
         assert!(cfg.coarse_block_size > 0);
+        assert_eq!(cfg.context_budget_bytes, 32 << 20);
     }
 
     #[test]
@@ -93,5 +108,6 @@ mod tests {
         assert_eq!(cfg.window, WindowSpec::new(128, 512));
         assert_eq!(cfg.optimizer.default_beta, 50.0);
         assert_eq!(cfg.optimizer.short_context_threshold, 4096);
+        assert_eq!(cfg.context_budget_bytes, 64 << 30);
     }
 }

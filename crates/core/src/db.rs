@@ -1,5 +1,28 @@
 //! The `DB` abstraction: the manager of all stored contexts (Table 2).
 //!
+//! # Stored contexts are a bounded cache
+//!
+//! Publishing a context (`import`, `store`, `store_background`, `adopt`)
+//! is a cache insert. Under the one `core.db.contexts` write-lock hold
+//! that makes the new context visible, two rules run:
+//!
+//! * **Supersede.** Every resident context whose token sequence is a
+//!   prefix of, or equal to, the new one is removed. For any prompt its
+//!   common prefix is no longer than the new context's, and
+//!   [`Db::create_session`] breaks ties toward the later publication, so
+//!   it could never be matched again: what is served does not change.
+//! * **Evict.** Each context is charged [`StoredContext::bytes`] against
+//!   [`DbConfig::context_budget_bytes`]; while the table is over budget the
+//!   least-recently-reused context goes, where "reused" means published or
+//!   matched by `create_session`. The context being published is never the
+//!   victim, so one larger than the whole budget is kept alone.
+//!
+//! A [`ContextId`] therefore names a cache entry: [`Db::context`] answers
+//! `None` once the entry is superseded or evicted, and ids are never
+//! reissued. Sessions opened on a context hold its `Arc` and keep serving
+//! from it after it left the table; the memory goes when the last one
+//! closes.
+//!
 //! # Canonical lock order
 //!
 //! Threads that nest lock acquisitions involving the DB must follow the
@@ -14,60 +37,116 @@
 //!
 //! Concretely for this module: `core.db.contexts` may be taken while a
 //! session lock is held (`ServeEngine::store_background` snapshots under
-//! the session lock and reserves the [`ContextId`] under the contexts
+//! the session lock and allocates the [`ContextId`] under the contexts
 //! write lock). The background publish task is stricter than the order
-//! above requires: it publishes (or abandons) its [`Reservation`] under
-//! the contexts write lock and drops that guard before taking
-//! `core.db.store_state`, so the two locks are never held together at all
-//! (the tracing shim's acquisition graph shows no edge between them —
-//! `tests/lock_tracing.rs` pins this down). Nothing may take a session or
-//! contexts lock while holding the store-state lock ([`StoreHandle::wait`]
-//! holds it only around the condvar). Scheduler context lookups
-//! ([`Db::context`], [`Db::create_session`]) hold `core.db.contexts` alone
-//! and release it before any attention runs, so publication by
-//! [`Db::store_background`] can never order-invert against them.
+//! above requires: it publishes under the contexts write lock and drops
+//! that guard before taking `core.db.store_state`, so the two locks are
+//! never held together at all (the tracing shim's acquisition graph shows
+//! no edge between them — `tests/lock_tracing.rs` pins this down). Nothing
+//! may take a session or contexts lock while holding the store-state lock
+//! ([`StoreHandle::wait`] holds it only around the condvar). Scheduler
+//! context lookups ([`Db::context`], [`Db::create_session`]) hold
+//! `core.db.contexts` alone and release it before any attention runs, so
+//! publication by [`Db::store_background`] can never order-invert against
+//! them.
 
-use std::collections::{HashMap, HashSet};
-use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use alaya_device::memory::MemoryTracker;
-use alaya_llm::kv::KvCache;
-use alaya_telemetry::{Counter, Registry};
+use alaya_llm::kv::{HeadKv, KvCache};
+use alaya_telemetry::{Counter, Gauge, Registry};
+use alaya_vector::VecStore;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::config::DbConfig;
 use crate::session::Session;
 use crate::stored::{ContextId, QueryReservoir, StoredContext};
 
-/// Stored contexts in insertion order plus an id-keyed map, so
-/// [`Db::context`] is O(1) under serving load while prefix matching keeps
-/// a deterministic (insertion-order) tie-break.
+/// One resident context and its cache bookkeeping.
+struct Entry {
+    ctx: Arc<StoredContext>,
+    /// `ctx.bytes()`, the charge against the budget.
+    bytes: u64,
+    /// The table clock's reading at the last publish or `create_session`
+    /// hit; the smallest one is the eviction victim. Atomic because hits
+    /// happen under the read lock.
+    last_used: AtomicU64,
+}
+
+/// The resident stored contexts, in publication order: prefix matching
+/// scans them all and breaks ties toward the last, and both cache rules
+/// remove from the middle, so one `Vec` is the whole structure.
 #[derive(Default)]
 struct ContextTable {
-    order: Vec<Arc<StoredContext>>,
-    by_id: HashMap<ContextId, usize>,
-    /// Ids handed to an in-flight `import`/`store` still building its
-    /// context outside the lock; `adopt` must treat them as taken even
-    /// though they are not in `by_id` yet.
-    reserved: HashSet<ContextId>,
+    entries: Vec<Entry>,
+    /// Sum of `entries[..].bytes`.
+    bytes: u64,
+    /// Every id below this has been handed out (to a context that may be
+    /// in flight, resident or long gone) and is never handed out again.
+    next_id: u64,
+    /// Logical time for `Entry::last_used`. `Relaxed` throughout: it
+    /// orders nothing but eviction.
+    clock: AtomicU64,
+}
+
+/// What one [`ContextTable::insert`] removed.
+struct Removed {
+    superseded: Vec<Entry>,
+    evicted: Vec<Entry>,
 }
 
 impl ContextTable {
-    fn insert(&mut self, ctx: Arc<StoredContext>) {
-        let prev = self.by_id.insert(ctx.id, self.order.len());
-        debug_assert!(
-            prev.is_none(),
-            "duplicate ContextId {:?} in ContextTable",
-            ctx.id
-        );
-        self.order.push(ctx);
+    fn alloc_id(&mut self) -> ContextId {
+        let id = ContextId(self.next_id);
+        self.next_id += 1;
+        id
+    }
+
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     fn get(&self, id: ContextId) -> Option<&Arc<StoredContext>> {
-        self.by_id.get(&id).map(|&i| &self.order[i])
+        self.entries.iter().map(|e| &e.ctx).find(|c| c.id == id)
+    }
+
+    /// Inserts `ctx` (of `bytes` = `ctx.bytes()`, which walks every graph
+    /// and is the caller's to compute before it locks) as the newest entry
+    /// and applies the supersede and evict rules (module docs). The caller
+    /// drops what comes back after releasing the lock.
+    fn insert(&mut self, ctx: StoredContext, bytes: u64, budget: u64) -> Removed {
+        let superseded: Vec<Entry> = self
+            .entries
+            .extract_if(.., |e| ctx.tokens.starts_with(&e.ctx.tokens))
+            .collect();
+        self.bytes -= superseded.iter().map(|e| e.bytes).sum::<u64>();
+
+        self.bytes += bytes;
+        self.entries.push(Entry {
+            bytes,
+            last_used: AtomicU64::new(self.tick()),
+            ctx: Arc::new(ctx),
+        });
+
+        let mut evicted = Vec::new();
+        while self.bytes > budget {
+            // Every entry but the newest (the last) is a candidate.
+            let candidates = 0..self.entries.len() - 1;
+            let Some(lru) =
+                candidates.min_by_key(|&i| self.entries[i].last_used.load(Ordering::Relaxed))
+            else {
+                break;
+            };
+            let victim = self.entries.remove(lru);
+            self.bytes -= victim.bytes;
+            evicted.push(victim);
+        }
+        Removed {
+            superseded,
+            evicted,
+        }
     }
 }
 
@@ -78,6 +157,9 @@ pub struct DbStats {
     sessions_created: Arc<Counter>,
     contexts_imported: Arc<Counter>,
     contexts_adopted: Arc<Counter>,
+    contexts_superseded: Arc<Counter>,
+    contexts_evicted: Arc<Counter>,
+    context_bytes: Arc<Gauge>,
     store_failures: Arc<Counter>,
 }
 
@@ -94,6 +176,21 @@ impl DbStats {
     pub fn contexts_adopted(&self) -> u64 {
         self.contexts_adopted.get()
     }
+    /// Contexts removed because a later publication extended (or equalled)
+    /// their token sequence.
+    pub fn contexts_superseded(&self) -> u64 {
+        self.contexts_superseded.get()
+    }
+    /// Contexts removed, least recently reused first, to fit
+    /// [`DbConfig::context_budget_bytes`].
+    pub fn contexts_evicted(&self) -> u64 {
+        self.contexts_evicted.get()
+    }
+    /// Bytes of the resident contexts ([`StoredContext::bytes`] summed) as
+    /// of the last publication.
+    pub fn context_bytes(&self) -> u64 {
+        self.context_bytes.get() as u64
+    }
     /// Background store builds that panicked instead of publishing.
     pub fn store_failures(&self) -> u64 {
         self.store_failures.get()
@@ -104,6 +201,9 @@ impl DbStats {
         registry.register_counter("core.db.sessions_created", &self.sessions_created);
         registry.register_counter("core.db.contexts_imported", &self.contexts_imported);
         registry.register_counter("core.db.contexts_adopted", &self.contexts_adopted);
+        registry.register_counter("core.db.contexts_superseded", &self.contexts_superseded);
+        registry.register_counter("core.db.contexts_evicted", &self.contexts_evicted);
+        registry.register_gauge("core.db.context_bytes", &self.context_bytes);
         registry.register_counter("core.db.store_failures", &self.store_failures);
     }
 }
@@ -113,7 +213,6 @@ impl DbStats {
 pub struct Db {
     cfg: DbConfig,
     contexts: RwLock<ContextTable>,
-    next_id: AtomicU64,
     stats: DbStats,
 }
 
@@ -124,7 +223,6 @@ impl Db {
         Self {
             cfg,
             contexts: RwLock::new_named(ContextTable::default(), "core.db.contexts"),
-            next_id: AtomicU64::new(0),
             stats: DbStats::default(),
         }
     }
@@ -144,41 +242,47 @@ impl Db {
         &self.cfg.gpu
     }
 
-    /// Number of stored contexts.
+    /// Number of resident stored contexts.
     pub fn n_contexts(&self) -> usize {
-        self.contexts.read().order.len()
+        self.contexts.read().entries.len()
     }
 
-    /// Fetches a stored context by id — an O(1) map lookup. The returned
-    /// `Arc` is a lock-free handle: attention over the context never holds
-    /// the DB-wide lock.
+    /// Fetches a resident stored context by id. A [`ContextId`] names a
+    /// cache entry, not a durable object: the answer is `None` before the
+    /// context is published and again once it has been superseded or
+    /// evicted (module docs). The lookup scans the resident table, as
+    /// [`Db::create_session`] does; the byte budget bounds both. The
+    /// returned `Arc` is a lock-free handle: attention over the context
+    /// never holds the DB-wide lock, and the context outlives its entry
+    /// for as long as the handle is held.
     pub fn context(&self, id: ContextId) -> Option<Arc<StoredContext>> {
         self.contexts.read().get(id).cloned()
     }
 
     /// `DB.create_session(prompts)`: opens a session, reusing the longest
-    /// common token prefix among stored contexts. Returns the session and
-    /// the *truncated* prompt — the suffix the engine still has to prefill
-    /// (always at least one token, so the engine can produce logits).
+    /// common token prefix among resident stored contexts (the most
+    /// recently published of equals). Returns the session and the
+    /// *truncated* prompt — the suffix the engine still has to prefill
+    /// (always at least one token, so the engine can produce logits). A
+    /// hit marks the context as just reused for eviction.
     pub fn create_session(&self, prompt: &[u32]) -> (Session, Vec<u32>) {
         assert!(!prompt.is_empty(), "prompt must contain at least one token");
         self.stats.sessions_created.inc();
         let contexts = self.contexts.read();
-        let best = contexts
-            .order
+        let hit = contexts
+            .entries
             .iter()
-            .map(|c| (c.common_prefix_len(prompt), c))
+            .map(|e| (e.ctx.common_prefix_len(prompt), e))
             .max_by_key(|(lcp, _)| *lcp)
-            .filter(|(lcp, _)| *lcp > 0);
+            // Keep at least one prompt token for the engine.
+            .map(|(lcp, e)| (lcp.min(prompt.len() - 1), e))
+            .filter(|(reused, _)| *reused > 0);
 
-        match best {
-            Some((lcp, ctx)) => {
-                // Keep at least one prompt token for the engine.
-                let reused = lcp.min(prompt.len() - 1);
-                if reused == 0 {
-                    return (Session::new(self.cfg.clone(), None, 0), prompt.to_vec());
-                }
-                let session = Session::new(self.cfg.clone(), Some(Arc::clone(ctx)), reused);
+        match hit {
+            Some((reused, entry)) => {
+                entry.last_used.store(contexts.tick(), Ordering::Relaxed);
+                let base = Some(Arc::clone(&entry.ctx));
+                let session = Session::new(self.cfg.clone(), base, reused);
                 (session, prompt[reused..].to_vec())
             }
             None => (Session::new(self.cfg.clone(), None, 0), prompt.to_vec()),
@@ -207,35 +311,70 @@ impl Db {
         );
         // Index construction runs outside the contexts lock, so imports do
         // not block concurrent session creation or lookup; a panicking
-        // build drops the reservation unpublished.
-        let reservation = Reservation::new(self);
-        let id = reservation.id;
+        // build publishes nothing.
+        let id = self.alloc_id();
         let ctx = StoredContext::build(id, tokens, kv, queries, &self.cfg);
-        reservation.publish(ctx);
+        self.publish(ctx);
         id
     }
 
     /// Adopts an externally assembled context (e.g. one loaded from the
     /// vector file system by [`crate::persist::load_context`]) into this
-    /// DB's reuse pool. The context keeps its original id if it does not
-    /// collide with a stored *or in-flight* context; otherwise it is
-    /// re-numbered.
+    /// DB's reuse pool. The context keeps its original id only when this
+    /// DB never handed that id out; otherwise it is re-numbered — an id
+    /// absent from the table may still name an evicted context that open
+    /// sessions serve from, and the scheduler groups shared plans by it.
+    /// (Ids in the upper half of the space are re-numbered too, so a
+    /// corrupt persisted id cannot walk the allocator into overflow.)
     pub fn adopt(&self, mut ctx: StoredContext) -> ContextId {
-        // Every allocation path touches `next_id` under this write lock
-        // (`import`/`store` also register in-flight ids in `reserved`), so
-        // holding it across the check and the insert makes the collision
-        // test exact — no id can be claimed or inserted concurrently.
-        let mut contexts = self.contexts.write();
-        if contexts.by_id.contains_key(&ctx.id) || contexts.reserved.contains(&ctx.id) {
-            ctx.id = ContextId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        } else {
-            // Keep the allocator ahead of adopted ids.
-            self.next_id.fetch_max(ctx.id.0 + 1, Ordering::Relaxed);
-        }
-        let id = ctx.id;
-        contexts.insert(Arc::new(ctx));
+        let bytes = ctx.bytes();
+        let (id, _removed) = {
+            let mut contexts = self.contexts.write();
+            if (contexts.next_id..u64::MAX / 2).contains(&ctx.id.0) {
+                // Keep the allocator ahead of adopted ids.
+                contexts.next_id = ctx.id.0 + 1;
+            } else {
+                ctx.id = contexts.alloc_id();
+            }
+            (ctx.id, self.insert_locked(&mut contexts, ctx, bytes))
+        };
         self.stats.contexts_adopted.inc();
         id
+    }
+
+    fn alloc_id(&self) -> ContextId {
+        self.contexts.write().alloc_id()
+    }
+
+    /// Makes a context built by `import`/`store` visible — atomically with
+    /// the removal of whatever it supersedes or pushes out.
+    fn publish(&self, ctx: StoredContext) {
+        let bytes = ctx.bytes();
+        let _removed = {
+            let mut contexts = self.contexts.write();
+            self.insert_locked(&mut contexts, ctx, bytes)
+        };
+        self.stats.contexts_imported.inc();
+    }
+
+    /// The cache insert, on an already held write lock. Returns the
+    /// removed entries so the caller frees their KV and graphs after it
+    /// released the lock.
+    fn insert_locked(
+        &self,
+        contexts: &mut ContextTable,
+        ctx: StoredContext,
+        bytes: u64,
+    ) -> Removed {
+        let removed = contexts.insert(ctx, bytes, self.cfg.context_budget_bytes);
+        self.stats
+            .contexts_superseded
+            .add(removed.superseded.len() as u64);
+        self.stats
+            .contexts_evicted
+            .add(removed.evicted.len() as u64);
+        self.stats.context_bytes.set(contexts.bytes as i64);
+        removed
     }
 
     /// `DB.store(session)`: materializes the session's full state — reused
@@ -247,12 +386,7 @@ impl Db {
     /// (call [`Session::note_tokens`] during generation).
     pub fn store(&self, session: &Session) -> ContextId {
         let total = validate_store_coverage(session);
-        let kv = merge_session_kv(
-            &self.cfg,
-            session.base(),
-            session.reused_len(),
-            session.local_kv(),
-        );
+        let kv = merge_session_kv(session.base(), session.reused_len(), session.local_kv());
         self.import_with_queries(
             session.tokens()[..total].to_vec(),
             kv,
@@ -267,9 +401,11 @@ impl Db {
     /// atomically through the context table. Readers ([`Db::context`],
     /// [`Db::create_session`]) keep serving existing contexts throughout:
     /// the new context is either entirely absent or entirely built, never
-    /// partial — so a huge `store()` cannot stall co-batched tenants.
+    /// partial — so a huge `store()` cannot stall co-batched tenants. The
+    /// snapshot's `Arc` also keeps the reused prefix alive if it is evicted
+    /// while the build runs.
     ///
-    /// The returned [`StoreHandle`] carries the reserved [`ContextId`] up
+    /// The returned [`StoreHandle`] carries the allocated [`ContextId`] up
     /// front; [`StoreHandle::wait`] blocks until the context is published
     /// (or the build failed).
     ///
@@ -286,8 +422,8 @@ impl Db {
         let local = session.local_kv().clone();
         let queries = session.query_samples().clone();
 
-        let reservation = Reservation::new(Arc::clone(self));
-        let id = reservation.id;
+        let db = Arc::clone(self);
+        let id = db.alloc_id();
 
         let shared = Arc::new(StoreShared {
             state: Mutex::new_named(StoreState::Pending, "core.db.store_state"),
@@ -295,21 +431,19 @@ impl Db {
         });
         let task_shared = Arc::clone(&shared);
         alaya_device::pool::global().execute(move || {
-            let cfg = &reservation.db.cfg;
             let built = catch_unwind(AssertUnwindSafe(|| {
-                let kv = merge_session_kv(cfg, base.as_ref(), reused_len, &local);
-                StoredContext::build(id, tokens, kv, Some(&queries), cfg)
+                let kv = merge_session_kv(base.as_ref(), reused_len, &local);
+                StoredContext::build(id, tokens, kv, Some(&queries), &db.cfg)
             }));
-            // The contexts write lock (inside publish/drop) is released
-            // before the store-state lock below is taken.
+            // The contexts write lock (inside publish) is released before
+            // the store-state lock below is taken.
             let state = match built {
                 Ok(ctx) => {
-                    reservation.publish(ctx);
+                    db.publish(ctx);
                     StoreState::Ready
                 }
                 Err(payload) => {
-                    reservation.db.stats.store_failures.inc();
-                    drop(reservation);
+                    db.stats.store_failures.inc();
                     StoreState::Failed(StoreError {
                         message: panic_message(payload.as_ref()),
                     })
@@ -320,49 +454,6 @@ impl Db {
         });
 
         StoreHandle { id, shared }
-    }
-}
-
-/// A [`ContextId`] handed out while its context still builds outside the
-/// contexts lock: `adopt` treats it as taken. Ending the reservation —
-/// [`Reservation::publish`] or a plain drop (build panicked, task never
-/// ran) — un-reserves the id and, when a context was built, inserts it
-/// under one write-lock hold, so the context becomes visible in the same
-/// atomic step that releases the reservation.
-struct Reservation<D: Deref<Target = Db>> {
-    db: D,
-    id: ContextId,
-    built: Option<StoredContext>,
-}
-
-impl<D: Deref<Target = Db>> Reservation<D> {
-    fn new(db: D) -> Self {
-        let id = {
-            let mut contexts = db.contexts.write();
-            let id = ContextId(db.next_id.fetch_add(1, Ordering::Relaxed));
-            contexts.reserved.insert(id);
-            id
-        };
-        Self {
-            db,
-            id,
-            built: None,
-        }
-    }
-
-    fn publish(mut self, ctx: StoredContext) {
-        self.built = Some(ctx);
-    }
-}
-
-impl<D: Deref<Target = Db>> Drop for Reservation<D> {
-    fn drop(&mut self) {
-        let mut contexts = self.db.contexts.write();
-        contexts.reserved.remove(&self.id);
-        if let Some(ctx) = self.built.take() {
-            contexts.insert(Arc::new(ctx));
-            self.db.stats.contexts_imported.inc();
-        }
     }
 }
 
@@ -381,26 +472,35 @@ fn validate_store_coverage(session: &Session) -> usize {
 /// Merges a session's reused-prefix KV with its local window into one cache
 /// — the copy half of `DB.store` (the index build is the other).
 fn merge_session_kv(
-    cfg: &DbConfig,
     base: Option<&Arc<StoredContext>>,
     reused_len: usize,
     local: &KvCache,
 ) -> KvCache {
-    let model = &cfg.model;
-    let mut kv = match base {
-        Some(base) => base.kv.prefix(reused_len),
-        None => KvCache::new(model.n_layers, model.n_kv_heads, model.head_dim),
-    };
-    for layer in 0..model.n_layers {
-        for kvh in 0..model.n_kv_heads {
-            let src = local.head(layer, kvh);
-            let dst = kv.head_mut(layer, kvh);
-            for j in 0..src.len() {
-                dst.push(src.keys.row(j), src.values.row(j));
-            }
+    let mut kv = KvCache::new(local.n_layers(), local.n_kv_heads(), local.head_dim());
+    for layer in 0..local.n_layers() {
+        for kvh in 0..local.n_kv_heads() {
+            let stored = base.map(|b| b.kv.head(layer, kvh));
+            let tail = local.head(layer, kvh);
+            *kv.head_mut(layer, kvh) = HeadKv {
+                keys: concat_rows(stored.map(|h| &h.keys), reused_len, &tail.keys),
+                values: concat_rows(stored.map(|h| &h.values), reused_len, &tail.values),
+            };
         }
     }
     kv
+}
+
+/// The first `n` rows of `prefix` followed by all of `tail`, in one
+/// allocation of exactly that size: `VecStore::bytes` reads capacity, and
+/// that is what the context budget charges.
+fn concat_rows(prefix: Option<&VecStore>, n: usize, tail: &VecStore) -> VecStore {
+    let dim = tail.dim();
+    let mut data = Vec::with_capacity((n + tail.len()) * dim);
+    if let Some(prefix) = prefix {
+        data.extend_from_slice(&prefix.as_flat()[..n * dim]);
+    }
+    data.extend_from_slice(tail.as_flat());
+    VecStore::from_flat(dim, data)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -485,11 +585,15 @@ mod tests {
         (db, Model::new(model_cfg))
     }
 
-    /// Prefills `tokens` with the full backend and imports the KV into `db`.
-    fn import_context(db: &Db, model: &Model, tokens: &[u32]) -> ContextId {
+    /// The KV of `tokens`, prefilled with the full backend.
+    fn prefilled(model: &Model, tokens: &[u32]) -> KvCache {
         let mut backend = FullKvBackend::new(model.config());
         model.prefill(tokens, 0, &mut backend);
-        db.import(tokens.to_vec(), backend.into_cache())
+        backend.into_cache()
+    }
+
+    fn import_context(db: &Db, model: &Model, tokens: &[u32]) -> ContextId {
+        db.import(tokens.to_vec(), prefilled(model, tokens))
     }
 
     #[test]
@@ -542,21 +646,26 @@ mod tests {
     #[test]
     fn best_of_multiple_contexts_wins() {
         let (db, model) = db();
-        import_context(&db, &model, &[1, 2, 3, 4]);
-        import_context(&db, &model, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let short = import_context(&db, &model, &[1, 2, 3, 4]);
+        let held = db.context(short).unwrap();
+        // Extends the first context's tokens, so it supersedes it.
+        let long = import_context(&db, &model, &[1, 2, 3, 4, 5, 6, 7, 8]);
         import_context(&db, &model, &[9, 9, 9]);
         let (session, _) = db.create_session(&[1, 2, 3, 4, 5, 6, 99]);
         assert_eq!(session.reused_len(), 6);
-        assert_eq!(db.n_contexts(), 3);
+        assert_eq!(session.base().unwrap().id, long);
+        assert_eq!(db.n_contexts(), 2);
+        assert!(db.context(short).is_none(), "superseded entries are gone");
+        assert_eq!(held.tokens, [1, 2, 3, 4], "but a held handle stays whole");
+        assert_eq!(db.stats().contexts_superseded(), 1);
+        assert_eq!(db.stats().contexts_evicted(), 0);
     }
 
     #[test]
     #[should_panic(expected = "equal length")]
     fn import_length_mismatch_panics() {
         let (db, model) = db();
-        let mut backend = FullKvBackend::new(model.config());
-        model.prefill(&[1, 2, 3], 0, &mut backend);
-        db.import(vec![1, 2], backend.into_cache());
+        db.import(vec![1, 2], prefilled(&model, &[1, 2, 3]));
     }
 
     #[test]
@@ -594,13 +703,16 @@ mod tests {
         session.note_tokens(&generated);
 
         let sync_id = db.store(&session);
+        // Hold the first context: the second store publishes the same
+        // token sequence and supersedes it.
+        let a = db.context(sync_id).unwrap();
         let handle = db.store_background(&session);
         assert_eq!(handle.wait(), Ok(handle.id()));
         assert!(handle.is_finished());
         assert_ne!(handle.id(), sync_id);
 
         // Identical snapshot → identical published context (modulo id).
-        let a = db.context(sync_id).unwrap();
+        assert!(db.context(sync_id).is_none());
         let b = db.context(handle.id()).unwrap();
         assert_eq!(a.tokens, b.tokens);
         let (ka, kb) = (a.kv.head(0, 0), b.kv.head(0, 0));
@@ -616,6 +728,112 @@ mod tests {
                 );
             }
         }
-        assert_eq!(db.n_contexts(), 2);
+        assert_eq!(db.n_contexts(), 1);
+    }
+
+    /// A store over a reused prefix allocates the merged KV at its exact
+    /// size, so the budget charges rows, not `Vec` growth slack.
+    #[test]
+    fn stored_kv_is_allocated_at_its_exact_size() {
+        let (db, model) = db();
+        let stored: Vec<u32> = (0..51).collect();
+        import_context(&db, &model, &stored);
+        let mut prompt = stored.clone();
+        prompt.extend(100..113);
+        let (mut session, truncated) = db.create_session(&prompt);
+        assert_eq!(session.reused_len(), 51);
+        session.note_tokens(&truncated);
+        model.prefill(&truncated, 51, &mut session);
+
+        let ctx = db.context(db.store(&session)).unwrap();
+        let m = model.config();
+        let row_bytes = m.n_layers * m.n_kv_heads * m.head_dim * 4 * 2;
+        assert_eq!(ctx.len(), 64);
+        assert_eq!(ctx.kv_bytes(), (ctx.len() * row_bytes) as u64);
+        assert_eq!(db.stats().context_bytes(), ctx.bytes());
+    }
+
+    /// A database whose budget holds `n` copies of a `len`-token context
+    /// (and not `n + 1`).
+    fn db_with_room_for(n: u64, len: u32) -> (Db, Model) {
+        let (probe, model) = db();
+        let id = import_context(&probe, &model, &(0..len).collect::<Vec<_>>());
+        let bytes = probe.context(id).unwrap().bytes();
+        let cfg = DbConfig {
+            context_budget_bytes: n * bytes + bytes / 2,
+            ..DbConfig::for_tests(model.config().clone())
+        };
+        (Db::new(cfg), model)
+    }
+
+    fn seq(first: u32, len: u32) -> Vec<u32> {
+        (first..first + len).collect()
+    }
+
+    #[test]
+    fn eviction_drops_the_least_recently_reused_context() {
+        let (db, model) = db_with_room_for(2, 40);
+        let a = import_context(&db, &model, &seq(0, 40));
+        let b = import_context(&db, &model, &seq(100, 40));
+        // Reusing `a` makes `b` the least recently reused.
+        let (session, _) = db.create_session(&seq(0, 41));
+        assert_eq!(session.base().unwrap().id, a);
+        let c = import_context(&db, &model, &seq(200, 40));
+
+        assert!(db.context(b).is_none(), "b was the LRU victim");
+        assert!(db.context(a).is_some() && db.context(c).is_some());
+        assert_eq!(db.stats().contexts_evicted(), 1);
+        assert_eq!(db.stats().contexts_superseded(), 0);
+        let resident = db.context(a).unwrap().bytes() + db.context(c).unwrap().bytes();
+        assert_eq!(db.stats().context_bytes(), resident);
+        assert!(resident <= db.config().context_budget_bytes);
+    }
+
+    #[test]
+    fn a_context_larger_than_the_budget_is_kept_alone() {
+        let (db, model) = db_with_room_for(1, 20);
+        let small = import_context(&db, &model, &seq(0, 20));
+        let big = import_context(&db, &model, &seq(100, 60));
+        assert!(db.context(small).is_none());
+        let big = db
+            .context(big)
+            .expect("the published context is never the victim");
+        assert!(big.bytes() > db.config().context_budget_bytes);
+        assert_eq!(db.n_contexts(), 1);
+    }
+
+    /// With eviction, "absent from the table" no longer means "never
+    /// used": adopt must not hand a live session's base id to another
+    /// context.
+    #[test]
+    fn adopt_never_reissues_an_id() {
+        let (db, model) = db_with_room_for(1, 40);
+        let x = import_context(&db, &model, &seq(0, 40));
+        let (session, _) = db.create_session(&seq(0, 41));
+        import_context(&db, &model, &seq(100, 40));
+        assert!(db.context(x).is_none(), "x was evicted");
+        assert_eq!(
+            session.base().unwrap().id,
+            x,
+            "and a session still holds it"
+        );
+
+        // A context persisted under x's id comes back under a fresh one.
+        let persisted = |id: u64, first: u32| {
+            let tokens = seq(first, 40);
+            let kv = prefilled(&model, &tokens);
+            StoredContext::build(ContextId(id), tokens, kv, None, db.config())
+        };
+        let fresh = db.adopt(persisted(x.0, 200));
+        assert_eq!(fresh, ContextId(2), "renumbered past every id handed out");
+        assert_eq!(db.context(fresh).unwrap().tokens, seq(200, 40));
+
+        // An id this DB never handed out is kept, and the allocator moves
+        // past it.
+        assert_eq!(db.adopt(persisted(7, 50)), ContextId(7));
+        assert_eq!(import_context(&db, &model, &seq(150, 40)), ContextId(8));
+        // One that would leave the allocator no room is not.
+        assert_eq!(db.adopt(persisted(u64::MAX, 10)), ContextId(9));
+        assert_eq!(db.stats().contexts_adopted(), 3);
     }
 }

@@ -19,6 +19,14 @@
 //! the stored index usable through attribute-filtered DIPRS. Decode-phase
 //! KV stays in the session-local window and is only materialized into a
 //! stored, indexed context on [`Db::store`] (late materialization, §7.2).
+//!
+//! Stored contexts are a bounded cache ([`db`] has the rules): publishing
+//! a context removes the resident ones whose tokens it extends — they
+//! could never be matched again — and evicts the least recently reused
+//! until the table fits [`DbConfig::context_budget_bytes`]. A
+//! [`ContextId`] names a cache entry: [`Db::context`] answers `None` once
+//! it is superseded or evicted, and open sessions keep serving from the
+//! `Arc` they hold.
 
 pub mod config;
 pub mod db;

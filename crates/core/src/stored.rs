@@ -229,6 +229,14 @@ impl StoredContext {
             .sum()
     }
 
+    /// Resident bytes of the whole context — KV, fine graphs, coarse
+    /// summaries and the token sequence. This is what the DB charges
+    /// against [`DbConfig::context_budget_bytes`].
+    pub fn bytes(&self) -> u64 {
+        let tokens = self.tokens.capacity() * std::mem::size_of::<u32>();
+        self.coarse_bytes_needed() + self.graph_bytes() + tokens as u64
+    }
+
     /// Longest common prefix between this context's tokens and `prompt`.
     pub fn common_prefix_len(&self, prompt: &[u32]) -> usize {
         self.tokens
@@ -278,6 +286,7 @@ mod tests {
         assert_eq!(ctx.coarse(0, 1).n_tokens(), 100);
         assert!(ctx.graph_bytes() > 0);
         assert!(ctx.coarse_bytes_needed() > ctx.kv_bytes());
+        assert!(ctx.bytes() >= ctx.coarse_bytes_needed() + ctx.graph_bytes() + 100 * 4);
     }
 
     #[test]

@@ -17,10 +17,14 @@ use alaya_vector::rng::{gaussian_vec, seeded};
 
 /// Builds a DB holding one stored context every test session reuses.
 fn db_with_context(model_cfg: &ModelConfig, tokens: &[u32]) -> Arc<Db> {
-    let db = Db::new(DbConfig::for_tests(model_cfg.clone()));
-    let model = Model::new(model_cfg.clone());
-    let mut backend = FullKvBackend::new(model_cfg);
+    db_with_config_and_context(DbConfig::for_tests(model_cfg.clone()), tokens)
+}
+
+fn db_with_config_and_context(cfg: DbConfig, tokens: &[u32]) -> Arc<Db> {
+    let model = Model::new(cfg.model.clone());
+    let mut backend = FullKvBackend::new(&cfg.model);
     model.prefill(tokens, 0, &mut backend);
+    let db = Db::new(cfg);
     db.import(tokens.to_vec(), backend.into_cache());
     Arc::new(db)
 }
@@ -328,6 +332,118 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
 
     engine.close(tenant_sid).unwrap();
     engine.close(store_sid).unwrap();
+}
+
+/// Stored contexts are a bounded cache, and eviction must be invisible to
+/// whoever is already being served: a session whose base context leaves
+/// the table mid-decode (a tiny budget, other sessions storing) keeps
+/// serving bit for bit what `Session::attention_sequential` computes, its
+/// own background store racing the eviction still builds on the evicted
+/// prefix and publishes, and nothing leaks.
+#[test]
+fn session_keeps_serving_bitwise_after_its_base_is_evicted() {
+    const STEPS_PER_PHASE: usize = 3;
+    const STORING_SESSIONS: u32 = 3;
+
+    let model_cfg = ModelConfig::tiny();
+    let model = Model::new(model_cfg.clone());
+    let context: Vec<u32> = (0..80u32).map(|i| (i * 11) % 199).collect();
+    // Room for one and a half such contexts: the base cannot stay beside
+    // the first unrelated store, nor three unrelated stores beside each
+    // other.
+    let one = db_with_context(&model_cfg, &context);
+    let budget = one.context(alaya_core::ContextId(0)).unwrap().bytes() * 3 / 2;
+    let db = db_with_config_and_context(
+        DbConfig {
+            context_budget_bytes: budget,
+            ..DbConfig::for_tests(model_cfg.clone())
+        },
+        &context,
+    );
+    let base_id = alaya_core::ContextId(0);
+    let engine = ServeEngine::new(Arc::clone(&db));
+
+    let mut prompt = context.clone();
+    prompt.extend([201u32, 202, 203]);
+    let (sid, truncated) = engine.admit(&prompt).expect("admission");
+    let (mut reference, _) = db.create_session(&prompt);
+    assert_eq!(reference.base().unwrap().id, base_id);
+    assert!(
+        reference.plan(1).explain().contains("on Coarse"),
+        "the session must be reading the base's indexes, not only its KV"
+    );
+
+    // One token through every layer, served and sequential side by side.
+    let mut rng = seeded(17);
+    let dim = model_cfg.head_dim;
+    let mut step = |token: u32, reference: &mut alaya_core::Session| {
+        engine.note_tokens(sid, &[token]).unwrap();
+        for layer in 0..model_cfg.n_layers {
+            let mut draw = |n: usize| -> Vec<Vec<f32>> {
+                (0..n).map(|_| gaussian_vec(&mut rng, dim, 1.0)).collect()
+            };
+            let queries = draw(model_cfg.n_q_heads);
+            let keys = draw(model_cfg.n_kv_heads);
+            let values = draw(model_cfg.n_kv_heads);
+            engine.update(sid, &queries, &keys, &values, layer).unwrap();
+            let served = engine.attention(sid, &queries, layer).unwrap();
+            reference.update(&queries, &keys, &values, layer);
+            let want = reference.attention_sequential(&queries, layer);
+            assert_eq!(served, want, "diverged at layer {layer}");
+        }
+    };
+
+    // Phase 1: the base is resident.
+    for &t in &truncated {
+        step(t, &mut reference);
+    }
+    assert!(db.context(base_id).is_some());
+
+    // Phase 2: other sessions store unrelated contexts, pushing the base
+    // out, while this session kicks off its own store and keeps decoding.
+    let handle = std::thread::scope(|s| {
+        let storers = s.spawn(|| {
+            for c in 0..STORING_SESSIONS {
+                let other: Vec<u32> = (0..80u32).map(|i| 200 + c + (i * 7) % 50).collect();
+                let (osid, otrunc) = engine.admit(&other).expect("admission");
+                engine.note_tokens(osid, &otrunc).unwrap();
+                model.prefill(&otrunc, 0, &mut engine.backend(osid));
+                engine.store(osid).expect("unrelated store");
+                engine.close(osid).unwrap();
+            }
+        });
+        let handle = engine.store_background(sid).expect("store kickoff");
+        for i in 0..STEPS_PER_PHASE {
+            step(210 + i as u32, &mut reference);
+        }
+        storers.join().unwrap();
+        handle
+    });
+
+    // The store that raced the eviction built on the prefix its snapshot
+    // held and published a whole context (which may itself be gone again).
+    let id = handle.wait().expect("store over an evicted base publishes");
+    if let Some(ctx) = db.context(id) {
+        assert_eq!(ctx.tokens, prompt);
+    }
+
+    // Evicted by the other stores or superseded by this session's own:
+    // either way the base's id no longer resolves, and the session does
+    // not care. The unrelated contexts alone overflow the budget.
+    assert!(db.context(base_id).is_none(), "the base left the table");
+    let stats = db.stats();
+    assert!(stats.contexts_evicted() >= 1);
+    assert_eq!(stats.store_failures(), 0);
+    assert!(stats.context_bytes() <= budget || db.n_contexts() == 1);
+
+    // Phase 3: the base is certainly gone; decode on.
+    for i in 0..STEPS_PER_PHASE {
+        step(220 + i as u32, &mut reference);
+    }
+
+    engine.close(sid).unwrap();
+    assert_eq!(engine.n_sessions(), 0);
+    assert_eq!(db.gpu().in_use(), 0, "eviction must not leak reservations");
 }
 
 /// Deadline shedding releases everything: a request shed with

@@ -8,7 +8,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use alaya_core::{Db, DbConfig};
-use alaya_llm::ModelConfig;
+use alaya_llm::{Model, ModelConfig};
 use alaya_serve::{ServeConfig, ServeEngine, ServeError};
 
 fn tiny_engine(opts: ServeConfig) -> (ServeEngine, ModelConfig, Arc<Db>) {
@@ -198,6 +198,73 @@ fn stage_histograms_and_registry_rendering_track_execution() {
     assert!(
         t.registry.counter("core.db.sessions_created").is_some(),
         "db stats must register into the engine registry"
+    );
+}
+
+/// The context cache's cells ride in the engine's registry and move on a
+/// store/reuse loop: turns that extend what they stored supersede it,
+/// and conversations beyond the byte budget evict the oldest.
+#[test]
+fn context_cache_cells_move_on_a_store_reuse_loop() {
+    const CONVERSATIONS: u32 = 4;
+    const TURNS: usize = 3;
+    const BUDGET: u64 = 40_000;
+
+    let model_cfg = ModelConfig::tiny();
+    let model = Model::new(model_cfg.clone());
+    let db = Arc::new(Db::new(DbConfig {
+        context_budget_bytes: BUDGET,
+        ..DbConfig::for_tests(model_cfg)
+    }));
+    let engine = ServeEngine::new(Arc::clone(&db));
+
+    let t = engine.telemetry();
+    for cell in ["core.db.contexts_superseded", "core.db.contexts_evicted"] {
+        assert_eq!(t.registry.counter(cell), Some(0), "{cell} is registered");
+    }
+    assert_eq!(t.registry.gauge("core.db.context_bytes"), Some(0));
+
+    let mut largest = 0;
+    for c in 0..CONVERSATIONS {
+        let mut history: Vec<u32> = (0..12).map(|i| 10 * c + i).collect();
+        for _ in 0..TURNS {
+            let (sid, truncated) = engine.admit(&history).unwrap();
+            engine.note_tokens(sid, &truncated).unwrap();
+            let reply = model.generate(&truncated, 4, &mut engine.backend(sid));
+            engine.note_tokens(sid, &reply).unwrap();
+            let ctx = engine.store(sid).unwrap();
+            engine.close(sid).unwrap();
+            largest = largest.max(db.context(ctx).unwrap().bytes());
+            history.extend(reply);
+
+            // The gauge is the resident bytes, within one context of the
+            // budget at every publish.
+            let bytes = engine.telemetry().registry.gauge("core.db.context_bytes");
+            assert!(bytes > Some(0) && bytes <= Some((BUDGET + largest) as i64));
+        }
+    }
+
+    let t = engine.telemetry();
+    let stores = u64::from(CONVERSATIONS) * TURNS as u64;
+    assert_eq!(
+        t.registry.counter("core.db.contexts_imported"),
+        Some(stores)
+    );
+    // Every turn after a conversation's first extends its previous store.
+    assert_eq!(
+        t.registry.counter("core.db.contexts_superseded"),
+        Some(stores - u64::from(CONVERSATIONS))
+    );
+    let evicted = t.registry.counter("core.db.contexts_evicted").unwrap();
+    assert!(evicted >= 1, "four conversations do not fit {BUDGET} bytes");
+    assert_eq!(
+        db.n_contexts() as u64 + evicted,
+        u64::from(CONVERSATIONS),
+        "one resident context per conversation, minus the evicted"
+    );
+    assert_eq!(
+        t.registry.gauge("core.db.context_bytes"),
+        Some(db.stats().context_bytes() as i64)
     );
 }
 

@@ -5,7 +5,9 @@
 //! state becomes a stored, indexed context that the next turn's
 //! `create_session` picks up via longest-common-prefix matching. The chat
 //! history therefore never gets re-prefilled — the paper's "de facto
-//! standard" KV reuse, but managed by the database.
+//! standard" KV reuse, but managed by the database. Stored contexts are a
+//! cache: a turn's context extends the previous turn's, so it supersedes
+//! it and the conversation keeps exactly one resident context.
 //!
 //! Run: `cargo run --release --example multi_session_reuse`
 
@@ -27,6 +29,7 @@ fn main() {
 
     // The running transcript (token ids) across turns.
     let mut transcript = tok.encode_prompt("SYSTEM: You are a helpful assistant.");
+    let mut latest = None;
 
     for (turn, user) in user_turns.iter().enumerate() {
         transcript.extend(tok.encode(&format!("\nUSER: {user}\nASSISTANT:")));
@@ -47,21 +50,25 @@ fn main() {
         let reply = model.generate(&truncated, 10, &mut session);
         session.note_tokens(&reply);
 
-        // Materialize once, at the end of the turn.
-        assert_eq!(db.n_contexts(), turn, "no materialization mid-turn");
-        db.store(&session);
+        // Materialize once, at the end of the turn; the new context
+        // replaces the one it extends.
+        assert_eq!(db.n_contexts(), turn.min(1), "no materialization mid-turn");
+        latest = Some(db.store(&session));
+        assert_eq!(db.n_contexts(), 1, "one resident context per conversation");
 
         // The generated tokens (minus the final unprocessed one) join the
         // transcript for the next turn.
         transcript.extend(&reply[..reply.len() - 1]);
     }
 
-    println!("\nstored contexts: {}", db.n_contexts());
-    let longest = (0..db.n_contexts() as u64)
-        .filter_map(|i| db.context(alayadb::core::ContextId(i)))
-        .map(|c| c.len())
-        .max()
-        .unwrap();
-    println!("longest stored context: {longest} tokens");
+    let stored = latest
+        .and_then(|id| db.context(id))
+        .expect("the last turn's context is resident");
+    println!(
+        "\nresident contexts: {} ({} superseded along the way)",
+        db.n_contexts(),
+        db.stats().contexts_superseded()
+    );
+    println!("stored context: {} tokens", stored.len());
     println!("every turn reused the previous turn's stored prefix — the chat history was prefilled exactly once.");
 }
