@@ -58,6 +58,52 @@ fn bench_dot_many(c: &mut Criterion) {
     group.finish();
 }
 
+/// Read-bandwidth probe: sums `x` through four independent 8-lane add
+/// chains — the cheapest loop that touches every byte once, so its GB/s is
+/// the roofline the block kernels are judged against at the same footprint.
+fn read_sum(x: &[f32]) -> f32 {
+    let mut acc = [[0.0f32; 8]; 4];
+    let mut chunks = x.chunks_exact(32);
+    for c in &mut chunks {
+        for (a, v) in acc.iter_mut().zip(c.chunks_exact(8)) {
+            let v: [f32; 8] = v.try_into().expect("8-lane chunk");
+            *a = core::array::from_fn(|l| a[l] + v[l]);
+        }
+    }
+    // Same barrier as `alaya_vector::ops`: keeps the horizontal sum out of
+    // the loop so the chains stay 8 lanes wide.
+    std::hint::black_box(&mut acc);
+    acc.iter().flatten().sum::<f32>() + chunks.remainder().iter().sum::<f32>()
+}
+
+fn bench_roofline(c: &mut Criterion) {
+    // ROADMAP aim 2: achieved GB/s of the block kernels next to a measured
+    // read roofline, at the two footprints the served path has — one
+    // `long_*` head (d = 32 x 2048 keys, 256 KB, L2-resident) and the
+    // `small()` weight stream (d = 256 x 9000 rows, 9 MB, past the cache).
+    let mut group = c.benchmark_group("roofline");
+    for (dim, n) in [(32usize, 2048usize), (256, 9000)] {
+        let mut rng = seeded(7);
+        let keys = gaussian_store(&mut rng, n, dim, 1.0);
+        let q = gaussian_vec(&mut rng, dim, 1.0);
+        // A full-period stride walk: every row once, never sequentially.
+        let ids: Vec<u32> = (0..n).map(|i| (i * 37 % n) as u32).collect();
+        let mut out = vec![0.0f32; n];
+        let shape = format!("{dim}x{n}");
+        group.throughput(Throughput::Bytes((n * dim * 4) as u64));
+        group.bench_function(BenchmarkId::new("read_sum", &shape), |bench| {
+            bench.iter(|| read_sum(std::hint::black_box(keys.as_flat())))
+        });
+        group.bench_function(BenchmarkId::new("dot_many", &shape), |bench| {
+            bench.iter(|| keys.dot_rows(std::hint::black_box(&q), &mut out))
+        });
+        group.bench_function(BenchmarkId::new("dot_ids", &shape), |bench| {
+            bench.iter(|| keys.dot_ids(std::hint::black_box(&q), &ids, &mut out))
+        });
+    }
+    group.finish();
+}
+
 fn bench_scan_scoring(c: &mut Criterion) {
     // A flat-index pass over one head's keys: the unit of work behind the
     // optimizer's "Flat" choice.
@@ -122,6 +168,6 @@ fn bench_online_softmax_merge(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
+    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
 }
 criterion_main!(benches);

@@ -157,11 +157,26 @@ impl CoarseIndex {
     }
 
     /// The `n_blocks` highest-scoring blocks, best first.
+    ///
+    /// Representatives are scored in one block-kernel call over the whole
+    /// summary matrix and maxed per block — bitwise the per-block
+    /// [`CoarseIndex::block_score`].
     pub fn select_blocks(&self, q: &[f32], n_blocks: usize) -> Vec<ScoredIdx> {
-        top_k_indices(
-            (0..self.n_blocks()).map(|b| self.block_score(q, b)),
-            n_blocks,
-        )
+        match self.scoring {
+            BlockScoring::Representatives { .. } => {
+                let mut scores = vec![0.0f32; self.reps.len()];
+                self.reps.dot_rows(q, &mut scores);
+                let per_block = scores.chunks_exact(self.reps_per_block);
+                top_k_indices(
+                    per_block.map(|b| b.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
+                    n_blocks,
+                )
+            }
+            BlockScoring::MinMaxBounds => top_k_indices(
+                (0..self.n_blocks()).map(|b| self.block_score(q, b)),
+                n_blocks,
+            ),
+        }
     }
 
     /// Token-id range covered by `block`.
@@ -237,6 +252,32 @@ mod tests {
             for t in idx.block_tokens(b) {
                 let ip = keys.dot_row(&q, t);
                 assert!(ip <= bound + 1e-4, "block {b}: ip {ip} > bound {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_blocks_equals_top_k_over_block_score_bitwise() {
+        let mut rng = seeded(29);
+        // 203 tokens in blocks of 16: a ragged last block (short blocks
+        // repeat their best representative).
+        let keys = gaussian_store(&mut rng, 203, 32, 1.0);
+        for scoring in [
+            BlockScoring::Representatives { reps: 1 },
+            BlockScoring::Representatives { reps: 3 },
+            BlockScoring::MinMaxBounds,
+        ] {
+            let idx = CoarseIndex::build(&keys, 16, scoring);
+            for qi in [0usize, 57, 202] {
+                let q = keys.row(qi);
+                for n in [0usize, 1, 4, 100] {
+                    let want = top_k_indices((0..idx.n_blocks()).map(|b| idx.block_score(q, b)), n);
+                    let got = idx.select_blocks(q, n);
+                    let key = |v: &[ScoredIdx]| -> Vec<(usize, u32)> {
+                        v.iter().map(|s| (s.idx, s.score.to_bits())).collect()
+                    };
+                    assert_eq!(key(&got), key(&want), "{scoring:?} q={qi} n={n}");
+                }
             }
         }
     }

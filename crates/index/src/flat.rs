@@ -6,7 +6,7 @@
 //! scan's sequential bandwidth beats a graph's random access), and the
 //! ground-truth oracle used by tests and recall measurements.
 
-use alaya_vector::topk::{top_k_indices, ScoredIdx};
+use alaya_vector::topk::{top_k_indices, top_k_scored, ScoredIdx};
 
 use crate::source::VectorSource;
 
@@ -14,21 +14,28 @@ use crate::source::VectorSource;
 ///
 /// Stateless: borrows the source per query, so it never holds a stale copy
 /// of a growing KV cache.
+///
+/// Every search scores the whole source through one
+/// [`VectorSource::score_range`] block call (the sequential-bandwidth path
+/// the optimizer picks this index for), so in-memory sources run the tiled
+/// multi-lane kernel instead of one dispatch per key, and builds a
+/// [`ScoredIdx`] only for ids that survive selection.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlatIndex;
 
+/// `q` against every id of `source`, in id order.
+fn score_all<S: VectorSource>(source: &S, q: &[f32]) -> Vec<f32> {
+    let mut scores = vec![0.0f32; source.len()];
+    source.score_range(q, 0, &mut scores);
+    scores
+}
+
 impl FlatIndex {
-    /// Exact top-`k` by inner product. Results are sorted descending.
-    ///
-    /// Scores the whole source through one [`VectorSource::score_range`]
-    /// block call (the sequential-bandwidth path the optimizer picks this
-    /// index for), so in-memory sources run the blocked multi-lane kernel
-    /// instead of one dispatch per key. Ids scoring NaN sort last and are
-    /// only returned once every finite score is exhausted.
+    /// Exact top-`k` by inner product. Results are sorted descending. Ids
+    /// scoring NaN sort last and are only returned once every finite score
+    /// is exhausted.
     pub fn search_topk<S: VectorSource>(&self, source: &S, q: &[f32], k: usize) -> Vec<ScoredIdx> {
-        let mut scores = vec![0.0f32; source.len()];
-        source.score_range(q, 0, &mut scores);
-        top_k_indices(scores, k)
+        top_k_indices(score_all(source, q), k)
     }
 
     /// Exact top-`k` among ids satisfying `predicate` (attribute filtering).
@@ -39,16 +46,13 @@ impl FlatIndex {
         k: usize,
         predicate: impl Fn(u32) -> bool,
     ) -> Vec<ScoredIdx> {
-        let mut scored: Vec<ScoredIdx> = (0..source.len() as u32)
-            .filter(|&i| predicate(i))
-            .map(|i| ScoredIdx {
-                idx: i as usize,
-                score: source.score(q, i),
-            })
-            .collect();
-        scored.sort_unstable_by(|a, b| b.cmp(a));
-        scored.truncate(k);
-        scored
+        let scores = score_all(source, q);
+        let passing = scores
+            .iter()
+            .enumerate()
+            .filter(|&(idx, _)| predicate(idx as u32))
+            .map(|(idx, &score)| ScoredIdx { idx, score });
+        top_k_scored(passing, k)
     }
 
     /// Exact DIPR: every id whose inner product is within `beta` of the
@@ -72,20 +76,21 @@ impl FlatIndex {
         beta: f32,
         predicate: impl Fn(u32) -> bool,
     ) -> Vec<ScoredIdx> {
-        let mut scored: Vec<ScoredIdx> = (0..source.len() as u32)
-            .filter(|&i| predicate(i))
-            .map(|i| ScoredIdx {
-                idx: i as usize,
-                score: source.score(q, i),
-            })
-            .collect();
-        let max = scored
+        let scores = score_all(source, q);
+        let max = scores
             .iter()
-            .map(|s| s.score)
+            .enumerate()
+            .filter(|&(idx, _)| predicate(idx as u32))
+            .map(|(_, &score)| score)
             .fold(f32::NEG_INFINITY, f32::max);
-        scored.retain(|s| s.score >= max - beta);
-        scored.sort_unstable_by(|a, b| b.cmp(a));
-        scored
+        let mut band: Vec<ScoredIdx> = scores
+            .iter()
+            .enumerate()
+            .filter(|&(idx, &score)| score >= max - beta && predicate(idx as u32))
+            .map(|(idx, &score)| ScoredIdx { idx, score })
+            .collect();
+        band.sort_unstable_by(|a, b| b.cmp(a));
+        band
     }
 }
 
@@ -142,6 +147,71 @@ mod tests {
         let ids: Vec<usize> = got.iter().map(|x| x.idx).collect();
         // Max among ids<3 is 2.0 → band keeps {2, 1}.
         assert_eq!(ids, vec![2, 1]);
+    }
+
+    /// The per-id formulation the block-scored searches replaced: score each
+    /// predicate-passing id on its own, materialize all of them, select.
+    fn per_id(
+        s: &VecStore,
+        q: &[f32],
+        predicate: impl Fn(u32) -> bool,
+        select: impl Fn(&mut Vec<ScoredIdx>),
+    ) -> Vec<(usize, u32)> {
+        let mut scored: Vec<ScoredIdx> = (0..VectorSource::len(s) as u32)
+            .filter(|&i| predicate(i))
+            .map(|i| ScoredIdx {
+                idx: i as usize,
+                score: s.score(q, i),
+            })
+            .collect();
+        select(&mut scored);
+        scored.sort_unstable_by(|a, b| b.cmp(a));
+        key(&scored)
+    }
+
+    fn key(scored: &[ScoredIdx]) -> Vec<(usize, u32)> {
+        scored.iter().map(|s| (s.idx, s.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn filtered_searches_equal_the_per_id_formulation_exactly() {
+        use alaya_vector::rng::{gaussian_store, gaussian_vec, seeded};
+        let mut rng = seeded(91);
+        let mut poisoned = gaussian_store(&mut rng, 70, 12, 1.0);
+        poisoned.row_mut(17).fill(f32::NAN);
+        let sources = [
+            gaussian_store(&mut rng, 67, 12, 1.0),
+            poisoned,
+            VecStore::new(12),
+        ];
+        let q = gaussian_vec(&mut rng, 12, 1.0);
+        // No filter, a prefix filter (`alaya_query::PrefixFilter::accepts`),
+        // an all-rejecting predicate, a scattered one.
+        let predicates: [&dyn Fn(u32) -> bool; 4] =
+            [&|_| true, &|id| (id as usize) < 40, &|_| false, &|id| {
+                id % 3 == 1
+            }];
+        for s in &sources {
+            for pred in predicates {
+                for beta in [0.0f32, 0.5, 2.0, 1e9] {
+                    let want = per_id(s, &q, pred, |scored| {
+                        let max = scored
+                            .iter()
+                            .map(|s| s.score)
+                            .fold(f32::NEG_INFINITY, f32::max);
+                        scored.retain(|s| s.score >= max - beta);
+                    });
+                    let got = FlatIndex.search_dipr_filtered(s, &q, beta, pred);
+                    assert_eq!(key(&got), want, "dipr beta={beta}");
+                }
+                for k in [0usize, 1, 5, 1000] {
+                    let mut want = per_id(s, &q, pred, |_| {});
+                    want.truncate(k);
+                    let got = FlatIndex.search_topk_filtered(s, &q, k, pred);
+                    assert_eq!(key(&got), want, "topk k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -96,11 +96,7 @@ impl Model {
 
         // Tied LM head: logits = embedding · final_norm(x).
         let h = rms_norm(&x, &self.weights.final_norm, cfg.norm_eps);
-        self.weights
-            .embedding
-            .iter()
-            .map(|row| alaya_vector::dot(row, &h))
-            .collect()
+        matvec(&self.weights.embedding, &h)
     }
 
     /// Prefill phase: processes every prompt token, returning the logits of

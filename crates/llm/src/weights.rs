@@ -1,16 +1,19 @@
 //! Deterministic seeded model weights and the dense kernels that apply them.
 
 use alaya_vector::rng::{gaussian_store, seeded};
-use alaya_vector::{dot, VecStore};
+use alaya_vector::VecStore;
 use rand::Rng;
 
 use crate::config::ModelConfig;
 
 /// Row-major matrix-vector product: `w` has `out_dim` rows of length
-/// `in_dim`; returns `w · x`.
+/// `in_dim`; returns `w · x`. One block-kernel call over the whole weight
+/// matrix (bitwise the row-by-row `dot(row, x)`: the products commute).
 pub fn matvec(w: &VecStore, x: &[f32]) -> Vec<f32> {
     debug_assert_eq!(w.dim(), x.len());
-    w.iter().map(|row| dot(row, x)).collect()
+    let mut out = vec![0.0f32; w.len()];
+    w.dot_rows(x, &mut out);
+    out
 }
 
 /// RMS normalization: `x / rms(x) * gain`, written into a fresh vector.
@@ -116,6 +119,35 @@ mod tests {
         // 2x2 identity.
         let w = VecStore::from_flat(2, vec![1.0, 0.0, 0.0, 1.0]);
         assert_eq!(matvec(&w, &[3.0, 4.0]), vec![3.0, 4.0]);
+    }
+
+    #[test]
+    fn matvec_equals_row_by_row_dot_bitwise_on_every_weight_matrix() {
+        // Every projection shape of both configs, plus the embedding table
+        // (the tied LM head is `matvec(&embedding, h)`).
+        for cfg in [ModelConfig::tiny(), ModelConfig::small()] {
+            let w = ModelWeights::generate(&cfg);
+            let mut rng = seeded(cfg.seed ^ 0x5eed);
+            let l = &w.layers[cfg.n_layers - 1];
+            for m in [
+                &l.wq,
+                &l.wk,
+                &l.wv,
+                &l.wo,
+                &l.w_gate,
+                &l.w_up,
+                &l.w_down,
+                &w.embedding,
+            ] {
+                let x = alaya_vector::rng::gaussian_vec(&mut rng, m.dim(), 1.0);
+                let want: Vec<u32> = m
+                    .iter()
+                    .map(|row| alaya_vector::dot(row, &x).to_bits())
+                    .collect();
+                let got: Vec<u32> = matvec(m, &x).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{} x {}", m.len(), m.dim());
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,21 @@ impl VectorSource for BufferedVectorSource {
             .score(q, id)
             .expect("vector score failed mid-search")
     }
+
+    // `score` reduces inside the pinned block with its own (scalar) order,
+    // so the block calls go through it rather than the `load` + `dot`
+    // defaults: the trait contract is "bitwise the per-id `score`".
+    fn score_range(&self, q: &[f32], start: u32, out: &mut [f32]) {
+        for (j, o) in out.iter_mut().enumerate() {
+            *o = self.score(q, start + j as u32);
+        }
+    }
+
+    fn score_block(&self, q: &[f32], ids: &[u32], out: &mut [f32]) {
+        for (o, &id) in out.iter_mut().zip(ids) {
+            *o = self.score(q, id);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +103,25 @@ mod tests {
             let want = vectors.dot_row(q, id as usize);
             let got = src.score(q, id);
             assert!((want - got).abs() < 1e-5, "id {id}: {want} vs {got}");
+        }
+    }
+
+    #[test]
+    fn block_scoring_is_bitwise_the_per_id_score() {
+        let mut rng = seeded(57);
+        let vectors = gaussian_store(&mut rng, 40, 8, 1.0);
+        let src = stored_copy(&vectors, 4);
+        let q = vectors.row(9);
+        let mut range = vec![0.0f32; 11];
+        src.score_range(q, 20, &mut range);
+        let ids = [39u32, 0, 17, 17, 3];
+        let mut block = vec![0.0f32; ids.len()];
+        src.score_block(q, &ids, &mut block);
+        for (j, &got) in range.iter().enumerate() {
+            assert_eq!(got.to_bits(), src.score(q, 20 + j as u32).to_bits());
+        }
+        for (&id, &got) in ids.iter().zip(&block) {
+            assert_eq!(got.to_bits(), src.score(q, id).to_bits());
         }
     }
 

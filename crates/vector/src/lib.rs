@@ -14,8 +14,9 @@
 //!   substrate, the index builders and the synthetic workloads.
 //!
 //! Everything here is pure CPU `f32` code with no unsafe and no external
-//! BLAS; kernels are written so that LLVM auto-vectorizes them (simple
-//! unrolled loops over slices).
+//! BLAS; kernels are written so that LLVM auto-vectorizes them (whole-array
+//! lane operations over slices; [`ops`] documents the one barrier that keeps
+//! the reductions wide).
 
 pub mod ops;
 pub mod rng;

@@ -3,79 +3,145 @@
 //! The inner product is the single hottest operation in AlayaDB — it is the
 //! scoring function of every query type (Definition 2 in the paper reduces
 //! critical-token membership to an inner-product threshold). The reduction
-//! kernels ([`dot`], [`l2_sq`]) are cache-blocked over 16-element chunks with
-//! two 8-wide independent accumulator banks, which LLVM reliably turns into
-//! wide SIMD with enough parallel chains to hide FMA latency — no `unsafe`,
-//! no explicit intrinsics. Elementwise kernels ([`axpy`], [`scale`]) use the
-//! same block structure but are pure maps, so they compute bit-identical
-//! results to the naive loop.
+//! kernels ([`dot`], [`l2_sq`], [`dot_many`]) are one generic routine,
+//! `reduce_rows`: 16-element blocks of the query are multiplied into two
+//! 8-lane accumulator banks per row, up to [`TILE`] rows in lockstep, then
+//! each row's lane sums are folded to a scalar. Portable safe Rust — no
+//! `unsafe`, no intrinsics, no per-architecture fork. Elementwise kernels
+//! ([`axpy`], [`scale`]) are pure maps and compute bit-identical results to
+//! the naive loop.
+//!
+//! # What the compiler does with it, and the barrier
+//!
+//! The accumulate loop is written as whole-`[f32; 8]` updates so each bank is
+//! one `ymm` multiply and one `ymm` add per block (AVX2/AVX-512 under the
+//! workspace's `-C target-cpu=native`). Left alone, LLVM does *not* keep it
+//! that way: it sees the pairwise `fold8` tree that consumes the lane sums
+//! and pushes the tree back into the loop, so every block pays eight
+//! shuffles and eight `xmm`-half adds (15–18 GB/s on the host below). The
+//! lane sums therefore pass through [`core::hint::black_box`] between the
+//! loop and the fold. The barrier is for performance only — it is an
+//! identity function and the bits do not depend on it; the out-of-line-fold
+//! alternative measured 10–20 % slower at d ≤ 32.
+//!
+//! Measured on the 2-core AVX-512 Xeon VM this repository is developed on
+//! (`cargo bench -p alaya-bench --bench kernels`, group `roofline`;
+//! `read_sum`, four 8-lane add chains over the same buffer, is the roofline:
+//! 105–114 GB/s at 256 KB in L2, 24–26 GB/s streaming 9 MB), before → after
+//! the barrier and the row tile: `dot_many` at d = 32 × 2048 rows 14–15 →
+//! 34–37 GB/s (8.7 → 3.5 ns/row) and the gathered `dot_ids` 12–13 → 28–32;
+//! at d = 256 × 9000 rows `dot_many` 16 → 25 GB/s and `dot_ids` 8.5 → 19.
+//! The streaming case sits at the roofline; the L2-resident one at a third
+//! of it, bound by the per-row fold rather than by bandwidth.
 //!
 //! # Reduction order and rounding
 //!
-//! Multi-lane reductions re-associate the f32 sum: lane `l` accumulates
-//! elements `l, l+16, l+32, …` and the lane partials are folded pairwise at
-//! the end. The result therefore differs from a left-to-right scalar sum by
-//! normal f32 rounding — bounded by `n · ε · Σ|aᵢ·bᵢ|` (in practice ≤ ~1e-6
-//! relative for the dimensionalities used here; property-tested against an
-//! f64 reference in `tests/prop_vector.rs`). The association is *fixed*:
-//! for a given input, [`dot`] is bitwise deterministic across calls, threads
-//! and machines, and [`dot_many`] is bitwise identical to per-row [`dot`].
+//! Multi-lane reductions re-associate the f32 sum. For each 16-block, lane
+//! `l` of bank 0 accumulates element `l` and lane `l` of bank 1 element
+//! `l + 8` (separate multiply and add, never fused); the banks are added
+//! lane-wise (`acc0 + acc1`), the eight lane sums folded pairwise
+//! (`fold8`), and the `len % 16` tail added left to right. The result
+//! differs from a left-to-right scalar sum by normal f32 rounding — bounded
+//! by `n · ε · Σ|aᵢ·bᵢ|` (in practice ≤ ~1e-6 relative for the
+//! dimensionalities used here; property-tested against an f64 reference in
+//! `tests/prop_vector.rs`). The association is *fixed* and pinned bitwise by
+//! a scalar reference in this module's tests: for a given input, [`dot`] is
+//! bitwise deterministic across calls, threads and machines, and
+//! [`dot_many`] is bitwise identical to per-row [`dot`].
 
-/// Elements per SIMD lane bank. Two banks of `LANES` accumulators give the
-/// reduction kernels 16 independent chains.
+use core::hint::black_box;
+
+/// Elements per SIMD lane bank. Each row accumulates into two banks of
+/// `LANES` lanes.
 const LANES: usize = 8;
-/// Reduction block: each loop iteration consumes `BLOCK` elements.
+/// Reduction block: each loop iteration consumes `BLOCK` elements per row.
 const BLOCK: usize = 2 * LANES;
+/// Rows the block kernels ([`dot_many`], `VecStore::dot_ids`) accumulate in
+/// lockstep: each query block is loaded once per tile, and `TILE` rows × 2
+/// banks plus the 2 query registers fit AVX2's 16 vector registers (8 rows
+/// spill and measured slower at d ≤ 32).
+pub(crate) const TILE: usize = 4;
 
-/// Pairwise fold of one accumulator bank (fixed association).
+/// Pairwise fold of one row's lane sums (fixed association).
 #[inline(always)]
 fn fold8(a: [f32; LANES]) -> f32 {
     ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
 }
 
-/// Copies a lane-sized slice into a value array. Loading whole `[f32; LANES]`
-/// values (instead of indexing into the slice inside the accumulate loop)
-/// is what lets LLVM's SLP vectorizer treat each bank update as one
-/// straight-line 8-wide multiply-add — measured ~20% faster than the
-/// indexed form for `dot`/`l2_sq` at d=128.
+/// Copies a lane-sized slice into a value array, so each bank update in the
+/// accumulate loop is one straight-line 8-wide operation on values rather
+/// than eight indexed slice reads.
 #[inline(always)]
 fn load(c: &[f32]) -> [f32; LANES] {
     c.try_into().expect("lane-sized chunk")
 }
 
+/// The one blocked reduction: `out[r] = Σᵢ term(q[i], rows[r][i])` in the
+/// association the module docs spell out, for `R` rows in lockstep.
+///
+/// Every row must be at least `q.len()` long (extra elements are ignored).
+#[inline(always)]
+fn reduce_rows<const R: usize>(
+    q: &[f32],
+    rows: [&[f32]; R],
+    term: impl Fn(f32, f32) -> f32,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(out.len(), R);
+    let (body, tail) = q.split_at(q.len() - q.len() % BLOCK);
+    let mut acc = [[[0.0f32; LANES]; 2]; R];
+    for (c, x) in body.chunks_exact(BLOCK).enumerate() {
+        let (x0, x1) = (load(&x[..LANES]), load(&x[LANES..]));
+        for r in 0..R {
+            let y = &rows[r][c * BLOCK..(c + 1) * BLOCK];
+            let (y0, y1) = (load(&y[..LANES]), load(&y[LANES..]));
+            acc[r][0] = core::array::from_fn(|l| acc[r][0][l] + term(x0[l], y0[l]));
+            acc[r][1] = core::array::from_fn(|l| acc[r][1][l] + term(x1[l], y1[l]));
+        }
+    }
+    let mut lanes: [[f32; LANES]; R] =
+        core::array::from_fn(|r| core::array::from_fn(|l| acc[r][0][l] + acc[r][1][l]));
+    // Performance only (see the module docs): keeps the fold below from
+    // being scheduled into the loop above. The bits do not depend on it.
+    black_box(&mut lanes);
+    for (r, (o, lane_sums)) in out.iter_mut().zip(lanes).enumerate() {
+        let mut s = fold8(lane_sums);
+        for (x, y) in tail.iter().zip(&rows[r][body.len()..]) {
+            s += term(*x, *y);
+        }
+        *o = s;
+    }
+}
+
 /// Inner product `a · b`.
 ///
-/// Both slices must have equal length; this is asserted in debug builds and
-/// relied upon (but unchecked) in release builds to keep the kernel branch
-/// free.
+/// Both slices must have equal length; this is asserted in debug builds
+/// only.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc0 = [0.0f32; LANES];
-    let mut acc1 = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(BLOCK);
-    let mut cb = b.chunks_exact(BLOCK);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        let (x0, x1) = (load(&x[..LANES]), load(&x[LANES..]));
-        let (y0, y1) = (load(&y[..LANES]), load(&y[LANES..]));
-        acc0 = core::array::from_fn(|l| acc0[l] + x0[l] * y0[l]);
-        acc1 = core::array::from_fn(|l| acc1[l] + x1[l] * y1[l]);
-    }
-    let mut s = fold8(core::array::from_fn(|l| acc0[l] + acc1[l]));
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += x * y;
-    }
-    s
+    let mut s = [0.0f32];
+    reduce_rows(a, [b], |x, y| x * y, &mut s);
+    s[0]
+}
+
+/// Scores `q` against [`TILE`] rows at once: `out[r] = q · rows[r]`, each
+/// bitwise the per-row [`dot`]. The unit of work of [`dot_many`] and of the
+/// gathered `VecStore::dot_ids`.
+#[inline(always)]
+pub(crate) fn dot_tile(q: &[f32], rows: [&[f32]; TILE], out: &mut [f32]) {
+    reduce_rows(q, rows, |x, y| x * y, out);
 }
 
 /// Scores `q` against a block of contiguous row-major keys.
 ///
 /// `keys` holds `out.len()` rows of dimensionality `q.len()`; `out[i]`
-/// receives `q · keys[i]`. Each row uses exactly the [`dot`] reduction, so
-/// every score is **bitwise identical** to a per-row `dot(q, row)` call —
-/// the point of the API is that hot callers (flat scans, DIPRS candidate
-/// expansion, attention over a stored context) score a whole block per call
-/// instead of paying per-key dispatch, bounds checks and row arithmetic.
+/// receives `q · keys[i]`. Rows are scored [`TILE`] at a time (remainder
+/// rows one at a time) and each uses exactly the [`dot`] reduction, so every
+/// score is **bitwise identical** to a per-row `dot(q, row)` call — hot
+/// callers (flat scans, DIPRS candidate expansion, attention over a stored
+/// context, the model's matvecs) score a whole block per call, loading each
+/// query block once per tile instead of once per key.
 ///
 /// # Panics
 /// Panics if `keys.len() != q.len() * out.len()`.
@@ -91,7 +157,13 @@ pub fn dot_many(q: &[f32], keys: &[f32], out: &mut [f32]) {
         out.fill(0.0);
         return;
     }
-    for (o, row) in out.iter_mut().zip(keys.chunks_exact(d)) {
+    let mut outs = out.chunks_exact_mut(TILE);
+    let mut tiles = keys.chunks_exact(TILE * d);
+    for (o, k) in (&mut outs).zip(&mut tiles) {
+        dot_tile(q, core::array::from_fn(|r| &k[r * d..(r + 1) * d]), o);
+    }
+    let rest = tiles.remainder().chunks_exact(d);
+    for (o, row) in outs.into_remainder().iter_mut().zip(rest) {
         *o = dot(q, row);
     }
 }
@@ -142,32 +214,18 @@ pub fn normalize(x: &mut [f32]) {
     }
 }
 
-/// Squared Euclidean distance `‖a − b‖₂²`.
+/// Squared Euclidean distance `‖a − b‖₂²` (the [`dot`] reduction with
+/// `(aᵢ − bᵢ)²` as the term).
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc0 = [0.0f32; LANES];
-    let mut acc1 = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(BLOCK);
-    let mut cb = b.chunks_exact(BLOCK);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        let (x0, x1) = (load(&x[..LANES]), load(&x[LANES..]));
-        let (y0, y1) = (load(&y[..LANES]), load(&y[LANES..]));
-        acc0 = core::array::from_fn(|l| {
-            let d = x0[l] - y0[l];
-            acc0[l] + d * d
-        });
-        acc1 = core::array::from_fn(|l| {
-            let d = x1[l] - y1[l];
-            acc1[l] + d * d
-        });
-    }
-    let mut s = fold8(core::array::from_fn(|l| acc0[l] + acc1[l]));
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+    let mut s = [0.0f32];
+    let sq_diff = |x: f32, y: f32| {
         let d = x - y;
-        s += d * d;
-    }
-    s
+        d * d
+    };
+    reduce_rows(a, [b], sq_diff, &mut s);
+    s[0]
 }
 
 /// Index of the maximum element; ties resolve to the first occurrence.

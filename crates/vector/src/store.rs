@@ -6,7 +6,7 @@
 //! cache-friendly access pattern and makes it trivial to hand rows out as
 //! slices to the index builders and attention kernels.
 
-use crate::ops::{dot, dot_many};
+use crate::ops::{dot, dot_many, dot_tile, TILE};
 
 /// A growable, row-major matrix of `f32` vectors with fixed dimensionality.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -143,14 +143,21 @@ impl VecStore {
 
     /// Scores `q` against an arbitrary gather of rows: `out[i] = q · row(ids[i])`.
     /// Bitwise-identical to per-row [`VecStore::dot_row`] calls; the batched
-    /// entry point for traversals whose frontier is not contiguous.
+    /// entry point for traversals whose frontier is not contiguous. Runs the
+    /// same tile kernel as [`dot_many`] over the gathered rows (ids may
+    /// repeat and come in any order).
     ///
     /// # Panics
     /// Panics if `ids.len() != out.len()` or any id is out of range.
     #[inline]
     pub fn dot_ids(&self, q: &[f32], ids: &[u32], out: &mut [f32]) {
         assert_eq!(ids.len(), out.len(), "one score slot per id required");
-        for (o, &id) in out.iter_mut().zip(ids) {
+        let mut outs = out.chunks_exact_mut(TILE);
+        let mut tiles = ids.chunks_exact(TILE);
+        for (o, t) in (&mut outs).zip(&mut tiles) {
+            dot_tile(q, core::array::from_fn(|r| self.row(t[r] as usize)), o);
+        }
+        for (o, &id) in outs.into_remainder().iter_mut().zip(tiles.remainder()) {
             *o = dot(q, self.row(id as usize));
         }
     }

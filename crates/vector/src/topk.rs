@@ -58,14 +58,25 @@ pub fn top_k_indices<I>(scores: I, k: usize) -> Vec<ScoredIdx>
 where
     I: IntoIterator<Item = f32>,
 {
+    let items = scores.into_iter().enumerate();
+    top_k_scored(items.map(|(idx, score)| ScoredIdx { idx, score }), k)
+}
+
+/// The `k` greatest of `items` under [`ScoredIdx`]'s total order, best
+/// first — [`top_k_indices`] for candidates that carry their own ids (a
+/// filtered scan). Equal to sorting everything descending and truncating to
+/// `k`, without materializing the full order.
+pub fn top_k_scored<I>(items: I, k: usize) -> Vec<ScoredIdx>
+where
+    I: IntoIterator<Item = ScoredIdx>,
+{
     if k == 0 {
         return Vec::new();
     }
     // Min-heap of the best k seen so far: `Reverse` semantics via negated
     // comparison would obscure the code, so store wrapped and peek the worst.
     let mut heap: BinaryHeap<std::cmp::Reverse<ScoredIdx>> = BinaryHeap::with_capacity(k + 1);
-    for (idx, score) in scores.into_iter().enumerate() {
-        let item = ScoredIdx { idx, score };
+    for item in items {
         if heap.len() < k {
             heap.push(std::cmp::Reverse(item));
         } else if let Some(worst) = heap.peek() {

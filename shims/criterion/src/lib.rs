@@ -259,7 +259,7 @@ fn run_one<F: FnMut(&mut Bencher)>(
             format!("  ({:.1} Melem/s)", n as f64 / ns * 1e3)
         }
         Some(Throughput::Bytes(n)) if ns > 0.0 => {
-            format!("  ({:.1} MiB/s)", n as f64 / ns * 1e9 / (1 << 20) as f64)
+            format!("  ({:.1} GB/s)", n as f64 / ns)
         }
         _ => String::new(),
     };
