@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use alaya_index::coarse::CoarseIndex;
 use alaya_index::flat::FlatIndex;
 use alaya_index::graph::NeighborGraph;
-use alaya_query::diprs::{diprs_filtered, graph_topk_filtered, DiprsParams};
+use alaya_query::diprs::{diprs_filtered, DiprsParams};
 use alaya_query::optimizer::Plan;
 use alaya_query::types::{IndexChoice, PrefixFilter, QueryType};
 use alaya_vector::softmax::OnlineSoftmax;
@@ -120,7 +120,7 @@ pub fn attend(
                 tokens
             }
             (QueryType::TopK { k }, IndexChoice::Fine, Some(graph), _) => {
-                ids(graph_topk_filtered(graph, keys, q, k, l0, pred))
+                ids(graph.search_topk_filtered(keys, q, k, l0, pred))
             }
             (QueryType::TopK { k }, ..) => ids(FlatIndex.search_topk_filtered(keys, q, k, pred)),
             (QueryType::Dipr { beta }, IndexChoice::Fine, Some(graph), _) => {

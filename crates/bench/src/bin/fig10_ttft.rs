@@ -36,7 +36,7 @@ fn main() {
     let contexts = [40_000usize, 80_000, 120_000, 160_000, 200_000];
     // Measured retrieval runs at this reduced index size; graph search
     // scales sub-linearly with index size, so the measured per-search time
-    // is used as-is (a conservative choice documented in EXPERIMENTS.md).
+    // is used as-is (the conservative choice).
     let probe_n = scale.pick(8_000usize, 60_000);
     let dim = 32usize;
 

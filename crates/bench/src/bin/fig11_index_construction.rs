@@ -87,7 +87,7 @@ fn main() {
                 group_size: group,
                 sample_ratio,
                 params: RoarGraphParams {
-                    parallel_knn: false,
+                    threads: 1,
                     ..Default::default()
                 },
                 share,

@@ -13,7 +13,7 @@
 //!   entries; heads/layers parallelize across cores, leaving the aggregate
 //!   bound by the host's effective random-access bandwidth.
 //!
-//! Constants are documented here and in EXPERIMENTS.md; absolute numbers
+//! Constants are documented here; absolute numbers
 //! are approximations, the *orderings* (full attention ✗, Top-2000 ✗,
 //! Top-100/DIPRS/InfLLM/StreamingLLM ✓) are the reproduced claim.
 

@@ -57,11 +57,10 @@ use std::sync::Arc;
 use alaya_device::memory::MemoryTracker;
 use alaya_llm::kv::{HeadKv, KvCache};
 use alaya_telemetry::{Counter, Gauge, Registry};
-use alaya_vector::VecStore;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::config::DbConfig;
-use crate::session::Session;
+use crate::session::{concat_rows, Session};
 use crate::stored::{ContextId, QueryReservoir, StoredContext};
 
 /// One resident context and its cache bookkeeping.
@@ -488,19 +487,6 @@ fn merge_session_kv(
         }
     }
     kv
-}
-
-/// The first `n` rows of `prefix` followed by all of `tail`, in one
-/// allocation of exactly that size: `VecStore::bytes` reads capacity, and
-/// that is what the context budget charges.
-fn concat_rows(prefix: Option<&VecStore>, n: usize, tail: &VecStore) -> VecStore {
-    let dim = tail.dim();
-    let mut data = Vec::with_capacity((n + tail.len()) * dim);
-    if let Some(prefix) = prefix {
-        data.extend_from_slice(&prefix.as_flat()[..n * dim]);
-    }
-    data.extend_from_slice(tail.as_flat());
-    VecStore::from_flat(dim, data)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -141,22 +141,12 @@ impl Session {
     /// management" (`DynamicCache.update` compatibility); the sparse path
     /// never needs it.
     pub fn full_kv(&self, layer: usize, kv_head: usize) -> (VecStore, VecStore) {
-        let dim = self.cfg.model.head_dim;
-        let mut keys = VecStore::with_capacity(dim, self.total_len());
-        let mut values = VecStore::with_capacity(dim, self.total_len());
-        if let Some(base) = &self.base {
-            let kv = base.kv.head(layer, kv_head);
-            for i in 0..self.reused_len {
-                keys.push(kv.keys.row(i));
-                values.push(kv.values.row(i));
-            }
-        }
+        let stored = self.base.as_ref().map(|b| b.kv.head(layer, kv_head));
         let local = self.local.head(layer, kv_head);
-        for i in 0..local.len() {
-            keys.push(local.keys.row(i));
-            values.push(local.values.row(i));
-        }
-        (keys, values)
+        (
+            concat_rows(stored.map(|h| &h.keys), self.reused_len, &local.keys),
+            concat_rows(stored.map(|h| &h.values), self.reused_len, &local.values),
+        )
     }
 
     /// The optimizer's workload description for an attention call at
@@ -283,6 +273,19 @@ impl Session {
 /// scheduler's batch executor; outputs are identical either way (the pool
 /// preserves per-index results).
 pub const PARALLEL_MIN_TOKENS: usize = 512;
+
+/// The first `n` rows of `prefix` followed by all of `tail`, in one
+/// allocation of exactly that size: `VecStore::bytes` reads capacity, and
+/// that is what the context budget charges a stored context for.
+pub(crate) fn concat_rows(prefix: Option<&VecStore>, n: usize, tail: &VecStore) -> VecStore {
+    let dim = tail.dim();
+    let mut data = Vec::with_capacity((n + tail.len()) * dim);
+    if let Some(prefix) = prefix {
+        data.extend_from_slice(&prefix.as_flat()[..n * dim]);
+    }
+    data.extend_from_slice(tail.as_flat());
+    VecStore::from_flat(dim, data)
+}
 
 impl AttentionBackend for Session {
     fn attend(&mut self, layer: usize, input: StepInput) -> Vec<Vec<f32>> {

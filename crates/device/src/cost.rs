@@ -88,11 +88,6 @@ impl ModelShape {
     pub fn kv_bytes(&self, n_tokens: usize) -> u64 {
         self.kv_bytes_per_token() * n_tokens as u64
     }
-
-    /// GQA sharing factor `h_q / h_kv` (§7.2 "GQA-based index sharing").
-    pub fn gqa_group_size(&self) -> usize {
-        self.n_q_heads / self.n_kv_heads
-    }
 }
 
 /// Analytical cost model binding a model shape to a device pair.
@@ -182,7 +177,7 @@ mod tests {
         // §9: "The model has 32 layers. Each layer includes 32 query heads
         // and 8 key value heads."
         assert_eq!(s.n_layers, 32);
-        assert_eq!(s.gqa_group_size(), 4);
+        assert_eq!((s.n_q_heads, s.n_kv_heads), (32, 8));
         // 128 KiB of KV per token in bf16.
         assert_eq!(s.kv_bytes_per_token(), 131_072);
         // §9: weights occupy 15.4 GB; the parameter-count estimate should

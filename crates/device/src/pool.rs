@@ -485,7 +485,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 }
 
 /// The process-wide shared pool (one worker per available core). This is
-/// the pool `Session::attention`, `exact_knn_parallel`, RoarGraph
+/// the pool `Session::attention`, `exact_knn`, RoarGraph
 /// construction and the serving scheduler all execute on, so CPU
 /// oversubscription cannot arise from composing those layers.
 pub fn global() -> &'static Arc<WorkStealingPool> {

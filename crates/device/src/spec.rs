@@ -48,30 +48,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA A800 80 GB: the GPU in the paper's §3 motivation example
-    /// (Llama-3-8B over the 495.5K-token database textbook).
-    pub fn nvidia_a800() -> Self {
-        Self {
-            name: "NVIDIA A800-80G".into(),
-            kind: DeviceKind::Gpu,
-            memory_bytes: 80 * GIB,
-            compute_flops: 312e12,
-            mem_bandwidth: 2039e9,
-        }
-    }
-
-    /// NVIDIA RTX 4090 (24 GB): the consumer-grade floor the paper argues
-    /// coarse-grained methods cannot fit into (§9.1.1).
-    pub fn rtx_4090() -> Self {
-        Self {
-            name: "NVIDIA RTX4090".into(),
-            kind: DeviceKind::Gpu,
-            memory_bytes: 24 * GIB,
-            compute_flops: 165.2e12,
-            mem_bandwidth: 1008e9,
-        }
-    }
-
     /// Dual Intel Xeon Gold 6542Y: 48 cores / 96 threads, 512 GB DRAM.
     /// AVX-512 f32 throughput estimate ~7.3 TFLOPS across both sockets;
     /// 16-channel DDR5-5200 ≈ 666 GB/s aggregate.
@@ -103,15 +79,6 @@ impl LinkSpec {
         Self {
             name: "PCIe4.0x16".into(),
             bandwidth: 25e9,
-            latency_s: 10e-6,
-        }
-    }
-
-    /// PCIe 5.0 x16: ~50 GB/s sustained.
-    pub fn pcie_gen5_x16() -> Self {
-        Self {
-            name: "PCIe5.0x16".into(),
-            bandwidth: 50e9,
             latency_s: 10e-6,
         }
     }
@@ -151,7 +118,12 @@ mod tests {
     #[test]
     fn gen5_faster_than_gen4() {
         let g4 = LinkSpec::pcie_gen4_x16();
-        let g5 = LinkSpec::pcie_gen5_x16();
+        // PCIe 5.0 x16 sustains twice gen4's bandwidth at the same setup cost.
+        let g5 = LinkSpec {
+            name: "PCIe5.0x16".into(),
+            bandwidth: 2.0 * g4.bandwidth,
+            latency_s: g4.latency_s,
+        };
         assert!(g5.transfer_time(GIB) < g4.transfer_time(GIB));
     }
 }

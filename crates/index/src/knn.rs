@@ -4,7 +4,7 @@
 //! build cost the paper attacks in §7.2. The paper offloads it to the GPU
 //! via NVIDIA cuVS and overlaps transfers with compute. Without a GPU, the
 //! same *structural* optimization is reproduced with data-parallel execution
-//! across CPU cores ([`exact_knn_parallel`] fans queries out over the shared
+//! across CPU cores ([`exact_knn`] fans queries out over the shared
 //! [`alaya_device::pool`] work-stealing pool, so index builds and the serving
 //! scheduler never oversubscribe the machine): the speedup curve of Figure
 //! 11a comes from the serial/parallel ratio, and the per-layer pipelining is
@@ -13,60 +13,39 @@
 use alaya_vector::topk::{top_k_indices, ScoredIdx};
 use alaya_vector::VecStore;
 
-/// Parameters for kNN-graph construction.
-#[derive(Clone, Copy, Debug)]
-pub struct KnnParams {
-    /// Neighbors per query.
-    pub k: usize,
-    /// Maximum concurrent shards on the shared work-stealing pool
-    /// (`0` = let the pool decide, `1` = serial on the caller). Bounds how
-    /// much of the pool an index build may occupy next to serving.
-    pub threads: usize,
-}
-
-impl Default for KnnParams {
-    fn default() -> Self {
-        Self { k: 16, threads: 0 }
-    }
-}
-
-/// Exact top-`k` base ids (by inner product) for every query — serial
-/// reference implementation (the paper's "CPU" baseline in Figure 11a).
+/// Exact top-`k` base ids (by inner product) for every query.
+///
+/// `threads` caps the concurrent shards on the shared work-stealing pool
+/// (`0` = let the pool decide), bounding how much of the pool an index
+/// build may occupy next to serving. `1` is the serial reference (the
+/// paper's "CPU" baseline in Figure 11a) the data-parallel branch (the
+/// "GPU-based kNN construction" substitution of §7.2) is tested against:
+/// results are bitwise identical for any value.
 ///
 /// Each query scores the whole base through one blocked
 /// [`VecStore::dot_rows`] call (bitwise identical to per-row `dot`, see
-/// `alaya_vector::ops::dot_many`) into a buffer reused across queries.
-pub fn exact_knn(base: &VecStore, queries: &VecStore, k: usize) -> Vec<Vec<ScoredIdx>> {
-    assert_eq!(base.dim(), queries.dim(), "dimensionality mismatch");
-    let mut scores = vec![0.0f32; base.len()];
-    (0..queries.len())
-        .map(|qi| {
-            base.dot_rows(queries.row(qi), &mut scores);
-            top_k_indices(scores.iter().copied(), k)
-        })
-        .collect()
-}
-
-/// Data-parallel exact kNN: queries fan out over the shared work-stealing
-/// pool (the "GPU-based kNN construction" substitution; see DESIGN.md).
-/// Results are bitwise-identical to [`exact_knn`] for any worker count.
-pub fn exact_knn_parallel(
+/// `alaya_vector::ops::dot_many`); the serial branch reuses one score
+/// buffer across queries.
+pub fn exact_knn(
     base: &VecStore,
     queries: &VecStore,
-    params: KnnParams,
+    k: usize,
+    threads: usize,
 ) -> Vec<Vec<ScoredIdx>> {
     assert_eq!(base.dim(), queries.dim(), "dimensionality mismatch");
-    let n = queries.len();
-    if n == 0 {
-        return Vec::new();
+    if threads == 1 {
+        let mut scores = vec![0.0f32; base.len()];
+        return (0..queries.len())
+            .map(|qi| {
+                base.dot_rows(queries.row(qi), &mut scores);
+                top_k_indices(scores.iter().copied(), k)
+            })
+            .collect();
     }
-    if params.threads == 1 {
-        return exact_knn(base, queries, params.k);
-    }
-    alaya_device::pool::global().map_bounded(n, params.threads, |qi| {
+    alaya_device::pool::global().map_bounded(queries.len(), threads, |qi| {
         let mut scores = vec![0.0f32; base.len()];
         base.dot_rows(queries.row(qi), &mut scores);
-        top_k_indices(scores, params.k)
+        top_k_indices(scores, k)
     })
 }
 
@@ -79,7 +58,7 @@ mod tests {
     fn serial_knn_is_exact() {
         let base = VecStore::from_flat(1, vec![0.0, 1.0, 2.0, 3.0]);
         let queries = VecStore::from_flat(1, vec![1.0, -1.0]);
-        let res = exact_knn(&base, &queries, 2);
+        let res = exact_knn(&base, &queries, 2, 1);
         assert_eq!(res.len(), 2);
         let ids: Vec<usize> = res[0].iter().map(|s| s.idx).collect();
         assert_eq!(ids, vec![3, 2]); // max IP with +1
@@ -92,15 +71,13 @@ mod tests {
         let mut rng = seeded(21);
         let base = gaussian_store(&mut rng, 300, 8, 1.0);
         let queries = gaussian_store(&mut rng, 37, 8, 1.0);
-        let serial = exact_knn(&base, &queries, 5);
-        for threads in [1, 2, 3, 8, 64] {
-            let par = exact_knn_parallel(&base, &queries, KnnParams { k: 5, threads });
-            assert_eq!(serial.len(), par.len());
-            for (s, p) in serial.iter().zip(&par) {
-                let si: Vec<usize> = s.iter().map(|x| x.idx).collect();
-                let pi: Vec<usize> = p.iter().map(|x| x.idx).collect();
-                assert_eq!(si, pi, "threads={threads}");
-            }
+        let serial = exact_knn(&base, &queries, 5, 1);
+        for threads in [0, 2, 3, 8, 64] {
+            assert_eq!(
+                serial,
+                exact_knn(&base, &queries, 5, threads),
+                "threads={threads}"
+            );
         }
     }
 
@@ -108,7 +85,9 @@ mod tests {
     fn empty_queries() {
         let base = gaussian_store(&mut seeded(1), 10, 4, 1.0);
         let queries = VecStore::new(4);
-        assert!(exact_knn_parallel(&base, &queries, KnnParams::default()).is_empty());
+        for threads in [0, 1] {
+            assert!(exact_knn(&base, &queries, 16, threads).is_empty());
+        }
     }
 
     #[test]
@@ -116,6 +95,6 @@ mod tests {
     fn dim_mismatch_panics() {
         let base = VecStore::new(4);
         let queries = VecStore::new(8);
-        exact_knn(&base, &queries, 1);
+        exact_knn(&base, &queries, 1, 1);
     }
 }

@@ -7,11 +7,10 @@
 //!   small result sets, competitive for large ones thanks to sequential
 //!   memory access; the optimizer uses it for the first transformer layer,
 //!   where heads need huge numbers of critical tokens (Figure 5).
-//! * **Fine-grained** ([`RoarGraph`], [`Hnsw`]) — graph indexes over
-//!   individual key vectors, searched on the CPU. RoarGraph is the paper's
-//!   default (state of the art for the out-of-distribution query/key
-//!   geometry RoPE induces); HNSW is included as the classic baseline.
-//!   Both produce a [`NeighborGraph`] that the DIPRS algorithm (in
+//! * **Fine-grained** ([`RoarGraph`]) — a graph index over individual key
+//!   vectors, searched on the CPU: the paper's default (state of the art
+//!   for the out-of-distribution query/key geometry RoPE induces). It
+//!   produces a [`NeighborGraph`] that the DIPRS algorithm (in
 //!   `alaya-query`) traverses.
 //! * **Coarse-grained** ([`CoarseIndex`]) — blocks of adjacent tokens scored
 //!   by representative vectors (InfLLM-style) or per-dimension bounds
@@ -24,7 +23,6 @@
 pub mod coarse;
 pub mod flat;
 pub mod graph;
-pub mod hnsw;
 pub mod knn;
 pub mod roargraph;
 pub mod sharing;
@@ -32,9 +30,8 @@ pub mod source;
 
 pub use coarse::{BlockScoring, CoarseIndex};
 pub use flat::FlatIndex;
-pub use graph::{NeighborGraph, SearchParams};
-pub use hnsw::{Hnsw, HnswParams};
-pub use knn::{exact_knn, exact_knn_parallel, KnnParams};
+pub use graph::NeighborGraph;
+pub use knn::exact_knn;
 pub use roargraph::{RoarGraph, RoarGraphParams};
 pub use sharing::{build_shared_indexes, SharingConfig};
 pub use source::VectorSource;

@@ -24,9 +24,8 @@ use std::time::Instant;
 use alaya_vector::topk::ScoredIdx;
 use alaya_vector::VecStore;
 
-use crate::graph::{NeighborGraph, SearchParams};
-use crate::knn::{exact_knn, exact_knn_parallel, KnnParams};
-use crate::source::VectorSource;
+use crate::graph::NeighborGraph;
+use crate::knn::exact_knn;
 
 /// RoarGraph construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -37,10 +36,10 @@ pub struct RoarGraphParams {
     pub max_degree: usize,
     /// Beam width for the stage-2 enhancement searches.
     pub ef_construction: usize,
-    /// Run stage-1 kNN data-parallel (the "GPU" builder of §7.2).
-    pub parallel_knn: bool,
-    /// Maximum concurrent shards on the shared `alaya_device::pool`
-    /// (`0` = let the pool decide, `1` = serial).
+    /// Maximum concurrent shards on the shared `alaya_device::pool` for both
+    /// build stages (`0` = let the pool decide — the data-parallel "GPU"
+    /// builder of §7.2; `1` = serial on the caller). The graph is identical
+    /// for any value.
     pub threads: usize,
 }
 
@@ -50,7 +49,6 @@ impl Default for RoarGraphParams {
             knn_k: 12,
             max_degree: 24,
             ef_construction: 64,
-            parallel_knn: true,
             threads: 0,
         }
     }
@@ -67,13 +65,6 @@ pub struct BuildStats {
     pub n_queries: usize,
     /// Base vectors indexed.
     pub n_base: usize,
-}
-
-impl BuildStats {
-    /// Total build seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.knn_seconds + self.enhance_seconds
-    }
 }
 
 /// A built RoarGraph index.
@@ -96,18 +87,7 @@ impl RoarGraph {
 
         // Stage 1: q→k kNN + bipartite projection.
         let t0 = Instant::now();
-        let knn = if params.parallel_knn {
-            exact_knn_parallel(
-                base,
-                queries,
-                KnnParams {
-                    k: params.knn_k,
-                    threads: params.threads,
-                },
-            )
-        } else {
-            exact_knn(base, queries, params.knn_k)
-        };
+        let knn = exact_knn(base, queries, params.knn_k, params.threads);
         for list in &knn {
             if let Some((first, rest)) = list.split_first() {
                 // Star projection: the query's best key points at the other
@@ -143,37 +123,25 @@ impl RoarGraph {
 
         // Stage 2: connectivity enhancement, in frozen-graph batches: each
         // batch's ANNS searches run against the graph state at batch start
-        // (fanned over the shared work-stealing pool when `parallel_knn` —
-        // the GPU-pipeline analogue), then the edges are applied in id
-        // order. Results are therefore identical for any thread count.
+        // (fanned over the shared work-stealing pool — the GPU-pipeline
+        // analogue), then the edges are applied in id order. Results are
+        // therefore identical for any thread count.
         let t1 = Instant::now();
         let half = params.max_degree / 2;
         let batch = 512usize;
-        let parallel = params.parallel_knn && params.threads != 1;
         for start in (0..n).step_by(batch) {
             let end = (start + batch).min(n);
-            let ids: Vec<u32> = (start as u32..end as u32).collect();
-            let search_params = SearchParams {
-                ef: params.ef_construction,
-            };
-            let found_per_id: Vec<Vec<alaya_vector::topk::ScoredIdx>> = if !parallel {
-                ids.iter()
-                    .map(|&id| {
-                        graph.search_topk(base, base.row(id as usize), half.max(4), search_params)
-                    })
-                    .collect()
-            } else {
-                let graph_ref = &graph;
-                alaya_device::pool::global().map_bounded(ids.len(), params.threads, |i| {
+            let graph_ref = &graph;
+            let found_per_id =
+                alaya_device::pool::global().map_bounded(end - start, params.threads, |i| {
                     graph_ref.search_topk(
                         base,
-                        base.row(ids[i] as usize),
+                        base.row(start + i),
                         half.max(4),
-                        search_params,
+                        params.ef_construction,
                     )
-                })
-            };
-            for (&id, found) in ids.iter().zip(found_per_id) {
+                });
+            for (id, found) in (start as u32..end as u32).zip(found_per_id) {
                 for s in found {
                     if s.idx as u32 != id && graph.neighbors(id).len() < params.max_degree {
                         graph.add_edge(id, s.idx as u32);
@@ -209,17 +177,6 @@ impl RoarGraph {
     /// Build statistics.
     pub fn stats(&self) -> BuildStats {
         self.stats
-    }
-
-    /// Top-k search over the graph.
-    pub fn search_topk<S: VectorSource>(
-        &self,
-        source: &S,
-        q: &[f32],
-        k: usize,
-        params: SearchParams,
-    ) -> Vec<ScoredIdx> {
-        self.graph.search_topk(source, q, k, params)
     }
 
     /// Approximate memory footprint in bytes (Figure 11b accounting).
@@ -352,7 +309,7 @@ mod tests {
         let mut total = 0;
         for qi in 0..test.len() {
             let q = test.row(qi);
-            let got = rg.search_topk(&base, q, 10, SearchParams { ef: 80 });
+            let got = rg.graph().search_topk(&base, q, 10, 80);
             let want = FlatIndex.search_topk(&base, q, 10);
             let want_ids: std::collections::HashSet<usize> = want.iter().map(|s| s.idx).collect();
             hits += got.iter().filter(|s| want_ids.contains(&s.idx)).count();
@@ -403,7 +360,7 @@ mod tests {
         let stats = rg.stats();
         assert_eq!(stats.n_base, 200);
         assert_eq!(stats.n_queries, 80);
-        assert!(stats.total_seconds() >= 0.0);
+        assert!(stats.knn_seconds >= 0.0 && stats.enhance_seconds >= 0.0);
         assert!(rg.bytes() > 0);
     }
 
@@ -414,7 +371,7 @@ mod tests {
             &base,
             &train,
             RoarGraphParams {
-                parallel_knn: false,
+                threads: 1,
                 ..Default::default()
             },
         );
@@ -422,7 +379,6 @@ mod tests {
             &base,
             &train,
             RoarGraphParams {
-                parallel_knn: true,
                 threads: 4,
                 ..Default::default()
             },

@@ -111,7 +111,6 @@ pub fn build_shared_indexes(
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
-    use crate::graph::SearchParams;
     use alaya_vector::rng::{gaussian_store, seeded};
 
     fn layer_data(
@@ -205,7 +204,7 @@ mod tests {
             let mut total = 0;
             for qi in (0..head_queries.len()).step_by(40) {
                 let q = head_queries.row(qi);
-                let got = idx.search_topk(&keys[0], q, 10, SearchParams { ef: 80 });
+                let got = idx.graph().search_topk(&keys[0], q, 10, 80);
                 let want = FlatIndex.search_topk(&keys[0], q, 10);
                 let want_ids: std::collections::HashSet<usize> =
                     want.iter().map(|s| s.idx).collect();

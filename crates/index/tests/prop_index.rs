@@ -3,7 +3,9 @@
 use alaya_index::coarse::{BlockScoring, CoarseIndex};
 use alaya_index::flat::FlatIndex;
 use alaya_index::graph::NeighborGraph;
-use alaya_index::knn::{exact_knn, exact_knn_parallel, KnnParams};
+use alaya_index::knn::exact_knn;
+use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
+use alaya_vector::topk::ScoredIdx;
 use alaya_vector::VecStore;
 use proptest::prelude::*;
 
@@ -44,22 +46,31 @@ proptest! {
         prop_assert_eq!(all, want);
     }
 
-    /// Parallel kNN equals serial kNN for every thread count.
+    /// The data-parallel branch of `exact_knn` returns the serial
+    /// reference's lists bit for bit, and a RoarGraph built through either
+    /// is the same graph, for every thread count.
     #[test]
     fn knn_parallel_equals_serial(
         base in store_strategy(40, 4),
         queries in store_strategy(10, 4),
         k in 1usize..8,
-        threads in 1usize..6,
+        threads in 0usize..6,
     ) {
-        let serial = exact_knn(&base, &queries, k);
-        let parallel = exact_knn_parallel(&base, &queries, KnnParams { k, threads });
-        prop_assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            let si: Vec<usize> = s.iter().map(|x| x.idx).collect();
-            let pi: Vec<usize> = p.iter().map(|x| x.idx).collect();
-            prop_assert_eq!(si, pi);
-        }
+        let bits = |lists: Vec<Vec<ScoredIdx>>| -> Vec<Vec<(usize, u32)>> {
+            lists
+                .iter()
+                .map(|l| l.iter().map(|s| (s.idx, s.score.to_bits())).collect())
+                .collect()
+        };
+        prop_assert_eq!(
+            bits(exact_knn(&base, &queries, k, 1)),
+            bits(exact_knn(&base, &queries, k, threads))
+        );
+        let build = |threads| {
+            let params = RoarGraphParams { knn_k: k, threads, ..Default::default() };
+            RoarGraph::build(&base, &queries, params).into_graph()
+        };
+        prop_assert_eq!(build(1), build(threads));
     }
 
     /// Graph (de)serialization is a lossless round trip for arbitrary

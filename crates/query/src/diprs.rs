@@ -109,7 +109,8 @@ where
     }
 
     // One sweep expansion = gather the unvisited, predicate-passing 1-hop
-    // and 2-hop frontier in traversal order, score it as one block, then
+    // and 2-hop frontier in traversal order (`NeighborGraph::gather_frontier`,
+    // the expansion the beam search shares), score it as one block, then
     // apply tryAppend (lines 10-14) sequentially. Scores do not depend on
     // the candidate-list state, so batching them ahead of the append
     // decisions returns exactly what per-key scoring would; the visit
@@ -144,14 +145,14 @@ where
     // from its neighborhood before the main loop (C would stay empty
     // otherwise).
     if c.is_empty() {
-        gather_frontier(graph, entry, &predicate, &mut visited, &mut fresh);
+        graph.gather_frontier(entry, &predicate, &mut visited, &mut fresh);
         append_block(&fresh, &mut fresh_scores, &mut c, &mut result);
     }
 
     while i < c.len() {
         let ci = c[i].idx as u32;
         i += 1;
-        gather_frontier(graph, ci, &predicate, &mut visited, &mut fresh);
+        graph.gather_frontier(ci, &predicate, &mut visited, &mut fresh);
         append_block(&fresh, &mut fresh_scores, &mut c, &mut result);
         if result.visited >= params.max_visits {
             break;
@@ -164,34 +165,6 @@ where
     c.sort_unstable_by(|a, b| b.cmp(a));
     result.tokens = c;
     result
-}
-
-/// The ACORN-style frontier gather shared by [`diprs_filtered`] and
-/// [`graph_topk_filtered`]: refills `fresh` with `node`'s unvisited,
-/// predicate-passing neighbors in traversal order, widening to the 2-hop
-/// neighborhood through each excluded neighbor so that excluded nodes do
-/// not disconnect the reused-prefix subgraph.
-fn gather_frontier<P: Fn(u32) -> bool>(
-    graph: &NeighborGraph,
-    node: u32,
-    predicate: &P,
-    visited: &mut VisitedSet,
-    fresh: &mut Vec<u32>,
-) {
-    fresh.clear();
-    for &n in graph.neighbors(node) {
-        if predicate(n) {
-            if visited.insert(n) {
-                fresh.push(n);
-            }
-        } else if visited.insert(n) {
-            for &m in graph.neighbors(n) {
-                if predicate(m) && visited.insert(m) {
-                    fresh.push(m);
-                }
-            }
-        }
-    }
 }
 
 /// The *naive* filtered DIPRS baseline (§7.1): nodes failing the predicate
@@ -268,91 +241,6 @@ where
     c.sort_unstable_by(|a, b| b.cmp(a));
     result.tokens = c;
     result
-}
-
-/// Filtered top-k beam search with the same 2-hop widening — the query
-/// optimizer's plan for `TopK + filter` on a fine index.
-pub fn graph_topk_filtered<S, P>(
-    graph: &NeighborGraph,
-    source: &S,
-    q: &[f32],
-    k: usize,
-    ef: usize,
-    predicate: P,
-) -> Vec<ScoredIdx>
-where
-    S: VectorSource,
-    P: Fn(u32) -> bool,
-{
-    if graph.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let ef = ef.max(k);
-    let mut visited = VisitedSet::new(graph.len());
-    let mut frontier: std::collections::BinaryHeap<ScoredIdx> = std::collections::BinaryHeap::new();
-    let mut results: std::collections::BinaryHeap<std::cmp::Reverse<ScoredIdx>> =
-        std::collections::BinaryHeap::new();
-
-    // Frontier scoring is batched per expansion (see `diprs_filtered`):
-    // heap-insert decisions depend on heap state, scores do not, so scoring
-    // the gathered block first and applying the insert logic in gathering
-    // order yields exactly the per-key traversal's result.
-    let mut fresh: Vec<u32> = Vec::new();
-    let mut fresh_scores: Vec<f32> = Vec::new();
-    let consider_block =
-        |fresh: &[u32],
-         fresh_scores: &mut Vec<f32>,
-         frontier: &mut std::collections::BinaryHeap<ScoredIdx>,
-         results: &mut std::collections::BinaryHeap<std::cmp::Reverse<ScoredIdx>>| {
-            fresh_scores.resize(fresh.len(), 0.0);
-            source.score_block(q, fresh, fresh_scores);
-            for (&id, &score) in fresh.iter().zip(fresh_scores.iter()) {
-                let item = ScoredIdx {
-                    idx: id as usize,
-                    score,
-                };
-                if results.len() >= ef {
-                    // Full: admit only by evicting a strictly worse result.
-                    if results.peek().is_none_or(|worst| item <= worst.0) {
-                        continue;
-                    }
-                    results.pop();
-                }
-                results.push(std::cmp::Reverse(item));
-                frontier.push(item);
-            }
-        };
-
-    let entry = graph.entry();
-    visited.insert(entry);
-    if predicate(entry) {
-        fresh.clear();
-        fresh.push(entry);
-        consider_block(&fresh, &mut fresh_scores, &mut frontier, &mut results);
-    } else {
-        frontier.push(ScoredIdx {
-            idx: entry as usize,
-            score: source.score(q, entry),
-        });
-    }
-
-    while let Some(cand) = frontier.pop() {
-        if results.len() >= ef {
-            if let Some(worst) = results.peek() {
-                if cand.score < worst.0.score {
-                    break;
-                }
-            }
-        }
-        gather_frontier(graph, cand.idx as u32, &predicate, &mut visited, &mut fresh);
-        consider_block(&fresh, &mut fresh_scores, &mut frontier, &mut results);
-    }
-
-    let mut out: Vec<ScoredIdx> = results.into_iter().map(|r| r.0).collect();
-    out.retain(|s| predicate(s.idx as u32));
-    out.sort_unstable_by(|a, b| b.cmp(a));
-    out.truncate(k);
-    out
 }
 
 #[cfg(test)]
@@ -545,25 +433,6 @@ mod tests {
             let recall = recall_sum / queries.len() as f64;
             assert!(recall > 0.7, "prefix {prefix}: recall {recall}");
         }
-    }
-
-    #[test]
-    fn graph_topk_filtered_matches_flat_filtered() {
-        let (graph, base, queries) = fixture(500, 12, 107);
-        let prefix = 200usize;
-        let mut hits = 0;
-        let mut total = 0;
-        for qi in 0..queries.len() {
-            let q = queries.row(qi);
-            let got = graph_topk_filtered(&graph, &base, q, 10, 80, |id| (id as usize) < prefix);
-            assert!(got.iter().all(|t| t.idx < prefix));
-            let want = FlatIndex.search_topk_filtered(&base, q, 10, |id| (id as usize) < prefix);
-            let want_ids: std::collections::HashSet<usize> = want.iter().map(|s| s.idx).collect();
-            hits += got.iter().filter(|s| want_ids.contains(&s.idx)).count();
-            total += want.len();
-        }
-        let recall = hits as f64 / total as f64;
-        assert!(recall > 0.75, "filtered top-k recall {recall}");
     }
 
     #[test]

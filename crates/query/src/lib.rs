@@ -22,6 +22,6 @@ pub mod diprs;
 pub mod optimizer;
 pub mod types;
 
-pub use diprs::{diprs, diprs_filtered, diprs_filtered_naive, graph_topk_filtered, DiprsParams};
+pub use diprs::{diprs, diprs_filtered, diprs_filtered_naive, DiprsParams};
 pub use optimizer::{Optimizer, OptimizerConfig, Plan, QuerySpec};
 pub use types::{beta_from_alpha, IndexChoice, PrefixFilter, QueryType};

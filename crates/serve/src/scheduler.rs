@@ -481,7 +481,6 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
         // Batch wall time (the EWMA's input) starts *before* the chaos
         // delay: an injected slow batch must look slow to the calibration,
         // exactly as a genuinely slow device would.
-        let batch_len = batch.len();
         let t_batch0 = core.clock.now();
 
         // Chaos: simulate a slow batch (no locks held while sleeping).
@@ -493,7 +492,7 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
                     "chaos.batch_delay",
                     0,
                     nanos(delay),
-                    batch_len as u64,
+                    batch.len() as u64,
                 ));
                 std::thread::sleep(delay);
             }
@@ -531,7 +530,7 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
             }
         }
         core.stats
-            .observe_batch(core.clock.now().saturating_sub(t_batch0), batch_len);
+            .observe_batch(core.clock.now().saturating_sub(t_batch0));
     }
 }
 

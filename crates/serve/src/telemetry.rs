@@ -141,7 +141,7 @@ impl SchedTelemetry {
     /// Folds one observed batch (wall time, chaos delay included) into
     /// the histogram and the EWMA. The calibrated estimate drives
     /// scheduling decisions (retry hints, shedding), not just reporting.
-    pub(crate) fn observe_batch(&self, elapsed: Duration, batch_len: usize) {
+    pub(crate) fn observe_batch(&self, elapsed: Duration) {
         let obs = nanos(elapsed);
         self.batch_exec.record(obs);
         let old = self.est_exec_nanos.load(Ordering::Relaxed);
@@ -156,7 +156,6 @@ impl SchedTelemetry {
         // Single writer (the scheduler thread), so load-modify-store is
         // not a lost-update risk.
         self.est_exec_nanos.store(new, Ordering::Relaxed);
-        let _ = batch_len;
     }
 }
 

@@ -1,6 +1,6 @@
 //! Offline shim for `serde_json`: renders the serde shim's [`serde::Value`]
 //! tree as JSON text. Only the serialization half exists — that is all the
-//! experiment harness uses (result dumps next to `EXPERIMENTS.md`).
+//! experiment harness uses (result dumps under `results/`).
 
 use std::fmt;
 

@@ -14,7 +14,7 @@ use alayadb::core::{Db, DbConfig, Session};
 use alayadb::index::flat::FlatIndex;
 use alayadb::llm::kv::KvCache;
 use alayadb::llm::ModelConfig;
-use alayadb::query::diprs::{diprs_filtered, graph_topk_filtered, DiprsParams};
+use alayadb::query::diprs::{diprs_filtered, DiprsParams};
 use alayadb::query::optimizer::Plan;
 use alayadb::query::types::{IndexChoice, PrefixFilter, QueryType};
 use alayadb::vector::rng::{gaussian_vec, seeded};
@@ -171,7 +171,7 @@ fn reference(q: &[f32], head: &HeadView, cfg: &DbConfig, plan: &Plan) -> Vec<f32
             None => flat_topk(k).iter().map(|s| s.idx).collect(),
         },
         (QueryType::TopK { k }, IndexChoice::Fine) => match head.graph {
-            Some(graph) => graph_topk_filtered(graph, keys, q, k, l0, pred),
+            Some(graph) => graph.search_topk_filtered(keys, q, k, l0, pred),
             None => flat_topk(k),
         }
         .iter()
