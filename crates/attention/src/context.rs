@@ -120,6 +120,6 @@ mod tests {
         let keys = gaussian_store(&mut rng, 5, 4, 1.0);
         let values = gaussian_store(&mut rng, 5, 4, 1.0);
         let mut ctx = HeadContext::new(keys, values);
-        ctx.set_graph(NeighborGraph::new(3));
+        ctx.set_graph(alaya_index::graph::GraphBuilder::new(3).freeze());
     }
 }

@@ -1,7 +1,12 @@
 //! Microbenchmarks of the numeric kernels every query touches.
 
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
+use alaya_query::diprs::{diprs, DiprsParams};
 use alaya_vector::rng::{gaussian_store, gaussian_vec, seeded};
 use alaya_vector::softmax::{softmax_in_place, OnlineSoftmax};
 use alaya_vector::{dot, dot_many, l2_sq, top_k_indices};
@@ -104,6 +109,74 @@ fn bench_roofline(c: &mut Criterion) {
     group.finish();
 }
 
+/// Self-timed iterations of `f` with the caches emptied before each: `evict`
+/// is streamed (untimed) through [`read_sum`], then one call is timed.
+fn time_cold<O>(iters: u64, evict: &[f32], mut f: impl FnMut() -> O) -> Duration {
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        black_box(read_sum(black_box(evict)));
+        let t0 = Instant::now();
+        black_box(f());
+        total += t0.elapsed();
+    }
+    total
+}
+
+fn bench_traversal(c: &mut Criterion) {
+    // DIPRS as serving pays for it. Between two attends of one head the
+    // engine streams its weights (~9 MB on `small()`) through a 4 MB L2,
+    // so a head's keys, adjacency and traversal scratch are cold every
+    // time; the `_cold` cells stream 12 MB between calls to reproduce
+    // that, the `_warm` cell is the back-to-back replay figure. Calls
+    // rotate through 64 queries: with one repeated query the branch
+    // predictor memorizes the whole traversal and hides what a fresh
+    // decode-step query pays. The cold flat scan of the same keys is the
+    // floor a graph walk has to beat. Graphs are the key-sampled fallback
+    // `Db::import` builds; `l0` and β are the served `long_dipr` values.
+    let mut group = c.benchmark_group("traversal");
+    let evict = vec![1.0f32; 3 << 20];
+    let dim = 32usize;
+    let params = DiprsParams {
+        beta: 4.0,
+        l0: 128,
+        max_visits: usize::MAX,
+    };
+    for n in [2048usize, 16_384] {
+        let mut rng = seeded(8);
+        let keys = gaussian_store(&mut rng, n, dim, 1.0);
+        let queries = gaussian_store(&mut rng, 64, dim, 1.0);
+        let sampled: Vec<f32> = (0..n)
+            .step_by(2)
+            .flat_map(|i| keys.row(i).iter().copied())
+            .collect();
+        let train = alaya_vector::VecStore::from_flat(dim, sampled);
+        let graph = RoarGraph::build(&keys, &train, RoarGraphParams::default()).into_graph();
+        let mut out = vec![0.0f32; n];
+        let mut turn = 0usize;
+        let mut next_query = || {
+            turn += 1;
+            queries.row(turn % queries.len())
+        };
+        let shape = format!("{dim}x{n}");
+        group.bench_function(BenchmarkId::new("diprs_warm", &shape), |bench| {
+            bench.iter(|| diprs(&graph, &keys, next_query(), &params, None))
+        });
+        group.bench_function(BenchmarkId::new("diprs_cold", &shape), |bench| {
+            bench.iter_custom(|iters| {
+                time_cold(iters, &evict, || {
+                    diprs(&graph, &keys, next_query(), &params, None)
+                })
+            })
+        });
+        group.bench_function(BenchmarkId::new("dot_block_cold", &shape), |bench| {
+            bench.iter_custom(|iters| {
+                time_cold(iters, &evict, || keys.dot_rows(next_query(), &mut out))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_scan_scoring(c: &mut Criterion) {
     // A flat-index pass over one head's keys: the unit of work behind the
     // optimizer's "Flat" choice.
@@ -168,6 +241,6 @@ fn bench_online_softmax_merge(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
+    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
 }
 criterion_main!(benches);

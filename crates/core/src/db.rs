@@ -159,6 +159,7 @@ pub struct DbStats {
     contexts_superseded: Arc<Counter>,
     contexts_evicted: Arc<Counter>,
     context_bytes: Arc<Gauge>,
+    graphs_without_queries: Arc<Counter>,
     store_failures: Arc<Counter>,
 }
 
@@ -190,6 +191,13 @@ impl DbStats {
     pub fn context_bytes(&self) -> u64 {
         self.context_bytes.get() as u64
     }
+    /// Contexts published with at least one graph layer trained from
+    /// sampled keys ([`StoredContext::key_trained_layers`]): `import` of a
+    /// bare KV cache, or a store whose query reservoir had an empty head.
+    /// DIPRS recall read off such graphs is the fallback's, not the index's.
+    pub fn graphs_without_queries(&self) -> u64 {
+        self.graphs_without_queries.get()
+    }
     /// Background store builds that panicked instead of publishing.
     pub fn store_failures(&self) -> u64 {
         self.store_failures.get()
@@ -203,6 +211,10 @@ impl DbStats {
         registry.register_counter("core.db.contexts_superseded", &self.contexts_superseded);
         registry.register_counter("core.db.contexts_evicted", &self.contexts_evicted);
         registry.register_gauge("core.db.context_bytes", &self.context_bytes);
+        registry.register_counter(
+            "core.db.graphs_without_queries",
+            &self.graphs_without_queries,
+        );
         registry.register_counter("core.db.store_failures", &self.store_failures);
     }
 }
@@ -349,6 +361,9 @@ impl Db {
     /// the removal of whatever it supersedes or pushes out.
     fn publish(&self, ctx: StoredContext) {
         let bytes = ctx.bytes();
+        if ctx.key_trained_layers() > 0 {
+            self.stats.graphs_without_queries.inc();
+        }
         let _removed = {
             let mut contexts = self.contexts.write();
             self.insert_locked(&mut contexts, ctx, bytes)
@@ -675,6 +690,47 @@ mod tests {
         let (s2, trunc2) = db.create_session(&prompt);
         assert_eq!(s2.reused_len(), 49);
         assert_eq!(trunc2.len(), 1);
+    }
+
+    #[test]
+    fn contexts_with_key_trained_graphs_are_counted() {
+        let (db, model) = db();
+        let fallbacks = || db.stats().graphs_without_queries();
+
+        // A served session sampled queries on every head: its store trains
+        // from them.
+        let prompt: Vec<u32> = (30..80).collect();
+        let (mut session, truncated) = db.create_session(&prompt);
+        session.note_tokens(&truncated);
+        let logits = model.prefill(&truncated, 0, &mut session);
+        let generated = model.decode(logits, truncated.len(), 4, &mut session);
+        session.note_tokens(&generated);
+        let stored = db.store(&session);
+        assert_eq!(db.context(stored).unwrap().key_trained_layers(), 0);
+        assert_eq!(fallbacks(), 0);
+
+        // So does an import that brings samples along.
+        let other: Vec<u32> = (90..140).collect();
+        let samples = session.query_samples();
+        db.import_with_queries(other.clone(), prefilled(&model, &other), Some(samples));
+        assert_eq!(fallbacks(), 0);
+
+        // A bare KV cache has nothing to train from: every graph layer
+        // falls back to sampled keys, and the context is counted once.
+        for i in 1..=2u32 {
+            let tokens: Vec<u32> = (50 * i + 100..50 * i + 150).collect();
+            let id = import_context(&db, &model, &tokens);
+            let graph_layers = model.config().n_layers - db.config().optimizer.flat_layers;
+            assert_eq!(db.context(id).unwrap().key_trained_layers(), graph_layers);
+            assert_eq!(fallbacks(), u64::from(i));
+        }
+
+        // An empty reservoir is the same fallback under another name.
+        let cfg = model.config();
+        let empty = QueryReservoir::new(cfg.n_layers, cfg.n_q_heads, cfg.head_dim, 8);
+        let tokens: Vec<u32> = (0..25).collect();
+        db.import_with_queries(tokens.clone(), prefilled(&model, &tokens), Some(&empty));
+        assert_eq!(fallbacks(), 3);
     }
 
     #[test]

@@ -67,6 +67,8 @@ pub struct StoredContext {
     graphs: Vec<Vec<Option<NeighborGraph>>>,
     /// `coarse[layer][kv_head]`.
     coarse: Vec<Vec<CoarseIndex>>,
+    /// Graph layers trained from sampled keys instead of query samples.
+    key_trained_layers: usize,
 }
 
 impl StoredContext {
@@ -90,6 +92,7 @@ impl StoredContext {
 
         let mut graphs: Vec<Vec<Option<NeighborGraph>>> = Vec::with_capacity(n_layers);
         let mut coarse: Vec<Vec<CoarseIndex>> = Vec::with_capacity(n_layers);
+        let mut key_trained_layers = 0;
 
         for layer in 0..n_layers {
             let keys_per_head: Vec<&VecStore> =
@@ -112,12 +115,15 @@ impl StoredContext {
             // Training queries: session-recorded samples, or sampled keys.
             let q_per_head: Vec<VecStore> = match queries {
                 Some(r) if r.layer(layer).iter().all(|s| !s.is_empty()) => r.layer(layer).to_vec(),
-                _ => (0..n_kv * group)
-                    .map(|qh| {
-                        let keys = keys_per_head[qh / group];
-                        sample_rows(keys, (keys.len() / 2).max(1))
-                    })
-                    .collect(),
+                _ => {
+                    key_trained_layers += 1;
+                    (0..n_kv * group)
+                        .map(|qh| {
+                            let keys = keys_per_head[qh / group];
+                            sample_rows(keys, (keys.len() / 2).max(1))
+                        })
+                        .collect()
+                }
             };
 
             let built = build_shared_indexes(
@@ -145,6 +151,7 @@ impl StoredContext {
             kv,
             graphs,
             coarse,
+            key_trained_layers,
         }
     }
 
@@ -178,6 +185,8 @@ impl StoredContext {
             kv,
             graphs,
             coarse,
+            // Persisted graphs do not record how they were trained.
+            key_trained_layers: 0,
         }
     }
 
@@ -194,6 +203,14 @@ impl StoredContext {
     /// The fine graph of `(layer, kv_head)`, if one was built.
     pub fn graph(&self, layer: usize, kv_head: usize) -> Option<&NeighborGraph> {
         self.graphs[layer][kv_head].as_ref()
+    }
+
+    /// How many of this context's graph layers were trained from sampled
+    /// keys because no (or incomplete) query samples were supplied — the
+    /// documented fallback of [`StoredContext::build`], whose graphs degrade
+    /// toward a base-data kNN graph and lose recall on decode queries.
+    pub fn key_trained_layers(&self) -> usize {
+        self.key_trained_layers
     }
 
     /// The coarse index of `(layer, kv_head)`.

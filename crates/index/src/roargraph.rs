@@ -24,7 +24,7 @@ use std::time::Instant;
 use alaya_vector::topk::ScoredIdx;
 use alaya_vector::VecStore;
 
-use crate::graph::NeighborGraph;
+use crate::graph::{GraphBuilder, NeighborGraph};
 use crate::knn::exact_knn;
 
 /// RoarGraph construction parameters.
@@ -83,7 +83,7 @@ impl RoarGraph {
         assert!(!base.is_empty(), "cannot index an empty key matrix");
         assert_eq!(base.dim(), queries.dim(), "dimensionality mismatch");
         let n = base.len();
-        let mut graph = NeighborGraph::new(n);
+        let mut graph = GraphBuilder::new(n);
 
         // Stage 1: q→k kNN + bipartite projection.
         let t0 = Instant::now();
@@ -122,19 +122,19 @@ impl RoarGraph {
         graph.set_entry(entry);
 
         // Stage 2: connectivity enhancement, in frozen-graph batches: each
-        // batch's ANNS searches run against the graph state at batch start
-        // (fanned over the shared work-stealing pool — the GPU-pipeline
-        // analogue), then the edges are applied in id order. Results are
-        // therefore identical for any thread count.
+        // batch's ANNS searches run against a CSR snapshot of the graph at
+        // batch start (fanned over the shared work-stealing pool — the
+        // GPU-pipeline analogue), then the edges are applied to the builder
+        // in id order. Results are therefore identical for any thread count.
         let t1 = Instant::now();
         let half = params.max_degree / 2;
         let batch = 512usize;
         for start in (0..n).step_by(batch) {
             let end = (start + batch).min(n);
-            let graph_ref = &graph;
+            let snapshot = graph.freeze();
             let found_per_id =
                 alaya_device::pool::global().map_bounded(end - start, params.threads, |i| {
-                    graph_ref.search_topk(
+                    snapshot.search_topk(
                         base,
                         base.row(start + i),
                         half.max(4),
@@ -161,7 +161,10 @@ impl RoarGraph {
             n_queries: queries.len(),
             n_base: n,
         };
-        Self { graph, stats }
+        Self {
+            graph: graph.freeze(),
+            stats,
+        }
     }
 
     /// The searchable graph.
@@ -179,7 +182,7 @@ impl RoarGraph {
         self.stats
     }
 
-    /// Approximate memory footprint in bytes (Figure 11b accounting).
+    /// Memory footprint in bytes (Figure 11b accounting): the graph's.
     pub fn bytes(&self) -> usize {
         self.graph.bytes()
     }
@@ -191,7 +194,7 @@ impl RoarGraph {
 /// node itself is — pure "keep the top-IP neighbors" pruning collapses
 /// every list onto one hub cluster and severs the descent edges that let
 /// searches leave high-norm regions.
-fn prune_to_degree(graph: &mut NeighborGraph, base: &VecStore, max_degree: usize) {
+fn prune_to_degree(graph: &mut GraphBuilder, base: &VecStore, max_degree: usize) {
     for id in 0..graph.len() as u32 {
         let nbrs = graph.neighbors(id);
         if nbrs.len() <= max_degree {
@@ -249,7 +252,7 @@ fn prune_to_degree(graph: &mut NeighborGraph, base: &VecStore, max_degree: usize
 
 /// Links any node unreachable from the entry into the reachable component
 /// so beam searches can always terminate at every key.
-fn connect_unreachable(graph: &mut NeighborGraph) {
+fn connect_unreachable(graph: &mut GraphBuilder) {
     let n = graph.len();
     let mut seen = vec![false; n];
     let mut stack = vec![graph.entry()];

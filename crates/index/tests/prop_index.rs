@@ -2,7 +2,7 @@
 
 use alaya_index::coarse::{BlockScoring, CoarseIndex};
 use alaya_index::flat::FlatIndex;
-use alaya_index::graph::NeighborGraph;
+use alaya_index::graph::{GraphBuilder, NeighborGraph};
 use alaya_index::knn::exact_knn;
 use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
 use alaya_vector::topk::ScoredIdx;
@@ -73,17 +73,20 @@ proptest! {
         prop_assert_eq!(build(1), build(threads));
     }
 
-    /// Graph (de)serialization is a lossless round trip for arbitrary
-    /// topologies.
+    /// Graph (de)serialization is a lossless round trip of the frozen type
+    /// for arbitrary topologies, and the decoded CSR is allocated at the
+    /// same (exact) size as the frozen one.
     #[test]
     fn graph_bytes_round_trip(edges in prop::collection::vec((0u32..30, 0u32..30), 0..120), entry in 0u32..30) {
-        let mut g = NeighborGraph::new(30);
+        let mut g = GraphBuilder::new(30);
         for (a, b) in edges {
             g.add_edge(a, b);
         }
         g.set_entry(entry);
-        let back = NeighborGraph::from_bytes(&g.to_bytes()).unwrap();
-        prop_assert_eq!(g, back);
+        let g = g.freeze();
+        let back = NeighborGraph::from_bytes(&g.to_bytes());
+        prop_assert_eq!(back.as_ref().map(NeighborGraph::bytes), Some(g.bytes()));
+        prop_assert_eq!(back, Some(g));
     }
 
     /// Flat top-k with a predicate equals filtering after an unfiltered

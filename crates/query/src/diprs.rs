@@ -1,7 +1,12 @@
 //! DIPRS — the Dynamic Inner-Product Range Search algorithm (Algorithm 1)
 //! and its filtered variant (§7.1).
+//!
+//! Both run as a *wavefront* over the growing candidate list `C`, on the
+//! calling thread's `alaya_index::graph::TraversalScratch`; the argument
+//! that this returns exactly what Algorithm 1's one-candidate-at-a-time
+//! sweep returns is on [`diprs_filtered`].
 
-use alaya_index::graph::{NeighborGraph, VisitedSet};
+use alaya_index::graph::{with_scratch, NeighborGraph, TraversalScratch};
 use alaya_index::source::VectorSource;
 use alaya_vector::topk::ScoredIdx;
 
@@ -67,6 +72,37 @@ pub fn diprs<S: VectorSource>(
 /// list, but traversal expands both 1-hop and 2-hop neighborhoods (the
 /// ACORN-style widening) so that excluded nodes do not disconnect the
 /// reused-prefix subgraph.
+///
+/// # Why one wave equals the per-candidate sweep
+///
+/// Algorithm 1 sweeps `C` one candidate at a time: expand `C[i]`, score
+/// its unvisited neighbors, `tryAppend` each, move to `C[i + 1]`. Here one
+/// step takes *every* candidate not yet expanded, `C[i..len)`, gathers
+/// their frontiers in list order into one id block
+/// ([`NeighborGraph::gather_frontier`], the expansion the beam search
+/// shares), scores the block with one `score_block` call, then applies
+/// `tryAppend` (lines 10-14) over it in the same order. The result is bit
+/// for bit the sweep's:
+///
+/// * what a candidate contributes to the frontier depends only on the
+///   visited set, and only gathers change the visited set — every neighbor
+///   reached is marked whether or not it is later appended — so gathering
+///   `C[i + 1]` before `C[i]`'s block was appended sees the visited set the
+///   sweep would have seen, and the concatenated block is the sweep's
+///   blocks in the sweep's order;
+/// * scores do not depend on the candidate-list state, so scoring ahead of
+///   the append decisions changes no decision;
+/// * candidates appended during a wave land behind `len`, where the sweep
+///   would reach them after `C[len - 1]` too.
+///
+/// The visit budget truncates the concatenated block where the sweep would
+/// have stopped scoring (nodes past it stay marked visited but unscored,
+/// and the traversal ends either way). What the wave buys: a served head
+/// finds its keys and adjacency cold, and four or five scoring calls over
+/// hundreds of rows overlap the misses that ~150 dependent eight-row calls
+/// take one after another; the gathers of one wave are independent of each
+/// other too, which is what lets the branch-free visited test in
+/// `gather_frontier` run ahead across candidates.
 pub fn diprs_filtered<S, P>(
     graph: &NeighborGraph,
     source: &S,
@@ -79,91 +115,67 @@ where
     S: VectorSource,
     P: Fn(u32) -> bool,
 {
-    let mut result = DiprsResult {
-        tokens: Vec::new(),
-        visited: 0,
-        appended: 0,
-        max_ip: seed_max_ip.unwrap_or(f32::NEG_INFINITY),
-    };
+    let mut result = DiprsResult::seeded(seed_max_ip);
     if graph.is_empty() {
         return result;
     }
+    with_scratch(|scratch| {
+        let TraversalScratch {
+            visited,
+            candidates: c,
+            frontier,
+            scores,
+            ..
+        } = scratch;
+        visited.begin(graph.len());
+        // The unordered, growing candidate list C of Algorithm 1.
+        c.clear();
 
-    let mut visited = VisitedSet::new(graph.len());
-    // The unordered, growing candidate list C of Algorithm 1.
-    let mut c: Vec<ScoredIdx> = Vec::with_capacity(params.l0 * 2);
+        // Line 1: initialize C with the start key. The entry may itself
+        // fail the predicate; it then only serves as a traversal seed.
+        let entry = graph.entry();
+        visited.insert(entry);
+        let entry_score = source.score(q, entry);
+        result.visited += 1;
+        if predicate(entry) {
+            result.try_append(c, params, entry, entry_score);
+        }
 
-    // Line 1: initialize C with the start key. The entry may itself fail
-    // the predicate; it then only serves as a traversal seed.
-    let entry = graph.entry();
-    visited.insert(entry);
-    let entry_score = source.score(q, entry);
-    result.visited += 1;
-    if predicate(entry) {
-        c.push(ScoredIdx {
-            idx: entry as usize,
-            score: entry_score,
-        });
-        result.appended += 1;
-        result.max_ip = result.max_ip.max(entry_score);
-    }
+        let mut append_block = |frontier: &[u32], c: &mut Vec<ScoredIdx>| {
+            let remaining = params.max_visits.saturating_sub(result.visited);
+            let block = &frontier[..frontier.len().min(remaining)];
+            scores.resize(block.len(), 0.0);
+            source.score_block(q, block, scores);
+            for (&k, &score) in block.iter().zip(scores.iter()) {
+                result.visited += 1;
+                result.try_append(c, params, k, score);
+            }
+            result.visited >= params.max_visits
+        };
 
-    // One sweep expansion = gather the unvisited, predicate-passing 1-hop
-    // and 2-hop frontier in traversal order (`NeighborGraph::gather_frontier`,
-    // the expansion the beam search shares), score it as one block, then
-    // apply tryAppend (lines 10-14) sequentially. Scores do not depend on
-    // the candidate-list state, so batching them ahead of the append
-    // decisions returns exactly what per-key scoring would; the visit
-    // budget truncates the block just as the per-node check did (nodes past
-    // the budget stay marked visited but unscored, as before).
-    let mut fresh: Vec<u32> = Vec::new();
-    let mut fresh_scores: Vec<f32> = Vec::new();
-    let append_block = |fresh: &[u32],
-                        fresh_scores: &mut Vec<f32>,
-                        c: &mut Vec<ScoredIdx>,
-                        result: &mut DiprsResult| {
-        let remaining = params.max_visits.saturating_sub(result.visited);
-        let block = &fresh[..fresh.len().min(remaining)];
-        fresh_scores.resize(block.len(), 0.0);
-        source.score_block(q, block, fresh_scores);
-        for (&k, &score) in block.iter().zip(fresh_scores.iter()) {
-            result.visited += 1;
-            if c.len() <= params.l0 || score >= result.max_ip - params.beta {
-                c.push(ScoredIdx {
-                    idx: k as usize,
-                    score,
-                });
-                result.appended += 1;
-                result.max_ip = result.max_ip.max(score);
+        // If the entry failed the predicate, bootstrap traversal from its
+        // neighborhood (C would stay empty otherwise).
+        if c.is_empty() {
+            frontier.clear();
+            graph.gather_frontier(entry, &predicate, visited, frontier);
+            append_block(frontier, c);
+        }
+
+        // Lines 2-7: sweep the growing list, one wave per step.
+        let mut i = 0usize;
+        while i < c.len() {
+            frontier.clear();
+            for cand in &c[i..] {
+                graph.gather_frontier(cand.idx as u32, &predicate, visited, frontier);
+            }
+            i = c.len();
+            if append_block(frontier, c) {
+                break;
             }
         }
-    };
 
-    // Lines 2-7: sweep the growing list.
-    let mut i = 0usize;
-    // Special case: if the entry failed the predicate, bootstrap traversal
-    // from its neighborhood before the main loop (C would stay empty
-    // otherwise).
-    if c.is_empty() {
-        graph.gather_frontier(entry, &predicate, &mut visited, &mut fresh);
-        append_block(&fresh, &mut fresh_scores, &mut c, &mut result);
-    }
-
-    while i < c.len() {
-        let ci = c[i].idx as u32;
-        i += 1;
-        graph.gather_frontier(ci, &predicate, &mut visited, &mut fresh);
-        append_block(&fresh, &mut fresh_scores, &mut c, &mut result);
-        if result.visited >= params.max_visits {
-            break;
-        }
-    }
-
-    // Lines 8-9: keep the β-band around the best inner product.
-    let threshold = result.max_ip - params.beta;
-    c.retain(|s| s.score >= threshold);
-    c.sort_unstable_by(|a, b| b.cmp(a));
-    result.tokens = c;
+        result.keep_band(c, params.beta);
+    });
     result
 }
 
@@ -183,70 +195,94 @@ where
     S: VectorSource,
     P: Fn(u32) -> bool,
 {
-    let mut result = DiprsResult {
-        tokens: Vec::new(),
-        visited: 0,
-        appended: 0,
-        max_ip: seed_max_ip.unwrap_or(f32::NEG_INFINITY),
-    };
+    let mut result = DiprsResult::seeded(seed_max_ip);
     if graph.is_empty() {
         return result;
     }
-    let mut visited = VisitedSet::new(graph.len());
-    let mut c: Vec<ScoredIdx> = Vec::with_capacity(params.l0 * 2);
+    with_scratch(|scratch| {
+        let TraversalScratch {
+            visited,
+            candidates: c,
+            ..
+        } = scratch;
+        visited.begin(graph.len());
+        c.clear();
 
-    let entry = graph.entry();
-    visited.insert(entry);
-    if predicate(entry) {
-        let score = source.score(q, entry);
-        result.visited += 1;
-        c.push(ScoredIdx {
-            idx: entry as usize,
-            score,
-        });
-        result.appended += 1;
-        result.max_ip = result.max_ip.max(score);
-    }
+        let entry = graph.entry();
+        visited.insert(entry);
+        if predicate(entry) {
+            let score = source.score(q, entry);
+            result.visited += 1;
+            result.try_append(c, params, entry, score);
+        }
 
-    let mut i = 0usize;
-    while i < c.len() {
-        let ci = c[i].idx as u32;
-        i += 1;
-        for &n in graph.neighbors(ci) {
-            // Hard pruning: non-matching neighbors are dead ends.
-            if !predicate(n) || !visited.insert(n) {
-                continue;
+        let mut i = 0usize;
+        while i < c.len() {
+            let ci = c[i].idx as u32;
+            i += 1;
+            for &n in graph.neighbors(ci) {
+                // Hard pruning: non-matching neighbors are dead ends.
+                if !predicate(n) || !visited.insert(n) {
+                    continue;
+                }
+                if result.visited >= params.max_visits {
+                    break;
+                }
+                let score = source.score(q, n);
+                result.visited += 1;
+                result.try_append(c, params, n, score);
             }
             if result.visited >= params.max_visits {
                 break;
             }
-            let score = source.score(q, n);
-            result.visited += 1;
-            if c.len() <= params.l0 || score >= result.max_ip - params.beta {
-                c.push(ScoredIdx {
-                    idx: n as usize,
-                    score,
-                });
-                result.appended += 1;
-                result.max_ip = result.max_ip.max(score);
-            }
         }
-        if result.visited >= params.max_visits {
-            break;
+
+        result.keep_band(c, params.beta);
+    });
+    result
+}
+
+impl DiprsResult {
+    fn seeded(seed_max_ip: Option<f32>) -> Self {
+        Self {
+            tokens: Vec::new(),
+            visited: 0,
+            appended: 0,
+            max_ip: seed_max_ip.unwrap_or(f32::NEG_INFINITY),
         }
     }
 
-    let threshold = result.max_ip - params.beta;
-    c.retain(|s| s.score >= threshold);
-    c.sort_unstable_by(|a, b| b.cmp(a));
-    result.tokens = c;
-    result
+    /// `tryAppend` (Algorithm 1 lines 10-14): below the capacity threshold
+    /// every explored key joins `C`; beyond it only keys within β of the
+    /// best inner product so far.
+    #[inline]
+    fn try_append(&mut self, c: &mut Vec<ScoredIdx>, params: &DiprsParams, id: u32, score: f32) {
+        if c.len() <= params.l0 || score >= self.max_ip - params.beta {
+            c.push(ScoredIdx {
+                idx: id as usize,
+                score,
+            });
+            self.appended += 1;
+            self.max_ip = self.max_ip.max(score);
+        }
+    }
+
+    /// Lines 8-9: keep the β-band around the best inner product, sorted
+    /// descending, copied out of the scratch list at its exact size — the
+    /// one allocation of a steady-state call.
+    fn keep_band(&mut self, c: &mut Vec<ScoredIdx>, beta: f32) {
+        let threshold = self.max_ip - beta;
+        c.retain(|s| s.score >= threshold);
+        c.sort_unstable_by(|a, b| b.cmp(a));
+        self.tokens = c.to_vec();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use alaya_index::flat::FlatIndex;
+    use alaya_index::graph::GraphBuilder;
     use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
     use alaya_vector::rng::{gaussian_store, seeded};
     use alaya_vector::VecStore;
@@ -336,12 +372,13 @@ mod tests {
             flat_keys.push(&[1.0 + 0.001 * (i % 5) as f32, 0.1, 0.0, 0.0]);
         }
         // Fully-connected graphs isolate the query semantics from graph quality.
-        let mut g = NeighborGraph::new(64);
+        let mut g = GraphBuilder::new(64);
         for i in 0..64u32 {
             for j in 0..64u32 {
                 g.add_edge(i, j);
             }
         }
+        let g = g.freeze();
         let params = DiprsParams {
             beta: 0.5,
             l0: 8,
@@ -437,7 +474,7 @@ mod tests {
 
     #[test]
     fn empty_graph_returns_empty() {
-        let g = NeighborGraph::new(0);
+        let g = GraphBuilder::new(0).freeze();
         let base = VecStore::new(4);
         let res = diprs(&g, &base, &[0.0; 4], &DiprsParams::default(), None);
         assert!(res.tokens.is_empty());
@@ -505,5 +542,77 @@ mod tests {
             None,
         );
         assert!(res.visited <= 10);
+    }
+
+    #[test]
+    fn scratch_reuse_never_leaks_state_between_traversals() {
+        // One thread searches graphs of 2048, 100, then 4096 nodes (the
+        // visited array shrinks logically, then grows), then again with
+        // the visited generation forced to the edge of its wrap. Every
+        // traversal must return what it returns on a thread whose scratch
+        // has never been used.
+        fn scrambled(n: u32) -> NeighborGraph {
+            let mut g = GraphBuilder::new(n as usize);
+            for i in 0..n {
+                g.add_edge(i, (i + 1) % n);
+                for j in 0..6u32 {
+                    let to = i.wrapping_mul(2_654_435_761).wrapping_add(j * 40_503) >> 7;
+                    g.add_edge(i, to % n);
+                }
+            }
+            g.set_entry(n / 3);
+            g.freeze()
+        }
+        type Bits = (Vec<(usize, u32)>, usize, usize, u32);
+        fn bits(r: DiprsResult) -> Bits {
+            let tokens = r.tokens.iter().map(|t| (t.idx, t.score.to_bits()));
+            (tokens.collect(), r.visited, r.appended, r.max_ip.to_bits())
+        }
+        fn run_all(graph: &NeighborGraph, base: &VecStore, q: &[f32]) -> (Vec<Bits>, Vec<usize>) {
+            let params = DiprsParams {
+                beta: 1.0,
+                l0: 24,
+                max_visits: usize::MAX,
+            };
+            let pred = |id: u32| !id.is_multiple_of(3);
+            let runs = vec![
+                bits(diprs(graph, base, q, &params, None)),
+                bits(diprs_filtered(graph, base, q, &params, Some(0.5), pred)),
+                bits(diprs_filtered_naive(graph, base, q, &params, None, pred)),
+            ];
+            let beam = graph.search_topk_filtered(base, q, 10, 40, pred);
+            (runs, beam.iter().map(|s| s.idx).collect())
+        }
+
+        let mut rng = seeded(110);
+        let fixtures: Vec<(NeighborGraph, VecStore, Vec<f32>)> = [2048u32, 100, 4096]
+            .iter()
+            .map(|&n| {
+                let base = gaussian_store(&mut rng, n as usize, 8, 1.0);
+                let q = base.row(n as usize / 2).to_vec();
+                (scrambled(n), base, q)
+            })
+            .collect();
+        let fresh: Vec<_> = fixtures
+            .iter()
+            .map(|(g, base, q)| {
+                std::thread::scope(|s| s.spawn(|| run_all(g, base, q)).join().unwrap())
+            })
+            .collect();
+        // A traversal that stops early must have happened for the reuse to
+        // be worth checking.
+        assert!(fresh[0].0[0].1 < 2048 && fresh[2].0[0].1 < 4096);
+
+        let reused: Vec<_> = fixtures
+            .iter()
+            .map(|(g, base, q)| run_all(g, base, q))
+            .collect();
+        assert_eq!(reused, fresh);
+        with_scratch(|scratch| scratch.visited.set_generation(u32::MAX - 1));
+        let wrapped: Vec<_> = fixtures
+            .iter()
+            .map(|(g, base, q)| run_all(g, base, q))
+            .collect();
+        assert_eq!(wrapped, fresh);
     }
 }

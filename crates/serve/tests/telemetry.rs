@@ -219,7 +219,11 @@ fn context_cache_cells_move_on_a_store_reuse_loop() {
     let engine = ServeEngine::new(Arc::clone(&db));
 
     let t = engine.telemetry();
-    for cell in ["core.db.contexts_superseded", "core.db.contexts_evicted"] {
+    for cell in [
+        "core.db.contexts_superseded",
+        "core.db.contexts_evicted",
+        "core.db.graphs_without_queries",
+    ] {
         assert_eq!(t.registry.counter(cell), Some(0), "{cell} is registered");
     }
     assert_eq!(t.registry.gauge("core.db.context_bytes"), Some(0));
@@ -265,6 +269,11 @@ fn context_cache_cells_move_on_a_store_reuse_loop() {
     assert_eq!(
         t.registry.gauge("core.db.context_bytes"),
         Some(db.stats().context_bytes() as i64)
+    );
+    // Every publication was a served store with sampled queries.
+    assert_eq!(
+        t.registry.counter("core.db.graphs_without_queries"),
+        Some(0)
     );
 }
 

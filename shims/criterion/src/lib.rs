@@ -208,16 +208,26 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f`, storing the median ns/iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        self.iter_custom(|iters| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            t0.elapsed()
+        });
+    }
+
+    /// Like [`Bencher::iter`] for routines that time themselves: `f(iters)`
+    /// runs the measured code `iters` times and returns the time that
+    /// counts, so per-iteration set-up (evicting a cache, say) stays out of
+    /// the figure.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
         // Warm-up and calibration: double the batch size until one batch
         // costs at least ~1ms (or the warm-up window ends).
         let mut batch: u64 = 1;
         let warm_end = Instant::now() + self.settings.warm_up_time;
         loop {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let dt = t0.elapsed();
+            let dt = f(batch);
             if dt >= Duration::from_millis(1) || Instant::now() >= warm_end {
                 break;
             }
@@ -228,11 +238,7 @@ impl Bencher {
         let deadline = Instant::now() + self.settings.measurement_time;
         let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
         for _ in 0..samples {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            per_iter.push(t0.elapsed().as_nanos() as f64 / batch as f64);
+            per_iter.push(f(batch).as_nanos() as f64 / batch as f64);
             if Instant::now() >= deadline && per_iter.len() >= 2 {
                 break;
             }
@@ -327,6 +333,9 @@ mod tests {
         g.throughput(Throughput::Elements(4));
         g.bench_with_input(BenchmarkId::new("sum", 4), &4u64, |b, &n| {
             b.iter(|| (0..n).sum::<u64>())
+        });
+        g.bench_function("self_timed", |b| {
+            b.iter_custom(|iters| Duration::from_nanos(10 * iters))
         });
         g.finish();
     }
