@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use alaya_index::knn::exact_knn;
 use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
 use alaya_query::diprs::{diprs, DiprsParams};
 use alaya_vector::rng::{gaussian_store, gaussian_vec, seeded};
@@ -177,6 +178,65 @@ fn bench_traversal(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_knn(c: &mut Criterion) {
+    // Index construction as `Db::store` pays for it: both RoarGraph stages
+    // are one exact kNN pass (score every key, keep the best k), so a build
+    // is `exact_knn` plus linking. Shapes are one `store_reuse` head (a few
+    // hundred tokens) and one `long_*` head (2048), d = 32, on the shared
+    // pool. `select` is the top-k alone over precomputed scores, to be read
+    // next to `dot_rows` over the same keys: selection must cost less than
+    // the inner products it ranks. Rates are per (query, key) pair, per
+    // score and per key respectively.
+    let mut group = c.benchmark_group("knn");
+    let dim = 32usize;
+    let params = RoarGraphParams::default();
+    let k = params.max_degree / 2 + 1;
+    for n in [384usize, 2048] {
+        let mut rng = seeded(9);
+        let keys = gaussian_store(&mut rng, n, dim, 1.0);
+        let train = gaussian_store(&mut rng, n * 2 / 5, dim, 1.1);
+        // Selection rotates through 64 score rows: with one repeated row
+        // the branch predictor memorizes which scores pass the gate.
+        let score_rows: Vec<Vec<f32>> = (0..64)
+            .map(|i| {
+                let mut scores = vec![0.0f32; n];
+                keys.dot_rows(keys.row(i * n / 64), &mut scores);
+                scores
+            })
+            .collect();
+        let mut turn = 0usize;
+        let mut out = vec![0.0f32; n];
+        let mut out4 = vec![0.0f32; 4 * n];
+
+        group.throughput(Throughput::Elements((n * n) as u64));
+        group.bench_function(BenchmarkId::new("exact_knn", n), |bench| {
+            bench.iter(|| exact_knn(black_box(&keys), &keys, k, 0))
+        });
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(BenchmarkId::new("select", n), |bench| {
+            bench.iter(|| {
+                turn += 1;
+                top_k_indices(black_box(&score_rows[turn % 64]), k)
+            })
+        });
+        group.bench_function(BenchmarkId::new("dot_rows", n), |bench| {
+            bench.iter(|| keys.dot_rows(black_box(keys.row(n / 2)), &mut out))
+        });
+        // Four queries per pass over the keys, per score as above.
+        group.throughput(Throughput::Elements(4 * n as u64));
+        group.bench_function(BenchmarkId::new("dot_rows_multi", n), |bench| {
+            bench.iter(|| {
+                let tile = &keys.as_flat()[n / 2 * dim..(n / 2 + 4) * dim];
+                keys.dot_rows_multi(black_box(tile), &mut out4)
+            })
+        });
+        group.bench_function(BenchmarkId::new("roargraph_build", n), |bench| {
+            bench.iter(|| RoarGraph::build(black_box(&keys), &train, params))
+        });
+    }
+    group.finish();
+}
+
 fn bench_scan_scoring(c: &mut Criterion) {
     // A flat-index pass over one head's keys: the unit of work behind the
     // optimizer's "Flat" choice.
@@ -188,10 +248,10 @@ fn bench_scan_scoring(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
             bench.iter(|| {
-                top_k_indices(
-                    (0..n).map(|i| keys.dot_row(std::hint::black_box(&q), i)),
-                    100,
-                )
+                let scores: Vec<f32> = (0..n)
+                    .map(|i| keys.dot_row(std::hint::black_box(&q), i))
+                    .collect();
+                top_k_indices(&scores, 100)
             })
         });
     }
@@ -241,6 +301,6 @@ fn bench_online_softmax_merge(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
+    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
 }
 criterion_main!(benches);

@@ -5,8 +5,11 @@
 //! head (GQA sharing, §7.2) from retained query samples; coarse block
 //! indexes are kept per head for the optimizer's high-budget plan.
 
+use std::borrow::Cow;
+
 use alaya_index::coarse::CoarseIndex;
 use alaya_index::graph::NeighborGraph;
+use alaya_index::roargraph::RoarGraphParams;
 use alaya_index::sharing::{build_shared_indexes, sample_rows, SharingConfig};
 use alaya_llm::KvCache;
 use alaya_vector::VecStore;
@@ -90,59 +93,70 @@ impl StoredContext {
         let group = cfg.model.gqa_group_size();
         assert!(kv.seq_len(0) > 0, "cannot store an empty context");
 
-        let mut graphs: Vec<Vec<Option<NeighborGraph>>> = Vec::with_capacity(n_layers);
-        let mut coarse: Vec<Vec<CoarseIndex>> = Vec::with_capacity(n_layers);
+        let coarse = build_coarse(&kv, cfg);
+
+        // Training queries of every layer that gets fine indexes (flat
+        // layers are skipped: Figure 8's layer rule): the session-recorded
+        // samples, borrowed, or sampled keys.
         let mut key_trained_layers = 0;
-
-        for layer in 0..n_layers {
-            let keys_per_head: Vec<&VecStore> =
-                (0..n_kv).map(|h| &kv.head(layer, h).keys).collect();
-
-            // Coarse indexes: always available (high-budget plan).
-            coarse.push(
-                keys_per_head
-                    .iter()
-                    .map(|keys| CoarseIndex::build(keys, cfg.coarse_block_size, cfg.coarse_scoring))
-                    .collect(),
-            );
-
-            // Fine indexes: skipped for flat layers (Figure 8's layer rule).
-            if layer < cfg.optimizer.flat_layers {
-                graphs.push((0..n_kv).map(|_| None).collect());
-                continue;
-            }
-
-            // Training queries: session-recorded samples, or sampled keys.
-            let q_per_head: Vec<VecStore> = match queries {
-                Some(r) if r.layer(layer).iter().all(|s| !s.is_empty()) => r.layer(layer).to_vec(),
-                _ => {
-                    key_trained_layers += 1;
-                    (0..n_kv * group)
-                        .map(|qh| {
-                            let keys = keys_per_head[qh / group];
-                            sample_rows(keys, (keys.len() / 2).max(1))
-                        })
-                        .collect()
+        let training: Vec<Option<Cow<[VecStore]>>> = (0..n_layers)
+            .map(|layer| {
+                if layer < cfg.optimizer.flat_layers {
+                    return None;
                 }
-            };
+                Some(match queries {
+                    Some(r) if r.layer(layer).iter().all(|s| !s.is_empty()) => {
+                        Cow::Borrowed(r.layer(layer))
+                    }
+                    _ => {
+                        key_trained_layers += 1;
+                        (0..n_kv * group)
+                            .map(|qh| {
+                                let keys = &kv.head(layer, qh / group).keys;
+                                sample_rows(keys, (keys.len() / 2).max(1))
+                            })
+                            .collect()
+                    }
+                })
+            })
+            .collect();
 
-            let built = build_shared_indexes(
-                &keys_per_head,
-                &q_per_head,
-                &SharingConfig {
-                    group_size: group,
-                    sample_ratio: cfg.sample_ratio,
-                    params: cfg.index_params,
-                    share: true,
+        // One graph per (layer, kv head), built as independent tasks of one
+        // pool scope. With several graphs the parallelism is across them and
+        // each build runs serially inside its task; a lone graph keeps the
+        // configured fan-out inside its kNN passes.
+        let jobs: Vec<(usize, &[VecStore], usize)> = training
+            .iter()
+            .enumerate()
+            .filter_map(|(layer, t)| Some((layer, t.as_deref()?)))
+            .flat_map(|(layer, t)| (0..n_kv).map(move |h| (layer, t, h)))
+            .collect();
+        let sharing = SharingConfig {
+            group_size: group,
+            sample_ratio: cfg.sample_ratio,
+            params: RoarGraphParams {
+                threads: if jobs.len() > 1 {
+                    1
+                } else {
+                    cfg.index_params.threads
                 },
-            );
-            graphs.push(
-                built
-                    .indexes
-                    .into_iter()
-                    .map(|rg| Some(rg.into_graph()))
-                    .collect(),
-            );
+                ..cfg.index_params
+            },
+            share: true,
+        };
+        let pool = alaya_device::pool::global();
+        let built = pool.map_bounded(jobs.len(), cfg.index_params.threads, |j| {
+            let (layer, training, h) = jobs[j];
+            let keys = &kv.head(layer, h).keys;
+            let group_queries = &training[h * group..(h + 1) * group];
+            // One KV head in, one shared index out.
+            build_shared_indexes(&[keys], group_queries, &sharing).indexes
+        });
+        let mut graphs: Vec<Vec<Option<NeighborGraph>>> = (0..n_layers)
+            .map(|_| (0..n_kv).map(|_| None).collect())
+            .collect();
+        for (&(layer, _, h), index) in jobs.iter().zip(built.into_iter().flatten()) {
+            graphs[layer][h] = Some(index.into_graph());
         }
 
         Self {
@@ -166,19 +180,7 @@ impl StoredContext {
         cfg: &DbConfig,
     ) -> Self {
         assert_eq!(graphs.len(), kv.n_layers(), "one graph row per layer");
-        let coarse = (0..kv.n_layers())
-            .map(|layer| {
-                (0..kv.n_kv_heads())
-                    .map(|h| {
-                        CoarseIndex::build(
-                            &kv.head(layer, h).keys,
-                            cfg.coarse_block_size,
-                            cfg.coarse_scoring,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let coarse = build_coarse(&kv, cfg);
         Self {
             id,
             tokens,
@@ -262,6 +264,21 @@ impl StoredContext {
             .take_while(|(a, b)| a == b)
             .count()
     }
+}
+
+/// Coarse indexes of every `(layer, kv_head)`: always available (the
+/// high-budget plan), cheap summaries rebuilt from the keys.
+fn build_coarse(kv: &KvCache, cfg: &DbConfig) -> Vec<Vec<CoarseIndex>> {
+    (0..kv.n_layers())
+        .map(|layer| {
+            (0..kv.n_kv_heads())
+                .map(|h| {
+                    let keys = &kv.head(layer, h).keys;
+                    CoarseIndex::build(keys, cfg.coarse_block_size, cfg.coarse_scoring)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -74,10 +74,10 @@ impl CoarseIndex {
                     let end = (start + block_size).min(n_tokens);
                     // Highest-norm keys in the block are its IP-dominant
                     // members; they serve as representatives.
-                    let chosen = top_k_indices(
-                        (start..end).map(|i| alaya_vector::dot(keys.row(i), keys.row(i))),
-                        r,
-                    );
+                    let norms: Vec<f32> = (start..end)
+                        .map(|i| alaya_vector::dot(keys.row(i), keys.row(i)))
+                        .collect();
+                    let chosen = top_k_indices(&norms, r);
                     for c in &chosen {
                         reps.push(keys.row(start + c.idx));
                     }
@@ -161,21 +161,20 @@ impl CoarseIndex {
     /// summary matrix and maxed per block — bitwise the per-block
     /// [`CoarseIndex::block_score`].
     pub fn select_blocks(&self, q: &[f32], n_blocks: usize) -> Vec<ScoredIdx> {
-        match self.scoring {
+        let block_scores: Vec<f32> = match self.scoring {
             BlockScoring::Representatives { .. } => {
                 let mut scores = vec![0.0f32; self.reps.len()];
                 self.reps.dot_rows(q, &mut scores);
-                let per_block = scores.chunks_exact(self.reps_per_block);
-                top_k_indices(
-                    per_block.map(|b| b.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
-                    n_blocks,
-                )
+                scores
+                    .chunks_exact(self.reps_per_block)
+                    .map(|b| b.iter().copied().fold(f32::NEG_INFINITY, f32::max))
+                    .collect()
             }
-            BlockScoring::MinMaxBounds => top_k_indices(
-                (0..self.n_blocks()).map(|b| self.block_score(q, b)),
-                n_blocks,
-            ),
-        }
+            BlockScoring::MinMaxBounds => (0..self.n_blocks())
+                .map(|b| self.block_score(q, b))
+                .collect(),
+        };
+        top_k_indices(&block_scores, n_blocks)
     }
 
     /// Token-id range covered by `block`.
@@ -270,7 +269,9 @@ mod tests {
             for qi in [0usize, 57, 202] {
                 let q = keys.row(qi);
                 for n in [0usize, 1, 4, 100] {
-                    let want = top_k_indices((0..idx.n_blocks()).map(|b| idx.block_score(q, b)), n);
+                    let per_block: Vec<f32> =
+                        (0..idx.n_blocks()).map(|b| idx.block_score(q, b)).collect();
+                    let want = top_k_indices(&per_block, n);
                     let got = idx.select_blocks(q, n);
                     let key = |v: &[ScoredIdx]| -> Vec<(usize, u32)> {
                         v.iter().map(|s| (s.idx, s.score.to_bits())).collect()

@@ -35,7 +35,7 @@ impl FlatIndex {
     /// scoring NaN sort last and are only returned once every finite score
     /// is exhausted.
     pub fn search_topk<S: VectorSource>(&self, source: &S, q: &[f32], k: usize) -> Vec<ScoredIdx> {
-        top_k_indices(score_all(source, q), k)
+        top_k_indices(&score_all(source, q), k)
     }
 
     /// Exact top-`k` among ids satisfying `predicate` (attribute filtering).
@@ -47,12 +47,13 @@ impl FlatIndex {
         predicate: impl Fn(u32) -> bool,
     ) -> Vec<ScoredIdx> {
         let scores = score_all(source, q);
-        let passing = scores
+        let passing: Vec<ScoredIdx> = scores
             .iter()
             .enumerate()
             .filter(|&(idx, _)| predicate(idx as u32))
-            .map(|(idx, &score)| ScoredIdx { idx, score });
-        top_k_scored(passing, k)
+            .map(|(idx, &score)| ScoredIdx { idx, score })
+            .collect();
+        top_k_scored(&passing, k)
     }
 
     /// Exact DIPR: every id whose inner product is within `beta` of the

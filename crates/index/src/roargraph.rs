@@ -11,12 +11,20 @@
 //!    onto the key side: each query's best key is linked toward the other
 //!    keys that query retrieves, so edges follow the geometry queries
 //!    actually probe.
-//! 2. **Connectivity enhancement** — every key runs an ANNS search over the
-//!    stage-1 graph and links to its approximate nearest keys; finally,
-//!    nodes unreachable from the entry are chained in so searches can always
-//!    terminate.
+//! 2. **Connectivity enhancement** — every key links to its *exact* nearest
+//!    keys: one more [`exact_knn`] pass, keys against keys, applied in id
+//!    order under the degree cap; finally, nodes unreachable from the entry
+//!    are chained in so searches can always terminate.
 //!
-//! Build statistics (kNN time vs enhancement time, serial vs parallel) feed
+//! Both stages are therefore the same quadratic scan — the pass §7.2 hands
+//! to the GPU — and the graph is a function of the data and the parameters
+//! alone, not of thread count or batching. Stage 2 used to run one beam
+//! search per key over the stage-1 graph (`O(n log n)`, but 26–42 µs per key
+//! where scoring that key against every other costs 0.4–8 µs at the context
+//! lengths served here); the exact pass is faster up to roughly 8–9 k keys
+//! at d = 32 and slower beyond (see PAPER.md, index construction).
+//!
+//! Build statistics (stage-1 time vs stage-2 time, serial vs parallel) feed
 //! the Figure 11 reproduction.
 
 use std::time::Instant;
@@ -32,10 +40,9 @@ use crate::knn::exact_knn;
 pub struct RoarGraphParams {
     /// Base neighbors retrieved per training query in stage 1.
     pub knn_k: usize,
-    /// Maximum out-degree after pruning.
+    /// Maximum out-degree after pruning; stage 2 links each key to its
+    /// `max(max_degree / 2, 4)` exact nearest keys.
     pub max_degree: usize,
-    /// Beam width for the stage-2 enhancement searches.
-    pub ef_construction: usize,
     /// Maximum concurrent shards on the shared `alaya_device::pool` for both
     /// build stages (`0` = let the pool decide — the data-parallel "GPU"
     /// builder of §7.2; `1` = serial on the caller). The graph is identical
@@ -48,7 +55,6 @@ impl Default for RoarGraphParams {
         Self {
             knn_k: 12,
             max_degree: 24,
-            ef_construction: 64,
             threads: 0,
         }
     }
@@ -57,9 +63,12 @@ impl Default for RoarGraphParams {
 /// Wall-clock breakdown of one RoarGraph build (Figure 11a data).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BuildStats {
-    /// Seconds spent in stage-1 exact kNN.
+    /// Seconds spent in stage 1: the query→key exact kNN, its projection
+    /// onto the keys and degree pruning.
     pub knn_seconds: f64,
-    /// Seconds spent in stage-2 connectivity enhancement.
+    /// Seconds spent in stage 2: the key→key exact kNN, linking under the
+    /// degree cap and chaining in unreachable nodes. Quadratic in the key
+    /// count, like `knn_seconds`.
     pub enhance_seconds: f64,
     /// Training queries used.
     pub n_queries: usize,
@@ -111,44 +120,34 @@ impl RoarGraph {
         let knn_seconds = t0.elapsed().as_secs_f64();
 
         // Entry point: the max-norm key (maximum-IP searches gravitate to
-        // large-norm keys, so starting there shortens paths).
+        // large-norm keys, so starting there shortens paths). Norms are
+        // ranked by `ScoredIdx`'s total order: a NaN row never wins, equal
+        // norms resolve to the lower id.
         let entry = (0..n)
-            .max_by(|&a, &b| {
-                let na = alaya_vector::dot(base.row(a), base.row(a));
-                let nb = alaya_vector::dot(base.row(b), base.row(b));
-                na.partial_cmp(&nb).unwrap()
+            .map(|idx| ScoredIdx {
+                idx,
+                score: alaya_vector::dot(base.row(idx), base.row(idx)),
             })
-            .unwrap() as u32;
+            .max()
+            .expect("base is non-empty")
+            .idx as u32;
         graph.set_entry(entry);
 
-        // Stage 2: connectivity enhancement, in frozen-graph batches: each
-        // batch's ANNS searches run against a CSR snapshot of the graph at
-        // batch start (fanned over the shared work-stealing pool — the
-        // GPU-pipeline analogue), then the edges are applied to the builder
-        // in id order. Results are therefore identical for any thread count.
+        // Stage 2: connectivity enhancement. Each key's exact nearest keys
+        // come from one key→key kNN pass (one extra hit requested, since a
+        // key usually retrieves itself); the links are then applied in id
+        // order, so the result is identical for any thread count.
         let t1 = Instant::now();
-        let half = params.max_degree / 2;
-        let batch = 512usize;
-        for start in (0..n).step_by(batch) {
-            let end = (start + batch).min(n);
-            let snapshot = graph.freeze();
-            let found_per_id =
-                alaya_device::pool::global().map_bounded(end - start, params.threads, |i| {
-                    snapshot.search_topk(
-                        base,
-                        base.row(start + i),
-                        half.max(4),
-                        params.ef_construction,
-                    )
-                });
-            for (id, found) in (start as u32..end as u32).zip(found_per_id) {
-                for s in found {
-                    if s.idx as u32 != id && graph.neighbors(id).len() < params.max_degree {
-                        graph.add_edge(id, s.idx as u32);
-                    }
-                    if graph.neighbors(s.idx as u32).len() < params.max_degree {
-                        graph.add_edge(s.idx as u32, id);
-                    }
+        let links = (params.max_degree / 2).max(4);
+        let nearest = exact_knn(base, base, links + 1, params.threads);
+        for (id, found) in (0u32..).zip(&nearest) {
+            let others = found.iter().map(|s| s.idx as u32).filter(|&o| o != id);
+            for other in others.take(links) {
+                if graph.neighbors(id).len() < params.max_degree {
+                    graph.add_edge(id, other);
+                }
+                if graph.neighbors(other).len() < params.max_degree {
+                    graph.add_edge(other, id);
                 }
             }
         }
@@ -369,28 +368,54 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_knn_builds_equivalent_graphs() {
-        let (base, train) = ood_data(150, 60, 8, 13);
-        let a = RoarGraph::build(
-            &base,
-            &train,
-            RoarGraphParams {
-                threads: 1,
+        // 1100 keys: a size that spanned three of the 512-id batches stage 2
+        // used to snapshot the graph at.
+        let (base, train) = ood_data(1100, 440, 8, 13);
+        let build = |threads| {
+            let params = RoarGraphParams {
+                threads,
                 ..Default::default()
-            },
-        );
-        let b = RoarGraph::build(
-            &base,
-            &train,
-            RoarGraphParams {
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            a.graph(),
-            b.graph(),
-            "parallelism must not change the result"
-        );
+            };
+            RoarGraph::build(&base, &train, params).into_graph()
+        };
+        let serial = build(1);
+        for threads in [0, 3] {
+            assert_eq!(
+                serial,
+                build(threads),
+                "parallelism must not change the result (threads={threads})"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_key_row_builds_and_never_becomes_the_entry() {
+        // One poisoned row reaching `Db::import` / `store` must not panic
+        // the build (the entry used to be picked with `partial_cmp().unwrap()`).
+        let (mut base, train) = ood_data(120, 48, 8, 21);
+        base.row_mut(17).fill(f32::NAN);
+        let graph = RoarGraph::build(&base, &train, RoarGraphParams::default()).into_graph();
+        assert_eq!(graph.len(), 120);
+        assert_ne!(graph.entry(), 17);
+        let max_norm = (0..120)
+            .filter(|&i| i != 17)
+            .map(|i| alaya_vector::dot(base.row(i), base.row(i)))
+            .fold(f32::NEG_INFINITY, f32::max);
+        let entry = base.row(graph.entry() as usize);
+        assert_eq!(alaya_vector::dot(entry, entry), max_norm);
+    }
+
+    #[test]
+    fn equal_norms_resolve_to_the_lowest_id() {
+        // ±e_i: every key has norm 1.
+        let mut base = VecStore::new(6);
+        for i in 0..12 {
+            let mut v = [0.0f32; 6];
+            v[i % 6] = if i < 6 { 1.0 } else { -1.0 };
+            base.push(&v);
+        }
+        let graph = RoarGraph::build(&base, &base, RoarGraphParams::default()).into_graph();
+        assert_eq!(graph.entry(), 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`softmax`] — numerically-stable softmax and the streaming
 //!   (FlashAttention-style) log-sum-exp accumulator used by the data-centric
 //!   attention engine,
-//! * [`topk`] — partial selection utilities used by flat scans,
+//! * [`topk`] — threshold-gated top-k selection used by flat scans and by
+//!   exact kNN index construction,
 //! * [`rng`] — deterministic random vector generators used by the transformer
 //!   substrate, the index builders and the synthetic workloads.
 //!
@@ -24,7 +25,7 @@ pub mod softmax;
 pub mod store;
 pub mod topk;
 
-pub use ops::{argmax, axpy, dot, dot_many, l2_norm, l2_sq, normalize, scale};
+pub use ops::{argmax, axpy, dot, dot_many, dot_many_multi, l2_norm, l2_sq, normalize, scale};
 pub use softmax::{exp_approx, log_sum_exp, softmax_in_place, OnlineSoftmax, SOFTMAX_REL_TOL};
 pub use store::VecStore;
 pub use topk::{top_k_indices, ScoredIdx};

@@ -168,6 +168,56 @@ pub fn dot_many(q: &[f32], keys: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Scores a tile of queries against a block of contiguous row-major keys
+/// in **one pass over the keys**: `queries` holds `m` rows and `keys` holds
+/// `n` rows of dimensionality `dim`, and `out[j * n + i]` receives
+/// `queries[j] · keys[i]`.
+///
+/// The multi-query form of [`dot_many`] for callers that score the same
+/// keys against several queries (exact kNN construction; the query heads of
+/// one GQA group): each key row is loaded once per [`TILE`] queries and
+/// scored against all of them in lockstep — the same tile kernel with the
+/// roles swapped, the key row being the operand loaded once per block — so
+/// a key block larger than L1 is streamed `m / TILE` times instead of `m`.
+/// Each (query, key) pair applies exactly the [`dot`] reduction (f32
+/// multiplication commutes), so every score is **bitwise identical** to
+/// `dot(queries[j], keys[i])`; `m % TILE` trailing queries go through
+/// [`dot_many`].
+///
+/// # Panics
+/// Panics if `dim == 0`, if `queries` or `keys` is not a whole number of
+/// rows, or if `out.len()` is not `m * n`.
+pub fn dot_many_multi(dim: usize, queries: &[f32], keys: &[f32], out: &mut [f32]) {
+    assert!(dim > 0, "vector dimensionality must be positive");
+    assert_eq!(queries.len() % dim, 0, "queries must be whole rows");
+    assert_eq!(keys.len() % dim, 0, "keys must be whole rows");
+    let n = keys.len() / dim;
+    assert_eq!(
+        out.len(),
+        queries.len() / dim * n,
+        "out must hold one score per (query, key) pair"
+    );
+    if n == 0 {
+        return;
+    }
+    let mut outs = out.chunks_exact_mut(TILE * n);
+    let mut tiles = queries.chunks_exact(TILE * dim);
+    for (o, q) in (&mut outs).zip(&mut tiles) {
+        let qs: [&[f32]; TILE] = core::array::from_fn(|j| &q[j * dim..(j + 1) * dim]);
+        let mut scores = [0.0f32; TILE];
+        for (i, key) in keys.chunks_exact(dim).enumerate() {
+            dot_tile(key, qs, &mut scores);
+            for (j, s) in scores.iter().enumerate() {
+                o[j * n + i] = *s;
+            }
+        }
+    }
+    let rest = tiles.remainder().chunks_exact(dim);
+    for (o, q) in outs.into_remainder().chunks_exact_mut(n).zip(rest) {
+        dot_many(q, keys, o);
+    }
+}
+
 /// `y += alpha * x` (the BLAS `axpy` primitive).
 ///
 /// Used to accumulate `a_ij * v_j` terms into an attention output vector.

@@ -6,7 +6,7 @@
 //! cache-friendly access pattern and makes it trivial to hand rows out as
 //! slices to the index builders and attention kernels.
 
-use crate::ops::{dot, dot_many, dot_tile, TILE};
+use crate::ops::{dot, dot_many, dot_many_multi, dot_tile, TILE};
 
 /// A growable, row-major matrix of `f32` vectors with fixed dimensionality.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -170,6 +170,19 @@ impl VecStore {
     pub fn dot_rows(&self, q: &[f32], out: &mut [f32]) {
         assert_eq!(out.len(), self.len(), "one score slot per row required");
         dot_many(q, &self.data, out);
+    }
+
+    /// Scores every row of `queries` against every row of `self` in one
+    /// pass over `self` per query tile: `out[j * self.len() + i] =
+    /// queries.row(j) · self.row(i)`, each bitwise the per-row
+    /// [`VecStore::dot_row`] (see [`dot_many_multi`]).
+    ///
+    /// # Panics
+    /// Panics if dimensionalities differ or `out.len() != queries.len() *
+    /// self.len()`.
+    #[inline]
+    pub fn dot_rows_multi(&self, queries: &[f32], out: &mut [f32]) {
+        dot_many_multi(self.dim, queries, &self.data, out);
     }
 
     /// Truncates the store to the first `n` vectors.

@@ -8,7 +8,7 @@
 //! digest mismatch three layers up.
 
 use alaya_vector::rng::{gaussian_store, gaussian_vec, seeded};
-use alaya_vector::{dot, dot_many, l2_sq, VecStore};
+use alaya_vector::{dot, dot_many, dot_many_multi, l2_sq, VecStore};
 
 const LANES: usize = 8;
 const BLOCK: usize = 16;
@@ -100,6 +100,41 @@ fn block_kernels_equal_per_row_dot_bitwise_for_every_tile_remainder() {
             store.dot_ids(&q, &ids, &mut gathered);
             let want_ids: Vec<u32> = ids.iter().map(|&id| want[id as usize]).collect();
             assert_eq!(bits(&gathered), want_ids, "dot_ids d={d} n={n}");
+        }
+    }
+}
+
+#[test]
+fn multi_query_kernel_equals_per_pair_dot_bitwise() {
+    // 1..=5 queries covers a lone remainder, a full query tile and a tile
+    // plus remainder; 0..=9 keys covers the empty block and every row count
+    // around the tile.
+    for d in [1usize, 15, 16, 17, 32, 33, 128] {
+        for m in 1..=5usize {
+            for n in 0..=9usize {
+                let mut rng = seeded((d * 1000 + m * 10 + n) as u64);
+                let keys = gaussian_store(&mut rng, n, d, 1.0);
+                let queries = gaussian_store(&mut rng, m, d, 1.0);
+                let mut out = vec![f32::NAN; m * n];
+                dot_many_multi(d, queries.as_flat(), keys.as_flat(), &mut out);
+                let mut via_store = vec![f32::NAN; m * n];
+                keys.dot_rows_multi(queries.as_flat(), &mut via_store);
+                for j in 0..m {
+                    for i in 0..n {
+                        let want = dot(queries.row(j), keys.row(i)).to_bits();
+                        assert_eq!(
+                            out[j * n + i].to_bits(),
+                            want,
+                            "d={d} m={m} n={n} ({j},{i})"
+                        );
+                        assert_eq!(
+                            via_store[j * n + i].to_bits(),
+                            want,
+                            "store d={d} m={m} n={n}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

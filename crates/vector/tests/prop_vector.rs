@@ -1,6 +1,7 @@
 //! Property-based tests for the numeric substrate.
 
 use alaya_vector::softmax::{log_sum_exp, softmax_in_place, OnlineSoftmax};
+use alaya_vector::topk::{top_k_scored, ScoredIdx};
 use alaya_vector::{dot, dot_many, l2_sq, top_k_indices, VecStore, SOFTMAX_REL_TOL};
 use proptest::prelude::*;
 
@@ -170,7 +171,7 @@ proptest! {
     /// top_k_indices returns exactly the k best scores, in descending order.
     #[test]
     fn topk_matches_full_sort(x in prop::collection::vec(-100.0f32..100.0, 0..128), k in 0usize..32) {
-        let got = top_k_indices(x.iter().cloned(), k);
+        let got = top_k_indices(&x, k);
         let mut want: Vec<(usize, f32)> = x.iter().cloned().enumerate().collect();
         want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         want.truncate(k);
@@ -182,6 +183,63 @@ proptest! {
         for pair in got.windows(2) {
             prop_assert!(pair[0].score >= pair[1].score);
         }
+    }
+
+    /// Gated selection equals "sort everything descending, truncate to k"
+    /// on the inputs built to break a threshold gate: all-equal scores, NaNs
+    /// and infinities mixed in, signed zeros, ascending and descending runs
+    /// (every score / no score passes the running bound), `k = 0`, `k ≥ n`,
+    /// and every group size the gate dispatches on. `top_k_scored` gets the
+    /// same scores under ids that run against position order.
+    #[test]
+    fn gated_selection_equals_sort_then_truncate(
+        codes in prop::collection::vec(0usize..10, 0..400),
+        shape in 0usize..4,
+        k in 0usize..450,
+    ) {
+        const PALETTE: [f32; 10] = [
+            f32::NAN, f32::NEG_INFINITY, f32::INFINITY, 0.0, -0.0, 1.0, 1.0, -1.0, 2.5, 1e-3,
+        ];
+        let n = codes.len();
+        let scores: Vec<f32> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| match shape {
+                0 => PALETTE[c],
+                1 => PALETTE[codes[0]],
+                _ if c == 0 => f32::NAN,
+                2 => i as f32,
+                _ => -(i as f32),
+            })
+            .collect();
+        let bits = |v: &[ScoredIdx]| -> Vec<(usize, u32)> {
+            v.iter().map(|s| (s.idx, s.score.to_bits())).collect()
+        };
+        let sort_then_truncate = |mut all: Vec<ScoredIdx>| {
+            all.sort_by(|a, b| b.cmp(a));
+            all.truncate(k);
+            all
+        };
+
+        let by_position: Vec<ScoredIdx> = scores
+            .iter()
+            .enumerate()
+            .map(|(idx, &score)| ScoredIdx { idx, score })
+            .collect();
+        prop_assert_eq!(
+            bits(&top_k_indices(&scores, k)),
+            bits(&sort_then_truncate(by_position))
+        );
+
+        let reversed_ids: Vec<ScoredIdx> = scores
+            .iter()
+            .enumerate()
+            .map(|(i, &score)| ScoredIdx { idx: 3 * (n - i), score })
+            .collect();
+        prop_assert_eq!(
+            bits(&top_k_scored(&reversed_ids, k)),
+            bits(&sort_then_truncate(reversed_ids.clone()))
+        );
     }
 
     /// dot is symmetric and linear in its first argument.

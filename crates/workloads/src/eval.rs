@@ -62,7 +62,6 @@ pub fn instance_context(inst: &TaskInstance, seed: u64, with_graph: bool) -> Hea
             RoarGraphParams {
                 knn_k: 48,
                 max_degree: 48,
-                ef_construction: 128,
                 ..Default::default()
             },
         );
