@@ -30,15 +30,20 @@
 //! job enforces dynamically via the shim's acquisition-order graph:
 //!
 //! ```text
-//! serve.sessions → serve.session → serve.growth
-//!                → core.db.contexts → core.db.store_state
-//!                → device.pool.* / storage.*          (leaves)
+//! serve.sessions → serve.session → core.db.contexts → core.db.store_state
+//!                                → device.pool.* / storage.*   (leaves)
 //! ```
+//!
+//! No thread holds two session locks, and none holds one across pool
+//! work: the serving scheduler locks one session at a time to plan and
+//! snapshot it ([`Session::snapshot`]) and executes on the snapshots after
+//! releasing the lock.
 //!
 //! Concretely for this module: `core.db.contexts` may be taken while a
 //! session lock is held (`ServeEngine::store_background` snapshots under
 //! the session lock and allocates the [`ContextId`] under the contexts
-//! write lock). The background publish task is stricter than the order
+//! write lock; queueing the build task then touches `device.pool.queue`
+//! under the same hold). The background publish task is stricter than the order
 //! above requires: it publishes under the contexts write lock and drops
 //! that guard before taking `core.db.store_state`, so the two locks are
 //! never held together at all (the tracing shim's acquisition graph shows
@@ -409,8 +414,10 @@ impl Db {
     }
 
     /// Copy-on-write [`Db::store`]: snapshots the session's state (cheap —
-    /// the reused prefix is shared by `Arc`, only the local window and
-    /// query samples are cloned), then runs the KV merge and index build on
+    /// the reused prefix and the local window are shared by `Arc`, only the
+    /// tokens and query samples are cloned; a session that keeps decoding
+    /// copies its local window on its next `update` while the build still
+    /// holds it), then runs the KV merge and index build on
     /// the shared [`alaya_device::pool`] and publishes the finished context
     /// atomically through the context table. Readers ([`Db::context`],
     /// [`Db::create_session`]) keep serving existing contexts throughout:
@@ -429,11 +436,12 @@ impl Db {
         let total = validate_store_coverage(session);
 
         // Snapshot while the caller still holds whatever session lock it
-        // serializes on; everything below is O(local window), not O(context).
+        // serializes on: the KV is two `Arc` bumps; tokens and query
+        // samples are copied.
         let tokens = session.tokens()[..total].to_vec();
         let base = session.base().cloned();
         let reused_len = session.reused_len();
-        let local = session.local_kv().clone();
+        let local = Arc::clone(session.local_kv());
         let queries = session.query_samples().clone();
 
         let db = Arc::clone(self);

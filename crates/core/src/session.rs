@@ -9,10 +9,20 @@
 //! optimizer for a plan and hands each query head, as a borrowed
 //! [`HeadView`], to the shared executor ([`alaya_attention::attend`]) — the
 //! same code the evaluation engines run.
+//!
+//! What execution reads of a session is a [`SessionView`]: the stored
+//! context and the local window behind `Arc`s, plus the executor's
+//! parameters. Cloning one is a snapshot — two reference-count bumps — so a
+//! scheduler can take it under the session's lock and execute after
+//! releasing it; `update` writes through [`Arc::make_mut`], which copies the
+//! local window only while such a snapshot is still alive. [`execute`] is
+//! the one fan-out over the pool, for a session's own calls and for a
+//! serving batch alike.
 
 use std::sync::Arc;
 
-use alaya_attention::{attend, HeadView};
+use alaya_attention::{attend, HeadView, WindowSpec};
+use alaya_device::pool::{self, WorkStealingPool};
 use alaya_llm::backend::{AttentionBackend, StepInput};
 use alaya_llm::kv::KvCache;
 use alaya_query::optimizer::{Optimizer, Plan, QuerySpec};
@@ -26,13 +36,128 @@ use crate::stored::{QueryReservoir, StoredContext};
 pub struct Session {
     cfg: DbConfig,
     optimizer: Optimizer,
-    base: Option<Arc<StoredContext>>,
-    reused_len: usize,
-    local: KvCache,
+    view: SessionView,
     tokens: Vec<u32>,
     queries: QueryReservoir,
     /// Plans chosen so far, newest last (diagnostics / EXPLAIN).
     plan_log: Vec<Plan>,
+}
+
+/// Everything executing attention reads of a session: the reused stored
+/// prefix, the session-local KV window, the cached-window shape, the
+/// default graph-search list size and the GQA group. `Clone` is a snapshot
+/// (module docs).
+#[derive(Clone)]
+pub struct SessionView {
+    base: Option<Arc<StoredContext>>,
+    reused_len: usize,
+    local: Arc<KvCache>,
+    window: WindowSpec,
+    /// Graph-search list size of non-top-k plans: the configured DIPRS
+    /// capacity threshold.
+    l0: usize,
+    gqa_group: usize,
+}
+
+impl SessionView {
+    /// Tokens a call at `layer` attends: reused prefix + local window.
+    fn seq_len(&self, layer: usize) -> usize {
+        self.reused_len + self.local.seq_len(layer)
+    }
+
+    /// One query head's attention under `plan`: the shared executor over a
+    /// borrowed view of the reused stored prefix and the local window.
+    fn attend_query_head(&self, q: &[f32], qh: usize, layer: usize, plan: &Plan) -> Vec<f32> {
+        let kv_head = qh / self.gqa_group;
+        let base = self.base.as_deref();
+        let stored = base.map(|b| b.kv.head(layer, kv_head));
+        let local = self.local.head(layer, kv_head);
+        let view = HeadView {
+            stored: stored.map(|kv| (&kv.keys, &kv.values)),
+            n_stored: self.reused_len,
+            local: Some((&local.keys, &local.values)),
+            graph: base.and_then(|b| b.graph(layer, kv_head)),
+            coarse: base.map(|b| b.coarse(layer, kv_head)),
+        };
+        // Graph-search list size: a 2k beam for top-k, the configured DIPRS
+        // capacity threshold otherwise.
+        let l0 = match plan {
+            Plan::Sparse {
+                query: QueryType::TopK { k },
+                ..
+            } => k * 2,
+            _ => self.l0,
+        };
+        attend(q, &view, self.window, plan, l0).out
+    }
+
+    /// Every query head of `queries`, in order, on the calling thread.
+    fn attend_all(&self, queries: &[Vec<f32>], layer: usize, plan: &Plan) -> Vec<Vec<f32>> {
+        queries
+            .iter()
+            .enumerate()
+            .map(|(qh, q)| self.attend_query_head(q, qh, layer, plan))
+            .collect()
+    }
+}
+
+/// One attention call for [`execute`]: every query head of `queries` at
+/// `layer` under `plan`, over `view`.
+pub struct AttentionJob<'a> {
+    /// The session state to attend over (a live session's or a snapshot).
+    pub view: &'a SessionView,
+    /// One query per query head.
+    pub queries: &'a [Vec<f32>],
+    /// The layer attended.
+    pub layer: usize,
+    /// The plan every head executes.
+    pub plan: &'a Plan,
+}
+
+/// Below this many attended tokens, a per-head task is microseconds of
+/// work and pool dispatch costs more than it saves.
+const PARALLEL_MIN_TOKENS: usize = 512;
+
+/// Runs `jobs` on `pool` and returns each job's per-head outputs, in job
+/// and head order. A job below `PARALLEL_MIN_TOKENS` attended tokens is one
+/// task; a longer one is one task per head. A batch that comes to a single
+/// task runs on the calling thread. Every head is one independent
+/// [`attend`] call writing its own slot, so the outputs are bitwise those
+/// of [`Session::attention_sequential`] for any worker count or steal
+/// order.
+pub fn execute(pool: &WorkStealingPool, jobs: &[AttentionJob<'_>]) -> Vec<Vec<Vec<f32>>> {
+    let per_head = |job: &AttentionJob<'_>| job.view.seq_len(job.layer) >= PARALLEL_MIN_TOKENS;
+    let tasks: usize = jobs
+        .iter()
+        .map(|job| if per_head(job) { job.queries.len() } else { 1 })
+        .sum();
+    if tasks <= 1 {
+        return jobs
+            .iter()
+            .map(|job| job.view.attend_all(job.queries, job.layer, job.plan))
+            .collect();
+    }
+    let mut outputs: Vec<Vec<Vec<f32>>> = jobs
+        .iter()
+        .map(|job| vec![Vec::new(); job.queries.len()])
+        .collect();
+    // Each task is spawned as it is built and captures the job's fields,
+    // not `&job`: collecting boxed tasks first, or reading through `&job`
+    // inside the task, measured 5–10 % slower TPOT on `long_coarse` and
+    // `long_dipr`.
+    pool.scope(|s| {
+        for (job, out) in jobs.iter().zip(&mut outputs) {
+            let (view, queries, layer, plan) = (job.view, job.queries, job.layer, job.plan);
+            if per_head(job) {
+                for ((qh, slot), q) in out.iter_mut().enumerate().zip(queries) {
+                    s.spawn(move || *slot = view.attend_query_head(q, qh, layer, plan));
+                }
+            } else {
+                s.spawn(move || *out = view.attend_all(queries, layer, plan));
+            }
+        }
+    });
+    outputs
 }
 
 impl Session {
@@ -50,12 +175,18 @@ impl Session {
             cfg.max_query_samples,
         );
         let optimizer = Optimizer::new(cfg.optimizer.clone());
+        let view = SessionView {
+            base,
+            reused_len,
+            local: Arc::new(local),
+            window: cfg.window,
+            l0: cfg.optimizer.default_k.max(16),
+            gqa_group: model.gqa_group_size(),
+        };
         Self {
             cfg,
             optimizer,
-            base,
-            reused_len,
-            local,
+            view,
             tokens,
             queries,
             plan_log: Vec::new(),
@@ -64,23 +195,23 @@ impl Session {
 
     /// The reused stored context, if any.
     pub fn base(&self) -> Option<&Arc<StoredContext>> {
-        self.base.as_ref()
+        self.view.base.as_ref()
     }
 
     /// Reused prefix length.
     pub fn reused_len(&self) -> usize {
-        self.reused_len
+        self.view.reused_len
     }
 
     /// Tokens appended to the session-local window (any layer; all layers
     /// advance together under the backend contract).
     pub fn local_len(&self) -> usize {
-        self.local.seq_len(0)
+        self.view.local.seq_len(0)
     }
 
     /// Total sequence length (reused prefix + local window).
     pub fn total_len(&self) -> usize {
-        self.reused_len + self.local_len()
+        self.reused_len() + self.local_len()
     }
 
     /// The length `DB.store` would persist, or `None` when the noted
@@ -116,8 +247,15 @@ impl Session {
         &self.plan_log
     }
 
-    pub(crate) fn local_kv(&self) -> &KvCache {
-        &self.local
+    pub(crate) fn local_kv(&self) -> &Arc<KvCache> {
+        &self.view.local
+    }
+
+    /// A snapshot of what executing attention reads (module docs): hold it
+    /// only as long as the execution, or the next `update` copies the
+    /// local window.
+    pub fn snapshot(&self) -> SessionView {
+        self.view.clone()
     }
 
     /// Appends one step's keys/values (one per KV head) for `layer` and
@@ -129,7 +267,7 @@ impl Session {
         values: &[Vec<f32>],
         layer: usize,
     ) {
-        self.local.push_token(layer, keys, values);
+        Arc::make_mut(&mut self.view.local).push_token(layer, keys, values);
         for (qh, q) in queries.iter().enumerate() {
             self.queries.push(layer, qh, q);
         }
@@ -141,11 +279,11 @@ impl Session {
     /// management" (`DynamicCache.update` compatibility); the sparse path
     /// never needs it.
     pub fn full_kv(&self, layer: usize, kv_head: usize) -> (VecStore, VecStore) {
-        let stored = self.base.as_ref().map(|b| b.kv.head(layer, kv_head));
-        let local = self.local.head(layer, kv_head);
+        let stored = self.base().map(|b| b.kv.head(layer, kv_head));
+        let local = self.view.local.head(layer, kv_head);
         (
-            concat_rows(stored.map(|h| &h.keys), self.reused_len, &local.keys),
-            concat_rows(stored.map(|h| &h.values), self.reused_len, &local.values),
+            concat_rows(stored.map(|h| &h.keys), self.reused_len(), &local.keys),
+            concat_rows(stored.map(|h| &h.values), self.reused_len(), &local.values),
         )
     }
 
@@ -153,18 +291,15 @@ impl Session {
     /// `layer` — the *plan* half of the plan/execute split the serving
     /// scheduler batches across sessions.
     pub fn query_spec(&self, layer: usize) -> QuerySpec {
+        let base = self.base();
         QuerySpec {
-            context_len: self.base.as_ref().map(|b| b.len()).unwrap_or(0),
-            reused_prefix: match &self.base {
-                Some(b) if self.reused_len < b.len() => Some(self.reused_len),
+            context_len: base.map(|b| b.len()).unwrap_or(0),
+            reused_prefix: match base {
+                Some(b) if self.reused_len() < b.len() => Some(self.reused_len()),
                 _ => None,
             },
             layer_id: layer,
-            coarse_bytes_needed: self
-                .base
-                .as_ref()
-                .map(|b| b.coarse_bytes_needed())
-                .unwrap_or(0),
+            coarse_bytes_needed: base.map(|b| b.coarse_bytes_needed()).unwrap_or(0),
         }
     }
 
@@ -188,10 +323,9 @@ impl Session {
     /// `Session.attention` API of Table 2. K/V for the current step must
     /// already be in the local window (call [`Session::update`] first).
     ///
-    /// Per-query-head execution fans out over the shared work-stealing pool
+    /// Executes through [`execute`] on the shared work-stealing pool
     /// ([`alaya_device::pool::global`]); outputs are bitwise-identical to
-    /// [`Session::attention_sequential`] because every head's computation
-    /// is independent and order-free.
+    /// [`Session::attention_sequential`].
     pub fn attention(&mut self, queries: &[Vec<f32>], layer: usize) -> Vec<Vec<f32>> {
         let plan = self.plan(layer);
         self.note_plan(&plan);
@@ -204,75 +338,33 @@ impl Session {
     pub fn attention_sequential(&mut self, queries: &[Vec<f32>], layer: usize) -> Vec<Vec<f32>> {
         let plan = self.plan(layer);
         self.note_plan(&plan);
-        queries
-            .iter()
-            .enumerate()
-            .map(|(qh, q)| self.attend_query_head(q, qh, layer, &plan))
-            .collect()
+        self.view.attend_all(queries, layer, &plan)
     }
 
     /// Executes a pre-computed `plan` for every query head — the *execute*
-    /// half of the plan/execute split. Immutable, so a scheduler holding
-    /// many sessions can execute them concurrently; heads fan out over the
-    /// shared pool when there is more than one.
+    /// half of the plan/execute split, as a one-job [`execute`] on the
+    /// shared pool.
     pub fn attention_with_plan(
         &self,
         queries: &[Vec<f32>],
         layer: usize,
         plan: &Plan,
     ) -> Vec<Vec<f32>> {
-        let attended = self.reused_len + self.local.seq_len(layer);
-        if queries.len() <= 1 || attended < PARALLEL_MIN_TOKENS {
-            return queries
-                .iter()
-                .enumerate()
-                .map(|(qh, q)| self.attend_query_head(q, qh, layer, plan))
-                .collect();
-        }
-        alaya_device::pool::global().map(queries.len(), |qh| {
-            self.attend_query_head(&queries[qh], qh, layer, plan)
-        })
+        let job = AttentionJob {
+            view: &self.view,
+            queries,
+            layer,
+            plan,
+        };
+        execute(pool::global(), &[job]).pop().unwrap_or_default()
     }
 
     /// One query head's attention under a pre-computed `plan` (`qh` is the
     /// query-head index; the KV head is derived via the GQA group size).
-    /// This is the granularity the serving scheduler fans out over.
     pub fn attend_query_head(&self, q: &[f32], qh: usize, layer: usize, plan: &Plan) -> Vec<f32> {
-        self.attend_head(q, qh / self.cfg.model.gqa_group_size(), layer, plan)
-    }
-
-    /// One head's attention under `plan`: the shared executor over a borrowed
-    /// view of the reused stored prefix and the session-local window.
-    fn attend_head(&self, q: &[f32], kv_head: usize, layer: usize, plan: &Plan) -> Vec<f32> {
-        let base = self.base.as_deref();
-        let stored = base.map(|b| b.kv.head(layer, kv_head));
-        let local = self.local.head(layer, kv_head);
-        let view = HeadView {
-            stored: stored.map(|kv| (&kv.keys, &kv.values)),
-            n_stored: self.reused_len,
-            local: Some((&local.keys, &local.values)),
-            graph: base.and_then(|b| b.graph(layer, kv_head)),
-            coarse: base.map(|b| b.coarse(layer, kv_head)),
-        };
-        // Graph-search list size: a 2k beam for top-k, the configured DIPRS
-        // capacity threshold otherwise.
-        let l0 = match plan {
-            Plan::Sparse {
-                query: QueryType::TopK { k },
-                ..
-            } => k * 2,
-            _ => self.cfg.optimizer.default_k.max(16),
-        };
-        attend(q, &view, self.cfg.window, plan, l0).out
+        self.view.attend_query_head(q, qh, layer, plan)
     }
 }
-
-/// Below this many attended tokens, a per-head task is microseconds of
-/// work and pool dispatch costs more than it saves — serial execution is
-/// the fast path for short-context decode. Shared with the serving
-/// scheduler's batch executor; outputs are identical either way (the pool
-/// preserves per-index results).
-pub const PARALLEL_MIN_TOKENS: usize = 512;
 
 /// The first `n` rows of `prefix` followed by all of `tail`, in one
 /// allocation of exactly that size: `VecStore::bytes` reads capacity, and
@@ -294,6 +386,45 @@ impl AttentionBackend for Session {
     }
 
     fn seq_len(&self, layer: usize) -> usize {
-        self.reused_len + self.local.seq_len(layer)
+        self.view.seq_len(layer)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alaya_llm::ModelConfig;
+
+    /// `update` copies the local window only while a snapshot is alive,
+    /// and the snapshot keeps seeing what it was taken over.
+    #[test]
+    fn update_copies_the_local_window_only_under_a_live_snapshot() {
+        let model = ModelConfig::tiny();
+        let mut session = Session::new(DbConfig::for_tests(model.clone()), None, 0);
+        let q = vec![vec![0.5; model.head_dim]; model.n_q_heads];
+        let kv = vec![vec![0.25; model.head_dim]; model.n_kv_heads];
+        let step = |s: &mut Session| s.update(&q, &kv, &kv, 0);
+
+        step(&mut session);
+        let before = Arc::as_ptr(session.local_kv());
+        let snapshot = session.snapshot();
+        drop(snapshot);
+        step(&mut session);
+        assert_eq!(
+            Arc::as_ptr(session.local_kv()),
+            before,
+            "no snapshot: no copy"
+        );
+
+        let snapshot = session.snapshot();
+        step(&mut session);
+        assert_ne!(
+            Arc::as_ptr(session.local_kv()),
+            before,
+            "live snapshot: copy"
+        );
+        assert_eq!(snapshot.seq_len(0), 2);
+        assert_eq!(session.seq_len(0), 3);
+        assert_eq!(Arc::strong_count(session.local_kv()), 1);
     }
 }

@@ -48,21 +48,6 @@ impl ModelShape {
         }
     }
 
-    /// A small shape for in-repo end-to-end runs of the real (CPU, f32)
-    /// transformer substrate.
-    pub fn tiny() -> Self {
-        Self {
-            n_layers: 2,
-            n_q_heads: 4,
-            n_kv_heads: 2,
-            head_dim: 16,
-            hidden_dim: 64,
-            ffn_dim: 128,
-            vocab_size: 512,
-            bytes_per_elem: 4,
-        }
-    }
-
     /// Approximate parameter count (attention + MLP + embeddings).
     pub fn param_count(&self) -> u64 {
         let d = self.hidden_dim as u64;
@@ -216,12 +201,5 @@ mod tests {
         // ...but full attention over a ~190K-token task does not (Table 5's
         // ✗ for Full Attention).
         assert!(m.decode_step_time(190_000) > 0.24);
-    }
-
-    #[test]
-    fn tiny_shape_is_consistent() {
-        let s = ModelShape::tiny();
-        assert_eq!(s.hidden_dim, s.n_q_heads * s.head_dim);
-        assert!(s.param_count() > 0);
     }
 }

@@ -15,8 +15,8 @@
 //!   spawn-per-call threads. The scope's owner *helps* — it executes its
 //!   own scope's queued tasks while it waits (never unrelated work, so a
 //!   latency-critical owner cannot stall behind a stolen long task) — so
-//!   nested scopes (a scheduler batch whose per-request tasks open their
-//!   own per-head scopes) cannot deadlock even on a single-worker pool.
+//!   nested scopes (a scoped task that opens a scope of its own) cannot
+//!   deadlock even on a single-worker pool.
 //! * **Determinism** — the pool schedules, it never reorders results:
 //!   [`WorkStealingPool::map`] writes each index's output into its own
 //!   slot, so outputs are bitwise-identical to a serial loop for any
@@ -78,7 +78,7 @@ impl PoolStats {
 /// A queued unit of work, tagged with the scope that spawned it (`0` for
 /// detached [`WorkStealingPool::execute`] tasks) so a scope owner helping
 /// while it waits can steal *only its own* tasks — a latency-critical
-/// caller (the serving scheduler holding session locks) must never get
+/// caller (the serving scheduler) must never get
 /// stuck executing an unrelated long task (say, an index build) it stole.
 struct Task {
     scope: usize,

@@ -63,15 +63,6 @@ impl SloReport {
     pub fn satisfied(&self) -> bool {
         self.ttft_ok && self.tpot_ok
     }
-
-    /// Paper-style marker string.
-    pub fn marker(&self) -> &'static str {
-        if self.satisfied() {
-            "\u{2713}"
-        } else {
-            "\u{2717}"
-        }
-    }
 }
 
 #[cfg(test)]
@@ -101,12 +92,5 @@ mod tests {
     fn boundary_is_inclusive() {
         let slo = Slo::new(1.0, 0.24);
         assert!(slo.check(1.0, 0.24).satisfied());
-    }
-
-    #[test]
-    fn markers() {
-        let slo = Slo::reading_speed();
-        assert_eq!(slo.check(0.0, 0.1).marker(), "✓");
-        assert_eq!(slo.check(0.0, 1.0).marker(), "✗");
     }
 }

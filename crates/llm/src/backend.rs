@@ -59,16 +59,6 @@ impl FullKvBackend {
         }
     }
 
-    /// Wraps an existing cache (e.g. one imported from AlayaDB).
-    pub fn from_cache(cache: KvCache, gqa_group: usize) -> Self {
-        let inv_sqrt_d = 1.0 / (cache.head_dim() as f32).sqrt();
-        Self {
-            cache,
-            gqa_group,
-            inv_sqrt_d,
-        }
-    }
-
     /// Borrows the underlying cache (for `DB.import`).
     pub fn cache(&self) -> &KvCache {
         &self.cache

@@ -50,15 +50,6 @@ impl AdmissionController {
         }
     }
 
-    /// A controller sized from the DB configuration (see [`session_bytes`]).
-    pub fn for_config(
-        tracker: Arc<MemoryTracker>,
-        cfg: &DbConfig,
-        max_local_tokens: usize,
-    ) -> Self {
-        Self::new(tracker, session_bytes(cfg, max_local_tokens))
-    }
-
     /// Bytes reserved per admitted session.
     pub fn bytes_per_session(&self) -> u64 {
         self.bytes_per_session

@@ -13,7 +13,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use alaya_core::stored::ContextId;
 use alaya_core::{Db, StoreHandle};
@@ -24,10 +24,9 @@ use alaya_llm::backend::{AttentionBackend, StepInput};
 
 use crate::admission::{per_token_bytes, session_bytes, AdmissionController};
 use crate::scheduler::{
-    self, BatchPolicy, Pending, ReservationGrowth, SchedulerCore, SchedulerStats, ServeError,
-    SessionSlot,
+    self, BatchPolicy, Pending, SchedulerCore, SchedulerStats, ServeError, SessionSlot, SlotState,
 };
-use crate::telemetry::{LaneCounters, LaneStats, TelemetrySnapshot};
+use crate::telemetry::{LaneStats, TelemetrySnapshot};
 
 /// Handle to a session admitted into a [`ServeEngine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -264,20 +263,11 @@ impl ServeEngine {
         }
         let reservation = self.admission.admit()?;
         let (session, truncated) = self.db.create_session(prompt);
-        let slot = Arc::new(SessionSlot {
-            base_ctx: session.base().map(|b| b.id),
-            reused_len: session.reused_len(),
-            session: Mutex::new_named(session, "serve.session"),
-            _reservation: Some(reservation),
-            growth: Mutex::new_named(
-                ReservationGrowth {
-                    covered_tokens: self.reserve_tokens,
-                    guards: Vec::new(),
-                },
-                "serve.growth",
-            ),
-            lane: LaneCounters::default(),
-        });
+        let slot = Arc::new(SessionSlot::new(SlotState {
+            session,
+            covered_tokens: self.reserve_tokens,
+            reservations: vec![reservation],
+        }));
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.sessions.write().insert(id, slot);
         Ok((id, truncated))
@@ -336,43 +326,56 @@ impl ServeEngine {
         values: &[Vec<f32>],
         layer: usize,
     ) -> Result<(), ServeError> {
+        self.append(id, queries, keys, values, layer).map(|_| ())
+    }
+
+    /// `update`, returning the slot and the DRR cost of an attention
+    /// request that follows: growth reservation, write and cost read under
+    /// one session-lock hold.
+    fn append(
+        &self,
+        id: SessionId,
+        queries: &[Vec<f32>],
+        keys: &[Vec<f32>],
+        values: &[Vec<f32>],
+        layer: usize,
+    ) -> Result<(Arc<SessionSlot>, u64), ServeError> {
         self.check_layer(layer)?;
         let model = &self.db.config().model;
         self.check_shape(queries, "query", model.n_q_heads)?;
         self.check_shape(keys, "key", model.n_kv_heads)?;
         self.check_shape(values, "value", model.n_kv_heads)?;
         let slot = self.slot(id)?;
-        let mut session = slot.lock();
-        let local_after = session.seq_len(layer) + 1 - slot.reused_len;
-        {
-            let mut growth = slot.growth.lock();
-            if local_after > growth.covered_tokens {
-                let chunk = self.reserve_tokens;
-                let guard = self
-                    .admission
-                    .tracker()
-                    .alloc(self.per_token * chunk as u64)
-                    .map_err(ServeError::OutOfMemory)?;
-                growth.covered_tokens += chunk;
-                growth.guards.push(guard);
-            }
+        let mut state = slot.lock();
+        let session = &state.session;
+        let local_after = session.seq_len(layer) + 1 - session.reused_len();
+        if local_after > state.covered_tokens {
+            let chunk = self.reserve_tokens;
+            let guard = self
+                .admission
+                .tracker()
+                .alloc(self.per_token * chunk as u64)
+                .map_err(ServeError::OutOfMemory)?;
+            state.covered_tokens += chunk;
+            state.reservations.push(guard);
         }
-        session.update(queries, keys, values, layer);
-        Ok(())
+        state.session.update(queries, keys, values, layer);
+        let cost = state.drr_cost();
+        drop(state);
+        Ok((slot, cost))
     }
 
     /// Records token ids for a later [`ServeEngine::store`].
     pub fn note_tokens(&self, id: SessionId, tokens: &[u32]) -> Result<(), ServeError> {
-        let slot = self.slot(id)?;
-        slot.lock().note_tokens(tokens);
+        self.slot(id)?.lock().session.note_tokens(tokens);
         Ok(())
     }
 
     /// Computes attention for every query head at `layer` through the
     /// scheduler: the request is batched with whatever other sessions are
-    /// asking at the same moment, planned once per group, executed
-    /// per-head on the pool. Blocks until the output arrives. Outputs are
-    /// bitwise-identical to `Session::attention_sequential`.
+    /// asking at the same moment, planned once per group, and executed on
+    /// a snapshot of the session. Blocks until the output arrives. Outputs
+    /// are bitwise-identical to `Session::attention_sequential`.
     pub fn attention(
         &self,
         id: SessionId,
@@ -424,15 +427,21 @@ impl ServeEngine {
         self.check_layer(layer)?;
         self.check_shape(&queries, "query", self.db.config().model.n_q_heads)?;
         let slot = self.slot(id)?;
-        // DRR cost: attended tokens this request makes the batch touch
-        // (shared prefix + reservation-covered local KV — a cheap upper
-        // bound that needs no session lock). The growth lock is released
-        // before enqueue, so this adds no lock-order edge to the queue.
-        let covered = {
-            let growth = slot.growth.lock();
-            growth.covered_tokens
-        };
-        let cost = (slot.reused_len as u64).saturating_add(covered as u64);
+        // The session lock is released before enqueue, so this adds no
+        // lock-order edge to the queue.
+        let cost = slot.lock().drr_cost();
+        self.enqueue(slot, queries, layer, deadline, cost)
+    }
+
+    /// Queues a checked request and blocks until its reply.
+    fn enqueue(
+        &self,
+        slot: Arc<SessionSlot>,
+        queries: Vec<Vec<f32>>,
+        layer: usize,
+        deadline: Option<Duration>,
+        cost: u64,
+    ) -> Result<Vec<Vec<f32>>, ServeError> {
         let bytes = queries.iter().map(|q| q.len() * 4).sum::<usize>() as u64;
         let enqueued = self.clock.now();
         let (tx, rx) = mpsc::channel();
@@ -451,38 +460,35 @@ impl ServeEngine {
 
     /// `update` + `attention` in one call — the `AttentionBackend::attend`
     /// shape, for engine loops driving a session through the scheduler.
+    /// Checks the step and looks the session up once, and takes its lock
+    /// once (growth reservation, write, DRR cost).
     pub fn attend(
         &self,
         id: SessionId,
         layer: usize,
         input: StepInput,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.update(id, &input.queries, &input.keys, &input.values, layer)?;
-        self.attention_owned(id, input.queries, layer)
+        let (slot, cost) = self.append(id, &input.queries, &input.keys, &input.values, layer)?;
+        self.enqueue(slot, input.queries, layer, self.default_deadline, cost)
     }
 
     /// Cached tokens at `layer` (reused prefix + local window).
     pub fn seq_len(&self, id: SessionId, layer: usize) -> Result<usize, ServeError> {
         self.check_layer(layer)?;
-        let slot = self.slot(id)?;
-        let len = {
-            let s = slot.lock();
-            s.seq_len(layer)
-        };
-        Ok(len)
+        Ok(self.slot(id)?.lock().session.seq_len(layer))
     }
 
     /// Materializes the session into a stored, indexed context
     /// (`DB.store`). The session stays admitted; follow with
     /// [`ServeEngine::close`] to release its reservation.
     ///
-    /// The session lock is held only long enough to snapshot (the local
-    /// window and query samples; the reused prefix is shared by `Arc`) —
-    /// the KV merge and index build run on the shared pool, so in-flight
-    /// attention on this and co-batched sessions keeps serving while a
-    /// huge context builds. This call still blocks its *own* caller until
-    /// the context is published; use [`ServeEngine::store_background`] to
-    /// get the handle instead.
+    /// The session lock is held only long enough to snapshot (the reused
+    /// prefix and local window are shared by `Arc`, tokens and query
+    /// samples copied) — the KV merge and index build run on the shared
+    /// pool, so in-flight attention on this and co-batched sessions keeps
+    /// serving while a huge context builds. This call still blocks its
+    /// *own* caller until the context is published; use
+    /// [`ServeEngine::store_background`] to get the handle instead.
     pub fn store(&self, id: SessionId) -> Result<ContextId, ServeError> {
         self.store_background(id)?
             .wait()
@@ -497,14 +503,15 @@ impl ServeEngine {
     /// its KV positions is [`ServeError::TokensNotNoted`]; it stays usable.
     pub fn store_background(&self, id: SessionId) -> Result<StoreHandle, ServeError> {
         let slot = self.slot(id)?;
-        let session = slot.lock();
+        let state = slot.lock();
+        let session = &state.session;
         if session.storable_len().is_none() {
             return Err(ServeError::TokensNotNoted {
                 noted: session.tokens().len(),
                 positions: session.total_len(),
             });
         }
-        Ok(self.db.store_background(&session))
+        Ok(self.db.store_background(session))
     }
 
     /// Removes the session, dropping its admission reservation.

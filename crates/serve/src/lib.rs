@@ -13,8 +13,10 @@
 //! * **Scheduler** ([`scheduler`]) — accepts attention requests from many
 //!   sessions, groups the ones that target the same
 //!   `(stored context, layer, reused prefix)` so the optimizer plans once
-//!   per group instead of once per request, fans per-query-head execution
-//!   out over the pool, and returns outputs through per-request channels.
+//!   per group instead of once per request, executes the batch on session
+//!   snapshots through the fan-out `Session::attention` uses (per request
+//!   or per query head, over the pool), and returns outputs through
+//!   per-request channels.
 //!   Outputs are bitwise-identical to the sequential
 //!   [`Session::attention_sequential`] path because scheduling never
 //!   changes what each head computes — only where and when.

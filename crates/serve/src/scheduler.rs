@@ -17,21 +17,26 @@
 //!    [`ServeError::DeadlineExceeded`] instead of executing). Queue depth
 //!    is bounded at submission: [`SchedulerCore::enqueue`] rejects with
 //!    [`ServeError::Overloaded`] rather than queueing without bound.
-//! 2. **Groups** the batch by `(stored context, layer, reused prefix)`.
-//!    Sessions in one group have identical [`QuerySpec`]s, so the
-//!    optimizer runs **once per group** and every member executes under
-//!    the shared plan — the cross-session analogue of the paper's "one
-//!    index, many consumers" economics.
-//! 3. **Executes** the batch on the work-stealing pool: one task per
-//!    `(request, query head)` pair for long contexts, one task per request
-//!    below the serial cutoff (`PARALLEL_MIN_TOKENS`). Heads are
-//!    independent, so this is safe and — because each task writes only its
-//!    own output slot — bitwise deterministic for any worker count or
-//!    steal order.
-//! 4. **Replies** through each request's channel, unblocking its caller.
-//!    Every request that enters the queue receives exactly one reply —
-//!    executed, shed, or aborted — and its session slot (hence its
-//!    admission reservation) is released before the reply is sent.
+//! 2. **Plans and snapshots** each request under its session's lock, one
+//!    lock at a time. Requests are grouped by `(stored context, layer,
+//!    reused prefix)`; sessions in one group have identical [`QuerySpec`]s,
+//!    so the optimizer runs **once per group** and every member executes
+//!    under the shared plan — the cross-session analogue of the paper's
+//!    "one index, many consumers" economics. The lock is released after
+//!    logging the plan and taking a [`SessionView`] snapshot (two `Arc`
+//!    bumps).
+//! 3. **Executes** the snapshots through [`alaya_core::session::execute`],
+//!    the fan-out `Session::attention` uses too: one pool task per short
+//!    request, one per `(request, query head)` for long contexts, and a
+//!    batch that comes to one task runs on the scheduler thread. Heads are
+//!    independent and each writes only its own output, so the result is
+//!    bitwise deterministic for any worker count or steal order.
+//! 4. **Replies** through each request's channel, unblocking its caller,
+//!    after every snapshot is dropped — so the caller's next `update`
+//!    finds its local window unshared and copies nothing. Every request
+//!    that enters the queue receives exactly one reply — executed, shed,
+//!    or aborted — and its session slot (hence its admission reservation)
+//!    is released before the reply is sent.
 //!
 //! All time is read through the engine's injectable
 //! [`Clock`](alaya_device::clock::Clock), so deadline and window logic is
@@ -39,10 +44,13 @@
 //! `instrumented` feature the loop carries a batch-delay failpoint
 //! ([`CHAOS_BATCH_DELAY`]) simulating slow execution.
 //!
-//! The scheduler locks each involved session for the duration of the
-//! batch; `update` calls on those sessions queue behind it, preserving
-//! the per-session ordering contract of the `AttentionBackend` seam.
+//! No thread holds a session lock across execution or holds two at once:
+//! an `update` that races a batch waits for one snapshot at most, and the
+//! snapshot executes on the state as of its dispatch — the per-session
+//! ordering contract of the `AttentionBackend` seam (a caller's `update`
+//! precedes its `attention`) holds because the caller blocks on the reply.
 //!
+//! [`SessionView`]: alaya_core::session::SessionView
 //! [`QuerySpec`]: alaya_query::optimizer::QuerySpec
 //! [`ManualClock`]: alaya_device::clock::ManualClock
 
@@ -57,13 +65,12 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use alaya_core::session::PARALLEL_MIN_TOKENS;
+use alaya_core::session::{execute, AttentionJob, SessionView};
 use alaya_core::stored::ContextId;
 use alaya_core::Session;
 use alaya_device::clock::Clock;
 use alaya_device::memory::MemoryGuard;
 use alaya_device::pool::WorkStealingPool;
-use alaya_llm::backend::AttentionBackend as _;
 use alaya_query::optimizer::Plan;
 use alaya_telemetry::Event;
 
@@ -114,42 +121,50 @@ impl Default for BatchPolicy {
     }
 }
 
-/// One registered session: the session proper plus its immutable grouping
-/// metadata and the admission reservation it holds while alive.
+/// One registered session: its one lock and its telemetry lane.
 pub(crate) struct SessionSlot {
-    pub(crate) session: Mutex<Session>,
-    /// The stored context this session reuses (grouping key part 1).
-    pub(crate) base_ctx: Option<ContextId>,
-    /// Reused prefix length (grouping key part 2; fixed at admission).
-    pub(crate) reused_len: usize,
-    /// Admission reservation; dropping the slot releases the budget.
-    pub(crate) _reservation: Option<MemoryGuard>,
-    /// Reservation growth as the session-local KV outgrows the admitted
-    /// window; dropped (releasing the bytes) with the slot.
-    pub(crate) growth: Mutex<ReservationGrowth>,
+    state: Mutex<SlotState>,
     /// Per-session outcome counters for the telemetry lane view.
     pub(crate) lane: LaneCounters,
 }
 
-/// Tracks how many local-KV tokens the session's reservations cover and
-/// holds the growth guards keeping the tracker in step with real usage.
-pub(crate) struct ReservationGrowth {
-    /// Local tokens covered by the admission reservation plus all growth
-    /// reservations so far.
+/// What the session lock guards: the session and the device reservations
+/// that keep the tracker in step with its local KV.
+pub(crate) struct SlotState {
+    pub(crate) session: Session,
+    /// Local tokens the reservations cover.
     pub(crate) covered_tokens: usize,
-    pub(crate) guards: Vec<MemoryGuard>,
+    /// The admission reservation, then one per growth chunk as the local
+    /// KV outgrows the admitted window; dropping the slot releases them.
+    pub(crate) reservations: Vec<MemoryGuard>,
+}
+
+impl SlotState {
+    /// DRR cost of an attention request: the attended tokens it makes the
+    /// batch touch (shared prefix + reservation-covered local KV, a cheap
+    /// upper bound).
+    pub(crate) fn drr_cost(&self) -> u64 {
+        (self.session.reused_len() as u64).saturating_add(self.covered_tokens as u64)
+    }
 }
 
 impl SessionSlot {
-    /// Locks the session. The `parking_lot` lock has no poisoning, which
-    /// is exactly the semantics the batch path needs: every lock holder
-    /// either only reads the session (execution is `&Session`) or appends
-    /// whole entries (`update`, `note_plan`, `note_tokens`) — a batch that
-    /// panicked while holding the lock (e.g. on a malformed co-batched
-    /// request) never leaves the session half-mutated, so innocent tenants
-    /// sharing that batch must not be bricked by a poison flag.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Session> {
-        self.session.lock()
+    pub(crate) fn new(state: SlotState) -> Self {
+        Self {
+            state: Mutex::new_named(state, "serve.session"),
+            lane: LaneCounters::default(),
+        }
+    }
+
+    /// Locks the session. No holder runs attention under it: the scheduler
+    /// plans, logs the plan and takes a [`Session::snapshot`], then
+    /// releases it before execution, and every other holder appends whole
+    /// entries (`update`, `note_tokens`, a growth reservation) or reads. So
+    /// the lock is held for microseconds, and the `parking_lot` lock having
+    /// no poisoning costs nothing: a panic under it cannot leave the
+    /// session half-mutated.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock()
     }
 }
 
@@ -498,8 +513,9 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
             }
         }
 
-        // A panicking batch (e.g. a malformed request whose head task
-        // panics on the pool) must not kill the scheduler thread: queued
+        // A panicking batch (e.g. a malformed request whose attention
+        // panics, on the pool or on this thread) must not kill the
+        // scheduler thread: queued
         // and future requests would then block on `recv` forever. Catch
         // the unwind, answer every member of the batch with a typed error,
         // and keep serving. (`execute_batch` only sends replies in its
@@ -534,11 +550,9 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
     }
 }
 
+/// `(stored context, layer, reused prefix)`: requests with equal keys have
+/// equal [`QuerySpec`](alaya_query::optimizer::QuerySpec)s.
 type GroupKey = (Option<ContextId>, usize, usize);
-
-fn group_key(p: &Pending) -> GroupKey {
-    (p.slot.base_ctx, p.layer, p.slot.reused_len)
-}
 
 fn slot_ptr(p: &Pending) -> usize {
     Arc::as_ptr(&p.slot) as usize
@@ -557,90 +571,55 @@ fn execute_batch(core: &SchedulerCore, batch: Vec<Pending>) {
     stats.requests.add(batch.len() as u64);
     stats.max_batch.record_max(batch.len() as i64);
 
-    // Group by (context, layer, reused prefix): members share one plan.
-    let mut groups: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-    for (i, p) in batch.iter().enumerate() {
-        groups.entry(group_key(p)).or_default().push(i);
-    }
-
-    // Lock every distinct session for the batch. The scheduler is the only
-    // place that ever holds more than one session lock, so ordering cannot
-    // deadlock against `update` callers (who take exactly one).
-    let mut guards: HashMap<usize, MutexGuard<'_, Session>> = HashMap::new();
-    for p in &batch {
-        guards.entry(slot_ptr(p)).or_insert_with(|| p.slot.lock());
-    }
-
-    // Plan once per group; log the plan on every participating session.
-    let mut plans: Vec<Option<Plan>> = vec![None; batch.len()];
-    for idxs in groups.values() {
-        let leader = &batch[idxs[0]];
-        let plan = guards[&slot_ptr(leader)].plan(leader.layer);
-        stats.plans_computed.inc();
-        stats.shared_plan_requests.add(idxs.len() as u64 - 1);
-        for &i in idxs {
-            plans[i] = Some(plan.clone());
-        }
-    }
-    for (i, p) in batch.iter().enumerate() {
-        if let Some(g) = guards.get_mut(&slot_ptr(p)) {
-            g.note_plan(plans[i].as_ref().expect("every request was grouped"));
-        }
-    }
-    // Plan stage: session locking + grouping + optimizer, amortized over
-    // the batch — recorded once per member so stage counts reconcile.
+    // Plan once per (context, layer, reused prefix) group, log the plan,
+    // snapshot: one session lock at a time, each released before the next
+    // is taken and before anything executes.
+    let mut plans: HashMap<GroupKey, Plan> = HashMap::new();
+    let snapshots: Vec<(GroupKey, SessionView)> = batch
+        .iter()
+        .map(|p| {
+            let session = &mut p.slot.lock().session;
+            let key = (session.base().map(|b| b.id), p.layer, session.reused_len());
+            let plan = plans.entry(key).or_insert_with(|| session.plan(p.layer));
+            session.note_plan(plan);
+            (key, session.snapshot())
+        })
+        .collect();
+    stats.plans_computed.add(plans.len() as u64);
+    stats
+        .shared_plan_requests
+        .add((batch.len() - plans.len()) as u64);
+    // Plan stage: locking + grouping + optimizer + snapshots, amortized
+    // over the batch — recorded once per member so stage counts reconcile.
     let t_planned = core.clock.now();
     let plan_nanos = nanos(t_planned.saturating_sub(t_assembled));
     for _ in 0..batch.len() {
         stats.stage_plan.record(plan_nanos);
     }
 
-    // Execute every (request, head) pair on the pool. Each task borrows
-    // its session immutably and owns exactly one output slot.
-    let mut outputs: Vec<Vec<Option<Vec<f32>>>> =
-        batch.iter().map(|p| vec![None; p.queries.len()]).collect();
-    {
-        let sessions: HashMap<usize, &Session> = guards.iter().map(|(&k, g)| (k, &**g)).collect();
-        core.pool.scope(|s| {
-            for ((p, plan), out) in batch.iter().zip(&plans).zip(outputs.iter_mut()) {
-                let session = sessions[&slot_ptr(p)];
-                let plan = plan.as_ref().expect("every request was grouped");
-                let layer = p.layer;
-                if session.seq_len(layer) < PARALLEL_MIN_TOKENS {
-                    // Short-context request: one task for all heads —
-                    // per-head dispatch would cost more than the heads'
-                    // microseconds of work. Requests still parallelize
-                    // against each other.
-                    s.spawn(move || {
-                        for (qh, slot) in out.iter_mut().enumerate() {
-                            *slot =
-                                Some(session.attend_query_head(&p.queries[qh], qh, layer, plan));
-                        }
-                    });
-                } else {
-                    for (qh, slot) in out.iter_mut().enumerate() {
-                        let q = &p.queries[qh];
-                        s.spawn(move || {
-                            *slot = Some(session.attend_query_head(q, qh, layer, plan));
-                        });
-                    }
-                }
-            }
-        });
-    }
-    drop(guards);
-    // Exec stage: the pool scope, shared by every member.
+    let jobs: Vec<AttentionJob<'_>> = batch
+        .iter()
+        .zip(&snapshots)
+        .map(|(p, (key, view))| AttentionJob {
+            view,
+            queries: &p.queries,
+            layer: p.layer,
+            plan: &plans[key],
+        })
+        .collect();
+    let outputs = execute(&core.pool, &jobs);
+    // Every snapshot goes before the first reply: a caller's next
+    // `update` must find its local window unshared, or it copies it.
+    drop(jobs);
+    drop(snapshots);
+    // Exec stage: the execution, shared by every member.
     let t_executed = core.clock.now();
     let exec_nanos = nanos(t_executed.saturating_sub(t_planned));
     for _ in 0..batch.len() {
         stats.stage_exec.record(exec_nanos);
     }
 
-    for (p, out) in batch.into_iter().zip(outputs) {
-        let result: Vec<Vec<f32>> = out
-            .into_iter()
-            .map(|o| o.expect("head task filled its slot"))
-            .collect();
+    for (p, result) in batch.into_iter().zip(outputs) {
         let key = slot_ptr(&p) as u64;
         p.slot.lane.executed.inc();
         let Pending {
@@ -671,25 +650,21 @@ fn execute_batch(core: &SchedulerCore, batch: Vec<Pending>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alaya_core::{Db, DbConfig};
+    use alaya_core::{Db, DbConfig, StoredContext};
     use alaya_device::clock::{ManualClock, SystemClock};
+    use alaya_llm::backend::AttentionBackend as _;
+    use alaya_llm::kv::KvCache;
     use alaya_llm::{FullKvBackend, Model, ModelConfig};
     use alaya_vector::rng::{gaussian_vec, seeded};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Weak};
 
     fn slot_for(db: &Db, prompt: &[u32]) -> Arc<SessionSlot> {
         let (session, _) = db.create_session(prompt);
-        Arc::new(SessionSlot {
-            base_ctx: session.base().map(|b| b.id),
-            reused_len: session.reused_len(),
-            session: Mutex::new_named(session, "serve.session"),
-            _reservation: None,
-            growth: Mutex::new(ReservationGrowth {
-                covered_tokens: usize::MAX,
-                guards: Vec::new(),
-            }),
-            lane: LaneCounters::default(),
-        })
+        Arc::new(SessionSlot::new(SlotState {
+            session,
+            covered_tokens: usize::MAX,
+            reservations: Vec::new(),
+        }))
     }
 
     fn core_for_tests(threads: usize) -> SchedulerCore {
@@ -775,24 +750,23 @@ mod tests {
         assert_eq!(out1, out3);
 
         // And each equals the sequential single-caller path, bitwise.
-        let want1 = s1.session.lock().attention_sequential(&queries, 1);
+        let want1 = s1.lock().session.attention_sequential(&queries, 1);
         assert_eq!(out1, want1);
-        let want4 = s1.session.lock().attention_sequential(&queries, 0);
+        let want4 = s1.lock().session.attention_sequential(&queries, 0);
         assert_eq!(out4, want4);
     }
 
     /// Two requests for the *same* session in one batch must not deadlock
-    /// (the slot is locked once, shared by both).
+    /// (each takes the slot's lock in turn).
     #[test]
     fn duplicate_session_in_one_batch_is_safe() {
         let model_cfg = ModelConfig::tiny();
         let db = Db::new(DbConfig::for_tests(model_cfg.clone()));
         let slot = slot_for(&db, &[1, 2, 3]);
         {
-            let mut s = slot.session.lock();
             let q = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_q_heads];
             let kv = vec![vec![0.25; model_cfg.head_dim]; model_cfg.n_kv_heads];
-            s.update(&q, &kv, &kv, 0);
+            slot.lock().session.update(&q, &kv, &kv, 0);
         }
         let core = core_for_tests(2);
         let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
@@ -803,6 +777,162 @@ mod tests {
         let b = rx2.recv().unwrap().unwrap();
         assert_eq!(a, b);
         assert_eq!(core.stats.snapshot().plans_computed, 1);
+    }
+
+    /// An endless stream of random head vectors.
+    fn vectors(seed: u64, dim: usize) -> impl Iterator<Item = Vec<f32>> {
+        let mut rng = seeded(seed);
+        std::iter::repeat_with(move || gaussian_vec(&mut rng, dim, 1.0))
+    }
+
+    fn heads(vs: &mut impl Iterator<Item = Vec<f32>>, n: usize) -> Vec<Vec<f32>> {
+        vs.take(n).collect()
+    }
+
+    /// A database holding one stored context of 520 tokens of random KV:
+    /// a session reusing it attends past the per-head fan-out cutoff (512).
+    fn long_context_db(cfg: &ModelConfig) -> (Db, Vec<u32>) {
+        let db = Db::new(DbConfig::for_tests(cfg.clone()));
+        let mut vs = vectors(11, cfg.head_dim);
+        let mut kv = KvCache::new(cfg.n_layers, cfg.n_kv_heads, cfg.head_dim);
+        let ctx: Vec<u32> = (0..520).collect();
+        for _ in &ctx {
+            for layer in 0..cfg.n_layers {
+                let (k, v) = (
+                    heads(&mut vs, cfg.n_kv_heads),
+                    heads(&mut vs, cfg.n_kv_heads),
+                );
+                kv.push_token(layer, &k, &v);
+            }
+        }
+        db.import(ctx.clone(), kv);
+        (db, ctx)
+    }
+
+    /// One decode step's K/V at every layer of `slot`'s session.
+    fn decode_step(slot: &SessionSlot, cfg: &ModelConfig, vs: &mut impl Iterator<Item = Vec<f32>>) {
+        for layer in 0..cfg.n_layers {
+            let q = heads(vs, cfg.n_q_heads);
+            let (k, v) = (heads(vs, cfg.n_kv_heads), heads(vs, cfg.n_kv_heads));
+            slot.lock().session.update(&q, &k, &v, layer);
+        }
+    }
+
+    /// A batch with a long request (one task per head), a short one (one
+    /// task) and two requests of one session serves bit for bit what
+    /// `attention_sequential` computes, on any worker count.
+    #[test]
+    fn mixed_batch_matches_the_sequential_oracle_on_any_pool() {
+        let cfg = ModelConfig::tiny();
+        let (db, mut prompt) = long_context_db(&cfg);
+        prompt.push(7);
+        let long = slot_for(&db, &prompt);
+        let twice = slot_for(&db, &prompt);
+        let short = slot_for(&db, &[900, 901]);
+        let mut vs = vectors(12, cfg.head_dim);
+        for slot in [&long, &twice, &short] {
+            decode_step(slot, &cfg, &mut vs);
+        }
+        assert!(long.lock().session.seq_len(1) >= 512);
+        assert!(short.lock().session.seq_len(0) < 512);
+
+        let requests = [(&long, 1), (&short, 0), (&twice, 0), (&twice, 1)];
+        let queries: Vec<Vec<Vec<f32>>> = requests
+            .iter()
+            .map(|_| heads(&mut vs, cfg.n_q_heads))
+            .collect();
+        let want: Vec<Vec<Vec<f32>>> = requests
+            .iter()
+            .zip(&queries)
+            .map(|(&(slot, layer), q)| slot.lock().session.attention_sequential(q, layer))
+            .collect();
+        for threads in [1, 2, 3] {
+            let core = core_for_tests(threads);
+            let (batch, replies): (Vec<_>, Vec<_>) = requests
+                .iter()
+                .zip(&queries)
+                .map(|(&(slot, layer), q)| pending(slot, q.clone(), layer, 1, None))
+                .unzip();
+            execute_batch(&core, batch);
+            for (i, rx) in replies.iter().enumerate() {
+                let got = rx.recv().unwrap().unwrap();
+                assert_eq!(got, want[i], "request {i} on {threads} workers");
+            }
+        }
+    }
+
+    /// A clock that watches one reply: every time the scheduler reads the
+    /// time after that reply was sent, it records how many handles to the
+    /// watched session's stored context exist — a live snapshot holds one.
+    #[derive(Debug)]
+    struct ReplyProbe {
+        base: Weak<StoredContext>,
+        watched: Mutex<Watched>,
+    }
+
+    #[derive(Debug)]
+    struct Watched {
+        rx: ReplyRx,
+        reply: Option<Vec<Vec<f32>>>,
+        handles_after_reply: Vec<usize>,
+    }
+
+    impl Clock for ReplyProbe {
+        fn now(&self) -> Duration {
+            let mut w = self.watched.lock();
+            if w.reply.is_none() {
+                w.reply = w.rx.try_recv().ok().map(|r| r.unwrap());
+            }
+            if w.reply.is_some() {
+                w.handles_after_reply.push(self.base.strong_count());
+            }
+            Duration::ZERO
+        }
+    }
+
+    /// Every snapshot of a batch is dropped before its first reply, so a
+    /// caller's next `update` finds its local window unshared.
+    #[test]
+    fn no_snapshot_outlives_a_reply() {
+        let cfg = ModelConfig::tiny();
+        let (db, mut prompt) = long_context_db(&cfg);
+        prompt.push(7);
+        let watched = slot_for(&db, &prompt);
+        let other = slot_for(&db, &prompt);
+        let mut vs = vectors(13, cfg.head_dim);
+        decode_step(&watched, &cfg, &mut vs);
+        decode_step(&other, &cfg, &mut vs);
+        let queries = heads(&mut vs, cfg.n_q_heads);
+        let want = watched.lock().session.attention_sequential(&queries, 1);
+
+        let base = Arc::downgrade(watched.lock().session.base().unwrap());
+        // The two sessions and the DB's table entry.
+        let idle = base.strong_count();
+        let (first, rx) = pending(&watched, queries.clone(), 1, 1, None);
+        let (second, _rx) = pending(&other, queries, 1, 1, None);
+        let probe = Arc::new(ReplyProbe {
+            base,
+            watched: Mutex::new(Watched {
+                rx,
+                reply: None,
+                handles_after_reply: Vec::new(),
+            }),
+        });
+        let core = SchedulerCore::new(
+            Arc::new(WorkStealingPool::new(2)),
+            BatchPolicy::default(),
+            Arc::clone(&probe) as Arc<dyn Clock>,
+        );
+        execute_batch(&core, vec![first, second]);
+
+        let w = probe.watched.lock();
+        assert_eq!(w.reply.as_ref(), Some(&want));
+        let handles = &w.handles_after_reply;
+        assert!(!handles.is_empty(), "the clock was read after the reply");
+        assert!(
+            handles.iter().all(|&n| n == idle),
+            "a snapshot outlived a reply: {handles:?} handles, {idle} without one"
+        );
     }
 
     /// The backstop for panics that slip past front-door validation: the
@@ -834,10 +964,9 @@ mod tests {
         // The scheduler thread survived, and a well-formed request on the
         // same session serves.
         {
-            let mut s = slot.lock();
             let q = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_q_heads];
             let kv = vec![vec![0.25; model_cfg.head_dim]; model_cfg.n_kv_heads];
-            s.update(&q, &kv, &kv, 0);
+            slot.lock().session.update(&q, &kv, &kv, 0);
         }
         let good = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
         let (p2, rx2) = pending(&slot, good, 0, 1, None);

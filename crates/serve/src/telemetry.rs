@@ -197,9 +197,11 @@ impl StageStats {
 pub struct StageBreakdown {
     /// enqueue → batch assembly (queueing + linger window).
     pub queue: StageStats,
-    /// batch assembly → plans noted (grouping, session locks, optimizer).
+    /// batch assembly → sessions snapshotted (grouping, session locks,
+    /// optimizer, plan log).
     pub plan: StageStats,
-    /// pool execution of the batch's head tasks.
+    /// execution of the batch's snapshots (on the pool, or inline for a
+    /// one-task batch).
     pub exec: StageStats,
     /// enqueue → reply, executed requests only.
     pub total: StageStats,

@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 
 use alaya_chaos::Chaos;
 use alaya_core::{Db, DbConfig};
+use alaya_llm::kv::KvCache;
 use alaya_llm::ModelConfig;
 use alaya_serve::pool::CHAOS_TASK_PANIC;
 use alaya_serve::scheduler::CHAOS_BATCH_DELAY;
@@ -237,7 +238,25 @@ fn injected_panic_freezes_a_flight_recorder_dump() {
     );
     let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
     let kv = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_kv_heads];
-    let (sid, _) = engine.admit(&[2, 4, 6]).unwrap();
+    // A 520-token stored context puts the request past the per-head
+    // fan-out cutoff (512 attended tokens): its heads run as pool tasks,
+    // where the failpoint fires. A short request is one task and runs on
+    // the scheduler thread, out of the failpoint's reach.
+    let ctx: Vec<u32> = (0..520).collect();
+    let mut rng = seeded(0x0B1A);
+    let mut stored = KvCache::new(model_cfg.n_layers, model_cfg.n_kv_heads, model_cfg.head_dim);
+    for _ in &ctx {
+        for layer in 0..model_cfg.n_layers {
+            let [k, v] = [(); 2].map(|_| {
+                (0..model_cfg.n_kv_heads)
+                    .map(|_| gaussian_vec(&mut rng, model_cfg.head_dim, 1.0))
+                    .collect::<Vec<_>>()
+            });
+            stored.push_token(layer, &k, &v);
+        }
+    }
+    db.import(ctx.clone(), stored);
+    let (sid, _) = engine.admit(&[ctx, vec![2]].concat()).unwrap();
     engine.update(sid, &queries, &kv, &kv, 0).unwrap();
 
     // One clean request first, so the ring holds a reply event the dump

@@ -92,13 +92,6 @@ impl Registry {
             .or_insert_with(|| Metric::Gauge(Arc::clone(g)));
     }
 
-    /// Attaches an externally owned histogram under `name`.
-    pub fn register_histogram(&self, name: &str, h: &Arc<Histogram>) {
-        self.lock()
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::clone(h)));
-    }
-
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let m = self.lock();

@@ -115,11 +115,6 @@ impl VecStore {
         &self.data
     }
 
-    /// Consumes the store, returning the flat buffer.
-    pub fn into_flat(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Inner product of `q` against row `i`.
     #[inline]
     pub fn dot_row(&self, q: &[f32], i: usize) -> f32 {

@@ -86,6 +86,13 @@ fn legal_lock_order_is_silent_and_traced() {
         );
     }
 
+    // The session's reservation growth lives under the session lock; it
+    // has no lock of its own.
+    assert!(
+        !sites.iter().any(|s| s == "serve.growth"),
+        "serve.growth registered: {sites:?}"
+    );
+
     let edges = parking_lot::lock_tracing::edges();
     let has = |a: &str, b: &str| edges.iter().any(|(x, y)| x == a && y == b);
     // store_background snapshots under the session lock, then reserves the
@@ -94,11 +101,17 @@ fn legal_lock_order_is_silent_and_traced() {
         has("serve.session", "core.db.contexts"),
         "store snapshot edge missing; edges: {edges:?}"
     );
-    // The scheduler executes batches on the pool while holding session
-    // locks: serve.session → device.pool.queue.
+    // ...and queues the build task on the pool under the same hold (the
+    // store kickoff): serve.session → device.pool.queue.
     assert!(
         has("serve.session", "device.pool.queue"),
-        "batch-execution edge missing; edges: {edges:?}"
+        "store kickoff edge missing; edges: {edges:?}"
+    );
+    // The scheduler releases every session lock before a batch executes:
+    // no pool scope is ever waited on under one.
+    assert!(
+        !has("serve.session", "device.pool.scope_done"),
+        "a session lock was held across pool execution; edges: {edges:?}"
     );
     // The publish task drops the contexts guard before signalling the
     // store state (see the canonical-order notes in `alaya_core::db`):
