@@ -1,119 +1,41 @@
-//! Figure 12: micro-benchmark of filter-based DIPRS for partial context
-//! reuse (§7.1, §9.2.2).
-//!
-//! The reused prefix is fixed while the stored context (= index size)
-//! grows, shrinking the reuse ratio from 100% to 20%. Recall is measured
-//! against the exact filtered DIPR answer; latency is real wall-clock of
-//! the 2-hop filtered search. The naive predicate-pruning baseline is
-//! included to show why the 2-hop expansion exists.
+//! Figure 12: filter-based DIPRS under partial context reuse — recall of
+//! the 2-hop search vs naive pruning, and measured latency (claim and
+//! sweep: `alaya_bench::fig12`). Exits non-zero if the claim fails; the
+//! latencies are printed, never judged.
 //!
 //! Run: `cargo run --release -p alaya-bench --bin fig12_filter_diprs [--full]`
 
-use std::time::Instant;
-
-use alaya_bench::{fmt_secs, print_header, print_row, write_json, Scale};
-use alaya_index::flat::FlatIndex;
-use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
-use alaya_query::diprs::{diprs_filtered, diprs_filtered_naive, DiprsParams};
-use alaya_vector::rng::{gaussian_store, seeded};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct FilterRow {
-    index_size: usize,
-    reuse_ratio_pct: f64,
-    recall: f64,
-    naive_recall: f64,
-    latency_s: f64,
-}
+use alaya_bench::{fig12, finish, fmt_secs, print_header, print_row, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    let prefix = scale.pick(4000usize, 40_000);
-    let ratios = [1.0f64, 0.8, 0.6, 0.4, 0.2];
-    let dim = 32usize;
-    let beta = 2.0 * (dim as f32).sqrt();
-    let n_queries = scale.pick(32usize, 100);
+    let prefix = scale.pick(4000, 40_000);
+    let rows = fig12::measure(prefix, scale.pick(32, 100));
 
     println!("\nFigure 12: filter-based DIPRS — recall and latency (prefix={prefix})\n");
+    let widths = [10, 6, 7, 13, 9];
     let header = ["index size", "reuse", "recall", "naive recall", "latency"];
-    let widths = [10usize, 6, 7, 13, 9];
     print_header(&header, &widths);
-
-    let mut rows = Vec::new();
-    for &ratio in &ratios {
-        let n = (prefix as f64 / ratio).round() as usize;
-        let mut rng = seeded(n as u64 ^ 0xF12);
-        let keys = gaussian_store(&mut rng, n, dim, 1.0);
-        let train = gaussian_store(&mut rng, n / 3, dim, 1.0);
-        let rg = RoarGraph::build(&keys, &train, RoarGraphParams::default());
-        let graph = rg.graph();
-        let queries = gaussian_store(&mut rng, n_queries, dim, 1.0);
-        let params = DiprsParams {
-            beta,
-            l0: 64,
-            max_visits: usize::MAX,
-        };
-        let pred = |id: u32| (id as usize) < prefix;
-
-        let mut recall = 0.0f64;
-        let mut naive_recall = 0.0f64;
-        let mut elapsed = 0.0f64;
-        for qi in 0..n_queries {
-            let q = queries.row(qi);
-            let exact = FlatIndex.search_dipr_filtered(&keys, q, beta, pred);
-            let exact_ids: std::collections::HashSet<usize> = exact.iter().map(|s| s.idx).collect();
-            let denom = exact_ids.len().max(1) as f64;
-
-            let t0 = Instant::now();
-            let got = diprs_filtered(graph, &keys, q, &params, None, pred);
-            elapsed += t0.elapsed().as_secs_f64();
-            recall += got
-                .tokens
-                .iter()
-                .filter(|t| exact_ids.contains(&t.idx))
-                .count() as f64
-                / denom;
-
-            let naive = diprs_filtered_naive(graph, &keys, q, &params, None, pred);
-            naive_recall += naive
-                .tokens
-                .iter()
-                .filter(|t| exact_ids.contains(&t.idx))
-                .count() as f64
-                / denom;
-        }
-        recall /= n_queries as f64;
-        naive_recall /= n_queries as f64;
-        let latency = elapsed / n_queries as f64;
-
+    for r in &rows {
         print_row(
             &[
-                n.to_string(),
-                format!("{:.0}%", ratio * 100.0),
-                format!("{recall:.3}"),
-                format!("{naive_recall:.3}"),
-                fmt_secs(latency),
+                r.index_size.to_string(),
+                format!("{:.0}%", r.reuse_ratio_pct),
+                format!("{:.3}", r.recall),
+                format!("{:.3}", r.naive_recall),
+                fmt_secs(r.latency_s),
             ],
             &widths,
         );
-        rows.push(FilterRow {
-            index_size: n,
-            reuse_ratio_pct: ratio * 100.0,
-            recall,
-            naive_recall,
-            latency_s: latency,
-        });
     }
-
-    let first = &rows[0];
-    let last = rows.last().unwrap();
-    println!(
-        "\nrecall stays high ({:.3} -> {:.3}); latency grows only {} -> {} as the index grows 5x (paper: +1.13ms)",
-        first.recall,
-        last.recall,
-        fmt_secs(first.latency_s),
-        fmt_secs(last.latency_s),
-    );
-    write_json("fig12_filter_diprs", &rows);
+    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
+        println!(
+            "\nlatency {} -> {} ({:.1}x) as the index grows {:.0}x (paper: +1.13ms)",
+            fmt_secs(first.latency_s),
+            fmt_secs(last.latency_s),
+            last.latency_s / first.latency_s.max(1e-12),
+            last.index_size as f64 / first.index_size as f64,
+        );
+    }
+    finish("fig12_filter_diprs", &rows, fig12::check(&rows));
 }

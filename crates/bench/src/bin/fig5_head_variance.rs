@@ -1,100 +1,34 @@
-//! Figure 5: the number of critical tokens varies enormously across heads,
-//! and DIPR's dynamic result size tracks it.
-//!
-//! For five sampled heads per layer (Llama-3-8B-shaped: 32 layers), this
-//! measures (red curve) the tokens needed for a 90% recovery ratio and
-//! (blue curve) the result size of an exact DIPR query with a fixed β —
-//! reproducing the paper's observation that one fixed top-k cannot fit all
-//! heads while one fixed β can.
+//! Figure 5: critical tokens per head — 90 % recovery vs DIPR at one β
+//! (claim and sizes: `alaya_bench::fig5`). Exits non-zero if the claim
+//! fails.
 //!
 //! Run: `cargo run --release -p alaya-bench --bin fig5_head_variance [--full]`
 
-use alaya_bench::{print_header, print_row, write_json, Scale};
-use alaya_index::flat::FlatIndex;
-use alaya_workloads::{head_profile, synth_head, tokens_for_recovery};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct HeadPoint {
-    layer: usize,
-    head: usize,
-    profile_n_critical: usize,
-    recovery90_tokens: usize,
-    dipr_tokens: usize,
-}
+use alaya_bench::{fig5, finish, print_header, print_row, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    let n_layers = 32usize;
-    let heads_per_layer = 5usize;
-    let layer_step = scale.pick(4usize, 1);
-    let ctx = scale.pick(20_000usize, 100_000);
-    let dim = 32usize;
-    let sqrt_d = (dim as f32).sqrt();
-    let scale_attn = 1.0 / sqrt_d;
-    // β chosen once for all heads (the paper uses 110 for head_dim 128,
-    // i.e. ~9.7 logits; our bands span ~4 logits, so 4.5 logits captures
-    // them without swallowing background).
-    let beta_ip = 4.5 * sqrt_d;
+    let ctx = scale.pick(20_000, 100_000);
+    let points = fig5::measure(ctx, scale.pick(4, 1));
 
     println!("\nFigure 5: critical tokens per head — 90% recovery vs DIPR (ctx={ctx})\n");
-    let header = ["layer", "head", "recovery90", "DIPR"];
-    let widths = [6usize, 5, 11, 8];
-    print_header(&header, &widths);
-
-    let mut points = Vec::new();
-    let mut sum_rec = 0f64;
-    let mut sum_dipr = 0f64;
-    for layer in (0..n_layers).step_by(layer_step) {
-        for head in 0..heads_per_layer {
-            let profile = head_profile(layer, n_layers, head, ctx);
-            let (keys, q, _) = synth_head(&profile, ctx, dim, (layer * 100 + head) as u64 ^ 0xF16);
-            let rec = tokens_for_recovery(&keys, &q, scale_attn, 0.90);
-            let dipr = FlatIndex.search_dipr(&keys, &q, beta_ip).len();
-            print_row(
-                &[
-                    layer.to_string(),
-                    head.to_string(),
-                    rec.to_string(),
-                    dipr.to_string(),
-                ],
-                &widths,
-            );
-            sum_rec += rec as f64;
-            sum_dipr += dipr as f64;
-            points.push(HeadPoint {
-                layer,
-                head,
-                profile_n_critical: profile.n_critical,
-                recovery90_tokens: rec,
-                dipr_tokens: dipr,
-            });
-        }
+    let widths = [6, 5, 11, 8];
+    print_header(&["layer", "head", "recovery90", "DIPR"], &widths);
+    for p in &points {
+        print_row(
+            &[p.layer, p.head, p.recovery90_tokens, p.dipr_tokens].map(|v| v.to_string()),
+            &widths,
+        );
     }
-
-    let n = points.len() as f64;
+    let mean = |f: fn(&fig5::HeadPoint) -> usize| {
+        points.iter().map(|p| f(p) as f64).sum::<f64>() / points.len() as f64
+    };
     println!(
-        "\nmean recovery90 = {:.2}   mean DIPR(beta={beta_ip:.0}) = {:.2}",
-        sum_rec / n,
-        sum_dipr / n
+        "\nmean recovery90 = {:.2}   mean DIPR(beta={:.0}) = {:.2}",
+        mean(|p| p.recovery90_tokens),
+        fig5::beta(),
+        mean(|p| p.dipr_tokens)
     );
     println!("(paper annotates 4592.18 vs 4648.99 at beta=110 on the real model)");
-
-    // Spread statistics: the core Observation I.
-    let max = points
-        .iter()
-        .map(|p| p.recovery90_tokens)
-        .max()
-        .unwrap_or(0);
-    let min = points
-        .iter()
-        .map(|p| p.recovery90_tokens)
-        .min()
-        .unwrap_or(0);
-    println!(
-        "spread across heads: min {min}, max {max} ({}x)",
-        max / min.max(1)
-    );
-
-    write_json("fig5_head_variance", &points);
+    finish("fig5_head_variance", &points, fig5::check(&points));
 }

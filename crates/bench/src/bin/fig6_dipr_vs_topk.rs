@@ -1,160 +1,37 @@
-//! Figure 6: accuracy vs number of retrieved critical tokens — DIPR vs
-//! top-k on Passage Retrieval and LCC.
-//!
-//! Sweeps k for top-k and β for DIPR (both with exact flat selection, so
-//! the comparison isolates *query semantics* from index recall — the
-//! paper's framing), and reports accuracy against the mean number of
-//! retrieved tokens. Because the tasks' per-instance criticality varies
-//! (Observation II), DIPR reaches a given accuracy with fewer mean tokens.
+//! Figure 6: accuracy vs retrieved tokens — DIPR vs top-k on Passage
+//! Retrieval and LCC (claim and sweeps: `alaya_bench::fig6`). Exits
+//! non-zero if the claim fails.
 //!
 //! Run: `cargo run --release -p alaya-bench --bin fig6_dipr_vs_topk [--full]`
 
-use alaya_attention::{attend_selected, WindowSpec};
-use alaya_bench::{print_header, print_row, write_json, Scale};
-use alaya_index::flat::FlatIndex;
-use alaya_workloads::{Task, TaskKind};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct SweepPoint {
-    task: String,
-    method: String,
-    param: f32,
-    mean_tokens: f64,
-    accuracy: f64,
-}
+use alaya_bench::{fig6, finish, print_header, print_row, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    let ctx = scale.pick(3000usize, 12_000);
-    let dim = 32usize;
-    let instances = scale.pick(24usize, 80);
-    let sqrt_d = (dim as f32).sqrt();
-    let window = WindowSpec::new(16, 32);
-    let attn_scale = 1.0 / sqrt_d;
+    let points = fig6::measure(scale.pick(3000, 12_000), scale.pick(24, 80));
 
-    let ks = [25usize, 50, 100, 200, 400, 800, 1200];
-    let betas_logit = [1.0f32, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0];
-
-    let mut points = Vec::new();
-    for kind in [TaskKind::PassageRetrieval, TaskKind::Lcc] {
-        let task = Task::new(kind, ctx, dim);
+    let widths = [8, 10, 12, 9];
+    for kind in fig6::TASKS {
         println!(
             "\nFigure 6 ({}): accuracy vs retrieved tokens\n",
             kind.name()
         );
-        let header = ["method", "param", "mean tokens", "accuracy"];
-        let widths = [8usize, 10, 12, 9];
-        print_header(&header, &widths);
-
-        // Top-k sweep.
-        for &k in &ks {
-            let (acc, mean_tokens) = sweep(&task, instances, attn_scale, window, |inst| {
-                FlatIndex
-                    .search_topk(&inst.keys, &inst.query, k)
-                    .into_iter()
-                    .map(|s| s.idx as u32)
-                    .collect()
-            });
+        print_header(&["method", "param", "mean tokens", "accuracy"], &widths);
+        for p in points.iter().filter(|p| p.task == kind.name()) {
+            let (method, param) = match p.method.as_str() {
+                "topk" => ("Top-k", format!("{}", p.param)),
+                _ => ("DIPR", format!("b={:.1}", p.param)),
+            };
             print_row(
                 &[
-                    "Top-k".into(),
-                    k.to_string(),
-                    format!("{mean_tokens:.1}"),
-                    format!("{acc:.1}"),
+                    method.into(),
+                    param,
+                    format!("{:.1}", p.mean_tokens),
+                    format!("{:.1}", p.accuracy),
                 ],
                 &widths,
             );
-            points.push(SweepPoint {
-                task: kind.name().into(),
-                method: "topk".into(),
-                param: k as f32,
-                mean_tokens,
-                accuracy: acc,
-            });
-        }
-
-        // DIPR sweep.
-        for &b in &betas_logit {
-            let beta_ip = b * sqrt_d;
-            let (acc, mean_tokens) = sweep(&task, instances, attn_scale, window, |inst| {
-                FlatIndex
-                    .search_dipr(&inst.keys, &inst.query, beta_ip)
-                    .into_iter()
-                    .map(|s| s.idx as u32)
-                    .collect()
-            });
-            print_row(
-                &[
-                    "DIPR".into(),
-                    format!("b={b:.1}"),
-                    format!("{mean_tokens:.1}"),
-                    format!("{acc:.1}"),
-                ],
-                &widths,
-            );
-            points.push(SweepPoint {
-                task: kind.name().into(),
-                method: "dipr".into(),
-                param: b,
-                mean_tokens,
-                accuracy: acc,
-            });
         }
     }
-
-    // Headline check: DIPR reaches the accuracy ceiling with fewer mean
-    // retrieved tokens (the paper's Figure 6 claim).
-    summarize(&points, "Passage R.");
-    summarize(&points, "LCC");
-    write_json("fig6_dipr_vs_topk", &points);
-}
-
-fn summarize(points: &[SweepPoint], task: &str) {
-    let ceiling = points
-        .iter()
-        .filter(|p| p.task == task)
-        .map(|p| p.accuracy)
-        .fold(0.0f64, f64::max);
-    for method in ["topk", "dipr"] {
-        let cheapest = points
-            .iter()
-            .filter(|p| p.task == task && p.method == method && p.accuracy >= ceiling - 1e-9)
-            .map(|p| p.mean_tokens)
-            .fold(f64::INFINITY, f64::min);
-        println!(
-            "{task}: tokens to reach ceiling accuracy ({ceiling:.1}) with {method}: {cheapest:.0}"
-        );
-    }
-}
-
-fn sweep(
-    task: &Task,
-    instances: usize,
-    attn_scale: f32,
-    window: WindowSpec,
-    select: impl Fn(&alaya_workloads::TaskInstance) -> Vec<u32>,
-) -> (f64, f64) {
-    let mut correct = 0usize;
-    let mut tokens = 0usize;
-    for i in 0..instances {
-        let inst = task.instance(i as u64, 0xF166);
-        let retrieved = select(&inst);
-        tokens += retrieved.len();
-        let out = attend_selected(
-            &inst.query,
-            &inst.keys,
-            &inst.values,
-            attn_scale,
-            window,
-            &retrieved,
-        );
-        if inst.is_correct(&out.out) {
-            correct += 1;
-        }
-    }
-    (
-        100.0 * correct as f64 / instances as f64,
-        tokens as f64 / instances as f64,
-    )
+    finish("fig6_dipr_vs_topk", &points, fig6::check(&points));
 }

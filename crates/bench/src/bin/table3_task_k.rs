@@ -1,113 +1,31 @@
-//! Table 3: the number k of required tokens differs per task.
-//!
-//! For each LongBench-analogue task, finds the smallest top-k budget whose
-//! accuracy matches full attention — reproducing Observation II: the
-//! required k spans an order of magnitude across tasks (20 … 350 in the
-//! paper), so no single static k fits every workload.
+//! Table 3: the number k of required tokens per task (claim, precondition
+//! and sweep: `alaya_bench::table3`). Exits non-zero if the claim or its
+//! precondition fails.
 //!
 //! Run: `cargo run --release -p alaya-bench --bin table3_task_k [--full]`
 
-use alaya_attention::{attend_all, attend_selected, WindowSpec};
-use alaya_bench::{print_header, print_row, write_json, Scale};
-use alaya_index::flat::FlatIndex;
-use alaya_workloads::{Task, TaskKind};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct TaskRow {
-    task: String,
-    required_k: usize,
-    proportion_pct: f64,
-    full_attention_accuracy: f64,
-    reference_m: usize,
-}
+use alaya_bench::{finish, print_header, print_row, table3, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    let ctx = scale.pick(4000usize, 16_000);
-    let dim = 32usize;
-    let instances = scale.pick(16usize, 48);
-    let attn_scale = 1.0 / (dim as f32).sqrt();
-    let window = WindowSpec::new(16, 32);
-
-    let sweep_ks = [
-        10usize, 20, 35, 50, 65, 100, 150, 200, 250, 350, 500, 700, 1000, 1500, 2200,
-    ];
+    let (ctx, instances) = (scale.pick(4000, 16_000), scale.pick(16, 48));
+    let rows = table3::measure(ctx, instances);
 
     println!("\nTable 3: required k per task (ctx={ctx}, {instances} instances)\n");
-    let header = ["Task", "k", "proportion", "full-attn acc", "paper k"];
-    let widths = [12usize, 6, 11, 14, 8];
+    let widths = [12, 6, 11, 14, 8];
+    let header = ["Task", "k", "proportion", "full-attn ok", "paper k"];
     print_header(&header, &widths);
-
-    let mut rows = Vec::new();
-    for kind in TaskKind::longbench() {
-        let task = Task::new(kind, ctx, dim);
-
-        // Full-attention reference accuracy.
-        let mut full_correct = 0usize;
-        for i in 0..instances {
-            let inst = task.instance(i as u64, 0x7AB3);
-            let out = attend_all(&inst.query, &inst.keys, &inst.values, attn_scale);
-            if inst.is_correct(&out.out) {
-                full_correct += 1;
-            }
-        }
-        let full_acc = 100.0 * full_correct as f64 / instances as f64;
-
-        // Smallest k matching it (tolerating one instance of slack).
-        let mut required = *sweep_ks.last().unwrap();
-        for &k in &sweep_ks {
-            let mut correct = 0usize;
-            for i in 0..instances {
-                let inst = task.instance(i as u64, 0x7AB3);
-                let retrieved: Vec<u32> = FlatIndex
-                    .search_topk(&inst.keys, &inst.query, k)
-                    .into_iter()
-                    .map(|s| s.idx as u32)
-                    .collect();
-                let out = attend_selected(
-                    &inst.query,
-                    &inst.keys,
-                    &inst.values,
-                    attn_scale,
-                    window,
-                    &retrieved,
-                );
-                if inst.is_correct(&out.out) {
-                    correct += 1;
-                }
-            }
-            if correct + 1 >= full_correct {
-                required = k;
-                break;
-            }
-        }
-
-        let proportion = 100.0 * required as f64 / ctx as f64;
+    for r in &rows {
         print_row(
             &[
-                kind.name().to_string(),
-                required.to_string(),
-                format!("{proportion:.2}%"),
-                format!("{full_acc:.1}"),
-                task.reference_m().to_string(),
+                r.task.clone(),
+                r.required_k.to_string(),
+                format!("{:.2}%", r.proportion_pct),
+                format!("{}/{}", r.full_attention_correct, r.instances),
+                r.reference_m.to_string(),
             ],
             &widths,
         );
-        rows.push(TaskRow {
-            task: kind.name().into(),
-            required_k: required,
-            proportion_pct: proportion,
-            full_attention_accuracy: full_acc,
-            reference_m: task.reference_m(),
-        });
     }
-
-    let min = rows.iter().map(|r| r.required_k).min().unwrap_or(0);
-    let max = rows.iter().map(|r| r.required_k).max().unwrap_or(0);
-    println!(
-        "\nrequired k spans {min}..{max} ({}x) — no single static k fits (Observation II)",
-        max / min.max(1)
-    );
-    write_json("table3_task_k", &rows);
+    finish("table3_task_k", &rows, table3::check(&rows));
 }

@@ -1,24 +1,40 @@
-//! Shared harness for the paper-reproduction experiment binaries.
+//! Paper claims as measurements plus predicates, and the shared harness of
+//! the reproduction binaries.
 //!
-//! Every table and figure in the paper's evaluation (§9) has one binary in
-//! `src/bin/` that regenerates it (PAPER.md, "Evaluation shape reproduced
-//! here"). The
-//! helpers here cover what all of them need: scaled experiment sizing
-//! (laptop-scale by default, `--full` for paper-scale), result tables on
-//! stdout, JSON dumps under `results/`, and the latency model that
-//! converts *measured* CPU-side costs plus *modeled* GPU-side costs into
-//! paper-scale TPOT estimates (each binary's header documents its own
-//! modeling split).
+//! Each claim of the paper's evaluation (§9) that this repository can
+//! measure has one module here: a `measure` function that runs the
+//! experiment at the sizes it is given and returns its rows, and a `check`
+//! predicate that reads only deterministic outputs of those rows (counts,
+//! recall, accuracy, bytes — never wall-clock time) and returns the
+//! headline as measured, or why the claim does not hold. Those functions
+//! are the only implementation: `tests/paper_claims.rs` runs every one at
+//! small sizes, and each binary in `src/bin/` is a printer over the same
+//! pair at quick (default) or paper (`--full`) scale that exits non-zero
+//! when its predicate fails. PAPER.md, "Evaluation shape reproduced here",
+//! maps each claim to its predicate, test and binary.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use alaya_device::cost::CostModel;
+use alaya_attention::{attend_selected, WindowSpec};
+use alaya_vector::topk::ScoredIdx;
+use alaya_workloads::TaskInstance;
 use serde::Serialize;
 
-pub mod latency;
+pub mod fig11;
+pub mod fig12;
+pub mod fig5;
+pub mod fig6;
+pub mod fig9;
+pub mod table3;
+pub mod table5;
 
-pub use latency::{modeled_tpot, TpotInputs};
+/// Head dimension of every synthetic workload the claims run on.
+const DIM: usize = 32;
+
+/// What a claim's predicate returns: the headline as measured, or the
+/// reason the claim does not hold.
+pub type Verdict = Result<String, String>;
 
 /// Experiment scale: every binary supports a reduced default (minutes on a
 /// laptop) and `--full` (closer to paper scale; hours).
@@ -49,9 +65,22 @@ impl Scale {
     }
 }
 
-/// The paper's hardware/model cost model (L20 + Llama-3-8B-262k).
-pub fn paper_cost_model() -> CostModel {
-    CostModel::paper_rig()
+/// Smallest and largest of `values`, or `None` if there are none.
+fn min_max(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
+    values.into_iter().fold(None, |acc, v| match acc {
+        None => Some((v, v)),
+        Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
+    })
+}
+
+/// Whether attention over a 16 + 32-token window plus `selected` answers
+/// `inst`: the probe Figure 6 and Table 3 score a selection rule with.
+fn answers(inst: &TaskInstance, selected: &[ScoredIdx]) -> bool {
+    let ids: Vec<u32> = selected.iter().map(|s| s.idx as u32).collect();
+    let scale = 1.0 / (inst.keys.dim() as f32).sqrt();
+    let window = WindowSpec::new(16, 32);
+    let out = attend_selected(&inst.query, &inst.keys, &inst.values, scale, window, &ids);
+    inst.is_correct(&out.out)
 }
 
 /// Prints a fixed-width table row.
@@ -73,9 +102,22 @@ pub fn print_header(cells: &[&str], widths: &[usize]) {
     println!("{}", "-".repeat(total));
 }
 
+/// Ends a reproduction binary: writes `rows` to `results/<experiment>.json`,
+/// prints the verdict, and exits with status 1 if the claim failed.
+pub fn finish<T: Serialize + ?Sized>(experiment: &str, rows: &T, verdict: Verdict) {
+    write_json(experiment, rows);
+    match verdict {
+        Ok(headline) => println!("\nclaim holds: {headline}"),
+        Err(why) => {
+            println!("\nCLAIM FAILED: {why}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Writes an experiment's JSON record into `results/` at the workspace
 /// root.
-pub fn write_json<T: Serialize>(experiment: &str, value: &T) {
+fn write_json<T: Serialize + ?Sized>(experiment: &str, value: &T) {
     let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return;
@@ -92,7 +134,7 @@ pub fn write_json<T: Serialize>(experiment: &str, value: &T) {
 }
 
 /// `results/` directory at the workspace root (falls back to CWD).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
     let base = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)

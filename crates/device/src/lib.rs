@@ -1,35 +1,26 @@
-//! Simulated heterogeneous device substrate for AlayaDB.
+//! Device substrate for AlayaDB: GPU-memory accounting, the CPU pool and
+//! clocks.
 //!
-//! The paper evaluates AlayaDB on an NVIDIA L20 GPU + dual-Xeon server. This
-//! repository has neither, so the GPU is *modeled*: [`DeviceSpec`] carries
-//! published throughput/bandwidth constants, [`MemoryTracker`] does exact
-//! budget accounting (used for every "GPU memory consumption" figure), and
-//! [`CostModel`] converts workload shapes (attention FLOPs, KV-cache bytes,
-//! PCIe transfers) into simulated latencies for the experiments whose shape
-//! depends on GPU-side costs (TTFT, prefill). Everything that genuinely runs
-//! on the CPU (index search, DIPRS, buffer manager) is measured for real
-//! (PAPER.md, "Evaluation shape reproduced here"; each reproduction binary's
-//! header says which of its columns are modeled).
+//! The paper evaluates AlayaDB on an NVIDIA L20 GPU + dual-Xeon server.
+//! This repository has no GPU, so the GPU appears only as a memory budget:
+//! [`MemoryTracker`] does exact budget accounting (what the optimizer's
+//! Figure 8 memory rule and the serving layer's admission control probe),
+//! and [`ModelShape`] gives the paper model's per-token KV and weight bytes
+//! for paper-scale memory figures. Nothing here models device *time*:
+//! every latency this repository reports is measured on the CPU it runs on
+//! (PAPER.md, "Evaluation shape reproduced here").
 //!
 //! The [`pool`] module is the CPU execution substrate: a hand-rolled
 //! work-stealing thread pool with scoped execution that index construction,
-//! per-head attention and the `alaya-serve` scheduler all share.
-//!
-//! The [`slo`] module implements the paper's Service Level Objectives:
-//! Time-To-First-Token for the prefill phase and Time-Per-Output-Token for
-//! the decode phase (§2), with the 0.24 s/token human-reading-speed default
-//! used in §9.
+//! per-head attention and the `alaya-serve` scheduler all share. The
+//! [`clock`] module is the injectable time source the scheduler reads.
 
 pub mod clock;
-pub mod cost;
 pub mod memory;
 pub mod pool;
-pub mod slo;
-pub mod spec;
+pub mod shape;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use cost::{CostModel, ModelShape};
 pub use memory::{MemoryGuard, MemoryTracker, OutOfMemory};
 pub use pool::{PoolStats, WorkStealingPool};
-pub use slo::{Slo, SloReport};
-pub use spec::{DeviceKind, DeviceSpec, LinkSpec};
+pub use shape::ModelShape;

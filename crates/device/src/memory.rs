@@ -1,12 +1,12 @@
 //! Exact device-memory budget accounting.
 //!
-//! Every "GPU memory consumption" number in the paper's figures (Fig. 9,
-//! Fig. 11b, Table 1's qualitative column) is reproduced here by *accounting*
-//! rather than sampling: components register their allocations against a
-//! [`MemoryTracker`] with a fixed budget, and the tracker records current and
-//! peak usage and rejects allocations that would exceed the budget — which is
-//! exactly how the query optimizer's "GPU memory budget" rule (Fig. 8)
-//! decides between the coarse-index plan and the DIPR plans.
+//! There is no GPU here, so GPU memory is *accounted* rather than sampled:
+//! components register their allocations against a [`MemoryTracker`] with a
+//! fixed budget, and the tracker records current and peak usage and rejects
+//! allocations that would exceed the budget — which is exactly how the query
+//! optimizer's "GPU memory budget" rule (Fig. 8) decides between the
+//! coarse-index plan and the DIPR plans, and how the serving layer's
+//! admission control reserves a session's worst-case bytes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

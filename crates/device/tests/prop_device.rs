@@ -1,6 +1,5 @@
-//! Property tests for memory-budget accounting and the cost model.
+//! Property tests for memory-budget accounting.
 
-use alaya_device::cost::CostModel;
 use alaya_device::memory::MemoryTracker;
 use proptest::prelude::*;
 
@@ -43,21 +42,6 @@ proptest! {
         if g.is_ok() {
             let fits2 = t.would_fit(second);
             prop_assert_eq!(fits2, t.alloc(second).is_ok());
-        }
-    }
-
-    /// Cost-model monotonicity: longer contexts never get cheaper, and the
-    /// prefill grows superlinearly (the O(n²) attention term).
-    #[test]
-    fn cost_model_monotone(a in 1_000usize..100_000, b in 1_000usize..100_000) {
-        let m = CostModel::paper_rig();
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(m.prefill_time(lo) <= m.prefill_time(hi));
-        prop_assert!(m.decode_step_time(lo) <= m.decode_step_time(hi));
-        prop_assert!(m.kv_load_time(lo) <= m.kv_load_time(hi));
-        if hi >= 2 * lo {
-            // Superlinear prefill: doubling tokens more than doubles time.
-            prop_assert!(m.prefill_time(2 * lo) > 2.0 * m.prefill_time(lo) * 0.99);
         }
     }
 }

@@ -7,9 +7,8 @@
 //! GPU, the same *structural* optimization is reproduced with data-parallel
 //! execution across CPU cores ([`exact_knn`] fans query tiles out over the
 //! shared [`alaya_device::pool`] work-stealing pool, so index builds and the
-//! serving scheduler never oversubscribe the machine): the speedup curve of
-//! Figure 11a comes from the serial/parallel ratio, and the per-layer
-//! pipelining is modeled by the harness.
+//! serving scheduler never oversubscribe the machine). Figure 11's GPU
+//! speedup is not reproduced; its sharing half is (`alaya_bench::fig11`).
 //!
 //! # Tiling and selection
 //!
