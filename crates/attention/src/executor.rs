@@ -114,8 +114,10 @@ pub fn attend(
     attend_sparse(q, view, scale, window, |keys, seed| {
         match (query, index, view.graph, view.coarse) {
             (QueryType::TopK { k }, IndexChoice::Coarse, _, Some(coarse)) => {
-                let blocks = k.div_ceil(coarse.block_size()).max(1);
-                let mut tokens = coarse.select_tokens(q, blocks);
+                // Only blocks starting inside the filter's prefix compete,
+                // so a short prefix still retrieves up to `k` tokens.
+                let blocks = coarse_blocks(k, coarse);
+                let mut tokens = coarse.select_tokens_below(q, blocks, filter.prefix_len);
                 tokens.retain(|&t| pred(t));
                 tokens
             }
@@ -136,6 +138,33 @@ pub fn attend(
             }
         }
     })
+}
+
+/// Rows [`attend`] reads for one head under `plan`: the work a caller
+/// weighs before giving the head a thread of its own. TopK on Coarse reads
+/// one summary per block, its retrieved blocks and both windows; every
+/// other plan is counted at the whole sequence it may scan.
+pub fn rows_read(view: &HeadView, window: WindowSpec, plan: &Plan) -> usize {
+    let n = view.n_stored + view.n_local();
+    match (plan, view.coarse) {
+        (
+            Plan::Sparse {
+                query: QueryType::TopK { k },
+                index: IndexChoice::Coarse,
+                ..
+            },
+            Some(coarse),
+        ) => {
+            let retrieved = coarse_blocks(*k, coarse) * coarse.block_size();
+            coarse.n_blocks() + retrieved + window.len(n) + view.n_local()
+        }
+        _ => n,
+    }
+}
+
+/// Blocks a TopK-on-Coarse plan retrieves to cover `k` tokens.
+fn coarse_blocks(k: usize, coarse: &CoarseIndex) -> usize {
+    k.div_ceil(coarse.block_size()).max(1)
 }
 
 /// Sparse attention over caller-selected tokens: `window` plus the

@@ -31,5 +31,5 @@ pub use context::HeadContext;
 pub use engines::{
     DiprsAttention, FullAttention, InfLlm, SparseAttention, StreamingLlm, TopKRetrieval,
 };
-pub use executor::{attend, attend_all, attend_selected, AttendOutput, HeadView};
+pub use executor::{attend, attend_all, attend_selected, rows_read, AttendOutput, HeadView};
 pub use window::WindowSpec;

@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use alaya_index::coarse::{BlockScoring, CoarseIndex};
 use alaya_index::knn::exact_knn;
 use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
 use alaya_query::diprs::{diprs, DiprsParams};
@@ -237,6 +238,34 @@ fn bench_knn(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_coarse(c: &mut Criterion) {
+    // The optimizer's rich-GPU plan (TopK on Coarse) as `long_coarse` serves
+    // it: one head of 2048 keys, d = 32, blocks of 32 under Quest min/max
+    // bounds, k = 128 tokens (4 blocks). `select_blocks` is the bound scan
+    // plus top-k, `select_tokens` adds the emitted token ids. Calls rotate
+    // through 64 queries, as in `traversal`.
+    let mut group = c.benchmark_group("coarse");
+    let (n, dim, block_size, k) = (2048usize, 32usize, 32usize, 128usize);
+    let mut rng = seeded(10);
+    let keys = gaussian_store(&mut rng, n, dim, 1.0);
+    let queries = gaussian_store(&mut rng, 64, dim, 1.0);
+    let index = CoarseIndex::build(&keys, block_size, BlockScoring::MinMaxBounds);
+    let blocks = k.div_ceil(block_size);
+    let mut turn = 0usize;
+    let mut next_query = || {
+        turn += 1;
+        queries.row(turn % queries.len())
+    };
+    let shape = format!("{dim}x{n}");
+    group.bench_function(BenchmarkId::new("select_blocks", &shape), |bench| {
+        bench.iter(|| index.select_blocks(black_box(next_query()), blocks))
+    });
+    group.bench_function(BenchmarkId::new("select_tokens", &shape), |bench| {
+        bench.iter(|| index.select_tokens(black_box(next_query()), blocks))
+    });
+    group.finish();
+}
+
 fn bench_scan_scoring(c: &mut Criterion) {
     // A flat-index pass over one head's keys: the unit of work behind the
     // optimizer's "Flat" choice.
@@ -301,6 +330,6 @@ fn bench_online_softmax_merge(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
+    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_coarse, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
 }
 criterion_main!(benches);

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use alaya_attention::{attend, HeadView, WindowSpec};
+use alaya_attention::{attend, rows_read, HeadView, WindowSpec};
 use alaya_device::pool::{self, WorkStealingPool};
 use alaya_llm::backend::{AttentionBackend, StepInput};
 use alaya_llm::kv::KvCache;
@@ -65,20 +65,25 @@ impl SessionView {
         self.reused_len + self.local.seq_len(layer)
     }
 
-    /// One query head's attention under `plan`: the shared executor over a
-    /// borrowed view of the reused stored prefix and the local window.
-    fn attend_query_head(&self, q: &[f32], qh: usize, layer: usize, plan: &Plan) -> Vec<f32> {
-        let kv_head = qh / self.gqa_group;
+    /// A borrowed view of `(layer, kv_head)`: the reused stored prefix, the
+    /// local window and the stored context's indexes.
+    fn head_view(&self, layer: usize, kv_head: usize) -> HeadView<'_> {
         let base = self.base.as_deref();
         let stored = base.map(|b| b.kv.head(layer, kv_head));
         let local = self.local.head(layer, kv_head);
-        let view = HeadView {
+        HeadView {
             stored: stored.map(|kv| (&kv.keys, &kv.values)),
             n_stored: self.reused_len,
             local: Some((&local.keys, &local.values)),
             graph: base.and_then(|b| b.graph(layer, kv_head)),
             coarse: base.map(|b| b.coarse(layer, kv_head)),
-        };
+        }
+    }
+
+    /// One query head's attention under `plan`: the shared executor over
+    /// its head's view.
+    fn attend_query_head(&self, q: &[f32], qh: usize, layer: usize, plan: &Plan) -> Vec<f32> {
+        let view = self.head_view(layer, qh / self.gqa_group);
         // Graph-search list size: a 2k beam for top-k, the configured DIPRS
         // capacity threshold otherwise.
         let l0 = match plan {
@@ -114,19 +119,31 @@ pub struct AttentionJob<'a> {
     pub plan: &'a Plan,
 }
 
-/// Below this many attended tokens, a per-head task is microseconds of
-/// work and pool dispatch costs more than it saves.
-const PARALLEL_MIN_TOKENS: usize = 512;
+/// Rows ([`rows_read`]) a head must read before it gets its own pool task.
+/// Below it a head is a few microseconds of work, and dispatch costs more
+/// than it saves. A TopK-on-Coarse head of perfbench's `long_coarse` reads
+/// ~300 rows in ~4 µs. On a 2-vCPU host already busy with two clients,
+/// running its 8 heads as one task instead of 8 (with the coarse index's
+/// table scan) took `serve.exec_us_p50` from 88 to 46 µs. A DIPR head over
+/// the same 2048 tokens costs 17–20 µs and still splits.
+const PARALLEL_MIN_ROWS: usize = 512;
 
 /// Runs `jobs` on `pool` and returns each job's per-head outputs, in job
-/// and head order. A job below `PARALLEL_MIN_TOKENS` attended tokens is one
-/// task; a longer one is one task per head. A batch that comes to a single
+/// and head order. A job whose plan reads fewer than `PARALLEL_MIN_ROWS`
+/// rows per head is one task, and a larger one is one task per head. Rows
+/// are the executor's [`rows_read`], not the context length: a TopK-on-
+/// Coarse head reads its block summaries, retrieved blocks and windows,
+/// and any other plan its whole sequence. A batch that comes to a single
 /// task runs on the calling thread. Every head is one independent
 /// [`attend`] call writing its own slot, so the outputs are bitwise those
 /// of [`Session::attention_sequential`] for any worker count or steal
 /// order.
 pub fn execute(pool: &WorkStealingPool, jobs: &[AttentionJob<'_>]) -> Vec<Vec<Vec<f32>>> {
-    let per_head = |job: &AttentionJob<'_>| job.view.seq_len(job.layer) >= PARALLEL_MIN_TOKENS;
+    // Heads of one job share a plan and a sequence, so the first one's
+    // rows stand for all of them.
+    let per_head = |job: &AttentionJob<'_>| {
+        rows_read(&job.view.head_view(job.layer, 0), job.view.window, job.plan) >= PARALLEL_MIN_ROWS
+    };
     let tasks: usize = jobs
         .iter()
         .map(|job| if per_head(job) { job.queries.len() } else { 1 })
@@ -393,7 +410,12 @@ impl AttentionBackend for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alaya_device::memory::MemoryTracker;
     use alaya_llm::ModelConfig;
+    use alaya_telemetry::Registry;
+    use alaya_vector::rng::{gaussian_vec, seeded};
+
+    use crate::Db;
 
     /// `update` copies the local window only while a snapshot is alive,
     /// and the snapshot keeps seeing what it was taken over.
@@ -426,5 +448,92 @@ mod tests {
         assert_eq!(snapshot.seq_len(0), 2);
         assert_eq!(session.seq_len(0), 3);
         assert_eq!(Arc::strong_count(session.local_kv()), 1);
+    }
+
+    /// Fan-out follows the rows a plan reads, not the context length. Over
+    /// a 520-token stored context, a TopK-on-Coarse job reads ~70 rows per
+    /// head and runs as one task, while a DIPR job may scan all 521 and runs
+    /// one task per head. Either way the outputs are the sequential
+    /// oracle's, bit for bit.
+    #[test]
+    fn fan_out_counts_the_rows_a_plan_reads() {
+        let model = ModelConfig::tiny();
+        let mut rng = seeded(0xFA17);
+        let mut heads = |n: usize| -> Vec<Vec<f32>> {
+            (0..n)
+                .map(|_| gaussian_vec(&mut rng, model.head_dim, 1.0))
+                .collect()
+        };
+        let mut kv = KvCache::new(model.n_layers, model.n_kv_heads, model.head_dim);
+        for _ in 0..520 {
+            for layer in 0..model.n_layers {
+                kv.push_token(layer, &heads(model.n_kv_heads), &heads(model.n_kv_heads));
+            }
+        }
+        let tokens: Vec<u32> = (0..520).collect();
+        let prompt: Vec<u32> = tokens.iter().copied().chain([7]).collect();
+        let layer = model.n_layers - 1;
+        let step = (
+            heads(model.n_q_heads),
+            heads(model.n_kv_heads),
+            heads(model.n_kv_heads),
+        );
+        let queries = heads(model.n_q_heads);
+
+        // An unbounded GPU budget plans TopK on Coarse, a 1-byte one DIPR.
+        let sessions: Vec<(Db, Session)> = [u64::MAX, 1]
+            .map(|budget| {
+                let db = Db::new(DbConfig {
+                    gpu: MemoryTracker::new(budget),
+                    ..DbConfig::for_tests(model.clone())
+                });
+                db.import(tokens.clone(), kv.clone());
+                let (mut session, _) = db.create_session(&prompt);
+                session.update(&step.0, &step.1, &step.2, layer);
+                (db, session)
+            })
+            .into();
+        let plans: Vec<Plan> = sessions.iter().map(|(_, s)| s.plan(layer)).collect();
+        assert_eq!(plans[0].explain(), "TopK(k=8) on Coarse");
+        assert_eq!(plans[1].explain(), "DIPR(beta=4) on Fine");
+        let views: Vec<SessionView> = sessions.iter().map(|(_, s)| s.snapshot()).collect();
+        assert!(views.iter().all(|v| v.seq_len(layer) >= PARALLEL_MIN_ROWS));
+        let jobs: Vec<AttentionJob> = views
+            .iter()
+            .zip(&plans)
+            .map(|(view, plan)| AttentionJob {
+                view,
+                queries: &queries,
+                layer,
+                plan,
+            })
+            .collect();
+        let want: Vec<Vec<Vec<f32>>> = sessions
+            .into_iter()
+            .map(|(_, mut s)| s.attention_sequential(&queries, layer))
+            .collect();
+
+        let heads = model.n_q_heads as u64;
+        // Coarse alone is one task, which runs on the calling thread; DIPR
+        // alone is one task per head; together, one plus one per head.
+        for (batch, tasks) in [(0..1, 0), (1..2, heads), (0..2, 1 + heads)] {
+            // A task is counted just after it signals its scope, so the
+            // count is read once dropping the pool has joined its workers.
+            let pool = WorkStealingPool::new(2);
+            let registry = Registry::new();
+            pool.stats().register_into(&registry);
+            let executed = registry.counter("device.pool.tasks_executed");
+            let got = execute(&pool, &jobs[batch.clone()]);
+            drop(pool);
+            assert_eq!(executed.get(), tasks, "jobs {batch:?}");
+            let bits = |out: &[Vec<Vec<f32>>]| -> Vec<u32> {
+                out.iter()
+                    .flatten()
+                    .flatten()
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want[batch.clone()]), "jobs {batch:?}");
+        }
     }
 }

@@ -8,11 +8,22 @@
 //!   represented by `r` concrete key vectors; the block score is the highest
 //!   inner product among them. (InfLLM picks representatives by local
 //!   attention mass; without build-time queries we select the highest-norm
-//!   keys, which are the IP-dominant ones.)
+//!   keys, which are the IP-dominant ones.) `DbConfig::paper_defaults`
+//!   serves `Representatives { reps: 4 }`.
 //! * [`BlockScoring::MinMaxBounds`] — Quest-style: per-dimension min/max
 //!   envelopes give an upper bound on any key's inner product with the
 //!   query; no key can beat the bound, so top-scoring blocks are a superset
-//!   guarantee.
+//!   guarantee. `DbConfig::for_tests` serves it, and so does the repo
+//!   benchmark, which inherits that configuration.
+//!
+//! The bounds live in one **block-transposed table**: blocks are taken in
+//! groups of [`BOUND_LANES`], and a group stores, for each dimension in
+//! order, its `BOUND_LANES` minima followed by its `BOUND_LANES` maxima (the
+//! last group is padded with zeros). [`CoarseIndex::select_blocks`] scores a
+//! whole group per vector step, one block per lane; each lane accumulates
+//! exactly [`CoarseIndex::block_score`]'s left-to-right sum from the same
+//! start value, so the two agree bit for bit. Blocks starting below a
+//! prefix are a prefix of the table, which is what filtered retrieval ranks.
 //!
 //! Coarse indexes answer in microseconds but require the blocks (full KV)
 //! to stay in fast memory — the GPU-budget trade-off the query optimizer
@@ -20,6 +31,11 @@
 
 use alaya_vector::topk::{top_k_indices, ScoredIdx};
 use alaya_vector::VecStore;
+
+/// Blocks per group of the bound table: [`CoarseIndex::select_blocks`]
+/// scores this many blocks per vector step (the `coarse` group of the
+/// `kernels` bench picked it).
+pub const BOUND_LANES: usize = 16;
 
 /// Block summary/scoring scheme.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,10 +58,9 @@ pub struct CoarseIndex {
     /// Representatives: `reps_per_block` rows per block (Representatives mode).
     reps: VecStore,
     reps_per_block: usize,
-    /// Per-dim minima, one row per block (MinMaxBounds mode).
-    mins: VecStore,
-    /// Per-dim maxima, one row per block (MinMaxBounds mode).
-    maxs: VecStore,
+    /// The block-transposed bound table of the module docs (MinMaxBounds
+    /// mode): `2 * BOUND_LANES * dim` values per group.
+    bounds: Vec<f32>,
 }
 
 impl CoarseIndex {
@@ -61,8 +76,7 @@ impl CoarseIndex {
         let n_blocks = n_tokens.div_ceil(block_size);
 
         let mut reps = VecStore::new(dim);
-        let mut mins = VecStore::new(dim);
-        let mut maxs = VecStore::new(dim);
+        let mut bounds = Vec::new();
         let mut reps_per_block = 0;
 
         match scoring {
@@ -89,6 +103,7 @@ impl CoarseIndex {
                 }
             }
             BlockScoring::MinMaxBounds => {
+                bounds = vec![0.0f32; n_blocks.div_ceil(BOUND_LANES) * group_len(dim)];
                 for b in 0..n_blocks {
                     let start = b * block_size;
                     let end = (start + block_size).min(n_tokens);
@@ -100,8 +115,12 @@ impl CoarseIndex {
                             hi[d] = hi[d].max(v);
                         }
                     }
-                    mins.push(&lo);
-                    maxs.push(&hi);
+                    let (group, lane) = (b / BOUND_LANES, b % BOUND_LANES);
+                    let cells = &mut bounds[group * group_len(dim)..][..group_len(dim)];
+                    for ((cell, l), h) in cells.chunks_exact_mut(2 * BOUND_LANES).zip(lo).zip(hi) {
+                        cell[lane] = l;
+                        cell[BOUND_LANES + lane] = h;
+                    }
                 }
             }
         }
@@ -113,8 +132,7 @@ impl CoarseIndex {
             scoring,
             reps,
             reps_per_block,
-            mins,
-            maxs,
+            bounds,
         }
     }
 
@@ -145,11 +163,12 @@ impl CoarseIndex {
             }
             BlockScoring::MinMaxBounds => {
                 // max over the box: pick per-dim whichever corner maximizes.
-                let lo = self.mins.row(block);
-                let hi = self.maxs.row(block);
-                q.iter()
-                    .zip(lo.iter().zip(hi))
-                    .map(|(&qd, (&l, &h))| (qd * l).max(qd * h))
+                let (group, lane) = (block / BOUND_LANES, block % BOUND_LANES);
+                let len = group_len(self.dim);
+                self.bounds[group * len..][..len]
+                    .chunks_exact(2 * BOUND_LANES)
+                    .zip(q)
+                    .map(|(cell, &qd)| (qd * cell[lane]).max(qd * cell[BOUND_LANES + lane]))
                     .sum()
             }
         }
@@ -157,24 +176,12 @@ impl CoarseIndex {
 
     /// The `n_blocks` highest-scoring blocks, best first.
     ///
-    /// Representatives are scored in one block-kernel call over the whole
-    /// summary matrix and maxed per block — bitwise the per-block
-    /// [`CoarseIndex::block_score`].
+    /// Bitwise the top `n_blocks` of the per-block
+    /// [`CoarseIndex::block_score`]s: representatives are scored in one
+    /// block-kernel call over the summary matrix and maxed per block, bounds
+    /// a table group per vector step (module docs).
     pub fn select_blocks(&self, q: &[f32], n_blocks: usize) -> Vec<ScoredIdx> {
-        let block_scores: Vec<f32> = match self.scoring {
-            BlockScoring::Representatives { .. } => {
-                let mut scores = vec![0.0f32; self.reps.len()];
-                self.reps.dot_rows(q, &mut scores);
-                scores
-                    .chunks_exact(self.reps_per_block)
-                    .map(|b| b.iter().copied().fold(f32::NEG_INFINITY, f32::max))
-                    .collect()
-            }
-            BlockScoring::MinMaxBounds => (0..self.n_blocks())
-                .map(|b| self.block_score(q, b))
-                .collect(),
-        };
-        top_k_indices(&block_scores, n_blocks)
+        self.rank_blocks(q, n_blocks, self.n_blocks())
     }
 
     /// Token-id range covered by `block`.
@@ -185,21 +192,76 @@ impl CoarseIndex {
 
     /// All token ids in the top `n_blocks` blocks, ascending.
     pub fn select_tokens(&self, q: &[f32], n_blocks: usize) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .select_blocks(q, n_blocks)
+        self.select_tokens_below(q, n_blocks, self.n_tokens)
+    }
+
+    /// [`CoarseIndex::select_tokens`] ranking only the blocks that start
+    /// below `prefix_len` (a partially reused context's attribute filter).
+    /// A block straddling the prefix contributes all its tokens; the caller
+    /// drops those past the prefix.
+    pub fn select_tokens_below(&self, q: &[f32], n_blocks: usize, prefix_len: usize) -> Vec<u32> {
+        let ranked = prefix_len.div_ceil(self.block_size).min(self.n_blocks());
+        let mut blocks: Vec<usize> = self
+            .rank_blocks(q, n_blocks, ranked)
             .into_iter()
-            .flat_map(|b| self.block_tokens(b.idx))
-            .map(|t| t as u32)
+            .map(|b| b.idx)
             .collect();
-        out.sort_unstable();
+        // Blocks are disjoint token ranges: ascending blocks emit ascending
+        // tokens, without sorting the tokens themselves.
+        blocks.sort_unstable();
+        let mut out = Vec::with_capacity(blocks.len() * self.block_size);
+        for b in blocks {
+            out.extend(self.block_tokens(b).map(|t| t as u32));
+        }
         out
+    }
+
+    /// The `n_blocks` best of the first `ranked` blocks, best first.
+    fn rank_blocks(&self, q: &[f32], n_blocks: usize, ranked: usize) -> Vec<ScoredIdx> {
+        debug_assert_eq!(q.len(), self.dim);
+        let block_scores: Vec<f32> = match self.scoring {
+            BlockScoring::Representatives { .. } => {
+                let mut scores = vec![0.0f32; ranked * self.reps_per_block];
+                self.reps.dot_block(q, 0, &mut scores);
+                scores
+                    .chunks_exact(self.reps_per_block)
+                    .map(|b| b.iter().copied().fold(f32::NEG_INFINITY, f32::max))
+                    .collect()
+            }
+            BlockScoring::MinMaxBounds => {
+                let mut scores = Vec::with_capacity(ranked.next_multiple_of(BOUND_LANES));
+                let groups = self.bounds.chunks_exact(group_len(self.dim));
+                for group in groups.take(ranked.div_ceil(BOUND_LANES)) {
+                    // Lane `l` is `block_score`'s sum for block `l` of the
+                    // group: `Iterator::sum`'s start value (-0.0), then the
+                    // dimensions left to right.
+                    let mut acc = [-0.0f32; BOUND_LANES];
+                    for (cell, &qd) in group.chunks_exact(2 * BOUND_LANES).zip(q) {
+                        let (lo, hi) = cell.split_at(BOUND_LANES);
+                        for ((a, &l), &h) in acc.iter_mut().zip(lo).zip(hi) {
+                            *a += (qd * l).max(qd * h);
+                        }
+                    }
+                    scores.extend_from_slice(&acc);
+                }
+                scores.truncate(ranked);
+                scores
+            }
+        };
+        top_k_indices(&block_scores, n_blocks)
     }
 
     /// Summary-structure bytes (representatives or bounds — the part that
     /// must live in fast memory alongside the block data).
     pub fn summary_bytes(&self) -> usize {
-        (self.reps.bytes() + self.mins.bytes() + self.maxs.bytes()).max(1)
+        let bounds = self.bounds.capacity() * std::mem::size_of::<f32>();
+        (self.reps.bytes() + bounds).max(1)
     }
+}
+
+/// Values per group of the bound table at dimensionality `dim`.
+fn group_len(dim: usize) -> usize {
+    2 * BOUND_LANES * dim
 }
 
 #[cfg(test)]
@@ -283,6 +345,35 @@ mod tests {
     }
 
     #[test]
+    fn tokens_below_a_prefix_come_from_blocks_starting_below_it() {
+        let mut rng = seeded(31);
+        // 13 blocks of 16 (one ragged): more than one table group.
+        let keys = gaussian_store(&mut rng, 203, 8, 1.0);
+        for scoring in [
+            BlockScoring::Representatives { reps: 2 },
+            BlockScoring::MinMaxBounds,
+        ] {
+            let idx = CoarseIndex::build(&keys, 16, scoring);
+            let q = keys.row(5);
+            for prefix in [0usize, 1, 16, 17, 40, 203, 500] {
+                let ranked = prefix.div_ceil(16).min(idx.n_blocks());
+                let per_block: Vec<f32> = (0..ranked).map(|b| idx.block_score(q, b)).collect();
+                let mut blocks: Vec<usize> =
+                    top_k_indices(&per_block, 2).iter().map(|s| s.idx).collect();
+                blocks.sort_unstable();
+                let want: Vec<u32> = blocks
+                    .into_iter()
+                    .flat_map(|b| idx.block_tokens(b))
+                    .map(|t| t as u32)
+                    .collect();
+                let got = idx.select_tokens_below(q, 2, prefix);
+                assert_eq!(got, want, "{scoring:?} prefix={prefix}");
+                assert_eq!(got.is_empty(), prefix == 0, "a block starts below {prefix}");
+            }
+        }
+    }
+
+    #[test]
     fn ragged_final_block() {
         let mut rng = seeded(4);
         let keys = gaussian_store(&mut rng, 10, 4, 1.0); // 3 blocks of 4,4,2
@@ -306,7 +397,8 @@ mod tests {
         let keys = keys_with_hot_block();
         let a = CoarseIndex::build(&keys, 4, BlockScoring::Representatives { reps: 1 });
         let b = CoarseIndex::build(&keys, 4, BlockScoring::MinMaxBounds);
-        assert!(a.summary_bytes() > 0);
-        assert!(b.summary_bytes() > 0);
+        assert_eq!(a.summary_bytes(), a.reps.bytes());
+        // 4 blocks pad to one group of `BOUND_LANES`, dim 2, min and max.
+        assert_eq!(b.summary_bytes(), BOUND_LANES * 2 * 2 * 4);
     }
 }

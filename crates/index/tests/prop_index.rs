@@ -1,6 +1,6 @@
 //! Property tests for the index structures.
 
-use alaya_index::coarse::{BlockScoring, CoarseIndex};
+use alaya_index::coarse::{BlockScoring, CoarseIndex, BOUND_LANES};
 use alaya_index::flat::FlatIndex;
 use alaya_index::graph::{GraphBuilder, NeighborGraph};
 use alaya_index::knn::exact_knn;
@@ -16,6 +16,38 @@ fn store_strategy(max_n: usize, dim: usize) -> impl Strategy<Value = VecStore> {
     })
 }
 
+/// Keys whose block count at the drawn block size is never a multiple of
+/// `BOUND_LANES`, so the bound table's last group is always padded; the
+/// last block may be ragged.
+fn padded_groups_strategy() -> impl Strategy<Value = (VecStore, usize)> {
+    (1usize..16, 0usize..4, 1usize..BOUND_LANES, 0usize..16).prop_flat_map(
+        |(block_size, groups, extra, short)| {
+            let n_blocks = groups * BOUND_LANES + extra;
+            let n = n_blocks * block_size - short.min(block_size - 1);
+            let keys = prop::collection::vec(-5.0f32..5.0, n * 4)
+                .prop_map(|flat| VecStore::from_flat(4, flat));
+            (keys, Just(block_size))
+        },
+    )
+}
+
+/// Every block's min/max bound is at least each member's inner product
+/// with `q`, and `select_blocks` ranks exactly those bounds.
+fn check_minmax_bounds(keys: &VecStore, block_size: usize, q: &[f32]) {
+    let idx = CoarseIndex::build(keys, block_size, BlockScoring::MinMaxBounds);
+    for b in 0..idx.n_blocks() {
+        let bound = idx.block_score(q, b);
+        for t in idx.block_tokens(b) {
+            assert!(keys.dot_row(q, t) <= bound + 1e-3);
+        }
+    }
+    let ranked = idx.select_blocks(q, idx.n_blocks());
+    assert_eq!(ranked.len(), idx.n_blocks());
+    for s in ranked {
+        assert_eq!(s.score.to_bits(), idx.block_score(q, s.idx).to_bits());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -27,13 +59,18 @@ proptest! {
         q in prop::collection::vec(-5.0f32..5.0, 4),
         block_size in 1usize..16,
     ) {
-        let idx = CoarseIndex::build(&keys, block_size, BlockScoring::MinMaxBounds);
-        for b in 0..idx.n_blocks() {
-            let bound = idx.block_score(&q, b);
-            for t in idx.block_tokens(b) {
-                prop_assert!(keys.dot_row(&q, t) <= bound + 1e-3);
-            }
-        }
+        check_minmax_bounds(&keys, block_size, &q);
+    }
+
+    /// The same soundness where the bound table's last group is padded.
+    #[test]
+    fn minmax_bound_is_sound_with_padded_groups(
+        (keys, block_size) in padded_groups_strategy(),
+        q in prop::collection::vec(-5.0f32..5.0, 4),
+    ) {
+        let n_blocks = keys.len().div_ceil(block_size);
+        prop_assert!(!n_blocks.is_multiple_of(BOUND_LANES));
+        check_minmax_bounds(&keys, block_size, &q);
     }
 
     /// Selected blocks partition the context: every token belongs to

@@ -652,6 +652,7 @@ mod tests {
     use super::*;
     use alaya_core::{Db, DbConfig, StoredContext};
     use alaya_device::clock::{ManualClock, SystemClock};
+    use alaya_device::memory::MemoryTracker;
     use alaya_llm::backend::AttentionBackend as _;
     use alaya_llm::kv::KvCache;
     use alaya_llm::{FullKvBackend, Model, ModelConfig};
@@ -789,10 +790,14 @@ mod tests {
         vs.take(n).collect()
     }
 
-    /// A database holding one stored context of 520 tokens of random KV:
-    /// a session reusing it attends past the per-head fan-out cutoff (512).
+    /// A database holding one stored context of 520 tokens of random KV,
+    /// under a 1-byte GPU budget: a session reusing it plans DIPR, which
+    /// reads past the per-head fan-out cutoff (512 rows).
     fn long_context_db(cfg: &ModelConfig) -> (Db, Vec<u32>) {
-        let db = Db::new(DbConfig::for_tests(cfg.clone()));
+        let db = Db::new(DbConfig {
+            gpu: MemoryTracker::new(1),
+            ..DbConfig::for_tests(cfg.clone())
+        });
         let mut vs = vectors(11, cfg.head_dim);
         let mut kv = KvCache::new(cfg.n_layers, cfg.n_kv_heads, cfg.head_dim);
         let ctx: Vec<u32> = (0..520).collect();
@@ -818,8 +823,8 @@ mod tests {
         }
     }
 
-    /// A batch with a long request (one task per head), a short one (one
-    /// task) and two requests of one session serves bit for bit what
+    /// A batch with a long DIPR request (one task per head), a short one
+    /// (one task) and two requests of one session serves bit for bit what
     /// `attention_sequential` computes, on any worker count.
     #[test]
     fn mixed_batch_matches_the_sequential_oracle_on_any_pool() {
@@ -834,6 +839,7 @@ mod tests {
             decode_step(slot, &cfg, &mut vs);
         }
         assert!(long.lock().session.seq_len(1) >= 512);
+        assert!(long.lock().session.plan(1).explain().starts_with("DIPR"));
         assert!(short.lock().session.seq_len(0) < 512);
 
         let requests = [(&long, 1), (&short, 0), (&twice, 0), (&twice, 1)];

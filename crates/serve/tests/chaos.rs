@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 
 use alaya_chaos::Chaos;
 use alaya_core::{Db, DbConfig};
+use alaya_device::memory::MemoryTracker;
 use alaya_llm::kv::KvCache;
 use alaya_llm::ModelConfig;
 use alaya_serve::pool::CHAOS_TASK_PANIC;
@@ -226,22 +227,31 @@ fn overload_with_injected_faults_degrades_gracefully() {
 #[test]
 fn injected_panic_freezes_a_flight_recorder_dump() {
     let model_cfg = ModelConfig::tiny();
-    let db = Arc::new(Db::new(DbConfig::for_tests(model_cfg.clone())));
+    // A 1-byte GPU budget plans DIPR, which may scan the whole context.
+    // Admissions are charged to their own tracker, so the budget only
+    // steers the plan.
+    let db = Arc::new(Db::new(DbConfig {
+        gpu: MemoryTracker::new(1),
+        ..DbConfig::for_tests(model_cfg.clone())
+    }));
+    let admission = MemoryTracker::unbounded();
     let engine = ServeEngine::with_options(
         Arc::clone(&db),
         ServeConfig {
             // Dedicated pool: the injected panic must not leak into the
             // process-global pool other tests share.
             threads: 2,
+            admission: Some(Arc::clone(&admission)),
             ..Default::default()
         },
     );
     let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
     let kv = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_kv_heads];
-    // A 520-token stored context puts the request past the per-head
-    // fan-out cutoff (512 attended tokens): its heads run as pool tasks,
-    // where the failpoint fires. A short request is one task and runs on
-    // the scheduler thread, out of the failpoint's reach.
+    // A DIPR request over a 520-token stored context reads past the
+    // per-head fan-out cutoff (512 rows): its heads run as pool tasks,
+    // where the failpoint fires. A request reading fewer rows (a short
+    // context, or TopK on Coarse under a rich budget) is one task and runs
+    // on the scheduler thread, out of the failpoint's reach.
     let ctx: Vec<u32> = (0..520).collect();
     let mut rng = seeded(0x0B1A);
     let mut stored = KvCache::new(model_cfg.n_layers, model_cfg.n_kv_heads, model_cfg.head_dim);
@@ -296,7 +306,7 @@ fn injected_panic_freezes_a_flight_recorder_dump() {
     assert_eq!(out.len(), model_cfg.n_q_heads);
     assert!(engine.telemetry().last_panic_dump.is_some());
     engine.close(sid).unwrap();
-    assert_eq!(db.gpu().in_use(), 0);
+    assert_eq!(admission.in_use(), 0);
 }
 
 /// EWMA calibration: with every batch slowed by an armed delay, the

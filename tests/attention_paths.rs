@@ -19,12 +19,16 @@ use alayadb::query::optimizer::Plan;
 use alayadb::query::types::{IndexChoice, PrefixFilter, QueryType};
 use alayadb::vector::rng::{gaussian_vec, seeded};
 use alayadb::vector::softmax::OnlineSoftmax;
+use alayadb::vector::topk::ScoredIdx;
 use alayadb::vector::VecStore;
 
 /// Stored context length: long enough that the `[8+16]` test window, a
 /// 120-token prefix filter and the retrieval sets are all proper subsets.
 const N_STORED: usize = 200;
 const PREFIX: usize = 120;
+/// A prefix shorter than the two 16-token blocks a `k = 24` coarse plan
+/// selects.
+const SHORT_PREFIX: usize = 20;
 
 /// A seeded stream of per-step vectors: `heads` Gaussian rows per call.
 fn random_steps(seed: u64, dim: usize) -> impl FnMut(usize) -> Vec<Vec<f32>> {
@@ -161,13 +165,27 @@ fn reference(q: &[f32], head: &HeadView, cfg: &DbConfig, plan: &Plan) -> Vec<f32
     let flat_dipr = |beta| FlatIndex.search_dipr_filtered(keys, q, beta, pred);
     let l0 = served_l0(cfg, plan);
     let retrieved: Vec<usize> = match (query, index) {
+        // Coarse: rank only the blocks that start inside the prefix, by
+        // their per-block score, and take every token of the best ones.
         (QueryType::TopK { k }, IndexChoice::Coarse) => match head.coarse {
-            Some(coarse) => coarse
-                .select_tokens(q, k.div_ceil(coarse.block_size()).max(1))
-                .into_iter()
-                .filter(|&t| pred(t))
-                .map(|t| t as usize)
-                .collect(),
+            Some(coarse) => {
+                let mut blocks: Vec<ScoredIdx> = (0..coarse.n_blocks())
+                    .filter(|&b| b * coarse.block_size() < prefix_len)
+                    .map(|idx| ScoredIdx {
+                        idx,
+                        score: coarse.block_score(q, idx),
+                    })
+                    .collect();
+                blocks.sort_by(|a, b| b.cmp(a));
+                blocks.truncate(k.div_ceil(coarse.block_size()).max(1));
+                let mut tokens: Vec<usize> = blocks
+                    .iter()
+                    .flat_map(|b| coarse.block_tokens(b.idx))
+                    .collect();
+                tokens.sort_unstable();
+                tokens.retain(|&t| pred(t as u32));
+                tokens
+            }
             None => flat_topk(k).iter().map(|s| s.idx).collect(),
         },
         (QueryType::TopK { k }, IndexChoice::Fine) => match head.graph {
@@ -213,7 +231,8 @@ fn plans() -> Vec<Plan> {
     ];
     let indexes = [IndexChoice::Coarse, IndexChoice::Fine, IndexChoice::Flat];
     let mut plans = Vec::new();
-    for filter in [None, Some(PrefixFilter { prefix_len: PREFIX })] {
+    let filters = [None, Some(PREFIX), Some(SHORT_PREFIX)];
+    for filter in filters.map(|p| p.map(|prefix_len| PrefixFilter { prefix_len })) {
         plans.push(Plan::FullAttention { filter });
         for query in queries {
             for index in indexes {
@@ -314,6 +333,37 @@ fn served_engine_and_reference_agree_on_every_arm() {
     }
     // The fixture must exercise sparsity, not collapse every arm to dense.
     assert!(sparse_outputs > 0);
+}
+
+/// Under a prefix shorter than the selected blocks, the coarse arm ranks
+/// only the blocks that start inside the prefix. So it still retrieves the
+/// prefix tokens past the window, instead of ranking blocks that the filter
+/// then drops whole.
+#[test]
+fn coarse_retrieval_fills_a_prefix_shorter_than_its_blocks() {
+    let (db, session) = fixture();
+    let cfg = db.config();
+    let model = &cfg.model;
+    assert_eq!(cfg.coarse_block_size, 16);
+    let plan = Plan::Sparse {
+        query: QueryType::TopK { k: 24 },
+        index: IndexChoice::Coarse,
+        filter: Some(PrefixFilter {
+            prefix_len: SHORT_PREFIX,
+        }),
+    };
+    let mut rng = seeded(0x5407);
+    for layer in 0..model.n_layers {
+        for qh in 0..model.n_q_heads {
+            let ctx = head_context(&session, cfg, layer, qh / model.gqa_group_size());
+            let q = gaussian_vec(&mut rng, model.head_dim, 1.0);
+            let got = attend(&q, &ctx.view(), cfg.window, &plan, served_l0(cfg, &plan));
+            // The stored window, then blocks 0 and 1 clipped to the prefix:
+            // every prefix token past the window's first 8.
+            let want_attended = cfg.window.len(N_STORED) + SHORT_PREFIX - cfg.window.initial;
+            assert_eq!(got.n_attended, want_attended, "layer {layer} head {qh}");
+        }
+    }
 }
 
 /// With session-local tokens present the window spans the combined
