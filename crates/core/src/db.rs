@@ -2,9 +2,9 @@
 //!
 //! # Stored contexts are a bounded cache
 //!
-//! Publishing a context (`import`, `store`, `store_background`, `adopt`)
-//! is a cache insert. Under the one `core.db.contexts` write-lock hold
-//! that makes the new context visible, two rules run:
+//! Publishing a context (`import`, `store`, `adopt`) is a cache insert.
+//! Under the one `core.db.contexts` write-lock hold that makes the new
+//! context visible, two rules run:
 //!
 //! * **Supersede.** Every resident context whose token sequence is a
 //!   prefix of, or equal to, the new one is removed. For any prompt its
@@ -23,46 +23,25 @@
 //! from it after it left the table; the memory goes when the last one
 //! closes.
 //!
-//! # Canonical lock order
+//! # Lock order
 //!
-//! Threads that nest lock acquisitions involving the DB must follow the
-//! workspace-wide order (outermost first), which the `instrumented` CI
-//! job enforces dynamically via the shim's acquisition-order graph:
-//!
-//! ```text
-//! serve.sessions → serve.session → core.db.contexts → core.db.store_state
-//!                                → device.pool.* / storage.*   (leaves)
-//! ```
-//!
-//! No thread holds two session locks, and none holds one across pool
-//! work: the serving scheduler locks one session at a time to plan and
-//! snapshot it ([`Session::snapshot`]) and executes on the snapshots after
-//! releasing the lock.
-//!
-//! Concretely for this module: `core.db.contexts` may be taken while a
-//! session lock is held (`ServeEngine::store_background` snapshots under
-//! the session lock and allocates the [`ContextId`] under the contexts
-//! write lock; queueing the build task then touches `device.pool.queue`
-//! under the same hold). The background publish task is stricter than the order
-//! above requires: it publishes under the contexts write lock and drops
-//! that guard before taking `core.db.store_state`, so the two locks are
-//! never held together at all (the tracing shim's acquisition graph shows
-//! no edge between them — `tests/lock_tracing.rs` pins this down). Nothing
-//! may take a session or contexts lock while holding the store-state lock
-//! ([`StoreHandle::wait`] holds it only around the condvar). Scheduler
-//! context lookups ([`Db::context`], [`Db::create_session`]) hold
-//! `core.db.contexts` alone and release it before any attention runs, so
-//! publication by [`Db::store_background`] can never order-invert against
-//! them.
+//! `core.db.contexts` is a leaf: nothing is locked under it. Publication
+//! (`import`, `store`, `adopt`) builds outside it and takes the write lock
+//! only to hand out an id or to insert; lookups ([`Db::context`],
+//! [`Db::create_session`]) take the read lock alone and release it before
+//! any attention runs. Callers hold none of their own locks across a DB
+//! call either: the serving engine clones a session under its
+//! `serve.session` lock and releases it before [`Db::store`] runs, so that
+//! lock is a leaf too. `tests/lock_tracing.rs` pins both: the tracing
+//! shim's acquisition-order graph shows no edge out of either.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use alaya_device::memory::MemoryTracker;
 use alaya_llm::kv::{HeadKv, KvCache};
 use alaya_telemetry::{Counter, Gauge, Registry};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::config::DbConfig;
 use crate::session::{concat_rows, Session};
@@ -165,7 +144,6 @@ pub struct DbStats {
     contexts_evicted: Arc<Counter>,
     context_bytes: Arc<Gauge>,
     graphs_without_queries: Arc<Counter>,
-    store_failures: Arc<Counter>,
 }
 
 impl DbStats {
@@ -173,7 +151,7 @@ impl DbStats {
     pub fn sessions_created(&self) -> u64 {
         self.sessions_created.get()
     }
-    /// Contexts published through `import`/`store` (sync or background).
+    /// Contexts published through `import`/`store`.
     pub fn contexts_imported(&self) -> u64 {
         self.contexts_imported.get()
     }
@@ -203,10 +181,6 @@ impl DbStats {
     pub fn graphs_without_queries(&self) -> u64 {
         self.graphs_without_queries.get()
     }
-    /// Background store builds that panicked instead of publishing.
-    pub fn store_failures(&self) -> u64 {
-        self.store_failures.get()
-    }
     /// Attaches these cells to `registry` under `core.db.*`. First
     /// registration wins; the getters read the same cells either way.
     pub fn register_into(&self, registry: &Registry) {
@@ -220,7 +194,6 @@ impl DbStats {
             "core.db.graphs_without_queries",
             &self.graphs_without_queries,
         );
-        registry.register_counter("core.db.store_failures", &self.store_failures);
     }
 }
 
@@ -398,188 +371,41 @@ impl Db {
 
     /// `DB.store(session)`: materializes the session's full state — reused
     /// prefix plus the session-local window — into a new stored, indexed
-    /// context (the late-materialization point, §7.2).
+    /// context (the late-materialization point, §7.2). The KV merge and
+    /// the index build run on the calling thread, and the build fans out
+    /// over the shared pool ([`StoredContext::build`]). Readers
+    /// ([`Db::context`], [`Db::create_session`]) keep serving existing
+    /// contexts throughout: the new one is published in one write-lock
+    /// hold, so it is either entirely absent or entirely built.
     ///
     /// # Panics
     /// Panics if the session's noted tokens do not cover its full sequence
     /// (call [`Session::note_tokens`] during generation).
     pub fn store(&self, session: &Session) -> ContextId {
-        let total = validate_store_coverage(session);
-        let kv = merge_session_kv(session.base(), session.reused_len(), session.local_kv());
+        let total = session.total_len();
+        assert!(
+            session.storable_len().is_some(),
+            "session knows {} tokens but holds {} positions; call note_tokens()",
+            session.tokens().len(),
+            total
+        );
+        let (base, reused_len, local) = (session.base(), session.reused_len(), session.local_kv());
+        let mut kv = KvCache::new(local.n_layers(), local.n_kv_heads(), local.head_dim());
+        for layer in 0..local.n_layers() {
+            for kvh in 0..local.n_kv_heads() {
+                let stored = base.map(|b| b.kv.head(layer, kvh));
+                let tail = local.head(layer, kvh);
+                *kv.head_mut(layer, kvh) = HeadKv {
+                    keys: concat_rows(stored.map(|h| &h.keys), reused_len, &tail.keys),
+                    values: concat_rows(stored.map(|h| &h.values), reused_len, &tail.values),
+                };
+            }
+        }
         self.import_with_queries(
             session.tokens()[..total].to_vec(),
             kv,
             Some(session.query_samples()),
         )
-    }
-
-    /// Copy-on-write [`Db::store`]: snapshots the session's state (cheap —
-    /// the reused prefix and the local window are shared by `Arc`, only the
-    /// tokens and query samples are cloned; a session that keeps decoding
-    /// copies its local window on its next `update` while the build still
-    /// holds it), then runs the KV merge and index build on
-    /// the shared [`alaya_device::pool`] and publishes the finished context
-    /// atomically through the context table. Readers ([`Db::context`],
-    /// [`Db::create_session`]) keep serving existing contexts throughout:
-    /// the new context is either entirely absent or entirely built, never
-    /// partial — so a huge `store()` cannot stall co-batched tenants. The
-    /// snapshot's `Arc` also keeps the reused prefix alive if it is evicted
-    /// while the build runs.
-    ///
-    /// The returned [`StoreHandle`] carries the allocated [`ContextId`] up
-    /// front; [`StoreHandle::wait`] blocks until the context is published
-    /// (or the build failed).
-    ///
-    /// # Panics
-    /// Panics (synchronously) under the same conditions as [`Db::store`].
-    pub fn store_background(self: &Arc<Self>, session: &Session) -> StoreHandle {
-        let total = validate_store_coverage(session);
-
-        // Snapshot while the caller still holds whatever session lock it
-        // serializes on: the KV is two `Arc` bumps; tokens and query
-        // samples are copied.
-        let tokens = session.tokens()[..total].to_vec();
-        let base = session.base().cloned();
-        let reused_len = session.reused_len();
-        let local = Arc::clone(session.local_kv());
-        let queries = session.query_samples().clone();
-
-        let db = Arc::clone(self);
-        let id = db.alloc_id();
-
-        let shared = Arc::new(StoreShared {
-            state: Mutex::new_named(StoreState::Pending, "core.db.store_state"),
-            cv: Condvar::new(),
-        });
-        let task_shared = Arc::clone(&shared);
-        alaya_device::pool::global().execute(move || {
-            let built = catch_unwind(AssertUnwindSafe(|| {
-                let kv = merge_session_kv(base.as_ref(), reused_len, &local);
-                StoredContext::build(id, tokens, kv, Some(&queries), &db.cfg)
-            }));
-            // The contexts write lock (inside publish) is released before
-            // the store-state lock below is taken.
-            let state = match built {
-                Ok(ctx) => {
-                    db.publish(ctx);
-                    StoreState::Ready
-                }
-                Err(payload) => {
-                    db.stats.store_failures.inc();
-                    StoreState::Failed(StoreError {
-                        message: panic_message(payload.as_ref()),
-                    })
-                }
-            };
-            *task_shared.state.lock() = state;
-            task_shared.cv.notify_all();
-        });
-
-        StoreHandle { id, shared }
-    }
-}
-
-/// Panics unless [`Session::storable_len`] holds; returns that length.
-fn validate_store_coverage(session: &Session) -> usize {
-    let total = session.total_len();
-    assert!(
-        session.storable_len().is_some(),
-        "session knows {} tokens but holds {} positions; call note_tokens()",
-        session.tokens().len(),
-        total
-    );
-    total
-}
-
-/// Merges a session's reused-prefix KV with its local window into one cache
-/// — the copy half of `DB.store` (the index build is the other).
-fn merge_session_kv(
-    base: Option<&Arc<StoredContext>>,
-    reused_len: usize,
-    local: &KvCache,
-) -> KvCache {
-    let mut kv = KvCache::new(local.n_layers(), local.n_kv_heads(), local.head_dim());
-    for layer in 0..local.n_layers() {
-        for kvh in 0..local.n_kv_heads() {
-            let stored = base.map(|b| b.kv.head(layer, kvh));
-            let tail = local.head(layer, kvh);
-            *kv.head_mut(layer, kvh) = HeadKv {
-                keys: concat_rows(stored.map(|h| &h.keys), reused_len, &tail.keys),
-                values: concat_rows(stored.map(|h| &h.values), reused_len, &tail.values),
-            };
-        }
-    }
-    kv
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "store task panicked".to_string()
-    }
-}
-
-/// A background store whose KV merge or index build panicked: no context
-/// was published. Carries the panic's message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoreError {
-    /// The build panic's message.
-    pub message: String,
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "store build panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-/// Completion state of one background store.
-enum StoreState {
-    Pending,
-    Ready,
-    Failed(StoreError),
-}
-
-struct StoreShared {
-    state: Mutex<StoreState>,
-    cv: Condvar,
-}
-
-/// Handle to an in-flight [`Db::store_background`] build.
-pub struct StoreHandle {
-    id: ContextId,
-    shared: Arc<StoreShared>,
-}
-
-impl StoreHandle {
-    /// The id the finished context will be published under. Until
-    /// [`StoreHandle::wait`] returns (or [`Db::context`] starts answering
-    /// for it), the id resolves to nothing.
-    pub fn id(&self) -> ContextId {
-        self.id
-    }
-
-    /// Whether the build has finished (successfully or not) — never blocks.
-    pub fn is_finished(&self) -> bool {
-        !matches!(*self.shared.state.lock(), StoreState::Pending)
-    }
-
-    /// Blocks until the context is published; returns its id, or the build
-    /// failure.
-    pub fn wait(&self) -> Result<ContextId, StoreError> {
-        let mut state = self.shared.state.lock();
-        loop {
-            match &*state {
-                StoreState::Pending => self.shared.cv.wait(&mut state),
-                StoreState::Ready => return Ok(self.id),
-                StoreState::Failed(err) => return Err(err.clone()),
-            }
-        }
     }
 }
 
@@ -741,10 +567,12 @@ mod tests {
         assert_eq!(fallbacks(), 3);
     }
 
+    /// Storing one session twice publishes equal contexts: the second
+    /// supersedes the first (equal tokens), and its KV and adjacency are
+    /// the first one's.
     #[test]
-    fn store_background_matches_sync_store() {
+    fn storing_a_session_twice_supersedes_with_an_equal_context() {
         let (db, model) = db();
-        let db = Arc::new(db);
         let prompt: Vec<u32> = (30..80).collect();
         let (mut session, truncated) = db.create_session(&prompt);
         session.note_tokens(&truncated);
@@ -752,18 +580,17 @@ mod tests {
         let generated = model.decode(logits, truncated.len(), 4, &mut session);
         session.note_tokens(&generated);
 
-        let sync_id = db.store(&session);
+        let first = db.store(&session);
         // Hold the first context: the second store publishes the same
         // token sequence and supersedes it.
-        let a = db.context(sync_id).unwrap();
-        let handle = db.store_background(&session);
-        assert_eq!(handle.wait(), Ok(handle.id()));
-        assert!(handle.is_finished());
-        assert_ne!(handle.id(), sync_id);
+        let a = db.context(first).unwrap();
+        let second = db.store(&session);
+        assert_ne!(second, first);
+        assert!(db.context(first).is_none());
+        assert_eq!(db.stats().contexts_superseded(), 1);
+        assert_eq!(db.n_contexts(), 1);
 
-        // Identical snapshot → identical published context (modulo id).
-        assert!(db.context(sync_id).is_none());
-        let b = db.context(handle.id()).unwrap();
+        let b = db.context(second).unwrap();
         assert_eq!(a.tokens, b.tokens);
         let (ka, kb) = (a.kv.head(0, 0), b.kv.head(0, 0));
         assert_eq!(ka.keys.as_flat(), kb.keys.as_flat());
@@ -778,7 +605,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(db.n_contexts(), 1);
     }
 
     /// A store over a reused prefix allocates the merged KV at its exact

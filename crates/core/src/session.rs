@@ -33,6 +33,10 @@ use crate::config::DbConfig;
 use crate::stored::{QueryReservoir, StoredContext};
 
 /// A running inference session (the paper's `Session` abstraction).
+/// `Clone` is what [`Db::store`](crate::Db::store) needs of it without a
+/// lock: two `Arc` bumps for the stored prefix and the local window, and
+/// copies of the tokens, query samples and plan log.
+#[derive(Clone)]
 pub struct Session {
     cfg: DbConfig,
     optimizer: Optimizer,

@@ -16,7 +16,8 @@
 //!   own scope's queued tasks while it waits (never unrelated work, so a
 //!   latency-critical owner cannot stall behind a stolen long task) — so
 //!   nested scopes (a scoped task that opens a scope of its own) cannot
-//!   deadlock even on a single-worker pool.
+//!   deadlock even on a single-worker pool. Every task belongs to a scope:
+//!   nothing the pool runs outlives the call that queued it.
 //! * **Determinism** — the pool schedules, it never reorders results:
 //!   [`WorkStealingPool::map`] writes each index's output into its own
 //!   slot, so outputs are bitwise-identical to a serial loop for any
@@ -59,8 +60,8 @@ impl PoolStats {
         self.tasks_stolen.get()
     }
 
-    /// Panics contained by the pool's wrappers (detached tasks discard
-    /// theirs; scoped tasks also re-raise in their scope owner).
+    /// Task panics contained by the scope wrapper (the scope owner
+    /// re-raises each).
     pub fn panics_contained(&self) -> u64 {
         self.panics_contained.get()
     }
@@ -75,10 +76,9 @@ impl PoolStats {
     }
 }
 
-/// A queued unit of work, tagged with the scope that spawned it (`0` for
-/// detached [`WorkStealingPool::execute`] tasks) so a scope owner helping
-/// while it waits can steal *only its own* tasks — a latency-critical
-/// caller (the serving scheduler) must never get
+/// A queued unit of work: a [`Scope::spawn`] wrapper, tagged with its
+/// scope so a scope owner helping while it waits can steal *only its own*
+/// tasks — a latency-critical caller (the serving scheduler) must never get
 /// stuck executing an unrelated long task (say, an index build) it stole.
 struct Task {
     scope: usize,
@@ -165,16 +165,13 @@ impl Shared {
     }
 }
 
-/// Runs one task, containing any panic. Scoped tasks carry their own
-/// catch (they report to their scope); this shields the *callers* — a
-/// panicking detached [`WorkStealingPool::execute`] task must neither kill
-/// a worker thread (silently shrinking the pool) nor unwind through the
-/// owner-helping loop in [`WorkStealingPool::scope`], whose early exit
-/// would free a frame that still-running scoped tasks borrow.
+/// Runs one task. Every task is a [`Scope::spawn`] wrapper that catches
+/// its own panic, so nothing unwinds out of here: not through a worker
+/// thread, and not through the owner-helping loop in
+/// [`WorkStealingPool::scope`], whose early exit would free a frame that
+/// still-running tasks borrow.
 fn run_task(stats: &PoolStats, task: Task) {
-    if catch_unwind(AssertUnwindSafe(task.f)).is_err() {
-        stats.panics_contained.inc();
-    }
+    (task.f)();
     stats.tasks_executed.inc();
 }
 
@@ -185,14 +182,9 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
             continue;
         }
         let guard = shared.idle.lock();
+        // The queues are empty by now: a scope borrows the pool until its
+        // tasks finish, and shutdown starts in `Drop`.
         if shared.shutdown.load(Ordering::Acquire) {
-            drop(guard);
-            // Final drain: every submission happened-before shutdown (Drop
-            // takes `&mut self`), so whatever the queues still hold is the
-            // already-submitted work `execute`'s contract promises to run.
-            while let Some(task) = shared.find_task(id) {
-                run_task(&shared.stats, task);
-            }
             return;
         }
         // Register as idle *before* the re-check: `push` only takes the
@@ -279,17 +271,6 @@ impl WorkStealingPool {
         let _ = self.shared.chaos.set(chaos);
     }
 
-    /// Submits a detached (`'static`) task. Dropping the pool drains the
-    /// queues: tasks already submitted run to completion before `Drop`
-    /// returns. A panic in a detached task is caught and discarded — it
-    /// never kills a worker.
-    pub fn execute(&self, f: impl FnOnce() + Send + 'static) {
-        self.shared.push(Task {
-            scope: 0,
-            f: Box::new(f),
-        });
-    }
-
     /// Runs `f` with a [`Scope`] whose spawned tasks may borrow from the
     /// enclosing stack frame. Returns only after every spawned task has
     /// finished; panics from tasks (or from `f`) are propagated.
@@ -318,9 +299,6 @@ impl WorkStealingPool {
         // an unrelated long task it stole.
         while state.remaining.load(Ordering::Acquire) > 0 {
             if let Some(task) = self.shared.find_scope_task(scope_id) {
-                // `run_task` contains panics: a task that panicked bare
-                // would unwind this loop out of `scope` while
-                // `remaining > 0` — freeing the frame its tasks borrow.
                 run_task(&self.shared.stats, task);
                 continue;
             }
@@ -471,8 +449,6 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                 });
                 if catch_unwind(guarded).is_err() {
                     state.panicked.store(true, Ordering::Release);
-                    // Counted here, at the containment point: `run_task`'s
-                    // outer catch never sees scoped panics.
                     panics.inc();
                 }
                 if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -567,34 +543,6 @@ mod tests {
         assert!(caught.is_err());
         // The pool survives the panic and keeps executing.
         assert_eq!(pool.map(3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn detached_task_panic_kills_no_worker_and_no_scope() {
-        let pool = WorkStealingPool::new(2);
-        // A bare panic in a detached task must be contained: neither a
-        // worker thread nor a concurrently helping scope owner may unwind.
-        for _ in 0..4 {
-            pool.execute(|| panic!("detached boom"));
-        }
-        for _ in 0..10 {
-            assert_eq!(pool.map(8, |i| i), (0..8).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn detached_execute_runs() {
-        let pool = WorkStealingPool::new(2);
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        pool.execute(move || f2.store(true, Ordering::Release));
-        for _ in 0..1000 {
-            if flag.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("detached task never ran");
     }
 
     #[test]

@@ -162,13 +162,15 @@ fn no_unwrap_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Call fragments that hand work to the pool or run attention; holding a
 /// lock guard across them risks deadlock (pool workers may need the same
-/// lock) and serializes the batch.
+/// lock) and serializes the batch. `execute(&` is the attention fan-out
+/// (`execute(&core.pool, &jobs)`); `db.store(` runs an index build's pool
+/// scope on the caller. A bare `.store(` would also match atomic stores.
 const POOL_CALLS: [&str; 7] = [
-    "pool.execute(",
+    "execute(&",
     "pool.scope(",
     "pool.map(",
     "pool.map_bounded(",
-    "global().execute(",
+    "db.store(",
     "global().map_bounded(",
     ".attention(",
 ];
@@ -414,9 +416,28 @@ mod tests {
         // Declared guard type without a visible .lock() also counts.
         let typed = findings(
             "crates/x/src/a.rs",
-            "fn f() {\n let g: MutexGuard<'_, T> = slot.lock_it();\n pool.execute(|| {});\n}\n",
+            "fn f() {\n let g: MutexGuard<'_, T> = slot.lock_it();\n pool.scope(|s| {});\n}\n",
         );
         assert_eq!(typed.len(), 1);
+        // The attention fan-out and a store's index build are pool calls.
+        for call in ["execute(&core.pool, &jobs);", "self.db.store(&snapshot);"] {
+            let held = findings(
+                "crates/x/src/a.rs",
+                &format!("fn f() {{\n let g = slot.lock();\n {call}\n}}\n"),
+            );
+            assert_eq!(held.len(), 1, "{call}");
+            let released = findings(
+                "crates/x/src/a.rs",
+                &format!("fn f() {{\n let s = {{\n let g = slot.lock();\n g.clone()\n }};\n {call}\n}}\n"),
+            );
+            assert!(released.is_empty(), "{call}");
+        }
+        // An atomic store under a guard is not a store build.
+        let atomic = findings(
+            "crates/x/src/a.rs",
+            "fn f() {\n let c = self.contexts.read();\n e.last_used.store(1, Relaxed);\n}\n",
+        );
+        assert!(atomic.is_empty());
     }
 
     #[test]

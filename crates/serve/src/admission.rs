@@ -32,9 +32,9 @@ pub fn per_token_bytes(cfg: &DbConfig) -> u64 {
 /// Device bytes one session pins at admission: the cached `[initial+last]`
 /// window over the stored context plus a session-local KV window of up to
 /// `max_local_tokens` tokens, both across every layer and KV head (f32).
-/// A decode that outgrows the local window is covered by *growth*
-/// reservations of `max_local_tokens` more tokens at a time (see
-/// `ServeEngine::update`), so the tracker follows real usage.
+/// A decode that outgrows the local window grows this reservation by
+/// `max_local_tokens` more tokens at a time (see `ServeEngine::update`),
+/// so the tracker follows real usage.
 pub fn session_bytes(cfg: &DbConfig, max_local_tokens: usize) -> u64 {
     let window_tokens = (cfg.window.initial + cfg.window.last) as u64;
     per_token_bytes(cfg) * (window_tokens + max_local_tokens as u64)
@@ -53,11 +53,6 @@ impl AdmissionController {
     /// Bytes reserved per admitted session.
     pub fn bytes_per_session(&self) -> u64 {
         self.bytes_per_session
-    }
-
-    /// The tracker reservations are charged against.
-    pub fn tracker(&self) -> &Arc<MemoryTracker> {
-        &self.tracker
     }
 
     /// Attempts to admit one session, returning the RAII reservation.

@@ -4,10 +4,12 @@
 //! threads can drive many sessions concurrently: `update` mutates exactly
 //! one session under its own lock, `attention` submits to the scheduler
 //! (which batches across sessions — see [`crate::scheduler`]) and blocks
-//! on a per-request channel, and `store`/`close` end the session and
-//! release its admission reservation.
+//! on a per-request channel, `store` materializes it on the calling
+//! thread, and `close` ends it and releases its device reservation.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -16,7 +18,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 
 use alaya_core::stored::ContextId;
-use alaya_core::{Db, StoreHandle};
+use alaya_core::Db;
 use alaya_device::clock::{Clock, SystemClock};
 use alaya_device::memory::MemoryTracker;
 use alaya_device::pool::{self, WorkStealingPool};
@@ -96,9 +98,10 @@ pub struct ServeEngine {
     next_id: AtomicU64,
     core: Arc<SchedulerCore>,
     scheduler: Option<JoinHandle<()>>,
-    /// Local-KV tokens each reservation (admission or growth) covers.
+    /// Local-KV tokens the admission reservation and each growth of it
+    /// cover.
     reserve_tokens: usize,
-    /// Device bytes per local-KV token, for growth reservations.
+    /// Device bytes per local-KV token, for reservation growth.
     per_token: u64,
     /// Deadline stamped on every submission without an explicit one.
     default_deadline: Option<Duration>,
@@ -266,7 +269,7 @@ impl ServeEngine {
         let slot = Arc::new(SessionSlot::new(SlotState {
             session,
             covered_tokens: self.reserve_tokens,
-            reservations: vec![reservation],
+            reservation,
         }));
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.sessions.write().insert(id, slot);
@@ -315,9 +318,10 @@ impl ServeEngine {
     ///
     /// Admission only reserved `max_local_tokens` of local KV; a decode
     /// that outgrows that window must keep the tracker honest, so this
-    /// reserves another `max_local_tokens`-sized chunk *before* the write
-    /// and fails closed with [`ServeError::OutOfMemory`] (leaving the
-    /// session unchanged) when the device budget cannot cover the growth.
+    /// grows the session's reservation by another `max_local_tokens` chunk
+    /// *before* the write and fails closed with [`ServeError::OutOfMemory`]
+    /// (leaving the session unchanged) when the device budget cannot cover
+    /// the growth.
     pub fn update(
         &self,
         id: SessionId,
@@ -351,13 +355,8 @@ impl ServeEngine {
         let local_after = session.seq_len(layer) + 1 - session.reused_len();
         if local_after > state.covered_tokens {
             let chunk = self.reserve_tokens;
-            let guard = self
-                .admission
-                .tracker()
-                .alloc(self.per_token * chunk as u64)
-                .map_err(ServeError::OutOfMemory)?;
+            state.reservation.grow(self.per_token * chunk as u64)?;
             state.covered_tokens += chunk;
-            state.reservations.push(guard);
         }
         state.session.update(queries, keys, values, layer);
         let cost = state.drr_cost();
@@ -376,34 +375,22 @@ impl ServeEngine {
     /// asking at the same moment, planned once per group, and executed on
     /// a snapshot of the session. Blocks until the output arrives. Outputs
     /// are bitwise-identical to `Session::attention_sequential`.
-    pub fn attention(
-        &self,
-        id: SessionId,
-        queries: &[Vec<f32>],
-        layer: usize,
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.attention_owned(id, queries.to_vec(), layer)
-    }
-
-    /// [`ServeEngine::attention`] taking the query tensor by value — the
-    /// clone-free entry point for callers that already own it (the decode
-    /// hot path goes through here via [`ServeEngine::attend`]).
     ///
     /// Carries the engine's default deadline (if any). May return the
     /// overload-control errors [`ServeError::Overloaded`] (queue full —
     /// the request was never queued) and [`ServeError::DeadlineExceeded`]
     /// (queued past its deadline and shed); both are
     /// [`ServeError::is_retryable`].
-    pub fn attention_owned(
+    pub fn attention(
         &self,
         id: SessionId,
-        queries: Vec<Vec<f32>>,
+        queries: &[Vec<f32>],
         layer: usize,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.submit(id, queries, layer, self.default_deadline)
+        self.submit(id, queries.to_vec(), layer, self.default_deadline)
     }
 
-    /// [`ServeEngine::attention_owned`] with an explicit deadline
+    /// [`ServeEngine::attention`] with an explicit deadline
     /// (relative to now): if the request is still queued when the deadline
     /// can no longer be met, it is shed with
     /// [`ServeError::DeadlineExceeded`] instead of executing late.
@@ -479,39 +466,33 @@ impl ServeEngine {
     }
 
     /// Materializes the session into a stored, indexed context
-    /// (`DB.store`). The session stays admitted; follow with
-    /// [`ServeEngine::close`] to release its reservation.
+    /// (`DB.store`) on the calling thread. The session stays admitted;
+    /// follow with [`ServeEngine::close`] to release its reservation.
     ///
-    /// The session lock is held only long enough to snapshot (the reused
-    /// prefix and local window are shared by `Arc`, tokens and query
-    /// samples copied) — the KV merge and index build run on the shared
-    /// pool, so in-flight attention on this and co-batched sessions keeps
-    /// serving while a huge context builds. This call still blocks its
-    /// *own* caller until the context is published; use
-    /// [`ServeEngine::store_background`] to get the handle instead.
+    /// The session lock is held only to check the session's noted tokens
+    /// and clone it (`Arc` bumps for the reused prefix and the local
+    /// window, copies of the tokens, query samples and plan log), so this
+    /// session and its co-batched tenants keep serving while [`Db::store`]
+    /// merges the KV and builds the indexes. A session whose noted tokens
+    /// do not cover its KV positions is [`ServeError::TokensNotNoted`], and
+    /// a build that panics is [`ServeError::StoreFailed`] with the panic's
+    /// message. Either way nothing is published and the session stays
+    /// usable.
     pub fn store(&self, id: SessionId) -> Result<ContextId, ServeError> {
-        self.store_background(id)?
-            .wait()
-            .map_err(ServeError::StoreFailed)
-    }
-
-    /// Copy-on-write store: snapshots the session under its lock (cheap)
-    /// and builds the context on the shared pool. The returned handle
-    /// carries the reserved [`ContextId`]; the context appears in the DB
-    /// atomically when the build finishes — readers never observe a
-    /// partially built context. A session whose noted tokens do not cover
-    /// its KV positions is [`ServeError::TokensNotNoted`]; it stays usable.
-    pub fn store_background(&self, id: SessionId) -> Result<StoreHandle, ServeError> {
         let slot = self.slot(id)?;
-        let state = slot.lock();
-        let session = &state.session;
-        if session.storable_len().is_none() {
-            return Err(ServeError::TokensNotNoted {
-                noted: session.tokens().len(),
-                positions: session.total_len(),
-            });
-        }
-        Ok(self.db.store_background(session))
+        let snapshot = {
+            let state = slot.lock();
+            let session = &state.session;
+            if session.storable_len().is_none() {
+                return Err(ServeError::TokensNotNoted {
+                    noted: session.tokens().len(),
+                    positions: session.total_len(),
+                });
+            }
+            session.clone()
+        };
+        catch_unwind(AssertUnwindSafe(|| self.db.store(&snapshot)))
+            .map_err(|panic| ServeError::StoreFailed(panic_message(panic.as_ref())))
     }
 
     /// Removes the session, dropping its admission reservation.
@@ -546,6 +527,17 @@ impl Drop for ServeEngine {
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
     }
 }
 
@@ -709,7 +701,7 @@ mod tests {
         assert_eq!(eng.seq_len(sid, 0).unwrap(), len_before);
         assert!(db.gpu().in_use() <= db.gpu().budget());
 
-        // Closing releases admission plus all growth reservations.
+        // Closing releases the reservation, growth included.
         eng.close(sid).unwrap();
         assert_eq!(db.gpu().in_use(), 0);
     }
@@ -764,7 +756,6 @@ mod tests {
             positions: prompt.len(),
         };
         assert_eq!(eng.store(sid).unwrap_err(), want);
-        assert_eq!(eng.store_background(sid).err(), Some(want));
         assert_eq!(eng.db().n_contexts(), 0);
 
         // The session lock was released: the session still serves, and
@@ -777,6 +768,38 @@ mod tests {
         eng.note_tokens(sid, &truncated).unwrap();
         let ctx = eng.store(sid).unwrap();
         assert_eq!(eng.db().context(ctx).unwrap().len(), prompt.len());
+        eng.close(sid).unwrap();
+        assert_eq!(eng.db().gpu().in_use(), 0);
+    }
+
+    /// A build that panics reaches the caller as a typed error, and the
+    /// engine is otherwise untouched. Before any prefill the session holds
+    /// 0 positions and 0 noted tokens, so `storable_len()` is `Some(0)` and
+    /// `StoredContext::build` refuses the empty context.
+    #[test]
+    fn a_store_build_panic_is_a_typed_error_and_the_session_lives_on() {
+        let (eng, cfg) = engine();
+        let (sid, _) = eng.admit(&[1, 2, 3]).unwrap();
+        let contexts = eng.db().n_contexts();
+        match eng.store(sid) {
+            Err(e @ ServeError::StoreFailed(_)) => {
+                assert!(!e.is_retryable());
+                assert!(
+                    e.to_string().contains("cannot store an empty context"),
+                    "{e}"
+                );
+            }
+            other => panic!("expected StoreFailed, got {other:?}"),
+        }
+        assert_eq!(eng.db().n_contexts(), contexts);
+
+        let queries = vec![vec![1.0; cfg.head_dim]; cfg.n_q_heads];
+        let kv = vec![vec![0.5; cfg.head_dim]; cfg.n_kv_heads];
+        eng.update(sid, &queries, &kv, &kv, 0).unwrap();
+        assert_eq!(
+            eng.attention(sid, &queries, 0).unwrap().len(),
+            cfg.n_q_heads
+        );
         eng.close(sid).unwrap();
         assert_eq!(eng.db().gpu().in_use(), 0);
     }

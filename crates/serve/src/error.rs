@@ -11,7 +11,6 @@
 
 use std::time::Duration;
 
-use alaya_core::StoreError;
 use alaya_device::memory::OutOfMemory;
 
 use crate::engine::SessionId;
@@ -50,9 +49,9 @@ pub enum ServeError {
     /// known-malformed requests are rejected up front as
     /// [`ServeError::InvalidShape`].
     ExecutionPanicked,
-    /// A background store's KV merge or index build panicked; no context
-    /// was published and the session lives on.
-    StoreFailed(StoreError),
+    /// `store`'s KV merge or index build panicked, with this message; no
+    /// context was published and the session lives on.
+    StoreFailed(String),
     /// `admit` was called with an empty prompt (the engine needs at least
     /// one token to produce logits); nothing was reserved.
     EmptyPrompt,
@@ -137,7 +136,7 @@ impl std::fmt::Display for ServeError {
             ServeError::ExecutionPanicked => {
                 write!(f, "batch execution panicked; request aborted")
             }
-            ServeError::StoreFailed(err) => write!(f, "background store failed: {err}"),
+            ServeError::StoreFailed(msg) => write!(f, "store build panicked: {msg}"),
             ServeError::EmptyPrompt => write!(f, "prompt must contain at least one token"),
             ServeError::TokensNotNoted { noted, positions } => write!(
                 f,
@@ -166,7 +165,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::OutOfMemory(oom) => Some(oom),
-            ServeError::StoreFailed(err) => Some(err),
             _ => None,
         }
     }
@@ -205,9 +203,7 @@ mod tests {
                 expected_dim: 16,
             },
             ServeError::ExecutionPanicked,
-            ServeError::StoreFailed(StoreError {
-                message: "index build panicked".into(),
-            }),
+            ServeError::StoreFailed("cannot store an empty context".into()),
             ServeError::Overloaded {
                 queued_requests: 4096,
                 queued_bytes: 1 << 20,
@@ -276,10 +272,6 @@ mod tests {
                 ServeError::OutOfMemory(oom) => {
                     let src = e.source().expect("OutOfMemory exposes its source");
                     assert_eq!(src.to_string(), oom.to_string());
-                }
-                ServeError::StoreFailed(err) => {
-                    let src = e.source().expect("StoreFailed exposes its source");
-                    assert_eq!(src.to_string(), err.to_string());
                 }
                 _ => assert!(e.source().is_none()),
             }

@@ -128,15 +128,15 @@ pub(crate) struct SessionSlot {
     pub(crate) lane: LaneCounters,
 }
 
-/// What the session lock guards: the session and the device reservations
-/// that keep the tracker in step with its local KV.
+/// What the session lock guards: the session and the device reservation
+/// that keeps the tracker in step with its local KV.
 pub(crate) struct SlotState {
     pub(crate) session: Session,
-    /// Local tokens the reservations cover.
+    /// Local tokens the reservation covers.
     pub(crate) covered_tokens: usize,
-    /// The admission reservation, then one per growth chunk as the local
-    /// KV outgrows the admitted window; dropping the slot releases them.
-    pub(crate) reservations: Vec<MemoryGuard>,
+    /// The admission reservation, grown in place by one chunk each time the
+    /// local KV outgrows what it covers; dropping the slot releases it.
+    pub(crate) reservation: MemoryGuard,
 }
 
 impl SlotState {
@@ -158,8 +158,9 @@ impl SessionSlot {
 
     /// Locks the session. No holder runs attention under it: the scheduler
     /// plans, logs the plan and takes a [`Session::snapshot`], then
-    /// releases it before execution, and every other holder appends whole
-    /// entries (`update`, `note_tokens`, a growth reservation) or reads. So
+    /// releases it before execution, `store` clones the session and
+    /// releases it before the build, and every other holder appends whole
+    /// entries (`update`, `note_tokens`, reservation growth) or reads. So
     /// the lock is held for microseconds, and the `parking_lot` lock having
     /// no poisoning costs nothing: a panic under it cannot leave the
     /// session half-mutated.
@@ -664,7 +665,7 @@ mod tests {
         Arc::new(SessionSlot::new(SlotState {
             session,
             covered_tokens: usize::MAX,
-            reservations: Vec::new(),
+            reservation: MemoryTracker::unbounded().alloc(0).unwrap(),
         }))
     }
 

@@ -6,6 +6,7 @@
 //! single-caller path — and admission control must fail closed with a
 //! typed error, never a panic.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -199,11 +200,12 @@ fn admission_control_returns_out_of_memory() {
     engine.close(c).unwrap();
 }
 
-/// A large `store()` runs on the shared pool and publishes copy-on-write:
-/// co-batched tenants keep serving (bitwise-identical) attention while the
-/// index builds, and `Db::context` never answers with a partially built
-/// context — the new id is invisible until the KV merge, coarse indexes and
-/// graphs are all in place, then appears complete in one step.
+/// A large `store()` runs on its caller's thread and publishes
+/// copy-on-write: co-batched tenants keep serving (bitwise-identical)
+/// attention while the index builds, and the DB never answers with a
+/// partially built context — the new one is invisible until the KV merge,
+/// coarse indexes and graphs are all in place, then appears complete in
+/// one step.
 #[test]
 fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
     const STEPS: usize = 12;
@@ -218,7 +220,7 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
     prompt.extend([201u32, 202, 203]);
 
     // The storing session reuses the stored context, decodes the truncated
-    // tail, and then snapshots into a background store.
+    // tail, and then stores it from a thread of its own.
     let (store_sid, truncated) = engine.admit(&prompt).expect("admission");
     engine.note_tokens(store_sid, &truncated).unwrap();
     let mut rng = seeded(42);
@@ -240,18 +242,33 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
         }
     }
 
-    // Admit the co-tenant *before* kicking off the store so its first
-    // request races the build, then start the background build.
+    // Admit the co-tenant *before* the store starts so its first request
+    // races the build.
     let (tenant_sid, _) = engine.admit(&prompt).expect("tenant admission");
-    let handle = engine.store_background(store_sid).expect("store kickoff");
     let expected_len = prompt.len();
     let flat_layers = db.config().optimizer.flat_layers;
+    let stored = AtomicBool::new(false);
 
-    let served_during_build = std::thread::scope(|s| {
-        // Reader thread: whenever the in-flight id becomes visible, it must
-        // already be the *complete* context.
+    // The resident context whose tokens are the whole prompt, if any: a
+    // session over the prompt reuses it, and no other context has them.
+    let find = || {
+        let (session, _) = db.create_session(&prompt);
+        session.base().filter(|b| b.tokens == prompt).cloned()
+    };
+
+    let (id, served_during_build) = std::thread::scope(|s| {
+        let store = s.spawn(|| {
+            let id = engine.store(store_sid);
+            stored.store(true, Ordering::SeqCst);
+            id
+        });
+
+        // Reader thread: whenever the new context becomes visible, it must
+        // already be complete. Once the store has returned it must be there.
         let poller = s.spawn(|| loop {
-            if let Some(ctx) = db.context(handle.id()) {
+            let finished = stored.load(Ordering::SeqCst);
+            let found = find();
+            if let Some(ctx) = &found {
                 assert_eq!(ctx.len(), expected_len, "published context incomplete");
                 for layer in 0..model_cfg.n_layers {
                     for h in 0..model_cfg.n_kv_heads {
@@ -270,7 +287,8 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
                     }
                 }
             }
-            if handle.is_finished() {
+            if finished {
+                assert!(found.is_some(), "stored context not visible after store()");
                 break;
             }
             std::thread::yield_now();
@@ -297,7 +315,7 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
                         .update(tenant_sid, &queries, &keys, &values, layer)
                         .unwrap();
                     let served = engine.attention(tenant_sid, &queries, layer).unwrap();
-                    if !handle.is_finished() {
+                    if !stored.load(Ordering::SeqCst) {
                         served_while_building += 1;
                     }
                     reference.update(&queries, &keys, &values, layer);
@@ -312,17 +330,17 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
         });
 
         poller.join().unwrap();
-        tenant.join().unwrap()
+        let id = store.join().unwrap().expect("store succeeds");
+        (id, tenant.join().unwrap())
     });
     assert!(
         served_during_build > 0,
         "co-tenant attention must complete while store() is still building"
     );
 
-    let id = handle.wait().expect("background store succeeds");
-    assert_eq!(id, handle.id());
-    let ctx = db.context(id).expect("context published after wait");
+    let ctx = db.context(id).expect("context published by store()");
     assert_eq!(ctx.len(), expected_len);
+    assert_eq!(ctx.tokens, prompt);
 
     // The published context is immediately reusable: a new session over the
     // same prompt now matches the longer stored prefix.
@@ -338,8 +356,8 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
 /// whoever is already being served: a session whose base context leaves
 /// the table mid-decode (a tiny budget, other sessions storing) keeps
 /// serving bit for bit what `Session::attention_sequential` computes, its
-/// own background store racing the eviction still builds on the evicted
-/// prefix and publishes, and nothing leaks.
+/// own store racing the eviction still builds on the evicted prefix and
+/// publishes, and nothing leaks.
 #[test]
 fn session_keeps_serving_bitwise_after_its_base_is_evicted() {
     const STEPS_PER_PHASE: usize = 3;
@@ -373,11 +391,13 @@ fn session_keeps_serving_bitwise_after_its_base_is_evicted() {
         "the session must be reading the base's indexes, not only its KV"
     );
 
-    // One token through every layer, served and sequential side by side.
+    // One token through every layer, served and sequential side by side,
+    // noted once all its layers are in: mid-step, the session holds more
+    // positions than noted tokens, so a store there is refused instead of
+    // building a ragged context.
     let mut rng = seeded(17);
     let dim = model_cfg.head_dim;
     let mut step = |token: u32, reference: &mut alaya_core::Session| {
-        engine.note_tokens(sid, &[token]).unwrap();
         for layer in 0..model_cfg.n_layers {
             let mut draw = |n: usize| -> Vec<Vec<f32>> {
                 (0..n).map(|_| gaussian_vec(&mut rng, dim, 1.0)).collect()
@@ -391,6 +411,7 @@ fn session_keeps_serving_bitwise_after_its_base_is_evicted() {
             let want = reference.attention_sequential(&queries, layer);
             assert_eq!(served, want, "diverged at layer {layer}");
         }
+        engine.note_tokens(sid, &[token]).unwrap();
     };
 
     // Phase 1: the base is resident.
@@ -400,9 +421,11 @@ fn session_keeps_serving_bitwise_after_its_base_is_evicted() {
     assert!(db.context(base_id).is_some());
 
     // Phase 2: other sessions store unrelated contexts, pushing the base
-    // out, while this session kicks off its own store and keeps decoding.
-    let handle = std::thread::scope(|s| {
-        let storers = s.spawn(|| {
+    // out, while this session stores from a thread of its own (retrying
+    // until it lands between two steps) and keeps decoding.
+    let phase2: Vec<u32> = (210..210 + STEPS_PER_PHASE as u32).collect();
+    let id = std::thread::scope(|s| {
+        s.spawn(|| {
             for c in 0..STORING_SESSIONS {
                 let other: Vec<u32> = (0..80u32).map(|i| 200 + c + (i * 7) % 50).collect();
                 let (osid, otrunc) = engine.admit(&other).expect("admission");
@@ -412,19 +435,28 @@ fn session_keeps_serving_bitwise_after_its_base_is_evicted() {
                 engine.close(osid).unwrap();
             }
         });
-        let handle = engine.store_background(sid).expect("store kickoff");
-        for i in 0..STEPS_PER_PHASE {
-            step(210 + i as u32, &mut reference);
+        let store = s.spawn(|| loop {
+            match engine.store(sid) {
+                Err(ServeError::TokensNotNoted { .. }) => std::thread::yield_now(),
+                stored => break stored,
+            }
+        });
+        for &t in &phase2 {
+            step(t, &mut reference);
         }
-        storers.join().unwrap();
-        handle
+        store.join().unwrap()
     });
 
     // The store that raced the eviction built on the prefix its snapshot
-    // held and published a whole context (which may itself be gone again).
-    let id = handle.wait().expect("store over an evicted base publishes");
+    // held and published a whole context (which may itself be gone again):
+    // the prompt and the phase-2 tokens noted by then, every layer as long.
+    let id = id.expect("store over an evicted base publishes");
     if let Some(ctx) = db.context(id) {
-        assert_eq!(ctx.tokens, prompt);
+        let noted: Vec<u32> = prompt.iter().chain(&phase2).copied().collect();
+        assert!(ctx.tokens.starts_with(&prompt) && noted.starts_with(&ctx.tokens));
+        for layer in 0..model_cfg.n_layers {
+            assert_eq!(ctx.kv.seq_len(layer), ctx.len(), "layer {layer}");
+        }
     }
 
     // Evicted by the other stores or superseded by this session's own:
@@ -433,7 +465,6 @@ fn session_keeps_serving_bitwise_after_its_base_is_evicted() {
     assert!(db.context(base_id).is_none(), "the base left the table");
     let stats = db.stats();
     assert!(stats.contexts_evicted() >= 1);
-    assert_eq!(stats.store_failures(), 0);
     assert!(stats.context_bytes() <= budget || db.n_contexts() == 1);
 
     // Phase 3: the base is certainly gone; decode on.
@@ -602,7 +633,7 @@ fn close_mid_flight_serves_the_request_and_releases_the_reservation() {
     let served = std::thread::scope(|s| {
         let engine = &engine;
         let q = queries.clone();
-        let caller = s.spawn(move || engine.attention_owned(sid, q, 0));
+        let caller = s.spawn(move || engine.attention(sid, &q, 0));
         // Close while the request lingers in the dispatch window.
         std::thread::sleep(Duration::from_millis(20));
         engine.close(sid).unwrap();

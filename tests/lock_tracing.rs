@@ -1,8 +1,10 @@
 //! Negative half of the lock-order contract: the system's *legal* lock
 //! ordering, exercised end to end (serve → core → device → storage), must
 //! run under the tracing shim without any inversion panic — and the tracer
-//! must demonstrably be live, i.e. the acquisition-order graph contains the
-//! edges the canonical order (documented in `alaya_core::db`) predicts.
+//! must demonstrably be live (every site registered, the pool's own nested
+//! acquisition recorded), and the graph must show the leaves the lock order
+//! documented in `alaya_core::db` claims: no edge out of `serve.session`
+//! or `core.db.contexts`.
 //!
 //! The positive half — an intentional inversion panics with both site
 //! names and backtraces — lives in `shims/parking_lot/tests/lock_order.rs`.
@@ -15,10 +17,10 @@ use alayadb::core::{Db, DbConfig};
 use alayadb::llm::{Model, ModelConfig};
 use alayadb::serve::{ServeConfig, ServeEngine};
 
-/// Drives admission, prefill, decode, background store and reuse through
-/// the full stack, then asserts (a) nothing panicked — the canonical order
-/// held — and (b) the tracer recorded the cross-layer edges that prove it
-/// was watching.
+/// Drives admission, prefill, decode, store and reuse through the full
+/// stack, then asserts (a) nothing panicked — no order was inverted — (b)
+/// the tracer was watching, and (c) the session and contexts locks stayed
+/// leaves.
 #[test]
 fn legal_lock_order_is_silent_and_traced() {
     let model_cfg = ModelConfig::tiny();
@@ -33,8 +35,8 @@ fn legal_lock_order_is_silent_and_traced() {
     );
 
     // Session 1: prefill + decode through the scheduler, then store the
-    // context in the background (serve.session → core.db.contexts →
-    // core.db.store_state is the deepest publication chain).
+    // context on this thread (the session lock is released before the
+    // build takes `core.db.contexts` and fans out on the pool).
     let prompt: Vec<u32> = (5..35).collect();
     let (sid, truncated) = eng.admit(&prompt).unwrap();
     eng.note_tokens(sid, &truncated).unwrap();
@@ -77,8 +79,8 @@ fn legal_lock_order_is_silent_and_traced() {
         "serve.session",
         "serve.sched.queue",
         "core.db.contexts",
-        "core.db.store_state",
         "device.pool.queue",
+        "device.pool.idle",
     ] {
         assert!(
             sites.iter().any(|s| s == expected),
@@ -86,53 +88,31 @@ fn legal_lock_order_is_silent_and_traced() {
         );
     }
 
-    // The session's reservation growth lives under the session lock; it
-    // has no lock of its own.
-    assert!(
-        !sites.iter().any(|s| s == "serve.growth"),
-        "serve.growth registered: {sites:?}"
-    );
-
-    let edges = parking_lot::lock_tracing::edges();
-    let has = |a: &str, b: &str| edges.iter().any(|(x, y)| x == a && y == b);
-    // store_background snapshots under the session lock, then reserves the
-    // id under the contexts write lock.
-    assert!(
-        has("serve.session", "core.db.contexts"),
-        "store snapshot edge missing; edges: {edges:?}"
-    );
-    // ...and queues the build task on the pool under the same hold (the
-    // store kickoff): serve.session → device.pool.queue.
-    assert!(
-        has("serve.session", "device.pool.queue"),
-        "store kickoff edge missing; edges: {edges:?}"
-    );
-    // The scheduler releases every session lock before a batch executes:
-    // no pool scope is ever waited on under one.
-    assert!(
-        !has("serve.session", "device.pool.scope_done"),
-        "a session lock was held across pool execution; edges: {edges:?}"
-    );
-    // The publish task drops the contexts guard before signalling the
-    // store state (see the canonical-order notes in `alaya_core::db`):
-    // those two locks must never be held together, in either order.
-    for (a, b) in [
-        ("core.db.contexts", "core.db.store_state"),
-        ("core.db.store_state", "core.db.contexts"),
-    ] {
+    // Reservation growth lives under the session lock, and a store waits
+    // on its own thread: neither has a lock of its own.
+    for gone in ["serve.growth", "core.db.store_state"] {
         assert!(
-            !has(a, b),
-            "contexts and store_state were held together ({a} -> {b})"
+            !sites.iter().any(|s| s == gone),
+            "{gone} registered: {sites:?}"
         );
     }
-    // And the documented order must never appear reversed.
-    for (a, b) in [
-        ("core.db.contexts", "serve.session"),
-        ("serve.session", "serve.sessions"),
-    ] {
+
+    let edges = parking_lot::lock_tracing::edges();
+    // A parking pool worker re-checks the queues under its idle lock: the
+    // one nesting the run must show.
+    assert!(
+        edges
+            .iter()
+            .any(|(a, b)| a == "device.pool.idle" && b == "device.pool.queue"),
+        "edge tracing is not live; edges: {edges:?}"
+    );
+    // The scheduler plans and snapshots under a session lock, and `store`
+    // clones under it, and both release it before anything else is locked.
+    // Publication and lookup take the contexts lock alone.
+    for leaf in ["serve.session", "core.db.contexts"] {
         assert!(
-            !has(a, b),
-            "edge {a} -> {b} contradicts the canonical lock order"
+            !edges.iter().any(|(a, _)| a == leaf),
+            "an edge leaves {leaf}; edges: {edges:?}"
         );
     }
 }
