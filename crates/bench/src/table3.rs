@@ -29,7 +29,7 @@ pub const MIN_SPREAD: f64 = 10.0;
 pub struct TaskRow {
     /// Task display name.
     pub task: String,
-    /// Smallest swept k within [`SLACK`] instances of full attention.
+    /// Smallest swept k within `SLACK` (1) instance of full attention.
     pub required_k: usize,
     /// `required_k` as a percentage of the context.
     pub proportion_pct: f64,
@@ -75,7 +75,7 @@ pub fn measure(ctx: usize, instances: usize) -> Vec<TaskRow> {
     rows
 }
 
-/// Precondition: full attention reaches the ceiling (within [`SLACK`]) on
+/// Precondition: full attention reaches the ceiling (within `SLACK`, 1 instance) on
 /// every task. Claim: the required k spans at least [`MIN_SPREAD`].
 pub fn check(rows: &[TaskRow]) -> Verdict {
     if let Some(r) = rows

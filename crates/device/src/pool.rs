@@ -351,22 +351,18 @@ impl WorkStealingPool {
         if n <= 1 || tasks <= 1 || self.threads() <= 1 {
             return (0..n).map(f).collect();
         }
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        // Each task builds its chunk in index order; the chunks concatenate
+        // in order.
         let chunk = n.div_ceil(tasks);
+        let mut parts: Vec<Vec<T>> = (0..n.div_ceil(chunk)).map(|_| Vec::new()).collect();
         let f = &f;
         self.scope(|s| {
-            for (ci, slots) in out.chunks_mut(chunk).enumerate() {
+            for (ci, part) in parts.iter_mut().enumerate() {
                 let start = ci * chunk;
-                s.spawn(move || {
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(start + i));
-                    }
-                });
+                s.spawn(move || *part = (start..n.min(start + chunk)).map(f).collect());
             }
         });
-        out.into_iter()
-            .map(|o| o.expect("map task filled every slot"))
-            .collect()
+        parts.into_iter().flatten().collect()
     }
 }
 

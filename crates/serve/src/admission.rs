@@ -1,26 +1,21 @@
 //! Admission control: reserve device memory before a session exists.
 //!
 //! Serving collapses when sessions are admitted optimistically and the KV
-//! working set outgrows the device mid-decode. The controller makes the
-//! decision *at admission time*: every session's worst-case footprint —
-//! its share of the cached window plus the session-local KV window grown
-//! to the configured cap — is reserved against the shared
-//! [`MemoryTracker`] (the same tracker the query optimizer probes, so
-//! admitted-but-idle reservations correctly push the optimizer toward the
-//! low-memory DIPR plans). Rejection is a typed [`OutOfMemory`] value, not
-//! a panic: the caller can queue, shed, or retry.
-
-use std::sync::Arc;
+//! working set outgrows the device mid-decode. [`ServeEngine::admit`]
+//! makes the decision *at admission time*: every session's worst-case
+//! footprint — its share of the cached window plus the session-local KV
+//! window grown to the configured cap, [`session_bytes`] — is reserved
+//! against the shared [`MemoryTracker`] (the same tracker the query
+//! optimizer probes, so admitted-but-idle reservations correctly push the
+//! optimizer toward the low-memory DIPR plans). Rejection is a typed
+//! [`ServeError::OutOfMemory`] value, not a panic: the caller can queue,
+//! shed, or retry.
+//!
+//! [`ServeEngine::admit`]: crate::ServeEngine::admit
+//! [`MemoryTracker`]: alaya_device::memory::MemoryTracker
+//! [`ServeError::OutOfMemory`]: crate::ServeError::OutOfMemory
 
 use alaya_core::DbConfig;
-use alaya_device::memory::{MemoryGuard, MemoryTracker, OutOfMemory};
-
-/// Reserves per-session device bytes against a shared budget.
-#[derive(Clone)]
-pub struct AdmissionController {
-    tracker: Arc<MemoryTracker>,
-    bytes_per_session: u64,
-}
 
 /// Device bytes one token of session-local KV pins: K and V per layer and
 /// KV head, f32.
@@ -40,33 +35,16 @@ pub fn session_bytes(cfg: &DbConfig, max_local_tokens: usize) -> u64 {
     per_token_bytes(cfg) * (window_tokens + max_local_tokens as u64)
 }
 
-impl AdmissionController {
-    /// A controller reserving `bytes_per_session` per admission from
-    /// `tracker`.
-    pub fn new(tracker: Arc<MemoryTracker>, bytes_per_session: u64) -> Self {
-        Self {
-            tracker,
-            bytes_per_session,
-        }
-    }
-
-    /// Bytes reserved per admitted session.
-    pub fn bytes_per_session(&self) -> u64 {
-        self.bytes_per_session
-    }
-
-    /// Attempts to admit one session, returning the RAII reservation.
-    /// Dropping the guard (session stored or closed) frees the budget for
-    /// the next admission.
-    pub fn admit(&self) -> Result<MemoryGuard, OutOfMemory> {
-        self.tracker.alloc(self.bytes_per_session)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use alaya_core::Db;
+    use alaya_device::memory::MemoryTracker;
     use alaya_llm::ModelConfig;
+
+    use crate::{ServeConfig, ServeEngine, ServeError};
 
     #[test]
     fn session_bytes_scale_with_geometry_and_cap() {
@@ -79,17 +57,30 @@ mod tests {
 
     #[test]
     fn admission_is_budget_limited_and_released_on_drop() {
-        let tracker = MemoryTracker::new(1000);
-        let ctl = AdmissionController::new(Arc::clone(&tracker), 400);
-        let a = ctl.admit().unwrap();
-        let b = ctl.admit().unwrap();
-        let err = ctl.admit().unwrap_err();
-        assert_eq!(err.requested, 400);
-        assert_eq!(err.in_use, 800);
-        drop(a);
-        let c = ctl.admit().unwrap();
-        drop(b);
-        drop(c);
+        let db = Arc::new(Db::new(DbConfig::for_tests(ModelConfig::tiny())));
+        let per_session = session_bytes(db.config(), 16);
+        let tracker = MemoryTracker::new(per_session * 5 / 2);
+        let eng = ServeEngine::with_options(
+            db,
+            ServeConfig {
+                max_local_tokens: 16,
+                admission: Some(Arc::clone(&tracker)),
+                ..Default::default()
+            },
+        );
+        let (a, _) = eng.admit(&[1]).unwrap();
+        let (b, _) = eng.admit(&[2]).unwrap();
+        match eng.admit(&[3]) {
+            Err(ServeError::OutOfMemory(oom)) => {
+                assert_eq!(oom.requested, per_session);
+                assert_eq!(oom.in_use, 2 * per_session);
+            }
+            other => panic!("expected OutOfMemory, got {other:?}"),
+        }
+        eng.close(a).unwrap();
+        let (c, _) = eng.admit(&[3]).unwrap();
+        eng.close(b).unwrap();
+        eng.close(c).unwrap();
         assert_eq!(tracker.in_use(), 0);
     }
 }

@@ -24,9 +24,9 @@ use alaya_device::memory::MemoryTracker;
 use alaya_device::pool::{self, WorkStealingPool};
 use alaya_llm::backend::{AttentionBackend, StepInput};
 
-use crate::admission::{per_token_bytes, session_bytes, AdmissionController};
+use crate::admission::{per_token_bytes, session_bytes};
 use crate::scheduler::{
-    self, BatchPolicy, Pending, SchedulerCore, SchedulerStats, ServeError, SessionSlot, SlotState,
+    self, BatchPolicy, Pending, SchedulerCore, ServeError, SessionSlot, SlotState,
 };
 use crate::telemetry::{LaneStats, TelemetrySnapshot};
 
@@ -93,7 +93,11 @@ impl Default for ServeConfig {
 /// A concurrent multi-session serving engine over one [`Db`].
 pub struct ServeEngine {
     db: Arc<Db>,
-    admission: AdmissionController,
+    /// Tracker admissions and their growth are charged against.
+    tracker: Arc<MemoryTracker>,
+    /// Device bytes reserved per admitted session
+    /// ([`session_bytes`](crate::admission::session_bytes)).
+    session_bytes: u64,
     sessions: RwLock<HashMap<SessionId, Arc<SessionSlot>>>,
     next_id: AtomicU64,
     core: Arc<SchedulerCore>,
@@ -105,8 +109,6 @@ pub struct ServeEngine {
     per_token: u64,
     /// Deadline stamped on every submission without an explicit one.
     default_deadline: Option<Duration>,
-    /// Shared with the scheduler core; all deadline math reads this.
-    clock: Arc<dyn Clock>,
 }
 
 impl ServeEngine {
@@ -123,8 +125,6 @@ impl ServeEngine {
             Arc::new(WorkStealingPool::new(opts.threads))
         };
         let tracker = opts.admission.unwrap_or_else(|| Arc::clone(db.gpu()));
-        let admission =
-            AdmissionController::new(tracker, session_bytes(db.config(), opts.max_local_tokens));
 
         // DRR quantum: worst-case attended tokens for one request (the
         // stored window plus the full session-local cap), so one round of
@@ -139,7 +139,7 @@ impl ServeEngine {
         };
         let clock: Arc<dyn Clock> = opts.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
 
-        let core = Arc::new(SchedulerCore::new(pool, policy, Arc::clone(&clock)));
+        let core = Arc::new(SchedulerCore::new(pool, policy, clock));
         // Fold the lower layers' cells into the engine's registry so one
         // `telemetry()` snapshot covers the whole stack (scheduler, pool,
         // DB). Registration is first-wins: engines sharing the global pool
@@ -153,8 +153,9 @@ impl ServeEngine {
             .expect("spawning scheduler thread");
         let per_token = per_token_bytes(db.config());
         Self {
+            session_bytes: session_bytes(db.config(), opts.max_local_tokens),
             db,
-            admission,
+            tracker,
             sessions: RwLock::new_named(HashMap::new(), "serve.sessions"),
             next_id: AtomicU64::new(0),
             core,
@@ -162,23 +163,12 @@ impl ServeEngine {
             reserve_tokens: opts.max_local_tokens.max(1),
             per_token,
             default_deadline: opts.default_deadline,
-            clock,
         }
     }
 
     /// The underlying database.
     pub fn db(&self) -> &Arc<Db> {
         &self.db
-    }
-
-    /// The admission controller (reservation sizing + tracker).
-    pub fn admission(&self) -> &AdmissionController {
-        &self.admission
-    }
-
-    /// Scheduler counters so far.
-    pub fn stats(&self) -> SchedulerStats {
-        self.core.stats.snapshot()
     }
 
     /// A point-in-time telemetry snapshot: the classic counters, the
@@ -224,18 +214,6 @@ impl ServeEngine {
         TelemetrySnapshot::collect(&self.core.stats, lanes)
     }
 
-    /// The EWMA-calibrated per-batch execution estimate currently sizing
-    /// `retry_after_hint` and deadline-shedding margins: zero until the
-    /// first batch, then tracks observed batch wall times.
-    pub fn calibrated_est_exec(&self) -> Duration {
-        self.core.stats.est_exec()
-    }
-
-    /// The engine's time source (system or injected).
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
     /// Arms deterministic fault injection: the scheduler probes `chaos`
     /// at its failpoints, and — when this engine owns a dedicated pool
     /// (`threads > 0`) — so do the pool's workers. The process-wide pool
@@ -264,7 +242,7 @@ impl ServeEngine {
         if prompt.is_empty() {
             return Err(ServeError::EmptyPrompt);
         }
-        let reservation = self.admission.admit()?;
+        let reservation = self.tracker.alloc(self.session_bytes)?;
         let (session, truncated) = self.db.create_session(prompt);
         let slot = Arc::new(SessionSlot::new(SlotState {
             session,
@@ -429,8 +407,7 @@ impl ServeEngine {
         deadline: Option<Duration>,
         cost: u64,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        let bytes = queries.iter().map(|q| q.len() * 4).sum::<usize>() as u64;
-        let enqueued = self.clock.now();
+        let enqueued = self.core.clock.now();
         let (tx, rx) = mpsc::channel();
         self.core.enqueue(Pending {
             slot,
@@ -440,7 +417,6 @@ impl ServeEngine {
             enqueued,
             deadline: deadline.map(|d| enqueued.saturating_add(d)),
             cost,
-            bytes,
         })?;
         rx.recv().map_err(|_| ServeError::ShuttingDown)?
     }
@@ -707,8 +683,8 @@ mod tests {
     }
 
     /// The dispatch policy `perfbench` runs under (it sets only
-    /// `admission`): batch 64, zero window, no deadline, 4096 requests /
-    /// 256 MiB.
+    /// `admission`): batch 64, zero window, no deadline, 4096 queued
+    /// requests.
     #[test]
     fn default_dispatch_policy_is_pinned() {
         let (eng, _) = engine();
@@ -716,9 +692,8 @@ mod tests {
         assert_eq!(policy.max_batch, 64);
         assert_eq!(policy.window, Duration::ZERO);
         assert_eq!(policy.max_queue_requests, 4096);
-        assert_eq!(policy.max_queue_bytes, 256 << 20);
         assert_eq!(eng.default_deadline, None);
-        assert_eq!(eng.calibrated_est_exec(), Duration::ZERO);
+        assert_eq!(eng.telemetry().est_exec, Duration::ZERO);
     }
 
     /// Caller mistakes are typed errors that reserve nothing and leave

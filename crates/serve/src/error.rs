@@ -64,16 +64,14 @@ pub enum ServeError {
         /// KV positions the session holds.
         positions: usize,
     },
-    /// Typed backpressure: the scheduler queue is at its configured
-    /// request/byte limit and the request was rejected *at submission*
+    /// Typed backpressure: the scheduler queue holds its configured
+    /// number of requests and the request was rejected *at submission*
     /// (it never occupied a queue slot). Retry after `retry_after_hint` —
     /// an estimate of when a slot frees up, derived from the queue depth
     /// and the per-batch execution estimate.
     Overloaded {
         /// Requests queued when the submission was rejected.
         queued_requests: usize,
-        /// Request bytes queued when the submission was rejected.
-        queued_bytes: u64,
         /// Suggested client backoff before resubmitting.
         retry_after_hint: Duration,
     },
@@ -144,11 +142,10 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::Overloaded {
                 queued_requests,
-                queued_bytes,
                 retry_after_hint,
             } => write!(
                 f,
-                "scheduler overloaded ({queued_requests} requests / {queued_bytes} bytes queued); \
+                "scheduler overloaded ({queued_requests} requests queued); \
                  retry after {retry_after_hint:?}"
             ),
             ServeError::DeadlineExceeded { queued_for } => {
@@ -206,7 +203,6 @@ mod tests {
             ServeError::StoreFailed("cannot store an empty context".into()),
             ServeError::Overloaded {
                 queued_requests: 4096,
-                queued_bytes: 1 << 20,
                 retry_after_hint: Duration::from_millis(12),
             },
             ServeError::DeadlineExceeded {

@@ -29,21 +29,25 @@
 //!   thrashing (or panicking).
 //! * **Overload control** ([`error`], plus the scheduler's
 //!   [`BatchPolicy`]) — batch size, dispatch window and deadline are
-//!   explicit policy ([`ServeConfig`]), queue depth is
-//!   bounded with typed [`ServeError::Overloaded`] backpressure, requests
+//!   explicit policy ([`ServeConfig`]), the queue is bounded by request
+//!   count with typed [`ServeError::Overloaded`] backpressure, requests
 //!   carry deadlines and are shed with [`ServeError::DeadlineExceeded`]
 //!   when they can no longer be met, and per-session deficit-round-robin
 //!   keeps one heavy tenant from monopolizing consecutive batches. Every
-//!   accepted request terminates in exactly one reply. The `instrumented`
+//!   accepted request terminates in exactly one reply, sent by the one
+//!   scheduler function that closes executed, shed and panicked requests
+//!   alike. The `instrumented`
 //!   feature compiles in deterministic failpoints (worker panics, slow
 //!   batches — see `alaya-chaos`) that the chaos test suite uses to prove
 //!   these properties hold *under* injected faults.
 //! * **Observability** ([`telemetry`], built on `alaya-telemetry`) —
 //!   every request's lifecycle is traced as a span
 //!   (`enqueue → batch-assemble → plan → pool-exec → reply`, or the
-//!   shed/reject exits) into log-bucketed per-stage histograms, per-tenant
-//!   lane stats ride the session slots, and a ring-buffer flight recorder
-//!   captures the events leading up to a batch panic or chaos fault.
+//!   shed/reject exits) into log-bucketed per-stage histograms; each
+//!   outcome is counted once, in its span cell, and [`SchedulerStats`]
+//!   reads its outcome fields from there. Per-tenant lane stats ride the
+//!   session slots, and a ring-buffer flight recorder keeps the events
+//!   leading up to a batch panic as a dump in the snapshot.
 //!   Observed batch wall time feeds an EWMA that is the scheduler's only
 //!   execution estimate, so `retry_after_hint` and deadline shedding track
 //!   the live machine. [`ServeEngine::telemetry`] exposes the whole view.
@@ -61,7 +65,6 @@ pub mod error;
 pub mod scheduler;
 pub mod telemetry;
 
-pub use admission::AdmissionController;
 pub use alaya_device::pool::{self, Scope, WorkStealingPool};
 pub use engine::{ServeConfig, ServeEngine, SessionId};
 pub use error::ServeError;

@@ -15,8 +15,9 @@
 //!    be met anymore — `now` plus the measured per-batch execution
 //!    estimate is past it — is answered with a typed
 //!    [`ServeError::DeadlineExceeded`] instead of executing). Queue depth
-//!    is bounded at submission: [`SchedulerCore::enqueue`] rejects with
-//!    [`ServeError::Overloaded`] rather than queueing without bound.
+//!    is bounded at submission, by request count: `SchedulerCore::enqueue`
+//!    rejects with [`ServeError::Overloaded`] rather than queueing without
+//!    bound.
 //! 2. **Plans and snapshots** each request under its session's lock, one
 //!    lock at a time. Requests are grouped by `(stored context, layer,
 //!    reused prefix)`; sessions in one group have identical [`QuerySpec`]s,
@@ -31,18 +32,18 @@
 //!    batch that comes to one task runs on the scheduler thread. Heads are
 //!    independent and each writes only its own output, so the result is
 //!    bitwise deterministic for any worker count or steal order.
-//! 4. **Replies** through each request's channel, unblocking its caller,
-//!    after every snapshot is dropped — so the caller's next `update`
-//!    finds its local window unshared and copies nothing. Every request
-//!    that enters the queue receives exactly one reply — executed, shed,
-//!    or aborted — and its session slot (hence its admission reservation)
-//!    is released before the reply is sent.
+//! 4. **Replies** after every snapshot is dropped — so the caller's next
+//!    `update` finds its local window unshared and copies nothing. Every
+//!    queued request ends in one function, `finish`, which consumes it:
+//!    executed, shed and panicked requests alike get exactly one reply,
+//!    one count and one flight-recorder event there, and their session
+//!    slot (hence its admission reservation) is released before the reply
+//!    is sent.
 //!
-//! All time is read through the engine's injectable
-//! [`Clock`](alaya_device::clock::Clock), so deadline and window logic is
-//! deterministic under the chaos harness's [`ManualClock`]. With the
-//! `instrumented` feature the loop carries a batch-delay failpoint
-//! ([`CHAOS_BATCH_DELAY`]) simulating slow execution.
+//! All time is read through the engine's injectable [`Clock`], so deadline
+//! and window logic is deterministic under the chaos harness's
+//! [`ManualClock`]. With the `instrumented` feature the loop carries a
+//! batch-delay failpoint (`CHAOS_BATCH_DELAY`) simulating slow execution.
 //!
 //! No thread holds a session lock across execution or holds two at once:
 //! an `update` that races a batch waits for one snapshot at most, and the
@@ -99,11 +100,9 @@ pub struct BatchPolicy {
     /// How long an under-full batch lingers for batchmates. Zero = never
     /// linger (dispatch whatever is queued immediately).
     pub window: Duration,
-    /// Queue-depth bound: submissions beyond this many queued requests
-    /// are rejected with [`ServeError::Overloaded`].
+    /// Queue bound: submissions beyond this many queued requests are
+    /// rejected with [`ServeError::Overloaded`].
     pub max_queue_requests: usize,
-    /// Queue-size bound in request bytes, same rejection.
-    pub max_queue_bytes: u64,
     /// Cost units (attended tokens) each session lane banks per DRR
     /// round.
     pub quantum: u64,
@@ -115,7 +114,6 @@ impl Default for BatchPolicy {
             max_batch: 64,
             window: Duration::ZERO,
             max_queue_requests: 4096,
-            max_queue_bytes: 256 << 20,
             quantum: 512,
         }
     }
@@ -169,7 +167,8 @@ impl SessionSlot {
     }
 }
 
-/// A queued attention request.
+/// A queued attention request. Only [`finish`] replies to it, and it
+/// consumes the request, so no request is answered twice.
 pub(crate) struct Pending {
     pub(crate) slot: Arc<SessionSlot>,
     pub(crate) queries: Vec<Vec<f32>>,
@@ -182,15 +181,13 @@ pub(crate) struct Pending {
     /// DRR cost in attended tokens (reused prefix + covered local KV):
     /// the work this request makes the batch do.
     pub(crate) cost: u64,
-    /// Queue-accounting bytes (the query tensor).
-    pub(crate) bytes: u64,
 }
 
 /// Monotonic scheduler counters (observability + batching assertions in
 /// tests and benches).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Attention requests executed.
+    /// Attention requests dispatched in a batch: executed or panicked.
     pub requests: u64,
     /// Batches dispatched.
     pub batches: u64,
@@ -203,7 +200,7 @@ pub struct SchedulerStats {
     /// Requests shed from the queue because their deadline expired.
     pub shed_deadline: u64,
     /// Submissions rejected at enqueue because the queue was at its
-    /// request/byte bound.
+    /// request bound.
     pub rejected_overload: u64,
 }
 
@@ -228,7 +225,6 @@ pub(crate) struct SchedQueue {
     /// Round-robin order over `lanes` keys.
     rr: VecDeque<usize>,
     n_queued: usize,
-    queued_bytes: u64,
 }
 
 impl SchedQueue {
@@ -247,9 +243,8 @@ impl SchedQueue {
     }
 
     fn push(&mut self, p: Pending) {
-        let key = slot_ptr(&p);
+        let key = slot_key(&p.slot);
         self.n_queued += 1;
-        self.queued_bytes = self.queued_bytes.saturating_add(p.bytes);
         if !self.lanes.contains_key(&key) {
             self.rr.push_back(key);
         }
@@ -291,7 +286,6 @@ impl SchedQueue {
                     // Shedding consumes no deficit: the lane did no work.
                     if let Some(p) = lane.queue.pop_front() {
                         self.n_queued -= 1;
-                        self.queued_bytes = self.queued_bytes.saturating_sub(p.bytes);
                         shed.push(p);
                     }
                     continue;
@@ -306,7 +300,6 @@ impl SchedQueue {
                 lane.deficit -= cost;
                 if let Some(p) = lane.queue.pop_front() {
                     self.n_queued -= 1;
-                    self.queued_bytes = self.queued_bytes.saturating_sub(p.bytes);
                     batch.push(p);
                 }
             }
@@ -356,44 +349,33 @@ impl SchedulerCore {
     }
 
     /// Queues a request, or rejects it with [`ServeError::Overloaded`]
-    /// when the queue is at its request/byte bound. A rejected request
-    /// never occupies a slot; its `Pending` (and the session Arc inside)
-    /// is dropped here, after the queue lock is released.
+    /// when the queue is at its request bound. A rejected request never
+    /// occupies a slot: it is counted, recorded and dropped here, after
+    /// the queue lock is released, so freeing its session `Arc` (possibly
+    /// the last reference) runs lock-free.
     pub(crate) fn enqueue(&self, p: Pending) -> Result<(), ServeError> {
         // Span opens at the front door; exactly one close follows —
-        // rejected here, or shed / executed / panicked on the scheduler
-        // thread.
+        // rejected here, or in `finish` on the scheduler thread.
         self.stats.spans_opened.inc();
         let mut q = self.queue.lock();
-        let over_requests = q.len() >= self.policy.max_queue_requests;
-        let over_bytes = q.queued_bytes.saturating_add(p.bytes) > self.policy.max_queue_bytes;
-        if over_requests || over_bytes {
-            let err = ServeError::Overloaded {
-                queued_requests: q.n_queued,
-                queued_bytes: q.queued_bytes,
-                retry_after_hint: self.retry_after_hint(q.n_queued),
-            };
-            drop(q);
-            self.stats.rejected_overload.inc();
-            self.stats.spans_rejected.inc();
-            p.slot.lane.rejected_overload.inc();
-            self.stats.recorder.record(Event::new(
-                nanos(self.clock.now()),
-                "serve.reject.overload",
-                Arc::as_ptr(&p.slot) as usize as u64,
-                p.bytes,
-                0,
-            ));
-            // Dropped here — lock released first, so freeing the request's
-            // session Arc (possibly the last reference) runs lock-free.
-            drop(p);
-            return Err(err);
+        let queued = q.len();
+        if queued < self.policy.max_queue_requests {
+            q.push(p);
+            self.stats.queue_depth.set(q.len() as i64);
+            self.cv.notify_one();
+            return Ok(());
         }
-        q.push(p);
-        self.stats.queue_depth.set(q.n_queued as i64);
-        self.stats.queue_bytes.set(q.queued_bytes as i64);
-        self.cv.notify_one();
-        Ok(())
+        drop(q);
+        self.stats.spans_rejected.inc();
+        p.slot.lane.rejected_overload.inc();
+        let now = nanos(self.clock.now());
+        let key = slot_key(&p.slot) as u64;
+        let event = Event::new(now, "serve.reject.overload", key, queued as u64, 0);
+        self.stats.recorder.record(event);
+        Err(ServeError::Overloaded {
+            queued_requests: queued,
+            retry_after_hint: self.retry_after_hint(queued),
+        })
     }
 
     /// Client-backoff estimate: batches ahead of a new submission times
@@ -460,116 +442,147 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
                     continue;
                 }
                 core.stats.queue_depth.set(q.n_queued as i64);
-                core.stats.queue_bytes.set(q.queued_bytes as i64);
                 break out;
             }
         };
 
-        // Shed replies happen outside the queue lock, slot dropped first:
-        // a caller receiving DeadlineExceeded may immediately close the
-        // session and must get its admission reservation back.
-        let now = core.clock.now();
+        // Shed requests are answered outside the queue lock.
         for p in shed {
-            core.stats.shed_deadline.inc();
-            core.stats.spans_shed.inc();
-            p.slot.lane.shed_deadline.inc();
-            let Pending {
-                slot,
-                reply,
-                enqueued,
-                ..
-            } = p;
-            let queued_for = now.saturating_sub(enqueued);
+            finish(&core, p, Outcome::Shed);
+        }
+        if !batch.is_empty() {
+            dispatch(&core, batch);
+        }
+    }
+}
+
+/// How a queued request ends.
+enum Outcome {
+    /// Its batch executed; the attention output.
+    Executed(Vec<Vec<f32>>),
+    /// Its deadline could no longer be met.
+    Shed,
+    /// Its batch panicked.
+    Panicked,
+}
+
+/// Closes a queued request: counts its outcome once (the span cell and,
+/// for executed and shed requests, its lane's cell), records it in the
+/// flight recorder, releases its session slot and sends its one reply.
+fn finish(core: &SchedulerCore, p: Pending, outcome: Outcome) {
+    let Pending {
+        slot,
+        reply,
+        enqueued,
+        ..
+    } = p;
+    let stats = &core.stats;
+    let now = core.clock.now();
+    let waited = now.saturating_sub(enqueued);
+    let (kind, result) = match outcome {
+        Outcome::Executed(out) => {
+            // enqueue → reply, the end-to-end number the bench reconciles
+            // against its own measurements.
+            stats.stage_total.record(nanos(waited));
+            stats.spans_executed.inc();
+            slot.lane.executed.inc();
+            ("serve.reply.ok", Ok(out))
+        }
+        Outcome::Shed => {
+            stats.spans_shed.inc();
+            slot.lane.shed_deadline.inc();
+            let err = ServeError::DeadlineExceeded { queued_for: waited };
+            ("serve.shed.deadline", Err(err))
+        }
+        Outcome::Panicked => {
+            stats.spans_panicked.inc();
+            ("serve.reply.panicked", Err(ServeError::ExecutionPanicked))
+        }
+    };
+    let key = slot_key(&slot) as u64;
+    stats
+        .recorder
+        .record(Event::new(nanos(now), kind, key, nanos(waited), 0));
+    // Release the slot *before* replying: a caller that receives this
+    // reply may immediately `close` the session and expect its admission
+    // reservation back.
+    drop(slot);
+    // A dropped receiver means the caller gave up; nothing to do.
+    let _ = reply.send(result);
+}
+
+/// Executes a collected batch and closes every member with its output, or
+/// with `ExecutionPanicked` if execution panicked.
+fn dispatch(core: &SchedulerCore, batch: Vec<Pending>) {
+    // Batch wall time (the EWMA's input) starts *before* the chaos
+    // delay: an injected slow batch must look slow to the calibration,
+    // exactly as a genuinely slow device would.
+    let t_batch0 = core.clock.now();
+
+    // Chaos: simulate a slow batch (no locks held while sleeping).
+    #[cfg(feature = "instrumented")]
+    if let Some(chaos) = core.chaos.get() {
+        if let Some(delay) = chaos.fire_delay(CHAOS_BATCH_DELAY) {
             core.stats.recorder.record(Event::new(
-                nanos(now),
-                "serve.shed.deadline",
-                Arc::as_ptr(&slot) as usize as u64,
-                nanos(queued_for),
+                nanos(t_batch0),
+                "chaos.batch_delay",
                 0,
+                nanos(delay),
+                batch.len() as u64,
             ));
-            drop(slot);
-            let _ = reply.send(Err(ServeError::DeadlineExceeded { queued_for }));
+            std::thread::sleep(delay);
         }
-        if batch.is_empty() {
-            continue;
-        }
+    }
 
-        // Batch wall time (the EWMA's input) starts *before* the chaos
-        // delay: an injected slow batch must look slow to the calibration,
-        // exactly as a genuinely slow device would.
-        let t_batch0 = core.clock.now();
-
-        // Chaos: simulate a slow batch (no locks held while sleeping).
-        #[cfg(feature = "instrumented")]
-        if let Some(chaos) = core.chaos.get() {
-            if let Some(delay) = chaos.fire_delay(CHAOS_BATCH_DELAY) {
-                core.stats.recorder.record(Event::new(
-                    nanos(t_batch0),
-                    "chaos.batch_delay",
-                    0,
-                    nanos(delay),
-                    batch.len() as u64,
-                ));
-                std::thread::sleep(delay);
+    // A panicking batch (e.g. a malformed request whose attention panics,
+    // on the pool or on this thread) must not kill the scheduler thread:
+    // queued and future requests would then block on `recv` forever.
+    // Catch the unwind, answer every member with a typed error, and keep
+    // serving.
+    match catch_unwind(AssertUnwindSafe(|| execute_batch(core, &batch))) {
+        Ok(outputs) => {
+            for (p, out) in batch.into_iter().zip(outputs) {
+                finish(core, p, Outcome::Executed(out));
             }
         }
-
-        // A panicking batch (e.g. a malformed request whose attention
-        // panics, on the pool or on this thread) must not kill the
-        // scheduler thread: queued
-        // and future requests would then block on `recv` forever. Catch
-        // the unwind, answer every member of the batch with a typed error,
-        // and keep serving. (`execute_batch` only sends replies in its
-        // final loop, after all fallible work, so no member has been
-        // answered twice.)
-        type ReplyMeta = (Sender<Result<Vec<Vec<f32>>, ServeError>>, Duration, u64);
-        let replies: Vec<ReplyMeta> = batch
-            .iter()
-            .map(|p| (p.reply.clone(), p.enqueued, slot_ptr(p) as u64))
-            .collect();
-        if catch_unwind(AssertUnwindSafe(|| execute_batch(&core, batch))).is_err() {
+        Err(_) => {
             // Freeze the flight recorder first: the events leading up to
             // the panic are the post-mortem.
             core.stats
                 .recorder
                 .dump_on_panic("scheduler batch execution panicked");
-            let t_panic = nanos(core.clock.now());
-            for (reply, enqueued, key) in replies {
-                core.stats.spans_panicked.inc();
-                core.stats.recorder.record(Event::new(
-                    t_panic,
-                    "serve.reply.panicked",
-                    key,
-                    nanos(enqueued),
-                    0,
-                ));
-                let _ = reply.send(Err(ServeError::ExecutionPanicked));
+            for p in batch {
+                finish(core, p, Outcome::Panicked);
             }
         }
-        core.stats
-            .observe_batch(core.clock.now().saturating_sub(t_batch0));
     }
+    core.stats
+        .observe_batch(core.clock.now().saturating_sub(t_batch0));
 }
 
 /// `(stored context, layer, reused prefix)`: requests with equal keys have
 /// equal [`QuerySpec`](alaya_query::optimizer::QuerySpec)s.
 type GroupKey = (Option<ContextId>, usize, usize);
 
-fn slot_ptr(p: &Pending) -> usize {
-    Arc::as_ptr(&p.slot) as usize
+/// A session slot's address: its DRR lane key and its recorder key.
+fn slot_key(slot: &Arc<SessionSlot>) -> usize {
+    Arc::as_ptr(slot) as usize
 }
 
-fn execute_batch(core: &SchedulerCore, batch: Vec<Pending>) {
+/// Plans, snapshots and executes `batch`, returning one output per member
+/// in order. Every snapshot is dropped before this returns, so before the
+/// first reply: a caller's next `update` must find its local window
+/// unshared, or it copies it.
+fn execute_batch(core: &SchedulerCore, batch: &[Pending]) -> Vec<Vec<Vec<f32>>> {
     let stats = &core.stats;
     // Batch assembled: the queue stage of every member's span closes here.
     let t_assembled = core.clock.now();
-    for p in &batch {
+    for p in batch {
         stats
             .stage_queue
             .record(nanos(t_assembled.saturating_sub(p.enqueued)));
     }
     stats.batches.inc();
-    stats.requests.add(batch.len() as u64);
     stats.max_batch.record_max(batch.len() as i64);
 
     // Plan once per (context, layer, reused prefix) group, log the plan,
@@ -594,7 +607,7 @@ fn execute_batch(core: &SchedulerCore, batch: Vec<Pending>) {
     // over the batch — recorded once per member so stage counts reconcile.
     let t_planned = core.clock.now();
     let plan_nanos = nanos(t_planned.saturating_sub(t_assembled));
-    for _ in 0..batch.len() {
+    for _ in batch {
         stats.stage_plan.record(plan_nanos);
     }
 
@@ -609,43 +622,12 @@ fn execute_batch(core: &SchedulerCore, batch: Vec<Pending>) {
         })
         .collect();
     let outputs = execute(&core.pool, &jobs);
-    // Every snapshot goes before the first reply: a caller's next
-    // `update` must find its local window unshared, or it copies it.
-    drop(jobs);
-    drop(snapshots);
     // Exec stage: the execution, shared by every member.
-    let t_executed = core.clock.now();
-    let exec_nanos = nanos(t_executed.saturating_sub(t_planned));
-    for _ in 0..batch.len() {
+    let exec_nanos = nanos(core.clock.now().saturating_sub(t_planned));
+    for _ in batch {
         stats.stage_exec.record(exec_nanos);
     }
-
-    for (p, result) in batch.into_iter().zip(outputs) {
-        let key = slot_ptr(&p) as u64;
-        p.slot.lane.executed.inc();
-        let Pending {
-            slot,
-            reply,
-            enqueued,
-            ..
-        } = p;
-        // Release the slot *before* replying: a caller that receives this
-        // reply may immediately `close` the session and expect its
-        // admission reservation back — the scheduler must not keep the
-        // slot (and thus the reservation) alive past the reply.
-        drop(slot);
-        // Span closes: enqueue → reply, the end-to-end number the bench
-        // reconciles against its own measurements.
-        let t_reply = core.clock.now();
-        let total = nanos(t_reply.saturating_sub(enqueued));
-        stats.stage_total.record(total);
-        stats.spans_executed.inc();
-        stats
-            .recorder
-            .record(Event::new(nanos(t_reply), "serve.reply.ok", key, total, 0));
-        // A dropped receiver means the caller gave up; nothing to do.
-        let _ = reply.send(Ok(result));
-    }
+    outputs
 }
 
 #[cfg(test)]
@@ -696,7 +678,6 @@ mod tests {
                 enqueued: Duration::ZERO,
                 deadline,
                 cost,
-                bytes: 64,
             },
             rx,
         )
@@ -731,7 +712,7 @@ mod tests {
         let (p2, r2) = pending(&s2, queries.clone(), 1, 1, None);
         let (p3, r3) = pending(&s3, queries.clone(), 1, 1, None);
         let (p4, r4) = pending(&s1, queries.clone(), 0, 1, None);
-        execute_batch(&core, vec![p1, p2, p3, p4]);
+        dispatch(&core, vec![p1, p2, p3, p4]);
 
         let stats = core.stats.snapshot();
         assert_eq!(stats.requests, 4);
@@ -774,7 +755,7 @@ mod tests {
         let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
         let (p1, rx1) = pending(&slot, queries.clone(), 0, 1, None);
         let (p2, rx2) = pending(&slot, queries.clone(), 0, 1, None);
-        execute_batch(&core, vec![p1, p2]);
+        dispatch(&core, vec![p1, p2]);
         let a = rx1.recv().unwrap().unwrap();
         let b = rx2.recv().unwrap().unwrap();
         assert_eq!(a, b);
@@ -860,7 +841,7 @@ mod tests {
                 .zip(&queries)
                 .map(|(&(slot, layer), q)| pending(slot, q.clone(), layer, 1, None))
                 .unzip();
-            execute_batch(&core, batch);
+            dispatch(&core, batch);
             for (i, rx) in replies.iter().enumerate() {
                 let got = rx.recv().unwrap().unwrap();
                 assert_eq!(got, want[i], "request {i} on {threads} workers");
@@ -930,7 +911,7 @@ mod tests {
             BatchPolicy::default(),
             Arc::clone(&probe) as Arc<dyn Clock>,
         );
-        execute_batch(&core, vec![first, second]);
+        dispatch(&core, vec![first, second]);
 
         let w = probe.watched.lock();
         assert_eq!(w.reply.as_ref(), Some(&want));
@@ -979,6 +960,62 @@ mod tests {
         let (p2, rx2) = pending(&slot, good, 0, 1, None);
         core.enqueue(p2).unwrap();
         assert!(rx2.recv().unwrap().is_ok());
+
+        core.shutdown.store(true, Ordering::Release);
+        {
+            let _q = core.queue.lock();
+            core.cv.notify_all();
+        }
+        sched.join().unwrap();
+    }
+
+    /// A panic aborts the whole batch: a well-formed request co-batched
+    /// with a malformed one gets exactly one `ExecutionPanicked` too, both
+    /// count as dispatched, and the well-formed session serves its next
+    /// request.
+    #[test]
+    fn mixed_panicking_batch_replies_once_to_every_member() {
+        let model_cfg = ModelConfig::tiny();
+        let db = Db::new(DbConfig::for_tests(model_cfg.clone()));
+        let good_slot = slot_for(&db, &[1, 2, 3]);
+        let bad_slot = slot_for(&db, &[4, 5, 6]);
+        {
+            let q = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_q_heads];
+            let kv = vec![vec![0.25; model_cfg.head_dim]; model_cfg.n_kv_heads];
+            good_slot.lock().session.update(&q, &kv, &kv, 0);
+        }
+        let core = Arc::new(core_for_tests(2));
+        let good = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
+        let bad = vec![vec![0.0; model_cfg.head_dim]; model_cfg.n_q_heads * 4];
+        // Both are queued before the scheduler starts, so one collect takes
+        // them into one batch.
+        let (p1, rx1) = pending(&good_slot, good.clone(), 0, 1, None);
+        let (p2, rx2) = pending(&bad_slot, bad, 0, 1, None);
+        core.enqueue(p1).unwrap();
+        core.enqueue(p2).unwrap();
+        let sched = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || run(core))
+        };
+
+        for rx in [&rx1, &rx2] {
+            assert_eq!(
+                rx.recv().unwrap().unwrap_err(),
+                ServeError::ExecutionPanicked
+            );
+        }
+        let stats = core.stats.snapshot();
+        let spans = core.stats.spans_panicked.get();
+        assert_eq!((spans, stats.requests, stats.batches), (2, 2, 1));
+
+        let (p3, rx3) = pending(&good_slot, good, 0, 1, None);
+        core.enqueue(p3).unwrap();
+        assert!(rx3.recv().unwrap().is_ok());
+        // The panicked batch was closed before the next one ran: each
+        // sender is gone after its one reply.
+        for rx in [&rx1, &rx2] {
+            assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        }
 
         core.shutdown.store(true, Ordering::Release);
         {
@@ -1068,7 +1105,6 @@ mod tests {
             Err(ServeError::Overloaded {
                 queued_requests,
                 retry_after_hint,
-                ..
             }) => {
                 assert_eq!(queued_requests, 2);
                 assert!(retry_after_hint > Duration::ZERO);
@@ -1077,21 +1113,7 @@ mod tests {
         }
         assert_eq!(core.queue.lock().len(), 2, "rejected request took no slot");
         assert_eq!(core.stats.snapshot().rejected_overload, 1);
-
-        // The byte bound rejects independently of the request bound.
-        let tight = SchedulerCore::new(
-            Arc::new(WorkStealingPool::new(1)),
-            BatchPolicy {
-                max_queue_bytes: 10,
-                ..BatchPolicy::default()
-            },
-            Arc::new(SystemClock::new()),
-        );
-        let (p, _r) = pending(&slot, q.clone(), 0, 1, None);
-        assert!(matches!(
-            tight.enqueue(p),
-            Err(ServeError::Overloaded { .. })
-        ));
+        assert_eq!(slot.lane.rejected_overload.get(), 1);
     }
 
     /// Deadline shedding is driven by the injectable clock: requests whose

@@ -1,22 +1,21 @@
 //! Serve-side observability: the scheduler's metrics, request-span
 //! aggregation, and the flight recorder, all built on `alaya-telemetry`.
 //!
-//! Every request that enters [`SchedulerCore::enqueue`] opens a span and
-//! closes it exactly once — `rejected` at the queue bound, `shed` when
-//! its deadline expires, `executed` on a successful reply, or `panicked`
-//! when its batch aborts. Stage boundaries ride the scheduler's
+//! Every request that enters the scheduler's queue opens a span and closes
+//! it exactly once — `rejected` at the queue bound, `shed` when its
+//! deadline expires, `executed` on a successful reply, or `panicked` when
+//! its batch aborts. Each outcome is counted in one cell, its span cell:
+//! the outcome fields of [`SchedulerStats`] are read off the span cells,
+//! not kept beside them. Stage boundaries ride the scheduler's
 //! injectable clock (`enqueue → batch-assemble` = queue, `assemble →
 //! plans noted` = plan, `pool scope` = exec, `enqueue → reply` = total)
 //! and aggregate into log-bucketed histograms; nothing here reads time
 //! itself, and nothing on the hot path locks or allocates.
 //!
 //! The same cells the registry snapshots also *drive* the scheduler: the
-//! observed per-batch execution time feeds an EWMA
-//! ([`SchedTelemetry::observe_batch`]) whose estimate sizes
+//! observed per-batch execution time feeds an EWMA whose estimate sizes
 //! `retry_after_hint` and the deadline-shedding margin, so backpressure
 //! tracks the live machine.
-//!
-//! [`SchedulerCore::enqueue`]: crate::scheduler::SchedulerCore
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,23 +45,20 @@ pub(crate) fn nanos(d: Duration) -> u64 {
 
 /// The scheduler's telemetry bundle: registry-backed counters (the
 /// single source of truth behind [`SchedulerStats`] snapshots), span
-/// counters, per-stage histograms, queue gauges, the flight recorder,
-/// and the EWMA-calibrated execution estimate.
+/// counters, per-stage histograms, the queue-depth gauge, the flight
+/// recorder, and the EWMA-calibrated execution estimate.
 pub(crate) struct SchedTelemetry {
     pub(crate) registry: Arc<Registry>,
     pub(crate) recorder: Arc<FlightRecorder>,
 
-    // SchedulerStats cells.
-    pub(crate) requests: Arc<Counter>,
+    // Batch cells of SchedulerStats.
     pub(crate) batches: Arc<Counter>,
     pub(crate) plans_computed: Arc<Counter>,
     pub(crate) shared_plan_requests: Arc<Counter>,
     pub(crate) max_batch: Arc<Gauge>,
-    pub(crate) shed_deadline: Arc<Counter>,
-    pub(crate) rejected_overload: Arc<Counter>,
 
-    // Span lifecycle: opened == executed + shed + rejected + panicked
-    // once the system quiesces.
+    // Span lifecycle, one cell per outcome: opened == executed + shed +
+    // rejected + panicked once the system quiesces.
     pub(crate) spans_opened: Arc<Counter>,
     pub(crate) spans_executed: Arc<Counter>,
     pub(crate) spans_shed: Arc<Counter>,
@@ -78,9 +74,8 @@ pub(crate) struct SchedTelemetry {
     /// EWMA's input, kept as a histogram so the calibration is auditable.
     pub(crate) batch_exec: Arc<Histogram>,
 
-    // Queue level gauges (set under the queue lock; plain relaxed stores).
+    /// Queued requests (set under the queue lock; a plain relaxed store).
     pub(crate) queue_depth: Arc<Gauge>,
-    pub(crate) queue_bytes: Arc<Gauge>,
 
     /// EWMA-calibrated per-batch execution estimate in nanoseconds; zero
     /// until the first batch is observed. Written only by the scheduler
@@ -95,13 +90,10 @@ impl SchedTelemetry {
         let r = &registry;
         Self {
             recorder: Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS)),
-            requests: r.counter("serve.sched.requests"),
             batches: r.counter("serve.sched.batches"),
             plans_computed: r.counter("serve.sched.plans_computed"),
             shared_plan_requests: r.counter("serve.sched.shared_plan_requests"),
             max_batch: r.gauge("serve.sched.max_batch"),
-            shed_deadline: r.counter("serve.sched.shed_deadline"),
-            rejected_overload: r.counter("serve.sched.rejected_overload"),
             spans_opened: r.counter("serve.span.opened"),
             spans_executed: r.counter("serve.span.executed"),
             spans_shed: r.counter("serve.span.shed"),
@@ -113,23 +105,22 @@ impl SchedTelemetry {
             stage_total: r.histogram("serve.stage.total"),
             batch_exec: r.histogram("serve.batch.exec"),
             queue_depth: r.gauge("serve.queue.depth"),
-            queue_bytes: r.gauge("serve.queue.bytes"),
             est_exec_nanos: AtomicU64::new(0),
             registry,
         }
     }
 
-    /// The [`SchedulerStats`] snapshot, now derived from the registry
-    /// cells (API-compatible with the old bespoke atomics).
+    /// The [`SchedulerStats`] snapshot: batch cells as they are, outcome
+    /// fields read off the span cells (`requests` = executed + panicked).
     pub(crate) fn snapshot(&self) -> SchedulerStats {
         SchedulerStats {
-            requests: self.requests.get(),
+            requests: self.spans_executed.get() + self.spans_panicked.get(),
             batches: self.batches.get(),
             plans_computed: self.plans_computed.get(),
             shared_plan_requests: self.shared_plan_requests.get(),
             max_batch: self.max_batch.get().max(0) as u64,
-            shed_deadline: self.shed_deadline.get(),
-            rejected_overload: self.rejected_overload.get(),
+            shed_deadline: self.spans_shed.get(),
+            rejected_overload: self.spans_rejected.get(),
         }
     }
 
@@ -245,8 +236,8 @@ pub struct LaneStats {
 /// [`ServeEngine::telemetry`](crate::ServeEngine::telemetry).
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
-    /// The classic scheduler counters (same cells, same values as
-    /// [`ServeEngine::stats`](crate::ServeEngine::stats)).
+    /// The classic scheduler counters; the outcome fields are the span
+    /// counts under their older names.
     pub stats: SchedulerStats,
     pub stages: StageBreakdown,
     pub spans: SpanCounts,

@@ -183,7 +183,7 @@ fn overload_with_injected_faults_degrades_gracefully() {
         tally.overloaded + tally.deadline_shed > 0,
         "{TENANTS} tenants into a {MAX_QUEUE}-slot queue must shed"
     );
-    let stats = engine.stats();
+    let stats = engine.telemetry().stats;
     assert_eq!(stats.rejected_overload, tally.overloaded);
     assert_eq!(stats.shed_deadline, tally.deadline_shed);
     assert_eq!(stats.requests, tally.admitted + tally.exec_panicked);
@@ -348,7 +348,7 @@ fn retry_hints_converge_toward_observed_batch_latency() {
     }
     engine.close(sid).unwrap();
 
-    let calibrated = engine.calibrated_est_exec();
+    let calibrated = engine.telemetry().est_exec;
     assert!(
         calibrated >= DELAY,
         "estimate {calibrated:?} must cover the injected {DELAY:?}"

@@ -91,7 +91,7 @@ fn concurrent_serving_is_bitwise_identical_to_sequential() {
         }
     });
 
-    let stats = engine.stats();
+    let stats = engine.telemetry().stats;
     assert_eq!(
         stats.requests as usize,
         THREADS * STEPS * model_cfg.n_layers,
@@ -509,8 +509,12 @@ fn deadline_shed_is_typed_retryable_and_releases_reservations() {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
-    assert!(engine.stats().shed_deadline >= 3);
-    assert_eq!(engine.stats().requests, 0, "shed requests never execute");
+    assert!(engine.telemetry().stats.shed_deadline >= 3);
+    assert_eq!(
+        engine.telemetry().stats.requests,
+        0,
+        "shed requests never execute"
+    );
 
     // A per-request deadline overrides the hopeless default and serves.
     let out = engine
@@ -594,7 +598,10 @@ fn overloaded_queue_rejects_typed_and_leaks_nothing() {
         overloaded >= 1,
         "a {CALLERS}-wide burst into a {MAX_QUEUE}-slot queue must reject"
     );
-    assert_eq!(engine.stats().rejected_overload, overloaded as u64);
+    assert_eq!(
+        engine.telemetry().stats.rejected_overload,
+        overloaded as u64
+    );
     assert_eq!(
         db.gpu().in_use(),
         0,

@@ -1,6 +1,5 @@
 //! Request-lifecycle telemetry acceptance: every request the scheduler
-//! sees opens exactly one span and closes it exactly once, the span
-//! counters reconcile with the classic [`SchedulerStats`], stage
+//! sees opens exactly one span and closes it exactly once, stage
 //! histograms count what actually ran, and per-tenant lane stats
 //! attribute outcomes to the right session.
 
@@ -20,8 +19,7 @@ fn tiny_engine(opts: ServeConfig) -> (ServeEngine, ModelConfig, Arc<Db>) {
 
 /// Drives requests to all three non-panic outcomes — executed, shed
 /// (expired deadline), rejected (queue bound) — then checks the span
-/// ledger balances: `opened == executed + shed + rejected + panicked`,
-/// and each span outcome equals its `SchedulerStats` twin.
+/// ledger balances: `opened == executed + shed + rejected + panicked`.
 #[test]
 fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
     const EXECUTED: usize = 5;
@@ -102,13 +100,6 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
             t.spans.closed(),
             "{what}: every opened span must close exactly once"
         );
-        assert_eq!(t.spans.shed, t.stats.shed_deadline, "{what}");
-        assert_eq!(t.spans.rejected, t.stats.rejected_overload, "{what}");
-        assert_eq!(
-            t.spans.executed + t.spans.panicked,
-            t.stats.requests,
-            "{what}: requests counts exactly the spans that reached a batch"
-        );
         assert_eq!(t.spans.panicked, 0, "{what}: nothing injected a panic");
         assert_eq!(t.last_panic_dump, None, "{what}");
     }
@@ -177,17 +168,19 @@ fn stage_histograms_and_registry_rendering_track_execution() {
         t.registry.counter("serve.span.executed"),
         Some(REQUESTS as u64)
     );
-    assert_eq!(
-        t.registry.counter("serve.sched.requests"),
-        Some(REQUESTS as u64)
-    );
+    // Each outcome has one cell: the span cell.
+    for cell in [
+        "serve.sched.requests",
+        "serve.sched.shed_deadline",
+        "serve.sched.rejected_overload",
+    ] {
+        assert_eq!(t.registry.counter(cell), None, "{cell}");
+    }
+    assert_eq!(t.registry.gauge("serve.queue.bytes"), None);
     let json = t.registry.to_json();
-    assert!(json.contains("\"serve.sched.requests\":8"), "json: {json}");
+    assert!(json.contains("\"serve.span.executed\":8"), "json: {json}");
     let prom = t.registry.to_prometheus();
-    assert!(
-        prom.contains("serve_sched_requests 8"),
-        "prometheus: {prom}"
-    );
+    assert!(prom.contains("serve_span_executed 8"), "prometheus: {prom}");
     // Pool and db metrics registered into the same per-engine registry
     // surface alongside the scheduler's (buffer-manager stats register
     // per `BufferManager`, which persistence creates on demand).

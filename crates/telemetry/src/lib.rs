@@ -17,8 +17,9 @@
 //!   Prometheus-style text. Registration and snapshotting are cold paths
 //!   behind a `std::sync::Mutex`; recording never touches it.
 //! * **A [`FlightRecorder`]** — a fixed-size ring of recent span/event
-//!   records that failpoints and panic handlers dump for post-mortem
-//!   debugging (the last dump is retrievable from the recorder).
+//!   records that a caller which caught a panic freezes into a dump for
+//!   post-mortem debugging. The dump is kept, not printed: the last one is
+//!   retrievable from the recorder.
 //!
 //! Two properties are load-bearing for the rest of the workspace:
 //!
@@ -44,15 +45,3 @@ mod registry;
 pub use metrics::{bucket_width_of, BucketCount, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{Event, FlightRecorder};
 pub use registry::{MetricValue, Registry, RegistrySnapshot};
-
-use std::sync::OnceLock;
-
-/// The process-wide registry, for metrics owned by process-wide
-/// singletons (e.g. the global work-stealing pool). Component-scoped
-/// owners (a `ServeEngine`, a `BufferManager`) should prefer their own
-/// [`Registry`] so concurrent instances do not alias each other's
-/// metrics.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}

@@ -1,6 +1,6 @@
 //! The flight recorder: a fixed-size ring buffer of recent span/event
-//! records, dumped on demand — in practice by chaos failpoints and the
-//! scheduler's batch-panic handler — for post-mortem debugging.
+//! records, dumped on demand — in practice by the scheduler's batch-panic
+//! handler — for post-mortem debugging.
 //!
 //! The ring is preallocated at construction; recording copies one small
 //! `Copy` struct under a `std::sync::Mutex` (untraced, so no lock-order
@@ -129,17 +129,17 @@ impl FlightRecorder {
         out
     }
 
-    /// Freezes a dump for post-mortem retrieval (and returns it). Called
-    /// by panic handlers and failpoints; the latest dump wins. The dump is
-    /// also written to stderr — a crashing process must get its black box
-    /// out before it dies.
+    /// Freezes a dump for post-mortem retrieval (and returns it), for a
+    /// caller that caught a panic and keeps running; the latest dump wins.
+    /// Nothing is printed: the default panic hook has already reported
+    /// the panic, and the dump is read back through
+    /// [`FlightRecorder::last_panic_dump`].
     pub fn dump_on_panic(&self, context: &str) -> String {
         let dump = format!("== panic: {context} ==\n{}", self.dump());
         *self
             .last_panic
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(dump.clone());
-        eprintln!("{dump}");
         dump
     }
 

@@ -5,7 +5,7 @@
 //! critical-token membership to an inner-product threshold). The reduction
 //! kernels ([`dot`], [`l2_sq`], [`dot_many`]) are one generic routine,
 //! `reduce_rows`: 16-element blocks of the query are multiplied into two
-//! 8-lane accumulator banks per row, up to [`TILE`] rows in lockstep, then
+//! 8-lane accumulator banks per row, up to `TILE` (4) rows in lockstep, then
 //! each row's lane sums are folded to a scalar. Portable safe Rust — no
 //! `unsafe`, no intrinsics, no per-architecture fork. Elementwise kernels
 //! ([`axpy`], [`scale`]) are pure maps and compute bit-identical results to
@@ -136,7 +136,7 @@ pub(crate) fn dot_tile(q: &[f32], rows: [&[f32]; TILE], out: &mut [f32]) {
 /// Scores `q` against a block of contiguous row-major keys.
 ///
 /// `keys` holds `out.len()` rows of dimensionality `q.len()`; `out[i]`
-/// receives `q · keys[i]`. Rows are scored [`TILE`] at a time (remainder
+/// receives `q · keys[i]`. Rows are scored `TILE` (4) at a time (remainder
 /// rows one at a time) and each uses exactly the [`dot`] reduction, so every
 /// score is **bitwise identical** to a per-row `dot(q, row)` call — hot
 /// callers (flat scans, DIPRS candidate expansion, attention over a stored
@@ -175,7 +175,7 @@ pub fn dot_many(q: &[f32], keys: &[f32], out: &mut [f32]) {
 ///
 /// The multi-query form of [`dot_many`] for callers that score the same
 /// keys against several queries (exact kNN construction; the query heads of
-/// one GQA group): each key row is loaded once per [`TILE`] queries and
+/// one GQA group): each key row is loaded once per `TILE` (4) queries and
 /// scored against all of them in lockstep — the same tile kernel with the
 /// roles swapped, the key row being the operand loaded once per block — so
 /// a key block larger than L1 is streamed `m / TILE` times instead of `m`.

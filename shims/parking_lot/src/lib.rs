@@ -14,7 +14,7 @@
 //! potential is a property of the *class* of lock, not the instance. With
 //! the feature enabled the shim maintains:
 //!
-//! * a **thread-local held-lock stack** ([`lock_tracing::held_sites`]),
+//! * a **thread-local held-lock stack** (`lock_tracing::held_sites`),
 //! * a **global acquisition-order graph** over named sites: acquiring `B`
 //!   while holding `A` records the edge `A → B`. If the new edge would
 //!   close a cycle (some `B ⇝ A` path already exists), the acquisition
@@ -28,11 +28,11 @@
 //!   the call sites instead.
 //! * a **would-block-while-holding detector**: a `lock()`/`read()`/
 //!   `write()` that cannot be satisfied immediately while the thread
-//!   already holds at least one lock records a [`lock_tracing::
-//!   WouldBlockEvent`] (held sites, wanted site, thread name). Threads
+//!   already holds at least one lock records a
+//!   `lock_tracing::WouldBlockEvent` (held sites, wanted site, thread name). Threads
 //!   that must never do this — e.g. a latency-critical scheduler — can opt
 //!   into panicking instead via
-//!   [`lock_tracing::forbid_blocking_while_holding`].
+//!   `lock_tracing::forbid_blocking_while_holding`.
 //!
 //! Unnamed locks participate in the held stack and the would-block
 //! detector but **not** in the order graph: two unrelated anonymous locks

@@ -372,7 +372,7 @@ fn scheduler_update_attention_store_round_trip() {
     }
     engine.close(sid).unwrap();
     assert_eq!(engine.n_sessions(), 0);
-    assert!(engine.stats().requests >= (steps * model_cfg.n_layers) as u64);
+    assert!(engine.telemetry().stats.requests >= (steps * model_cfg.n_layers) as u64);
 
     // A follow-up admission extending the stored conversation reuses the
     // whole stored context; only the new suffix remains to prefill.
