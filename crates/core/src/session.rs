@@ -137,11 +137,14 @@ const PARALLEL_MIN_ROWS: usize = 512;
 /// rows per head is one task, and a larger one is one task per head. Rows
 /// are the executor's [`rows_read`], not the context length: a TopK-on-
 /// Coarse head reads its block summaries, retrieved blocks and windows,
-/// and any other plan its whole sequence. A batch that comes to a single
-/// task runs on the calling thread. Every head is one independent
-/// [`attend`] call writing its own slot, so the outputs are bitwise those
-/// of [`Session::attention_sequential`] for any worker count or steal
-/// order.
+/// and any other plan its whole sequence. A call that comes to a single
+/// task runs on the calling thread; otherwise the caller helps the pool
+/// until its tasks are done. Its callers are [`Session::attention`] and
+/// the serving engine, whose requesting threads each run their own
+/// request's job here, side by side on one pool. Every head is one
+/// independent [`attend`] call writing its own slot, so the outputs are
+/// bitwise those of [`Session::attention_sequential`] for any worker count
+/// or steal order.
 pub fn execute(pool: &WorkStealingPool, jobs: &[AttentionJob<'_>]) -> Vec<Vec<Vec<f32>>> {
     // Heads of one job share a plan and a sequence, so the first one's
     // rows stand for all of them.

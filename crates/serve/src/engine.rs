@@ -3,9 +3,10 @@
 //! The engine owns admitted sessions behind small integer handles so many
 //! threads can drive many sessions concurrently: `update` mutates exactly
 //! one session under its own lock, `attention` submits to the scheduler
-//! (which batches across sessions — see [`crate::scheduler`]) and blocks
-//! on a per-request channel, `store` materializes it on the calling
-//! thread, and `close` ends it and releases its device reservation.
+//! (which batches and plans across sessions — see [`crate::scheduler`]),
+//! blocks on a per-request channel for its job and executes it on the
+//! calling thread, `store` materializes it on the calling thread, and
+//! `close` ends it and releases its device reservation.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -17,6 +18,7 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 
+use alaya_core::session::{execute, AttentionJob};
 use alaya_core::stored::ContextId;
 use alaya_core::Db;
 use alaya_device::clock::{Clock, SystemClock};
@@ -26,7 +28,8 @@ use alaya_llm::backend::{AttentionBackend, StepInput};
 
 use crate::admission::{per_token_bytes, session_bytes};
 use crate::scheduler::{
-    self, BatchPolicy, Pending, SchedulerCore, ServeError, SessionSlot, SlotState,
+    self, close_span, BatchPolicy, Job, Pending, SchedulerCore, ServeError, SessionSlot, SlotState,
+    SpanEnd,
 };
 use crate::telemetry::{LaneStats, TelemetrySnapshot};
 
@@ -100,6 +103,8 @@ pub struct ServeEngine {
     session_bytes: u64,
     sessions: RwLock<HashMap<SessionId, Arc<SessionSlot>>>,
     next_id: AtomicU64,
+    /// The pool a requester fans a long request's heads out over.
+    pool: Arc<WorkStealingPool>,
     core: Arc<SchedulerCore>,
     scheduler: Option<JoinHandle<()>>,
     /// Local-KV tokens the admission reservation and each growth of it
@@ -139,12 +144,12 @@ impl ServeEngine {
         };
         let clock: Arc<dyn Clock> = opts.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
 
-        let core = Arc::new(SchedulerCore::new(pool, policy, clock));
+        let core = Arc::new(SchedulerCore::new(policy, clock));
         // Fold the lower layers' cells into the engine's registry so one
         // `telemetry()` snapshot covers the whole stack (scheduler, pool,
         // DB). Registration is first-wins: engines sharing the global pool
         // each see the same shared cells.
-        core.pool.stats().register_into(&core.stats.registry);
+        pool.stats().register_into(&core.stats.registry);
         db.stats().register_into(&core.stats.registry);
         let sched_core = Arc::clone(&core);
         let scheduler = std::thread::Builder::new()
@@ -158,6 +163,7 @@ impl ServeEngine {
             tracker,
             sessions: RwLock::new_named(HashMap::new(), "serve.sessions"),
             next_id: AtomicU64::new(0),
+            pool,
             core,
             scheduler: Some(scheduler),
             reserve_tokens: opts.max_local_tokens.max(1),
@@ -216,15 +222,15 @@ impl ServeEngine {
 
     /// Arms deterministic fault injection: the scheduler probes `chaos`
     /// at its failpoints, and — when this engine owns a dedicated pool
-    /// (`threads > 0`) — so do the pool's workers. The process-wide pool
+    /// (`threads > 0`) — so do the pool's tasks. The process-wide pool
     /// is deliberately left alone: injecting panics into workers shared
     /// with unrelated tests would make chaos non-hermetic. First call
     /// wins; later calls are ignored.
     #[cfg(feature = "instrumented")]
     pub fn inject_chaos(&self, chaos: Arc<alaya_chaos::Chaos>) {
         let _ = self.core.chaos.set(Arc::clone(&chaos));
-        if !Arc::ptr_eq(&self.core.pool, pool::global()) {
-            self.core.pool.inject_chaos(chaos);
+        if !Arc::ptr_eq(&self.pool, pool::global()) {
+            self.pool.inject_chaos(chaos);
         }
     }
 
@@ -350,9 +356,10 @@ impl ServeEngine {
 
     /// Computes attention for every query head at `layer` through the
     /// scheduler: the request is batched with whatever other sessions are
-    /// asking at the same moment, planned once per group, and executed on
-    /// a snapshot of the session. Blocks until the output arrives. Outputs
-    /// are bitwise-identical to `Session::attention_sequential`.
+    /// asking at the same moment and planned once per group, then executed
+    /// on this thread over a snapshot of the session. Blocks until the
+    /// output is computed. Outputs are bitwise-identical to
+    /// `Session::attention_sequential`.
     ///
     /// Carries the engine's default deadline (if any). May return the
     /// overload-control errors [`ServeError::Overloaded`] (queue full —
@@ -365,7 +372,7 @@ impl ServeEngine {
         queries: &[Vec<f32>],
         layer: usize,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.submit(id, queries.to_vec(), layer, self.default_deadline)
+        self.submit(id, queries, layer, self.default_deadline)
     }
 
     /// [`ServeEngine::attention`] with an explicit deadline
@@ -379,18 +386,18 @@ impl ServeEngine {
         layer: usize,
         deadline: Duration,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.submit(id, queries, layer, Some(deadline))
+        self.submit(id, &queries, layer, Some(deadline))
     }
 
     fn submit(
         &self,
         id: SessionId,
-        queries: Vec<Vec<f32>>,
+        queries: &[Vec<f32>],
         layer: usize,
         deadline: Option<Duration>,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
         self.check_layer(layer)?;
-        self.check_shape(&queries, "query", self.db.config().model.n_q_heads)?;
+        self.check_shape(queries, "query", self.db.config().model.n_q_heads)?;
         let slot = self.slot(id)?;
         // The session lock is released before enqueue, so this adds no
         // lock-order edge to the queue.
@@ -398,11 +405,12 @@ impl ServeEngine {
         self.enqueue(slot, queries, layer, deadline, cost)
     }
 
-    /// Queues a checked request and blocks until its reply.
+    /// Queues a checked request, blocks until the scheduler hands back its
+    /// job, and runs it on this thread.
     fn enqueue(
         &self,
         slot: Arc<SessionSlot>,
-        queries: Vec<Vec<f32>>,
+        queries: &[Vec<f32>],
         layer: usize,
         deadline: Option<Duration>,
         cost: u64,
@@ -410,15 +418,15 @@ impl ServeEngine {
         let enqueued = self.core.clock.now();
         let (tx, rx) = mpsc::channel();
         self.core.enqueue(Pending {
-            slot,
-            queries,
+            slot: Arc::clone(&slot),
             layer,
             reply: tx,
             enqueued,
             deadline: deadline.map(|d| enqueued.saturating_add(d)),
             cost,
         })?;
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?
+        let job = rx.recv().map_err(|_| ServeError::ShuttingDown)??;
+        run_job(&self.core, &self.pool, &slot, queries, layer, enqueued, job)
     }
 
     /// `update` + `attention` in one call — the `AttentionBackend::attend`
@@ -432,7 +440,7 @@ impl ServeEngine {
         input: StepInput,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
         let (slot, cost) = self.append(id, &input.queries, &input.keys, &input.values, layer)?;
-        self.enqueue(slot, input.queries, layer, self.default_deadline, cost)
+        self.enqueue(slot, &input.queries, layer, self.default_deadline, cost)
     }
 
     /// Cached tokens at `layer` (reused prefix + local window).
@@ -504,6 +512,55 @@ impl Drop for ServeEngine {
             let _ = h.join();
         }
     }
+}
+
+/// Executes a dispatched request's job on the calling thread — one
+/// [`execute`] call, which fans a long request's heads out over `pool` —
+/// and closes its span. A panic there, on this thread or a pool task's,
+/// fails this request alone with [`ServeError::ExecutionPanicked`] and
+/// freezes a flight-recorder dump. The snapshot is dropped before this
+/// returns, so the caller's next `update` finds its local window unshared.
+pub(crate) fn run_job(
+    core: &SchedulerCore,
+    pool: &WorkStealingPool,
+    slot: &SessionSlot,
+    queries: &[Vec<f32>],
+    layer: usize,
+    enqueued: Duration,
+    job: Job,
+) -> Result<Vec<Vec<f32>>, ServeError> {
+    let Job {
+        view,
+        plan,
+        batch_start,
+    } = job;
+    let started = core.clock.now();
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        let job = AttentionJob {
+            view: &view,
+            queries,
+            layer,
+            plan: &plan,
+        };
+        execute(pool, &[job]).pop().unwrap_or_default()
+    }));
+    drop(view);
+    let end = match &out {
+        Ok(_) => SpanEnd::Executed {
+            started,
+            batch_start,
+        },
+        Err(_) => {
+            // Freeze the flight recorder first: the events leading up to
+            // the panic are the post-mortem.
+            core.stats
+                .recorder
+                .dump_on_panic("scheduler batch execution panicked");
+            SpanEnd::Panicked { batch_start }
+        }
+    };
+    close_span(core, slot, enqueued, end);
+    out.map_err(|_| ServeError::ExecutionPanicked)
 }
 
 /// The message a panic was raised with.

@@ -44,9 +44,9 @@ pub enum ServeError {
         /// Per-head dimension the model expects.
         expected_dim: usize,
     },
-    /// Executing the batch containing this request panicked; the whole
-    /// batch was aborted with this error, the engine lives on. A backstop —
-    /// known-malformed requests are rejected up front as
+    /// Executing this request panicked (or planning its batch did, which
+    /// fails every member); its co-batched tenants and the engine live
+    /// on. A backstop — known-malformed requests are rejected up front as
     /// [`ServeError::InvalidShape`].
     ExecutionPanicked,
     /// `store`'s KV merge or index build panicked, with this message; no
@@ -90,8 +90,8 @@ impl ServeError {
     /// Overload control ([`ServeError::Overloaded`],
     /// [`ServeError::DeadlineExceeded`], [`ServeError::OutOfMemory`]) and
     /// the panic backstop ([`ServeError::ExecutionPanicked`] — attention
-    /// is read-only on the session, so a request aborted by a co-batched
-    /// tenant's panic can safely run again) are transient: load drains,
+    /// is read-only on the session, so a request aborted by a panic can
+    /// safely run again) are transient: load drains,
     /// budgets free up. Validation errors and terminal states are not —
     /// the identical request fails the identical check every time.
     pub fn is_retryable(&self) -> bool {
@@ -132,7 +132,7 @@ impl std::fmt::Display for ServeError {
                 "{what} tensor must be {expected_heads} heads x {expected_dim} dims"
             ),
             ServeError::ExecutionPanicked => {
-                write!(f, "batch execution panicked; request aborted")
+                write!(f, "attention execution panicked; request aborted")
             }
             ServeError::StoreFailed(msg) => write!(f, "store build panicked: {msg}"),
             ServeError::EmptyPrompt => write!(f, "prompt must contain at least one token"),

@@ -13,10 +13,10 @@
 //! * **Scheduler** ([`scheduler`]) — accepts attention requests from many
 //!   sessions, groups the ones that target the same
 //!   `(stored context, layer, reused prefix)` so the optimizer plans once
-//!   per group instead of once per request, executes the batch on session
-//!   snapshots through the fan-out `Session::attention` uses (per request
-//!   or per query head, over the pool), and returns outputs through
-//!   per-request channels.
+//!   per group instead of once per request, and hands each request its
+//!   session snapshot and plan through a per-request channel; the
+//!   requesting thread executes it through the fan-out `Session::attention`
+//!   uses (one task, or one pool task per query head for a long request).
 //!   Outputs are bitwise-identical to the sequential
 //!   [`Session::attention_sequential`] path because scheduling never
 //!   changes what each head computes — only where and when.
@@ -34,23 +34,23 @@
 //!   carry deadlines and are shed with [`ServeError::DeadlineExceeded`]
 //!   when they can no longer be met, and per-session deficit-round-robin
 //!   keeps one heavy tenant from monopolizing consecutive batches. Every
-//!   accepted request terminates in exactly one reply, sent by the one
-//!   scheduler function that closes executed, shed and panicked requests
-//!   alike. The `instrumented`
-//!   feature compiles in deterministic failpoints (worker panics, slow
+//!   accepted request gets exactly one reply from the scheduler — a job
+//!   or a typed error — and its span closes exactly once, there or on the
+//!   requester that executed it. The `instrumented` feature compiles in deterministic failpoints (worker panics, slow
 //!   batches — see `alaya-chaos`) that the chaos test suite uses to prove
 //!   these properties hold *under* injected faults.
 //! * **Observability** ([`telemetry`], built on `alaya-telemetry`) —
 //!   every request's lifecycle is traced as a span
-//!   (`enqueue → batch-assemble → plan → pool-exec → reply`, or the
+//!   (`enqueue → batch-assemble → plan → requester exec`, or the
 //!   shed/reject exits) into log-bucketed per-stage histograms; each
 //!   outcome is counted once, in its span cell, and [`SchedulerStats`]
 //!   reads its outcome fields from there. Per-tenant lane stats ride the
 //!   session slots, and a ring-buffer flight recorder keeps the events
-//!   leading up to a batch panic as a dump in the snapshot.
-//!   Observed batch wall time feeds an EWMA that is the scheduler's only
-//!   execution estimate, so `retry_after_hint` and deadline shedding track
-//!   the live machine. [`ServeEngine::telemetry`] exposes the whole view.
+//!   leading up to a planning or execution panic as a dump in the
+//!   snapshot. Each request's time from its batch's start to its
+//!   execution end feeds an EWMA that is the scheduler's only execution
+//!   estimate, so `retry_after_hint` and deadline shedding track the live
+//!   machine. [`ServeEngine::telemetry`] exposes the whole view.
 //!
 //! [`ServeEngine`] packages the layers behind a handle-based API:
 //! `admit → update/attention (any thread) → store/close`.

@@ -3,19 +3,22 @@
 //!
 //! Every request that enters the scheduler's queue opens a span and closes
 //! it exactly once — `rejected` at the queue bound, `shed` when its
-//! deadline expires, `executed` on a successful reply, or `panicked` when
-//! its batch aborts. Each outcome is counted in one cell, its span cell:
-//! the outcome fields of [`SchedulerStats`] are read off the span cells,
-//! not kept beside them. Stage boundaries ride the scheduler's
-//! injectable clock (`enqueue → batch-assemble` = queue, `assemble →
-//! plans noted` = plan, `pool scope` = exec, `enqueue → reply` = total)
-//! and aggregate into log-bucketed histograms; nothing here reads time
-//! itself, and nothing on the hot path locks or allocates.
+//! deadline expires, `executed` when its requester has run it, or
+//! `panicked` when its batch's planning or its own execution panics. Each
+//! outcome is counted in one cell, its span cell: the outcome fields of
+//! [`SchedulerStats`] are read off the span cells, not kept beside them.
+//! Stage boundaries ride the engine's injectable clock (`enqueue →
+//! batch-assemble` = queue and `assemble → plans noted` = plan, recorded
+//! by the scheduler; the requester's execution = exec and `enqueue →
+//! execution end` = total, recorded by the requester, per request) and
+//! aggregate into log-bucketed histograms; nothing here reads time itself,
+//! and nothing on the hot path locks or allocates.
 //!
-//! The same cells the registry snapshots also *drive* the scheduler: the
-//! observed per-batch execution time feeds an EWMA whose estimate sizes
-//! `retry_after_hint` and the deadline-shedding margin, so backpressure
-//! tracks the live machine.
+//! The same cells the registry snapshots also *drive* the scheduler: each
+//! executed or panicked request's time from its batch's start (the chaos
+//! batch delay included) to its span's close feeds an EWMA
+//! whose estimate sizes `retry_after_hint` and the deadline-shedding
+//! margin, so backpressure tracks the live machine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,17 +73,18 @@ pub(crate) struct SchedTelemetry {
     pub(crate) stage_plan: Arc<Histogram>,
     pub(crate) stage_exec: Arc<Histogram>,
     pub(crate) stage_total: Arc<Histogram>,
-    /// Wall time of each dispatched batch (chaos delays included) — the
-    /// EWMA's input, kept as a histogram so the calibration is auditable.
+    /// Per executed or panicked request: batch start (chaos delay
+    /// included) → its span's close — the EWMA's input, kept as a
+    /// histogram so the calibration is auditable.
     pub(crate) batch_exec: Arc<Histogram>,
 
     /// Queued requests (set under the queue lock; a plain relaxed store).
     pub(crate) queue_depth: Arc<Gauge>,
 
     /// EWMA-calibrated per-batch execution estimate in nanoseconds; zero
-    /// until the first batch is observed. Written only by the scheduler
-    /// thread; read relaxed by enqueue (retry hints) and collect
-    /// (deadline margins).
+    /// until the first observation. Every requester writes it (an atomic
+    /// read-modify-write per observation); enqueue (retry hints) and
+    /// collect (deadline margins) read it relaxed.
     est_exec_nanos: AtomicU64,
 }
 
@@ -129,24 +133,28 @@ impl SchedTelemetry {
         Duration::from_nanos(self.est_exec_nanos.load(Ordering::Relaxed))
     }
 
-    /// Folds one observed batch (wall time, chaos delay included) into
-    /// the histogram and the EWMA. The calibrated estimate drives
-    /// scheduling decisions (retry hints, shedding), not just reporting.
+    /// Folds one observation — a request's batch start (chaos delay
+    /// included) → its span's close — into the histogram and the EWMA.
+    /// The calibrated estimate drives scheduling decisions (retry hints,
+    /// shedding), not just reporting.
     pub(crate) fn observe_batch(&self, elapsed: Duration) {
         let obs = nanos(elapsed);
         self.batch_exec.record(obs);
-        let old = self.est_exec_nanos.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            // First observation: adopt it whole rather than creeping up
-            // from zero one eighth at a time.
-            obs
-        } else {
-            old.saturating_sub(old >> EWMA_SHIFT)
-                .saturating_add(obs >> EWMA_SHIFT)
+        // Requesters fold concurrently: a read-modify-write, so no
+        // observation is lost to a racing one.
+        let fold = |old: u64| {
+            Some(if old == 0 {
+                // First observation: adopt it whole rather than creeping
+                // up from zero one eighth at a time.
+                obs
+            } else {
+                old.saturating_sub(old >> EWMA_SHIFT)
+                    .saturating_add(obs >> EWMA_SHIFT)
+            })
         };
-        // Single writer (the scheduler thread), so load-modify-store is
-        // not a lost-update risk.
-        self.est_exec_nanos.store(new, Ordering::Relaxed);
+        let _ = self
+            .est_exec_nanos
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fold);
     }
 }
 
@@ -159,8 +167,8 @@ pub(crate) struct LaneCounters {
     pub(crate) rejected_overload: Counter,
 }
 
-/// Latency summary of one span stage (or the per-batch execution
-/// distribution), extracted from a histogram snapshot.
+/// Latency summary of one span stage (or of the EWMA's input), extracted
+/// from a histogram snapshot.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageStats {
     /// Observations recorded.
@@ -191,12 +199,13 @@ pub struct StageBreakdown {
     /// batch assembly → sessions snapshotted (grouping, session locks,
     /// optimizer, plan log).
     pub plan: StageStats,
-    /// execution of the batch's snapshots (on the pool, or inline for a
-    /// one-task batch).
+    /// the requester's execution of its job (on its own thread, fanned
+    /// out over the pool for a long request), executed requests only.
     pub exec: StageStats,
-    /// enqueue → reply, executed requests only.
+    /// enqueue → execution end, executed requests only.
     pub total: StageStats,
-    /// Per-*batch* wall time (the EWMA calibration input).
+    /// Per executed or panicked request: batch start (chaos delay
+    /// included) → its span's close (the EWMA calibration input).
     pub batch_exec: StageStats,
 }
 
@@ -246,8 +255,8 @@ pub struct TelemetrySnapshot {
     /// The EWMA-calibrated per-batch execution estimate currently driving
     /// `retry_after_hint` and deadline shedding.
     pub est_exec: Duration,
-    /// The flight recorder's most recent panic dump, if any batch has
-    /// panicked.
+    /// The flight recorder's most recent panic dump, if any planning or
+    /// execution has panicked.
     pub last_panic_dump: Option<String>,
     /// Every registered metric (renderable via
     /// [`RegistrySnapshot::to_json`] / `to_prometheus`).

@@ -2,7 +2,8 @@
 //! invariants.
 //!
 //! Offered concurrency is well past capacity (12 tenants into a 3-slot
-//! queue behind a 2-worker dedicated pool) while the seeded fault
+//! queue behind a 2-worker dedicated pool, half of them over a stored
+//! context long enough that their heads run as pool tasks) while the seeded fault
 //! harness injects worker panics ([`pool::CHAOS_TASK_PANIC`]) and slow
 //! batches ([`CHAOS_BATCH_DELAY`]). Under that abuse the serving layer
 //! must degrade *gracefully*, and each property is asserted, not hoped:
@@ -59,23 +60,34 @@ struct Tally {
 #[test]
 fn overload_with_injected_faults_degrades_gracefully() {
     let model_cfg = ModelConfig::tiny();
-    let db = Arc::new(Db::new(DbConfig::for_tests(model_cfg.clone())));
+    // A 1-byte GPU budget plans DIPR. Admissions are charged to their own
+    // tracker, so the budget only steers the plan.
+    let db = Arc::new(Db::new(DbConfig {
+        gpu: MemoryTracker::new(1),
+        ..DbConfig::for_tests(model_cfg.clone())
+    }));
+    let admission = MemoryTracker::unbounded();
     let engine = ServeEngine::with_options(
         Arc::clone(&db),
         ServeConfig {
             // Dedicated pool: worker-panic injection must never leak into
             // the process-global pool other tests share.
             threads: 2,
+            admission: Some(Arc::clone(&admission)),
             dispatch_window: Duration::from_millis(10),
             default_deadline: Some(DEADLINE),
             max_queue_requests: MAX_QUEUE,
             ..Default::default()
         },
     );
+    // Odd tenants reuse this context, so their heads run as pool tasks
+    // and meet the worker-panic failpoint; even tenants' short requests
+    // are one task each and run on their requesting threads.
+    let long_ctx = import_long_context(&db, &model_cfg, 0x0A1A);
 
     let chaos = Chaos::new(0x0A1A_7ADB);
-    // At most 3 injected worker panics (each aborts its whole batch with
-    // a typed error), plus probabilistic slow batches.
+    // At most 3 injected worker panics (each fails its request with a
+    // typed error), plus probabilistic slow batches.
     chaos.arm_limited(CHAOS_TASK_PANIC, 0.05, 3);
     chaos.arm_delay(CHAOS_BATCH_DELAY, 0.2, INJECTED_DELAY);
     engine.inject_chaos(Arc::clone(&chaos));
@@ -88,8 +100,14 @@ fn overload_with_injected_faults_degrades_gracefully() {
             let db = &db;
             let model_cfg = &model_cfg;
             let barrier = &barrier;
+            let long_ctx = &long_ctx;
             handles.push(s.spawn(move || {
-                let prompt = vec![t as u32, 50, 51, 52];
+                let mut prompt = if t % 2 == 1 {
+                    long_ctx.clone()
+                } else {
+                    Vec::new()
+                };
+                prompt.extend([t as u32, 50, 51, 52]);
                 let (sid, _) = engine.admit(&prompt).expect("admission");
                 let (mut reference, _) = db.create_session(&prompt);
                 let mut tally = Tally::default();
@@ -187,6 +205,10 @@ fn overload_with_injected_faults_degrades_gracefully() {
     assert_eq!(stats.rejected_overload, tally.overloaded);
     assert_eq!(stats.shed_deadline, tally.deadline_shed);
     assert_eq!(stats.requests, tally.admitted + tally.exec_panicked);
+    assert!(
+        tally.exec_panicked > 0,
+        "the long tenants' pool tasks must meet the worker-panic failpoint"
+    );
 
     // Admitted-request p99 stays inside the latency budget: the deadline
     // bounds queueing, the armed delay bounds injected slowness, and the
@@ -204,6 +226,7 @@ fn overload_with_injected_faults_degrades_gracefully() {
     // Zero leaked reservations across panics, sheds, and rejections.
     assert_eq!(engine.n_sessions(), 0);
     assert_eq!(db.gpu().in_use(), 0, "tracker must return to baseline");
+    assert_eq!(admission.in_use(), 0, "admissions must return to baseline");
 
     // The scheduler thread survived every injected fault: with the
     // failpoints disarmed, a clean round serves end to end.
@@ -217,6 +240,32 @@ fn overload_with_injected_faults_degrades_gracefully() {
     assert_eq!(out.len(), model_cfg.n_q_heads);
     engine.close(sid).unwrap();
     assert_eq!(db.gpu().in_use(), 0);
+    assert_eq!(admission.in_use(), 0);
+}
+
+/// Imports a 520-token context of random KV into `db` and returns its
+/// tokens. Under a 1-byte GPU budget a session reusing it plans DIPR,
+/// which reads past the per-head fan-out cutoff (512 rows): its heads run
+/// as pool tasks, where the worker-panic failpoint fires, and the panic
+/// surfaces on the requesting thread. A request reading fewer rows (a
+/// short context, or TopK on Coarse under a rich budget) is one task and
+/// runs on its requesting thread, out of the failpoint's reach.
+fn import_long_context(db: &Db, model_cfg: &ModelConfig, seed: u64) -> Vec<u32> {
+    let ctx: Vec<u32> = (0..520).collect();
+    let mut rng = seeded(seed);
+    let mut stored = KvCache::new(model_cfg.n_layers, model_cfg.n_kv_heads, model_cfg.head_dim);
+    for _ in &ctx {
+        for layer in 0..model_cfg.n_layers {
+            let [k, v] = [(); 2].map(|_| {
+                (0..model_cfg.n_kv_heads)
+                    .map(|_| gaussian_vec(&mut rng, model_cfg.head_dim, 1.0))
+                    .collect::<Vec<_>>()
+            });
+            stored.push_token(layer, &k, &v);
+        }
+    }
+    db.import(ctx.clone(), stored);
+    ctx
 }
 
 /// An injected worker panic freezes a flight-recorder dump: the black
@@ -247,25 +296,7 @@ fn injected_panic_freezes_a_flight_recorder_dump() {
     );
     let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
     let kv = vec![vec![0.5; model_cfg.head_dim]; model_cfg.n_kv_heads];
-    // A DIPR request over a 520-token stored context reads past the
-    // per-head fan-out cutoff (512 rows): its heads run as pool tasks,
-    // where the failpoint fires. A request reading fewer rows (a short
-    // context, or TopK on Coarse under a rich budget) is one task and runs
-    // on the scheduler thread, out of the failpoint's reach.
-    let ctx: Vec<u32> = (0..520).collect();
-    let mut rng = seeded(0x0B1A);
-    let mut stored = KvCache::new(model_cfg.n_layers, model_cfg.n_kv_heads, model_cfg.head_dim);
-    for _ in &ctx {
-        for layer in 0..model_cfg.n_layers {
-            let [k, v] = [(); 2].map(|_| {
-                (0..model_cfg.n_kv_heads)
-                    .map(|_| gaussian_vec(&mut rng, model_cfg.head_dim, 1.0))
-                    .collect::<Vec<_>>()
-            });
-            stored.push_token(layer, &k, &v);
-        }
-    }
-    db.import(ctx.clone(), stored);
+    let ctx = import_long_context(&db, &model_cfg, 0x0B1A);
     let (sid, _) = engine.admit(&[ctx, vec![2]].concat()).unwrap();
     engine.update(sid, &queries, &kv, &kv, 0).unwrap();
 

@@ -655,6 +655,57 @@ fn close_mid_flight_serves_the_request_and_releases_the_reservation() {
     );
 }
 
+/// A request's session slot is released before its job is handed back,
+/// so a caller that attends and closes at once finds its reservation home.
+/// 16 sessions on each of 4 threads, one engine and one admission tracker
+/// per thread over a shared DB and pool: each tracker is back at zero
+/// after every close, while the other threads keep the cores busy. (With
+/// the slot dropped after the reply instead, this fails in most runs.)
+#[test]
+fn attend_then_close_at_once_returns_the_reservation() {
+    const THREADS: usize = 4;
+    const SESSIONS_PER_THREAD: usize = 16;
+
+    let model_cfg = ModelConfig::tiny();
+    let db = Arc::new(Db::new(DbConfig::for_tests(model_cfg.clone())));
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (db, barrier, model_cfg) = (&db, &barrier, &model_cfg);
+            s.spawn(move || {
+                let admission = MemoryTracker::unbounded();
+                let engine = ServeEngine::with_options(
+                    Arc::clone(db),
+                    ServeConfig {
+                        admission: Some(Arc::clone(&admission)),
+                        ..Default::default()
+                    },
+                );
+                let mut rng = seeded(0x5E55 + t as u64);
+                let dim = model_cfg.head_dim;
+                barrier.wait();
+                for i in 0..SESSIONS_PER_THREAD {
+                    let (sid, _) = engine.admit(&[t as u32, i as u32, 1, 2]).unwrap();
+                    let queries: Vec<Vec<f32>> = (0..model_cfg.n_q_heads)
+                        .map(|_| gaussian_vec(&mut rng, dim, 1.0))
+                        .collect();
+                    let kv: Vec<Vec<f32>> = (0..model_cfg.n_kv_heads)
+                        .map(|_| gaussian_vec(&mut rng, dim, 1.0))
+                        .collect();
+                    engine.update(sid, &queries, &kv, &kv, 0).unwrap();
+                    engine.attention(sid, &queries, 0).unwrap();
+                    engine.close(sid).unwrap();
+                    assert_eq!(
+                        admission.in_use(),
+                        0,
+                        "thread {t} session {i}: the reservation outlived close"
+                    );
+                }
+            });
+        }
+    });
+}
+
 /// Admitted-but-rejected callers racing from many threads: the tracker
 /// never overshoots and every failure is a typed error.
 #[test]

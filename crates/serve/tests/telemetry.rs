@@ -117,8 +117,9 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
 }
 
 /// Stage histograms count per-request observations for exactly the spans
-/// that executed, the per-batch histogram counts batches, and the
-/// registry renders every serve metric to JSON and Prometheus text.
+/// that executed, the EWMA's input histogram counts one observation per
+/// executed request, and the registry renders every serve metric to JSON
+/// and Prometheus text.
 #[test]
 fn stage_histograms_and_registry_rendering_track_execution() {
     const REQUESTS: usize = 8;
@@ -133,19 +134,13 @@ fn stage_histograms_and_registry_rendering_track_execution() {
     }
     engine.close(sid).unwrap();
 
-    // A batch's wall-time observation lands *after* its replies are sent
-    // (the measurement covers the whole dispatch); give the scheduler a
-    // beat to fold the last batch in before snapshotting.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut t = engine.telemetry();
-    while t.stages.batch_exec.count < t.stats.batches && std::time::Instant::now() < deadline {
-        std::thread::yield_now();
-        t = engine.telemetry();
-    }
+    // The requester records its request's observations before
+    // `attention` returns, so the snapshot needs no wait.
+    let t = engine.telemetry();
     assert_eq!(t.spans.executed, REQUESTS as u64);
 
-    // One observation per executed request in every per-request stage;
-    // one per dispatched batch in the batch histogram.
+    // One observation per executed request in every per-request stage and
+    // in the EWMA's input.
     for (stage, name) in [
         (&t.stages.queue, "queue"),
         (&t.stages.plan, "plan"),
@@ -155,7 +150,7 @@ fn stage_histograms_and_registry_rendering_track_execution() {
         assert_eq!(stage.count, REQUESTS as u64, "stage {name}");
         assert!(stage.max >= stage.p50, "stage {name} is ordered");
     }
-    assert_eq!(t.stages.batch_exec.count, t.stats.batches);
+    assert_eq!(t.stages.batch_exec.count, REQUESTS as u64);
     // total spans the whole timeline: its tail cannot be shorter than
     // the queueing stage's tail.
     assert!(t.stages.total.max >= t.stages.queue.max);
