@@ -170,6 +170,16 @@ impl Chaos {
         }
     }
 
+    /// Panic-site variant of [`Chaos::should_fire`]: panics, naming
+    /// `site`, when the site fires. A component probes it inside its own
+    /// containment wrapper, so the injected panic walks the path a real one
+    /// there would.
+    pub fn fire_panic(&self, site: &str) {
+        if self.should_fire(site) {
+            panic!("chaos: injected panic at {site}");
+        }
+    }
+
     /// Times `site` has been consulted since arming.
     pub fn calls(&self, site: &str) -> u64 {
         self.sites.lock().get(site).map_or(0, |s| s.calls)
@@ -265,6 +275,17 @@ mod tests {
         chaos.disarm("slow");
         assert_eq!(chaos.fire_delay("slow"), None);
         assert!(chaos.calls("slow") >= 2, "disarmed calls still counted");
+    }
+
+    #[test]
+    fn panic_sites_panic_naming_the_site_until_they_exhaust() {
+        let chaos = Chaos::new(13);
+        chaos.arm_limited("boom", 1.0, 1);
+        let payload = std::panic::catch_unwind(|| chaos.fire_panic("boom")).unwrap_err();
+        let msg = payload.downcast_ref::<String>().unwrap();
+        assert_eq!(msg, "chaos: injected panic at boom");
+        chaos.fire_panic("boom");
+        assert_eq!((chaos.calls("boom"), chaos.fires("boom")), (2, 1));
     }
 
     #[test]

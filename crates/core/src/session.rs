@@ -17,7 +17,7 @@
 //! releasing it; `update` writes through [`Arc::make_mut`], which copies the
 //! local window only while such a snapshot is still alive. [`execute`] is
 //! the one fan-out over the pool, for a session's own calls and for a
-//! serving batch alike.
+//! served request alike.
 
 use std::sync::Arc;
 
@@ -129,23 +129,31 @@ pub struct AttentionJob<'a> {
 /// ~300 rows in ~4 µs. On a 2-vCPU host already busy with two clients,
 /// running its 8 heads as one task instead of 8 (with the coarse index's
 /// table scan) took `serve.exec_us_p50` from 88 to 46 µs. A DIPR head over
-/// the same 2048 tokens costs 17–20 µs and still splits.
+/// the same 2048 tokens costs 17–20 µs and splits when the call's share of
+/// the pool is above 1.
 const PARALLEL_MIN_ROWS: usize = 512;
 
 /// Runs `jobs` on `pool` and returns each job's per-head outputs, in job
-/// and head order. A job whose plan reads fewer than `PARALLEL_MIN_ROWS`
-/// rows per head is one task, and a larger one is one task per head. Rows
-/// are the executor's [`rows_read`], not the context length: a TopK-on-
-/// Coarse head reads its block summaries, retrieved blocks and windows,
-/// and any other plan its whole sequence. A call that comes to a single
-/// task runs on the calling thread; otherwise the caller helps the pool
-/// until its tasks are done. Its callers are [`Session::attention`] and
-/// the serving engine, whose requesting threads each run their own
-/// request's job here, side by side on one pool. Every head is one
+/// and head order. `share` is the number of pool workers the call may
+/// occupy. A share of 1 runs every head on the calling thread, whatever
+/// the heads read. Above 1, a job whose plan reads fewer than
+/// `PARALLEL_MIN_ROWS` rows per head is one task, and a larger one is one
+/// task per head. Rows are the executor's [`rows_read`], not the context
+/// length: a TopK-on-Coarse head reads its block summaries, retrieved
+/// blocks and windows, and any other plan its whole sequence. A call that
+/// comes to a single task runs on the calling thread; otherwise the caller
+/// helps the pool until its tasks are done. Its callers are
+/// [`Session::attention`], whose share is the whole pool, and the serving
+/// engine, whose requesting threads each run their own request's job here
+/// with the workers the other live sessions leave them. Every head is one
 /// independent [`attend`] call writing its own slot, so the outputs are
-/// bitwise those of [`Session::attention_sequential`] for any worker count
-/// or steal order.
-pub fn execute(pool: &WorkStealingPool, jobs: &[AttentionJob<'_>]) -> Vec<Vec<Vec<f32>>> {
+/// bitwise those of [`Session::attention_sequential`] for any share,
+/// worker count or steal order.
+pub fn execute(
+    pool: &WorkStealingPool,
+    share: usize,
+    jobs: &[AttentionJob<'_>],
+) -> Vec<Vec<Vec<f32>>> {
     // Heads of one job share a plan and a sequence, so the first one's
     // rows stand for all of them.
     let per_head = |job: &AttentionJob<'_>| {
@@ -155,7 +163,7 @@ pub fn execute(pool: &WorkStealingPool, jobs: &[AttentionJob<'_>]) -> Vec<Vec<Ve
         .iter()
         .map(|job| if per_head(job) { job.queries.len() } else { 1 })
         .sum();
-    if tasks <= 1 {
+    if share <= 1 || tasks <= 1 {
         return jobs
             .iter()
             .map(|job| job.view.attend_all(job.queries, job.layer, job.plan))
@@ -348,7 +356,8 @@ impl Session {
     /// already be in the local window (call [`Session::update`] first).
     ///
     /// Executes through [`execute`] on the shared work-stealing pool
-    /// ([`alaya_device::pool::global`]); outputs are bitwise-identical to
+    /// ([`alaya_device::pool::global`]), with all of its workers as the
+    /// call's share; outputs are bitwise-identical to
     /// [`Session::attention_sequential`].
     pub fn attention(&mut self, queries: &[Vec<f32>], layer: usize) -> Vec<Vec<f32>> {
         let plan = self.plan(layer);
@@ -366,8 +375,8 @@ impl Session {
     }
 
     /// Executes a pre-computed `plan` for every query head — the *execute*
-    /// half of the plan/execute split, as a one-job [`execute`] on the
-    /// shared pool.
+    /// half of the plan/execute split, as a one-job [`execute`] that may
+    /// occupy the whole shared pool.
     pub fn attention_with_plan(
         &self,
         queries: &[Vec<f32>],
@@ -380,7 +389,10 @@ impl Session {
             layer,
             plan,
         };
-        execute(pool::global(), &[job]).pop().unwrap_or_default()
+        let pool = pool::global();
+        execute(pool, pool.threads(), &[job])
+            .pop()
+            .unwrap_or_default()
     }
 
     /// One query head's attention under a pre-computed `plan` (`qh` is the
@@ -457,11 +469,13 @@ mod tests {
         assert_eq!(Arc::strong_count(session.local_kv()), 1);
     }
 
-    /// Fan-out follows the rows a plan reads, not the context length. Over
-    /// a 520-token stored context, a TopK-on-Coarse job reads ~70 rows per
-    /// head and runs as one task, while a DIPR job may scan all 521 and runs
-    /// one task per head. Either way the outputs are the sequential
-    /// oracle's, bit for bit.
+    /// Fan-out follows the call's share of the pool and the rows a plan
+    /// reads, not the context length. Over a 520-token stored context, a
+    /// TopK-on-Coarse job reads ~70 rows per head and runs as one task,
+    /// while a DIPR job may scan all 521 and, given a share above 1, runs
+    /// one task per head. A share of 1 runs every job on the calling
+    /// thread. Either way the outputs are the sequential oracle's, bit for
+    /// bit.
     #[test]
     fn fan_out_counts_the_rows_a_plan_reads() {
         let model = ModelConfig::tiny();
@@ -521,18 +535,25 @@ mod tests {
             .collect();
 
         let heads = model.n_q_heads as u64;
-        // Coarse alone is one task, which runs on the calling thread; DIPR
-        // alone is one task per head; together, one plus one per head.
-        for (batch, tasks) in [(0..1, 0), (1..2, heads), (0..2, 1 + heads)] {
+        // With a share of 2: Coarse alone is one task, which runs on the
+        // calling thread; DIPR alone is one task per head; together, one
+        // plus one per head. With a share of 1, nothing reaches the pool.
+        for (batch, share, tasks) in [
+            (0..1, 2, 0),
+            (1..2, 2, heads),
+            (0..2, 2, 1 + heads),
+            (1..2, 1, 0),
+            (0..2, 1, 0),
+        ] {
             // A task is counted just after it signals its scope, so the
             // count is read once dropping the pool has joined its workers.
             let pool = WorkStealingPool::new(2);
             let registry = Registry::new();
             pool.stats().register_into(&registry);
             let executed = registry.counter("device.pool.tasks_executed");
-            let got = execute(&pool, &jobs[batch.clone()]);
+            let got = execute(&pool, share, &jobs[batch.clone()]);
             drop(pool);
-            assert_eq!(executed.get(), tasks, "jobs {batch:?}");
+            assert_eq!(executed.get(), tasks, "jobs {batch:?}, share {share}");
             let bits = |out: &[Vec<Vec<f32>>]| -> Vec<u32> {
                 out.iter()
                     .flatten()
@@ -540,7 +561,11 @@ mod tests {
                     .map(|x| x.to_bits())
                     .collect()
             };
-            assert_eq!(bits(&got), bits(&want[batch.clone()]), "jobs {batch:?}");
+            assert_eq!(
+                bits(&got),
+                bits(&want[batch.clone()]),
+                "jobs {batch:?}, share {share}"
+            );
         }
     }
 }

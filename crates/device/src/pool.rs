@@ -437,9 +437,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                 let guarded = AssertUnwindSafe(move || {
                     #[cfg(feature = "instrumented")]
                     if let Some(chaos) = shared.chaos.get() {
-                        if chaos.should_fire(CHAOS_TASK_PANIC) {
-                            panic!("chaos: injected worker panic");
-                        }
+                        chaos.fire_panic(CHAOS_TASK_PANIC);
                     }
                     task();
                 });
@@ -457,9 +455,9 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 }
 
 /// The process-wide shared pool (one worker per available core). This is
-/// the pool `Session::attention`, `exact_knn`, RoarGraph
-/// construction and the serving scheduler all execute on, so CPU
-/// oversubscription cannot arise from composing those layers.
+/// the pool `Session::attention`, `exact_knn`, RoarGraph construction and
+/// the serving engine's requests all fan out over, so composing those
+/// layers adds no threads beyond its workers and their callers.
 pub fn global() -> &'static Arc<WorkStealingPool> {
     static POOL: OnceLock<Arc<WorkStealingPool>> = OnceLock::new();
     POOL.get_or_init(|| Arc::new(WorkStealingPool::new(0)))

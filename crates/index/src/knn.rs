@@ -6,8 +6,8 @@
 //! the GPU via NVIDIA cuVS and overlaps transfers with compute. Without a
 //! GPU, the same *structural* optimization is reproduced with data-parallel
 //! execution across CPU cores ([`exact_knn`] fans query tiles out over the
-//! shared [`alaya_device::pool`] work-stealing pool, so index builds and the
-//! serving scheduler never oversubscribe the machine). Figure 11's GPU
+//! shared [`alaya_device::pool`] work-stealing pool, the one served
+//! attention fans out over too). Figure 11's GPU
 //! speedup is not reproduced; its sharing half is (`alaya_bench::fig11`).
 //!
 //! # Tiling and selection

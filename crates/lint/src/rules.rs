@@ -162,11 +162,12 @@ fn no_unwrap_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Call fragments that hand work to the pool or run attention; holding a
 /// lock guard across them risks deadlock (pool workers may need the same
-/// lock) and serializes the batch. `execute(&` is the attention fan-out
-/// (`execute(&core.pool, &jobs)`); `db.store(` runs an index build's pool
-/// scope on the caller. A bare `.store(` would also match atomic stores.
+/// lock) and serializes the batch. `execute(` is the attention fan-out
+/// (`execute(pool, share, &[job])`); `db.store(` runs an index build's
+/// pool scope on the caller. A bare `.store(` would also match atomic
+/// stores. A fragment right after `fn ` is a declaration, not a call.
 const POOL_CALLS: [&str; 7] = [
-    "execute(&",
+    "execute(",
     "pool.scope(",
     "pool.map(",
     "pool.map_bounded(",
@@ -174,6 +175,14 @@ const POOL_CALLS: [&str; 7] = [
     "global().map_bounded(",
     ".attention(",
 ];
+
+/// Whether `code` calls one of [`POOL_CALLS`].
+fn is_pool_call(code: &str) -> bool {
+    POOL_CALLS.iter().any(|p| {
+        code.match_indices(p)
+            .any(|(at, _)| !code[..at].ends_with("fn "))
+    })
+}
 
 /// Heuristic, lexical: a `let` binding whose initializer takes a lock (or
 /// whose declared type names a guard) must not stay live across a pool
@@ -218,7 +227,7 @@ fn guard_across_pool_call(file: &SourceFile, out: &mut Vec<Finding>) {
             if j > i && later.code.contains(&drop_marker) {
                 break;
             }
-            if POOL_CALLS.iter().any(|p| later.code.contains(p)) {
+            if is_pool_call(&later.code) {
                 out.push(finding(
                     file,
                     i,
@@ -420,7 +429,11 @@ mod tests {
         );
         assert_eq!(typed.len(), 1);
         // The attention fan-out and a store's index build are pool calls.
-        for call in ["execute(&core.pool, &jobs);", "self.db.store(&snapshot);"] {
+        for call in [
+            "execute(pool, share, &[job]).pop().unwrap_or_default()",
+            "execute(pool::global(), threads, &[job]);",
+            "self.db.store(&snapshot);",
+        ] {
             let held = findings(
                 "crates/x/src/a.rs",
                 &format!("fn f() {{\n let g = slot.lock();\n {call}\n}}\n"),
@@ -432,6 +445,12 @@ mod tests {
             );
             assert!(released.is_empty(), "{call}");
         }
+        // A declaration of the fan-out is not a call to it.
+        let declared = findings(
+            "crates/x/src/a.rs",
+            "fn f() {\n let g = slot.lock();\n pub fn execute(pool: &WorkStealingPool) {}\n}\n",
+        );
+        assert!(declared.is_empty());
         // An atomic store under a guard is not a store build.
         let atomic = findings(
             "crates/x/src/a.rs",

@@ -5,13 +5,14 @@
 //! one session under its own lock, `attention` submits to the scheduler
 //! (which batches and plans across sessions — see [`crate::scheduler`]),
 //! blocks on a per-request channel for its job and executes it on the
-//! calling thread, `store` materializes it on the calling thread, and
-//! `close` ends it and releases its device reservation.
+//! calling thread with its share of the pool, `store` materializes it on
+//! the calling thread, and `close` ends it and releases its device
+//! reservation.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -32,6 +33,12 @@ use crate::scheduler::{
     SpanEnd,
 };
 use crate::telemetry::{LaneStats, TelemetrySnapshot};
+
+/// Failpoint: a requester panics inside the containment wrapper around
+/// its job's execution, the way a panicking head would, whatever the share
+/// of the pool its heads run on.
+#[cfg(feature = "instrumented")]
+pub const CHAOS_EXEC_PANIC: &str = "serve.exec.panic";
 
 /// Handle to a session admitted into a [`ServeEngine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,6 +109,9 @@ pub struct ServeEngine {
     /// ([`session_bytes`](crate::admission::session_bytes)).
     session_bytes: u64,
     sessions: RwLock<HashMap<SessionId, Arc<SessionSlot>>>,
+    /// `sessions.len()`, stored under its write guard, so a requester
+    /// sizes its share of the pool without taking the table's lock.
+    live: AtomicUsize,
     next_id: AtomicU64,
     /// The pool a requester fans a long request's heads out over.
     pool: Arc<WorkStealingPool>,
@@ -162,6 +172,7 @@ impl ServeEngine {
             db,
             tracker,
             sessions: RwLock::new_named(HashMap::new(), "serve.sessions"),
+            live: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             pool,
             core,
@@ -220,12 +231,12 @@ impl ServeEngine {
         TelemetrySnapshot::collect(&self.core.stats, lanes)
     }
 
-    /// Arms deterministic fault injection: the scheduler probes `chaos`
-    /// at its failpoints, and — when this engine owns a dedicated pool
-    /// (`threads > 0`) — so do the pool's tasks. The process-wide pool
-    /// is deliberately left alone: injecting panics into workers shared
-    /// with unrelated tests would make chaos non-hermetic. First call
-    /// wins; later calls are ignored.
+    /// Arms deterministic fault injection: the scheduler and every
+    /// requester probe `chaos` at their failpoints, and — when this engine
+    /// owns a dedicated pool (`threads > 0`) — so do the pool's tasks. The
+    /// process-wide pool is deliberately left alone: injecting panics into
+    /// workers shared with unrelated tests would make chaos non-hermetic.
+    /// First call wins; later calls are ignored.
     #[cfg(feature = "instrumented")]
     pub fn inject_chaos(&self, chaos: Arc<alaya_chaos::Chaos>) {
         let _ = self.core.chaos.set(Arc::clone(&chaos));
@@ -236,7 +247,7 @@ impl ServeEngine {
 
     /// Sessions currently admitted.
     pub fn n_sessions(&self) -> usize {
-        self.sessions.read().len()
+        self.live.load(Ordering::Relaxed)
     }
 
     /// Admits a session for `prompt`: reserves its device bytes first
@@ -256,7 +267,9 @@ impl ServeEngine {
             reservation,
         }));
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.sessions.write().insert(id, slot);
+        let mut sessions = self.sessions.write();
+        sessions.insert(id, slot);
+        self.live.store(sessions.len(), Ordering::Relaxed);
         Ok((id, truncated))
     }
 
@@ -357,7 +370,11 @@ impl ServeEngine {
     /// Computes attention for every query head at `layer` through the
     /// scheduler: the request is batched with whatever other sessions are
     /// asking at the same moment and planned once per group, then executed
-    /// on this thread over a snapshot of the session. Blocks until the
+    /// on this thread over a snapshot of the session. Its heads may occupy
+    /// the pool's workers divided by the admitted sessions, at least one:
+    /// with as many sessions as workers or more, they all run on this
+    /// thread and leave the other cores to the other sessions; with fewer,
+    /// a long request's heads fan out over the pool. Blocks until the
     /// output is computed. Outputs are bitwise-identical to
     /// `Session::attention_sequential`.
     ///
@@ -406,7 +423,8 @@ impl ServeEngine {
     }
 
     /// Queues a checked request, blocks until the scheduler hands back its
-    /// job, and runs it on this thread.
+    /// job, and runs it on this thread with the pool's workers divided by
+    /// the live sessions as its share.
     fn enqueue(
         &self,
         slot: Arc<SessionSlot>,
@@ -426,7 +444,8 @@ impl ServeEngine {
             cost,
         })?;
         let job = rx.recv().map_err(|_| ServeError::ShuttingDown)??;
-        run_job(&self.core, &self.pool, &slot, queries, layer, enqueued, job)
+        let share = (self.pool.threads() / self.live.load(Ordering::Relaxed).max(1)).max(1);
+        run_job(&self.core, &self.pool, share, &slot, queries, layer, job)
     }
 
     /// `update` + `attention` in one call — the `AttentionBackend::attend`
@@ -481,11 +500,10 @@ impl ServeEngine {
 
     /// Removes the session, dropping its admission reservation.
     pub fn close(&self, id: SessionId) -> Result<(), ServeError> {
-        self.sessions
-            .write()
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(ServeError::UnknownSession(id))
+        let mut sessions = self.sessions.write();
+        sessions.remove(&id).ok_or(ServeError::UnknownSession(id))?;
+        self.live.store(sessions.len(), Ordering::Relaxed);
+        Ok(())
     }
 
     /// A borrowing [`AttentionBackend`] adapter for `id`, so
@@ -515,34 +533,40 @@ impl Drop for ServeEngine {
 }
 
 /// Executes a dispatched request's job on the calling thread — one
-/// [`execute`] call, which fans a long request's heads out over `pool` —
-/// and closes its span. A panic there, on this thread or a pool task's,
-/// fails this request alone with [`ServeError::ExecutionPanicked`] and
-/// freezes a flight-recorder dump. The snapshot is dropped before this
-/// returns, so the caller's next `update` finds its local window unshared.
+/// [`execute`] call, which may fan a long request's heads out over `share`
+/// of `pool`'s workers — and closes its span. A panic there, on this
+/// thread or a pool task's, fails this request alone with
+/// [`ServeError::ExecutionPanicked`] and freezes a flight-recorder dump.
+/// The snapshot is dropped before this returns, so the caller's next
+/// `update` finds its local window unshared.
 pub(crate) fn run_job(
     core: &SchedulerCore,
     pool: &WorkStealingPool,
+    share: usize,
     slot: &SessionSlot,
     queries: &[Vec<f32>],
     layer: usize,
-    enqueued: Duration,
     job: Job,
 ) -> Result<Vec<Vec<f32>>, ServeError> {
     let Job {
         view,
         plan,
+        enqueued,
         batch_start,
     } = job;
     let started = core.clock.now();
     let out = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(feature = "instrumented")]
+        if let Some(chaos) = core.chaos.get() {
+            chaos.fire_panic(CHAOS_EXEC_PANIC);
+        }
         let job = AttentionJob {
             view: &view,
             queries,
             layer,
             plan: &plan,
         };
-        execute(pool, &[job]).pop().unwrap_or_default()
+        execute(pool, share, &[job]).pop().unwrap_or_default()
     }));
     drop(view);
     let end = match &out {
@@ -599,6 +623,7 @@ impl AttentionBackend for EngineBackend<'_> {
 mod tests {
     use super::*;
     use alaya_llm::{Model, ModelConfig};
+    use alaya_vector::rng::{gaussian_vec, seeded};
 
     fn engine() -> (ServeEngine, ModelConfig) {
         let model_cfg = ModelConfig::tiny();
@@ -834,6 +859,55 @@ mod tests {
         );
         eng.close(sid).unwrap();
         assert_eq!(eng.db().gpu().in_use(), 0);
+    }
+
+    /// A requester's share of the pool is its workers per live session.
+    /// With two sessions on a 2-worker pool, a DIPR request over a
+    /// 520-token stored context runs every head on its own thread; once
+    /// the other session closes, its heads fan out again. Both outputs are
+    /// the sequential oracle's, bit for bit.
+    #[test]
+    fn fan_out_is_sized_by_the_live_sessions() {
+        let cfg = ModelConfig::tiny();
+        let (db, mut prompt) = crate::scheduler::tests::long_context_db(&cfg);
+        prompt.push(7);
+        let db = Arc::new(db);
+        let eng = ServeEngine::with_options(
+            Arc::clone(&db),
+            ServeConfig {
+                threads: 2,
+                // The 1-byte GPU budget only steers the plan to DIPR.
+                admission: Some(MemoryTracker::unbounded()),
+                ..Default::default()
+            },
+        );
+        let (a, _) = eng.admit(&prompt).unwrap();
+        let (b, _) = eng.admit(&prompt).unwrap();
+        let (mut twin, _) = db.create_session(&prompt);
+        let mut rng = seeded(0x5BA2E);
+        let mut heads = |n: usize| -> Vec<Vec<f32>> {
+            (0..n)
+                .map(|_| gaussian_vec(&mut rng, cfg.head_dim, 1.0))
+                .collect()
+        };
+        let (q, k, v) = (
+            heads(cfg.n_q_heads),
+            heads(cfg.n_kv_heads),
+            heads(cfg.n_kv_heads),
+        );
+        eng.update(a, &q, &k, &v, 1).unwrap();
+        twin.update(&q, &k, &v, 1);
+        let want = twin.attention_sequential(&q, 1);
+        assert!(twin.plan_log()[0].explain().starts_with("DIPR"));
+        let tasks = || eng.pool.stats().tasks_executed();
+
+        let before = tasks();
+        assert_eq!(eng.attention(a, &q, 1).unwrap(), want);
+        assert_eq!(tasks(), before, "two live sessions: a share of 1");
+        eng.close(b).unwrap();
+        assert_eq!(eng.attention(a, &q, 1).unwrap(), want);
+        assert!(tasks() > before, "one live session: a share of 2");
+        eng.close(a).unwrap();
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //! * **Execution substrate** — a hand-rolled work-stealing thread pool
 //!   with scoped execution ([`WorkStealingPool`], re-exported from
 //!   `alaya_device::pool` so index construction and per-head attention in
-//!   the lower crates run on the *same* workers and never oversubscribe
-//!   the machine).
+//!   the lower crates run on the *same* workers; a served request's heads
+//!   occupy at most the workers per live session, so under load each
+//!   requester runs its own heads).
 //! * **Scheduler** ([`scheduler`]) — accepts attention requests from many
 //!   sessions, groups the ones that target the same
 //!   `(stored context, layer, reused prefix)` so the optimizer plans once
 //!   per group instead of once per request, and hands each request its
 //!   session snapshot and plan through a per-request channel; the
 //!   requesting thread executes it through the fan-out `Session::attention`
-//!   uses (one task, or one pool task per query head for a long request).
+//!   uses, with the pool's workers divided by the live sessions as its
+//!   share (all heads on the requesting thread at a share of 1; otherwise
+//!   one task, or one pool task per query head for a long request).
 //!   Outputs are bitwise-identical to the sequential
 //!   [`Session::attention_sequential`] path because scheduling never
 //!   changes what each head computes — only where and when.
@@ -36,7 +39,8 @@
 //!   keeps one heavy tenant from monopolizing consecutive batches. Every
 //!   accepted request gets exactly one reply from the scheduler — a job
 //!   or a typed error — and its span closes exactly once, there or on the
-//!   requester that executed it. The `instrumented` feature compiles in deterministic failpoints (worker panics, slow
+//!   requester that executed it. The `instrumented` feature compiles in
+//!   deterministic failpoints (execution and worker panics, slow
 //!   batches — see `alaya-chaos`) that the chaos test suite uses to prove
 //!   these properties hold *under* injected faults.
 //! * **Observability** ([`telemetry`], built on `alaya-telemetry`) —

@@ -36,16 +36,19 @@
 //!    is sent.
 //!
 //! The requester runs its job through [`alaya_core::session::execute`], the
-//! fan-out `Session::attention` uses too: one task on its own thread for a
+//! fan-out `Session::attention` uses too, with the pool's workers divided
+//! by the engine's live sessions as its share: every head on its own
+//! thread at a share of 1, and otherwise one task on its own thread for a
 //! short request, one pool task per query head for a long one. Heads are
 //! independent and each writes only its own output, so the result is
-//! bitwise deterministic for any worker count or steal order, and requests
-//! from different sessions execute side by side instead of queueing behind
-//! one executor. The requester drops the snapshot before it returns — so
-//! its next `update` finds its local window unshared and copies nothing —
-//! and closes the span there with `close_span`: executed or panicked, the
-//! exec and total stages, and the EWMA input. Shed requests, and members
-//! of a batch whose planning panicked, are closed by `finish`.
+//! bitwise deterministic for any share, worker count or steal order, and
+//! requests from different sessions execute side by side instead of
+//! queueing behind one executor. The requester drops the snapshot before
+//! it returns — so its next `update` finds its local window unshared and
+//! copies nothing — and closes the span there with `close_span`: executed
+//! or panicked, the exec and total stages, and the EWMA input. Shed
+//! requests, and members of a batch whose planning panicked, are closed by
+//! `finish`.
 //!
 //! All time is read through the engine's injectable [`Clock`], so deadline
 //! and window logic is deterministic under the chaos harness's
@@ -176,11 +179,13 @@ impl SessionSlot {
 }
 
 /// What the scheduler hands back to a dispatched request's requester, who
-/// executes it: its session snapshot and plan, and the instant its batch
-/// started (before the chaos delay) — the start of its EWMA observation.
+/// executes it: its session snapshot and plan, the instant it was queued,
+/// and the instant its batch started (before the chaos delay) — the start
+/// of its EWMA observation.
 pub(crate) struct Job {
     pub(crate) view: SessionView,
     pub(crate) plan: Plan,
+    pub(crate) enqueued: Duration,
     pub(crate) batch_start: Duration,
 }
 
@@ -647,6 +652,7 @@ fn plan_batch(core: &SchedulerCore, batch: &[Pending], batch_start: Duration) ->
             Job {
                 view: session.snapshot(),
                 plan: plan.clone(),
+                enqueued: p.enqueued,
                 batch_start,
             }
         })
@@ -666,7 +672,7 @@ fn plan_batch(core: &SchedulerCore, batch: &[Pending], batch_start: Duration) ->
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::run_job;
     use alaya_core::{Db, DbConfig};
@@ -733,7 +739,7 @@ mod tests {
         layer: usize,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
         let job = one_reply(rx)?;
-        run_job(core, pool, slot, queries, layer, Duration::ZERO, job)
+        run_job(core, pool, pool.threads(), slot, queries, layer, job)
     }
 
     /// One batch, four requests: three sessions over the same stored
@@ -833,7 +839,7 @@ mod tests {
     /// A database holding one stored context of 520 tokens of random KV,
     /// under a 1-byte GPU budget: a session reusing it plans DIPR, which
     /// reads past the per-head fan-out cutoff (512 rows).
-    fn long_context_db(cfg: &ModelConfig) -> (Db, Vec<u32>) {
+    pub(crate) fn long_context_db(cfg: &ModelConfig) -> (Db, Vec<u32>) {
         let db = Db::new(DbConfig {
             gpu: MemoryTracker::new(1),
             ..DbConfig::for_tests(cfg.clone())
@@ -938,9 +944,10 @@ mod tests {
 
     /// The scheduler plans and hands back; it executes nothing. Two DIPR
     /// requests over a 520-token context (past the per-head fan-out
-    /// cutoff) each get exactly one job, the pool stays idle until the
-    /// jobs run, and running them reproduces `attention_sequential` bit
-    /// for bit.
+    /// cutoff) each get exactly one job, and the pool stays idle until the
+    /// jobs run. The first runs with a share of 1, on this thread alone;
+    /// the second with a share of 2 fans out. Both reproduce
+    /// `attention_sequential` bit for bit.
     #[test]
     fn dispatch_hands_each_member_one_job_and_executes_nothing() {
         let cfg = ModelConfig::tiny();
@@ -952,11 +959,14 @@ mod tests {
         dispatch(&core, batch);
         assert_eq!(pool.stats().tasks_executed(), 0, "dispatch ran a task");
         let jobs: Vec<Job> = replies.iter().map(|rx| one_reply(rx).unwrap()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let got = run_job(&core, &pool, &slots[i], &queries[i], 1, Duration::ZERO, job);
+        for ((i, job), share) in jobs.into_iter().enumerate().zip([1, 2]) {
+            let got = run_job(&core, &pool, share, &slots[i], &queries[i], 1, job);
             assert_eq!(got.unwrap(), want[i]);
+            if share == 1 {
+                assert_eq!(pool.stats().tasks_executed(), 0, "a share of 1 fanned out");
+            }
         }
-        assert!(pool.stats().tasks_executed() > 0, "the jobs fanned out");
+        assert!(pool.stats().tasks_executed() > 0, "a share of 2 fanned out");
         let t = &core.stats;
         assert_eq!((t.spans_executed.get(), t.stage_exec.count()), (2, 2));
     }
@@ -979,7 +989,7 @@ mod tests {
         let jobs: Vec<Job> = replies.iter().map(|rx| one_reply(rx).unwrap()).collect();
         assert_eq!(base.strong_count(), idle + 2, "one snapshot per job");
         for (i, job) in jobs.into_iter().enumerate() {
-            run_job(&core, &pool, &slots[i], &queries[i], 1, Duration::ZERO, job).unwrap();
+            run_job(&core, &pool, 2, &slots[i], &queries[i], 1, job).unwrap();
             assert_eq!(base.strong_count(), idle + 1 - i, "reply {i}");
         }
     }

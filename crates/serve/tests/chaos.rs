@@ -2,11 +2,11 @@
 //! invariants.
 //!
 //! Offered concurrency is well past capacity (12 tenants into a 3-slot
-//! queue behind a 2-worker dedicated pool, half of them over a stored
-//! context long enough that their heads run as pool tasks) while the seeded fault
-//! harness injects worker panics ([`pool::CHAOS_TASK_PANIC`]) and slow
-//! batches ([`CHAOS_BATCH_DELAY`]). Under that abuse the serving layer
-//! must degrade *gracefully*, and each property is asserted, not hoped:
+//! queue behind a 2-worker dedicated pool, half of them over a long stored
+//! context) while the seeded fault harness injects execution panics
+//! ([`CHAOS_EXEC_PANIC`]) and slow batches ([`CHAOS_BATCH_DELAY`]). Under
+//! that abuse the serving layer must degrade *gracefully*, and each
+//! property is asserted, not hoped:
 //!
 //! * **Exactly one typed reply per request** — every submission returns
 //!   an output or a typed [`ServeError`]; no hung channel (a hang fails
@@ -36,6 +36,7 @@ use alaya_core::{Db, DbConfig};
 use alaya_device::memory::MemoryTracker;
 use alaya_llm::kv::KvCache;
 use alaya_llm::ModelConfig;
+use alaya_serve::engine::CHAOS_EXEC_PANIC;
 use alaya_serve::pool::CHAOS_TASK_PANIC;
 use alaya_serve::scheduler::CHAOS_BATCH_DELAY;
 use alaya_serve::{ServeConfig, ServeEngine, ServeError};
@@ -80,15 +81,16 @@ fn overload_with_injected_faults_degrades_gracefully() {
             ..Default::default()
         },
     );
-    // Odd tenants reuse this context, so their heads run as pool tasks
-    // and meet the worker-panic failpoint; even tenants' short requests
-    // are one task each and run on their requesting threads.
+    // Odd tenants reuse this context and plan DIPR over it; even tenants
+    // attend their own short prompts. With 12 live sessions on 2 workers,
+    // every requester's share of the pool is 1, so all heads run on the
+    // requesting threads, where the execution-panic failpoint sits.
     let long_ctx = import_long_context(&db, &model_cfg, 0x0A1A);
 
     let chaos = Chaos::new(0x0A1A_7ADB);
-    // At most 3 injected worker panics (each fails its request with a
+    // At most 3 injected execution panics (each fails its request with a
     // typed error), plus probabilistic slow batches.
-    chaos.arm_limited(CHAOS_TASK_PANIC, 0.05, 3);
+    chaos.arm_limited(CHAOS_EXEC_PANIC, 0.05, 3);
     chaos.arm_delay(CHAOS_BATCH_DELAY, 0.2, INJECTED_DELAY);
     engine.inject_chaos(Arc::clone(&chaos));
 
@@ -207,7 +209,7 @@ fn overload_with_injected_faults_degrades_gracefully() {
     assert_eq!(stats.requests, tally.admitted + tally.exec_panicked);
     assert!(
         tally.exec_panicked > 0,
-        "the long tenants' pool tasks must meet the worker-panic failpoint"
+        "the requesters' executions must meet the execution-panic failpoint"
     );
 
     // Admitted-request p99 stays inside the latency budget: the deadline
@@ -230,7 +232,7 @@ fn overload_with_injected_faults_degrades_gracefully() {
 
     // The scheduler thread survived every injected fault: with the
     // failpoints disarmed, a clean round serves end to end.
-    chaos.disarm(CHAOS_TASK_PANIC);
+    chaos.disarm(CHAOS_EXEC_PANIC);
     chaos.disarm(CHAOS_BATCH_DELAY);
     let (sid, _) = engine.admit(&[7, 7, 7]).unwrap();
     let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
@@ -245,11 +247,12 @@ fn overload_with_injected_faults_degrades_gracefully() {
 
 /// Imports a 520-token context of random KV into `db` and returns its
 /// tokens. Under a 1-byte GPU budget a session reusing it plans DIPR,
-/// which reads past the per-head fan-out cutoff (512 rows): its heads run
-/// as pool tasks, where the worker-panic failpoint fires, and the panic
-/// surfaces on the requesting thread. A request reading fewer rows (a
-/// short context, or TopK on Coarse under a rich budget) is one task and
-/// runs on its requesting thread, out of the failpoint's reach.
+/// which reads past the per-head fan-out cutoff (512 rows): when its
+/// requester's share of the pool is above 1, its heads run as pool tasks,
+/// where the worker-panic failpoint fires, and the panic surfaces on the
+/// requesting thread. A request reading fewer rows (a short context, or
+/// TopK on Coarse under a rich budget), or one whose share is 1, runs on
+/// its requesting thread, out of that failpoint's reach.
 fn import_long_context(db: &Db, model_cfg: &ModelConfig, seed: u64) -> Vec<u32> {
     let ctx: Vec<u32> = (0..520).collect();
     let mut rng = seeded(seed);
@@ -268,11 +271,12 @@ fn import_long_context(db: &Db, model_cfg: &ModelConfig, seed: u64) -> Vec<u32> 
     ctx
 }
 
-/// An injected worker panic freezes a flight-recorder dump: the black
-/// box is retrievable from [`TelemetrySnapshot::last_panic_dump`], names
-/// the failure, and carries the ring's recent events for context. The
-/// panicked request's span closes as `panicked`, and the ledger still
-/// balances.
+/// An injected worker panic ([`CHAOS_TASK_PANIC`]) freezes a
+/// flight-recorder dump: the black box is retrievable from
+/// [`TelemetrySnapshot::last_panic_dump`], names the failure, and carries
+/// the ring's recent events for context. The panicked request's span
+/// closes as `panicked`, and the ledger still balances. Its one session
+/// has the whole pool as its share, so its heads run as pool tasks.
 #[test]
 fn injected_panic_freezes_a_flight_recorder_dump() {
     let model_cfg = ModelConfig::tiny();

@@ -205,15 +205,38 @@ fn admission_control_returns_out_of_memory() {
 /// attention while the index builds, and the DB never answers with a
 /// partially built context — the new one is invisible until the KV merge,
 /// coarse indexes and graphs are all in place, then appears complete in
-/// one step.
+/// one step. The tenant plans DIPR over 520 stored tokens on a dedicated
+/// pool with more workers than sessions, so its heads run as pool tasks
+/// beside the build.
 #[test]
 fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
     const STEPS: usize = 12;
 
     let model_cfg = ModelConfig::tiny();
-    let context: Vec<u32> = (0..500u32).map(|i| (i * 13) % 251).collect();
-    let db = db_with_context(&model_cfg, &context);
-    let engine = ServeEngine::new(Arc::clone(&db));
+    let context: Vec<u32> = (0..520u32).map(|i| (i * 13) % 251).collect();
+    // A 1-byte GPU budget plans DIPR, which reads every token; admissions
+    // are charged to their own tracker, so the budget only steers the plan.
+    let db = db_with_config_and_context(
+        DbConfig {
+            gpu: MemoryTracker::new(1),
+            ..DbConfig::for_tests(model_cfg.clone())
+        },
+        &context,
+    );
+    let engine = ServeEngine::with_options(
+        Arc::clone(&db),
+        ServeConfig {
+            threads: 4,
+            admission: Some(MemoryTracker::unbounded()),
+            ..Default::default()
+        },
+    );
+    let pool_tasks = || {
+        let t = engine.telemetry();
+        t.registry
+            .counter("device.pool.tasks_executed")
+            .unwrap_or(0)
+    };
     let dim = model_cfg.head_dim;
 
     let mut prompt = context.clone();
@@ -256,7 +279,7 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
         session.base().filter(|b| b.tokens == prompt).cloned()
     };
 
-    let (id, served_during_build) = std::thread::scope(|s| {
+    let (id, (served_during_build, fanned_out_during_build)) = std::thread::scope(|s| {
         let store = s.spawn(|| {
             let id = engine.store(store_sid);
             stored.store(true, Ordering::SeqCst);
@@ -300,6 +323,7 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
             let (mut reference, _) = db.create_session(&prompt);
             let mut rng = seeded(7);
             let mut served_while_building = 0usize;
+            let mut fanned_out_while_building = false;
             for _step in 0..STEPS {
                 for layer in 0..model_cfg.n_layers {
                     let queries: Vec<Vec<f32>> = (0..model_cfg.n_q_heads)
@@ -314,9 +338,11 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
                     engine
                         .update(tenant_sid, &queries, &keys, &values, layer)
                         .unwrap();
+                    let tasks_before = pool_tasks();
                     let served = engine.attention(tenant_sid, &queries, layer).unwrap();
                     if !stored.load(Ordering::SeqCst) {
                         served_while_building += 1;
+                        fanned_out_while_building |= pool_tasks() > tasks_before;
                     }
                     reference.update(&queries, &keys, &values, layer);
                     let want = reference.attention_sequential(&queries, layer);
@@ -326,7 +352,7 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
                     );
                 }
             }
-            served_while_building
+            (served_while_building, fanned_out_while_building)
         });
 
         poller.join().unwrap();
@@ -336,6 +362,10 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
     assert!(
         served_during_build > 0,
         "co-tenant attention must complete while store() is still building"
+    );
+    assert!(
+        fanned_out_during_build,
+        "the co-tenant's heads must run as pool tasks beside the build"
     );
 
     let ctx = db.context(id).expect("context published by store()");
