@@ -16,10 +16,14 @@
 //!
 //! Pushing into one accumulator is the exact FlashAttention aggregation
 //! identity applied incrementally, so the output equals softmax attention
-//! over the union of the three partitions. Logits are computed a block of
-//! keys at a time ([`OnlineSoftmax::push_rows`]/[`OnlineSoftmax::push_ids`],
-//! bitwise identical to the per-key loop) and the push order is fixed, so
-//! `Session::attention_sequential` stays an exact oracle.
+//! over the union of the three partitions. Each partition is one
+//! [`OnlineSoftmax::push_rows`]/[`OnlineSoftmax::push_ids`] call, which
+//! scores and absorbs 64 keys per tile (one max, at most one rescale,
+//! vectorized weights, a register-held weighted sum). The tile's
+//! association is fixed and the push order is fixed, so the bits depend
+//! only on the plan and the data, and `Session::attention_sequential`,
+//! which makes the same calls, stays an exact oracle. The running max is
+//! exact for a given call, so the DIPRS seed is the largest window score.
 
 use std::collections::HashSet;
 

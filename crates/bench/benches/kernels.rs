@@ -327,9 +327,62 @@ fn bench_online_softmax_merge(c: &mut Criterion) {
     });
 }
 
+fn bench_softmax_tile(c: &mut Criterion) {
+    // The tiled online softmax under every attention path (served plans and
+    // the model's prefill): score plus absorb, 64 rows per tile. The
+    // ns/iter column is ns per attended row. `push_rows` over a `long_*`
+    // head (2048 x 32) and a `chat_short`-sized one (96 x 16); `push_ids`
+    // over 256 ids gathered from 2048 keys at d = 32, a retrieved set.
+    let mut group = c.benchmark_group("softmax_tile");
+    for (n, dim) in [(2048usize, 32usize), (96, 16)] {
+        let mut rng = seeded(10);
+        let keys = gaussian_store(&mut rng, n, dim, 1.0);
+        let values = gaussian_store(&mut rng, n, dim, 1.0);
+        let q = gaussian_vec(&mut rng, dim, 1.0);
+        let scale = 1.0 / (dim as f32).sqrt();
+        let shape = format!("{n}x{dim}");
+        group.bench_function(BenchmarkId::new("push_rows_per_row", &shape), |bench| {
+            bench.iter_custom(|iters| {
+                time_per_row(iters, n, || {
+                    let mut acc = OnlineSoftmax::new(dim);
+                    acc.push_rows(black_box(&q), &keys, &values, scale, 0..n);
+                    acc.sum()
+                })
+            })
+        });
+    }
+    let (n, dim, gathered) = (2048usize, 32usize, 256usize);
+    let mut rng = seeded(11);
+    let keys = gaussian_store(&mut rng, n, dim, 1.0);
+    let values = gaussian_store(&mut rng, n, dim, 1.0);
+    let q = gaussian_vec(&mut rng, dim, 1.0);
+    let scale = 1.0 / (dim as f32).sqrt();
+    let ids: Vec<u32> = (0..gathered).map(|i| (i * 977 % n) as u32).collect();
+    let shape = format!("{gathered}of{n}x{dim}");
+    group.bench_function(BenchmarkId::new("push_ids_per_row", &shape), |bench| {
+        bench.iter_custom(|iters| {
+            time_per_row(iters, gathered, || {
+                let mut acc = OnlineSoftmax::new(dim);
+                acc.push_ids(black_box(&q), &keys, &values, scale, &ids);
+                acc.sum()
+            })
+        })
+    });
+    group.finish();
+}
+
+/// Runs `f` `iters` times and returns the time per row of one run.
+fn time_per_row<O>(iters: u64, rows: usize, mut f: impl FnMut() -> O) -> Duration {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed() / rows as u32
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_coarse, bench_scan_scoring, bench_softmax, bench_online_softmax_merge
+    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_coarse, bench_scan_scoring, bench_softmax, bench_softmax_tile, bench_online_softmax_merge
 }
 criterion_main!(benches);

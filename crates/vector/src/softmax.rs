@@ -15,12 +15,37 @@
 //!
 //! # Exactness contract
 //!
-//! `OnlineSoftmax` deliberately keeps the scalar `libm` exponential and the
-//! element-at-a-time accumulation order: it is the kernel under every
-//! attention path, and `Session::attention_sequential` is the bitwise oracle
-//! the parallel scheduler is checked against, so its numerics must not
-//! depend on batching. `softmax_in_place` is *not* part of that contract —
-//! it trades exact `libm` rounding for a fused vectorized pipeline:
+//! [`OnlineSoftmax::push_rows`] and [`OnlineSoftmax::push_ids`] — the calls
+//! under every attention path: the executor behind every served plan and
+//! `Session::attention_sequential`, and the model's prefill — absorb their
+//! rows one tile of up to 64 scores at a time. For each tile, in this
+//! order:
+//!
+//! 1. the raw scores are multiplied by the logit scale and their maximum is
+//!    taken lane-wise (8 lanes, lane maxima folded pairwise, then the
+//!    `len % 8` tail); the running max is therefore exact, the same value a
+//!    row-at-a-time chain would reach;
+//! 2. only if that maximum beats the running max are `sum` and `acc`
+//!    rescaled, once, by the scalar `libm` `exp(old − new)`;
+//! 3. the scores become weights `exp_approx(z − max)` ([`exp_approx`]) and
+//!    their lane sum (the `ops::dot` lane fold) is added to `sum`;
+//! 4. `acc` gains `Σ wⱼ·vⱼ` in row order — element `k` sees
+//!    `(acc[k] + w₀·v₀[k]) + w₁·v₁[k] + …`, held in registers across the
+//!    tile at `d` ∈ {16, 32} (the model's head dims) and per-row `axpy`
+//!    otherwise (same bits).
+//!
+//! For a given sequence of calls the bits are therefore fixed, whatever the
+//! thread or ISA, and `Session::attention_sequential` stays the bitwise
+//! oracle of the batched scheduler because both make the same calls.
+//! `crates/vector/tests/softmax_bits.rs` spells the association out as a
+//! scalar reference and pins it bit for bit. Against the row-at-a-time
+//! [`OnlineSoftmax::push`] (scalar `libm` exp, a rescale per new max) the
+//! output moves by ~1e-7 relative; against an exact f64 softmax-weighted sum
+//! it stays within the bound `tests/prop_vector.rs` names `TILE_REL_TOL`.
+//! `push` and [`OnlineSoftmax::merge`] keep the scalar exponential.
+//!
+//! `softmax_in_place` trades exact `libm` rounding for the same fused
+//! vectorized pipeline:
 //!
 //! * the polynomial [`exp_approx`] differs from `f32::exp` by at most
 //!   ~3e-7 relative error over the post-subtraction range `x − max ≤ 0`,
@@ -139,6 +164,41 @@ fn scale_lanes(x: &mut [f32], a: f32) {
     }
 }
 
+/// `acc += Σⱼ weights[j] · rows[j]`, one row after another: element `k`
+/// becomes `(…(acc[k] + w₀·v₀[k]) + w₁·v₁[k]) + …`, exactly per-row
+/// [`axpy`]. At `dim` 16 and 32, the model's head dims, the accumulator is
+/// copied into a fixed-size array so it stays in registers across the whole
+/// tile instead of making a load–add–store round trip through memory per
+/// row; any other `dim` runs the per-row `axpy` (same bits).
+#[inline(never)]
+fn add_weighted<'v>(acc: &mut [f32], weights: &[f32], rows: impl Iterator<Item = &'v [f32]>) {
+    match acc.len() {
+        16 => add_weighted_fixed::<16>(acc, weights, rows),
+        32 => add_weighted_fixed::<32>(acc, weights, rows),
+        _ => {
+            for (&w, value) in weights.iter().zip(rows) {
+                axpy(w, value, acc);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn add_weighted_fixed<'v, const D: usize>(
+    acc: &mut [f32],
+    weights: &[f32],
+    rows: impl Iterator<Item = &'v [f32]>,
+) {
+    let mut a: [f32; D] = acc.try_into().expect("dispatched on acc.len()");
+    for (&w, value) in weights.iter().zip(rows) {
+        let v: &[f32; D] = value
+            .try_into()
+            .expect("value rows have the accumulator's dim");
+        a = core::array::from_fn(|k| a[k] + w * v[k]);
+    }
+    acc.copy_from_slice(&a);
+}
+
 /// In-place numerically-stable softmax. Empty input is a no-op.
 ///
 /// Fused vectorized pipeline (lane-max → polynomial exp → lane-sum →
@@ -184,23 +244,31 @@ pub fn log_sum_exp(x: &[f32]) -> f32 {
     m + s.ln()
 }
 
-/// Keys scored per batched call in [`OnlineSoftmax::push_rows`] and
-/// [`OnlineSoftmax::push_ids`] — big enough to amortize per-key row
-/// arithmetic, small enough that the score buffer lives on the stack.
+/// Keys scored and absorbed per tile in [`OnlineSoftmax::push_rows`] and
+/// [`OnlineSoftmax::push_ids`]: big enough to amortize the block's one max
+/// and one rescale, small enough that the score buffer lives on the stack.
 const SCORE_BLOCK: usize = 64;
 
 /// Streaming softmax-weighted vector accumulator.
 ///
 /// Maintains the invariant that after absorbing scores `z_1..z_n` with value
 /// vectors `v_1..v_n`, [`OnlineSoftmax::output`] equals
-/// `Σ softmax(z)_i · v_i` exactly (up to f32 rounding), regardless of how the
-/// scores were partitioned across [`OnlineSoftmax::push`] and
+/// `Σ softmax(z)_i · v_i` up to f32 rounding, regardless of how the scores
+/// were partitioned across [`OnlineSoftmax::push`], the tiled
+/// [`OnlineSoftmax::push_rows`]/[`OnlineSoftmax::push_ids`] and
 /// [`OnlineSoftmax::merge`] calls.
 ///
-/// This type is the bitwise-exactness anchor of the attention engine: it
-/// uses the scalar `libm` exponential (not [`exp_approx`]) and a fixed
-/// push-order accumulation, so sequential and scheduler-batched attention
-/// produce identical bits (see module docs).
+/// For a given sequence of calls the bits are fixed (see the module docs for
+/// the tile's association), so sequential and scheduler-batched attention,
+/// which make the same calls, produce identical bits. The running maximum is
+/// exact whichever way scores arrive.
+///
+/// Edge scores: a NaN or `-inf` score gets zero weight — `push` skips it, a
+/// tile gives it `exp_approx`'s floor (≈ 1e-38, numerically zero) — and a
+/// call whose every score is NaN or `-inf` absorbs nothing, so an empty
+/// accumulator stays [`OnlineSoftmax::is_empty`] and outputs zeros. A `+inf`
+/// score (reachable only by overflow) makes the output NaN, as IEEE
+/// arithmetic on `exp(inf − inf)` would.
 #[derive(Clone, Debug)]
 pub struct OnlineSoftmax {
     /// Running maximum of absorbed scores.
@@ -231,32 +299,73 @@ impl OnlineSoftmax {
         self.sum == 0.0
     }
 
-    /// Absorbs one `(score, value)` pair.
+    /// Absorbs one `(score, value)` pair with the scalar `libm` exponential.
     pub fn push(&mut self, score: f32, value: &[f32]) {
         debug_assert_eq!(value.len(), self.acc.len());
+        // NaN and -inf carry zero weight (and would otherwise make
+        // `exp(-inf - -inf)` = NaN on an empty accumulator).
+        if score.is_nan() || score == f32::NEG_INFINITY {
+            return;
+        }
         if score > self.max {
-            // Rescale the existing accumulator to the new maximum.
-            let correction = if self.max == f32::NEG_INFINITY {
-                0.0
-            } else {
-                (self.max - score).exp()
-            };
-            self.sum *= correction;
-            for a in self.acc.iter_mut() {
-                *a *= correction;
-            }
-            self.max = score;
+            self.rescale(score);
         }
         let w = (score - self.max).exp();
         self.sum += w;
         axpy(w, value, &mut self.acc);
     }
 
+    /// Moves the running maximum up to `new_max`, rescaling `sum` and `acc`
+    /// by `exp(old − new)` (by 0 when nothing was absorbed yet).
+    fn rescale(&mut self, new_max: f32) {
+        let correction = if self.max == f32::NEG_INFINITY {
+            0.0
+        } else {
+            (self.max - new_max).exp()
+        };
+        self.sum *= correction;
+        for a in self.acc.iter_mut() {
+            *a *= correction;
+        }
+        self.max = new_max;
+    }
+
+    /// Absorbs one tile: `scores[j]` is the raw `q · key_j` of the `j`-th
+    /// value row of `rows`. Scale and lane max, at most one rescale, `exp_approx`
+    /// weights summed lane-wise, then the weighted row sum in row order (the
+    /// module docs spell out the association). `scores` is overwritten with
+    /// the weights.
+    fn absorb<'v>(
+        &mut self,
+        scores: &mut [f32],
+        scale: f32,
+        rows: impl Iterator<Item = &'v [f32]>,
+    ) {
+        scale_lanes(scores, scale);
+        let block_max = max_lanes(scores);
+        if block_max == f32::NEG_INFINITY {
+            // Every score is -inf or NaN: the whole tile has zero weight.
+            return;
+        }
+        if block_max > self.max {
+            self.rescale(block_max);
+        }
+        if self.max == f32::INFINITY {
+            // An overflowed score: its weight is `exp(inf − inf)`, NaN.
+            self.sum = f32::NAN;
+            return;
+        }
+        exp_shift(scores, self.max);
+        self.sum += sum_lanes(scores);
+        add_weighted(&mut self.acc, scores, rows);
+    }
+
     /// Absorbs rows `rows` of one head in order, each with score
-    /// `scale · (q · key)`, scoring a block of contiguous keys per
-    /// [`VecStore::dot_block`] call. `dot_block` is bitwise-identical to
-    /// per-row `dot_row` and the push order is the row order, so the state
-    /// matches the one-push-per-key loop exactly.
+    /// `scale · (q · key)`, one tile of 64 rows at a time: each tile is
+    /// scored by one [`VecStore::dot_block`] call (bitwise per-row
+    /// `dot_row`) and absorbed with one max, at most one rescale, a
+    /// vectorized exp and a register-held weighted sum. The tiles start at
+    /// `rows.start`, so the bits depend on how a caller splits its rows.
     pub fn push_rows(
         &mut self,
         q: &[f32],
@@ -266,19 +375,20 @@ impl OnlineSoftmax {
         rows: std::ops::Range<usize>,
     ) {
         let mut scores = [0.0f32; SCORE_BLOCK];
+        let d = values.dim();
         let mut i = rows.start;
         while i < rows.end {
             let scores = &mut scores[..SCORE_BLOCK.min(rows.end - i)];
             keys.dot_block(q, i, scores);
-            for (j, &s) in scores.iter().enumerate() {
-                self.push(s * scale, values.row(i + j));
-            }
+            let slab = &values.as_flat()[i * d..(i + scores.len()) * d];
+            self.absorb(scores, scale, slab.chunks_exact(d));
             i += scores.len();
         }
     }
 
     /// [`OnlineSoftmax::push_rows`] for a non-contiguous id gather, in `ids`
-    /// order (same bitwise contract, via [`VecStore::dot_ids`]).
+    /// order, one tile per 64 ids (scored by [`VecStore::dot_ids`]).
+    /// Repeated ids are absorbed once per occurrence.
     pub fn push_ids(
         &mut self,
         q: &[f32],
@@ -291,9 +401,8 @@ impl OnlineSoftmax {
         for chunk in ids.chunks(SCORE_BLOCK) {
             let scores = &mut scores[..chunk.len()];
             keys.dot_ids(q, chunk, scores);
-            for (&id, &s) in chunk.iter().zip(scores.iter()) {
-                self.push(s * scale, values.row(id as usize));
-            }
+            let rows = chunk.iter().map(|&id| values.row(id as usize));
+            self.absorb(scores, scale, rows);
         }
     }
 

@@ -13,6 +13,13 @@ fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
 /// every length `0..=2·16` covers every lane/tail remainder class.
 const KERNEL_BLOCK: usize = 16;
 
+/// Error bound of a tiled `OnlineSoftmax` (`push_rows`/`push_ids`) against
+/// an exact f64 softmax-weighted sum of the same scores: each output element
+/// is within `TILE_REL_TOL · Σᵢ pᵢ·|vᵢ[k]|` of the exact value. It covers
+/// `exp_approx`'s ~3e-7 per weight plus the f32 accumulation of a few
+/// hundred rows.
+const TILE_REL_TOL: f64 = 1e-5;
+
 proptest! {
     /// Blocked `dot` matches a naive left-to-right f64 scalar reference at
     /// every tail length 0..=2·block. The tolerance is the documented
@@ -165,6 +172,56 @@ proptest! {
 
         for (a, b) in left.output().iter().zip(mono.output()) {
             prop_assert!((a - b).abs() < 1e-4, "merge mismatch");
+        }
+    }
+
+    /// The tiled accumulator (`push_rows` for the first rows, `push_ids` in
+    /// a permuted order for the rest) matches an exact f64 softmax-weighted
+    /// sum within `TILE_REL_TOL`, at every `d` the weighted sum dispatches
+    /// on and across tile boundaries.
+    #[test]
+    fn tiled_online_softmax_matches_f64_weighted_sum(
+        scores in prop::collection::vec(-20.0f32..20.0, 1..300),
+        dim_pick in 0usize..4,
+        split in 0usize..300,
+        seed in 0u64..1000,
+    ) {
+        let n = scores.len();
+        let d = [4, 16, 32, 64][dim_pick];
+        let split = split.min(n);
+        // Keys scoring exactly `scores` against q = e₀.
+        let mut q = vec![0.0f32; d];
+        q[0] = 1.0;
+        let mut keys = VecStore::with_capacity(d, n);
+        let mut values = VecStore::with_capacity(d, n);
+        for (i, &s) in scores.iter().enumerate() {
+            let mut key = vec![0.0f32; d];
+            key[0] = s;
+            keys.push(&key);
+            let value: Vec<f32> = (0..d)
+                .map(|k| ((seed as f32) * 0.013 + i as f32 * 0.37 + k as f32 * 1.3).sin() * 3.0)
+                .collect();
+            values.push(&value);
+        }
+        let mut acc = OnlineSoftmax::new(d);
+        acc.push_rows(&q, &keys, &values, 1.0, 0..split);
+        let rest: Vec<u32> = (split..n).rev().map(|i| i as u32).collect();
+        acc.push_ids(&q, &keys, &values, 1.0, &rest);
+
+        let m = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
+        let exps: Vec<f64> = scores.iter().map(|&s| (s as f64 - m).exp()).collect();
+        let total: f64 = exps.iter().sum();
+        for (k, &got) in acc.output().iter().enumerate() {
+            let (mut want, mut mag) = (0.0f64, 0.0f64);
+            for (i, e) in exps.iter().enumerate() {
+                let v = values.row(i)[k] as f64;
+                want += e / total * v;
+                mag += e / total * v.abs();
+            }
+            prop_assert!(
+                (got as f64 - want).abs() <= TILE_REL_TOL * mag,
+                "n={} d={} k={}: {} vs {}", n, d, k, got, want
+            );
         }
     }
 

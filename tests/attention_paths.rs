@@ -1,8 +1,14 @@
 //! One attention execution path, pinned three ways: for every plan arm the
 //! served path (`Session::attend_query_head`), the matching
-//! `SparseAttention` engine over a `HeadContext`, and a naive
-//! one-push-per-key reference written against the documented push order
-//! must agree bit for bit.
+//! `SparseAttention` engine over a `HeadContext`, and a naive reference
+//! written against the documented push order must agree bit for bit. The
+//! reference scores each key with one `dot_row` and absorbs each partition
+//! through the scalar tile of `crates/vector/tests/support/tile.rs`, cut
+//! into 64-row tiles from the partition's start as `push_rows`/`push_ids`
+//! cut it.
+
+#[path = "../crates/vector/tests/support/tile.rs"]
+mod tile;
 
 use std::collections::HashSet;
 
@@ -18,9 +24,9 @@ use alayadb::query::diprs::{diprs_filtered, DiprsParams};
 use alayadb::query::optimizer::Plan;
 use alayadb::query::types::{IndexChoice, PrefixFilter, QueryType};
 use alayadb::vector::rng::{gaussian_vec, seeded};
-use alayadb::vector::softmax::OnlineSoftmax;
 use alayadb::vector::topk::ScoredIdx;
 use alayadb::vector::VecStore;
+use tile::TileReference;
 
 /// Stored context length: long enough that the `[8+16]` test window, a
 /// 120-token prefix filter and the retrieval sets are all proper subsets.
@@ -117,13 +123,17 @@ fn engine_for(cfg: &DbConfig, plan: &Plan, ctx: &HeadContext) -> Box<dyn SparseA
 
 type Rows<'a> = (&'a VecStore, &'a VecStore);
 
-fn push(acc: &mut OnlineSoftmax, q: &[f32], (keys, values): Rows, id: usize) {
+/// One `push_rows`/`push_ids` call: one `dot_row` per id, then the scalar
+/// tile over the call's rows in order.
+fn absorb(acc: &mut TileReference, q: &[f32], (keys, values): Rows, ids: &[usize]) {
     let scale = 1.0 / (q.len() as f32).sqrt();
-    acc.push(keys.dot_row(q, id) * scale, values.row(id));
+    let raw: Vec<f32> = ids.iter().map(|&id| keys.dot_row(q, id)).collect();
+    let rows: Vec<&[f32]> = ids.iter().map(|&id| values.row(id)).collect();
+    acc.absorb_call(&raw, scale, &rows);
 }
 
-/// The documented semantics, one `dot_row` + one push per key: stored window
-/// ids, then every local row, then the retrieved ids not yet attended —
+/// The documented semantics, one call per partition: stored window ids,
+/// then every local row, then the retrieved ids not yet attended —
 /// retrieval seeded with the running max, restricted to the filter's prefix,
 /// and falling back to a flat scan when the plan's index is absent.
 fn reference(q: &[f32], head: &HeadView, cfg: &DbConfig, plan: &Plan) -> Vec<f32> {
@@ -131,10 +141,10 @@ fn reference(q: &[f32], head: &HeadView, cfg: &DbConfig, plan: &Plan) -> Vec<f32
     let (keys, n_stored) = (stored.0, head.n_stored);
     let n_local = head.local.map_or(0, |(k, _)| k.len());
     let n = n_stored + n_local;
-    let mut acc = OnlineSoftmax::new(q.len());
-    let push_local = |acc: &mut OnlineSoftmax| {
+    let mut acc = TileReference::new(q.len());
+    let absorb_local = |acc: &mut TileReference| {
         if let Some(local) = head.local {
-            (0..n_local).for_each(|id| push(acc, q, local, id));
+            absorb(acc, q, local, &(0..n_local).collect::<Vec<_>>());
         }
     };
     let Plan::Sparse {
@@ -143,21 +153,22 @@ fn reference(q: &[f32], head: &HeadView, cfg: &DbConfig, plan: &Plan) -> Vec<f32
         filter,
     } = *plan
     else {
-        (0..n_stored).for_each(|id| push(&mut acc, q, stored, id));
-        push_local(&mut acc);
+        absorb(&mut acc, q, stored, &(0..n_stored).collect::<Vec<_>>());
+        absorb_local(&mut acc);
         return acc.output();
     };
 
-    let mut attended: HashSet<usize> = HashSet::new();
-    for id in cfg.window.token_ids(n).map(|id| id as usize) {
-        if id < n_stored {
-            push(&mut acc, q, stored, id);
-            attended.insert(id);
-        }
-    }
-    push_local(&mut acc);
+    let cached: Vec<usize> = cfg
+        .window
+        .token_ids(n)
+        .map(|id| id as usize)
+        .filter(|&id| id < n_stored)
+        .collect();
+    absorb(&mut acc, q, stored, &cached);
+    let mut attended: HashSet<usize> = cached.into_iter().collect();
+    absorb_local(&mut acc);
     let scale = 1.0 / (q.len() as f32).sqrt();
-    let seed = (!acc.is_empty()).then(|| acc.max_score() / scale);
+    let seed = (!acc.is_empty()).then(|| acc.max / scale);
 
     let prefix_len = filter.map_or(n_stored, |f| f.prefix_len);
     let pred = |id: u32| (id as usize) < prefix_len;
@@ -212,11 +223,11 @@ fn reference(q: &[f32], head: &HeadView, cfg: &DbConfig, plan: &Plan) -> Vec<f32
         .collect(),
         (QueryType::Dipr { beta }, _) => flat_dipr(beta).iter().map(|s| s.idx).collect(),
     };
-    for id in retrieved {
-        if id < n_stored && attended.insert(id) {
-            push(&mut acc, q, stored, id);
-        }
-    }
+    let extras: Vec<usize> = retrieved
+        .into_iter()
+        .filter(|&id| id < n_stored && attended.insert(id))
+        .collect();
+    absorb(&mut acc, q, stored, &extras);
     acc.output()
 }
 
