@@ -8,6 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use alaya_index::coarse::{BlockScoring, CoarseIndex};
 use alaya_index::knn::exact_knn;
 use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
+use alaya_llm::weights::ModelWeights;
+use alaya_llm::{FullKvBackend, Model, ModelConfig};
 use alaya_query::diprs::{diprs, DiprsParams};
 use alaya_vector::rng::{gaussian_store, gaussian_vec, seeded};
 use alaya_vector::softmax::{softmax_in_place, OnlineSoftmax};
@@ -371,6 +373,52 @@ fn bench_softmax_tile(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_prefill(c: &mut Criterion) {
+    // The model's prefill, which builds every stored context: a 512-token
+    // prompt on the small model into a `FullKvBackend`, per token. Beside
+    // it, the projection kernel it runs per chunk: one `dot_rows_multi` of
+    // 64 token rows against `w_gate` (512 x 256, 512 KB), against the 64
+    // single-row `dot_rows` a token-at-a-time pass makes, per (token, row).
+    let mut group = c.benchmark_group("prefill");
+    let cfg = ModelConfig::small();
+    let model = Model::new(cfg.clone());
+    let tokens: Vec<u32> = (0..512).map(|i| (i * 7919 % 256) as u32).collect();
+    group.bench_function(BenchmarkId::new("model_per_token", "small_512"), |bench| {
+        bench.iter_custom(|iters| {
+            time_per_row(iters, tokens.len(), || {
+                let mut backend = FullKvBackend::new(&cfg);
+                model.prefill(black_box(&tokens), 0, &mut backend)
+            })
+        })
+    });
+
+    let w_gate = &ModelWeights::generate(&cfg).layers[0].w_gate;
+    let rows = 64usize;
+    let h = gaussian_store(&mut seeded(12), rows, w_gate.dim(), 1.0);
+    let mut out = vec![0.0f32; rows * w_gate.len()];
+    let shape = format!("{rows}x{}x{}", w_gate.len(), w_gate.dim());
+    group.bench_function(
+        BenchmarkId::new("dot_rows_multi_per_pair", &shape),
+        |bench| {
+            bench.iter_custom(|iters| {
+                time_per_row(iters, out.len(), || {
+                    w_gate.dot_rows_multi(black_box(h.as_flat()), &mut out)
+                })
+            })
+        },
+    );
+    group.bench_function(BenchmarkId::new("dot_rows_per_pair", &shape), |bench| {
+        bench.iter_custom(|iters| {
+            time_per_row(iters, out.len(), || {
+                for (x, o) in h.iter().zip(out.chunks_exact_mut(w_gate.len())) {
+                    w_gate.dot_rows(black_box(x), o);
+                }
+            })
+        })
+    });
+    group.finish();
+}
+
 /// Runs `f` `iters` times and returns the time per row of one run.
 fn time_per_row<O>(iters: u64, rows: usize, mut f: impl FnMut() -> O) -> Duration {
     let start = Instant::now();
@@ -383,6 +431,6 @@ fn time_per_row<O>(iters: u64, rows: usize, mut f: impl FnMut() -> O) -> Duratio
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_coarse, bench_scan_scoring, bench_softmax, bench_softmax_tile, bench_online_softmax_merge
+    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_coarse, bench_scan_scoring, bench_softmax, bench_softmax_tile, bench_online_softmax_merge, bench_prefill
 }
 criterion_main!(benches);

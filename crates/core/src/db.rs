@@ -379,13 +379,16 @@ impl Db {
     /// hold, so it is either entirely absent or entirely built.
     ///
     /// # Panics
-    /// Panics if the session's noted tokens do not cover its full sequence
-    /// (call [`Session::note_tokens`] during generation).
+    /// Panics if [`Session::storable_len`] is `None`: the session's noted
+    /// tokens do not cover its full sequence (call [`Session::note_tokens`]
+    /// during generation), or its layers hold different numbers of rows
+    /// (a prefill stopped mid-chunk).
     pub fn store(&self, session: &Session) -> ContextId {
         let total = session.total_len();
         assert!(
             session.storable_len().is_some(),
-            "session knows {} tokens but holds {} positions; call note_tokens()",
+            "session knows {} tokens but holds {} positions in layer 0; call note_tokens() \
+             and finish the prefill in every layer",
             session.tokens().len(),
             total
         );

@@ -235,8 +235,11 @@ impl Session {
         self.view.reused_len
     }
 
-    /// Tokens appended to the session-local window (any layer; all layers
-    /// advance together under the backend contract).
+    /// Tokens appended to layer 0's session-local window. Layers need not
+    /// agree: under the [`AttentionBackend`] ordering contract a prefill
+    /// runs a chunk through one layer before the next, so an interrupted
+    /// one leaves layers up to `PREFILL_CHUNK - 1` rows apart
+    /// ([`Session::storable_len`] refuses such a session).
     pub fn local_len(&self) -> usize {
         self.view.local.seq_len(0)
     }
@@ -246,13 +249,17 @@ impl Session {
         self.reused_len() + self.local_len()
     }
 
-    /// The length `DB.store` would persist, or `None` when the noted
-    /// tokens do not cover the session's KV positions (its precondition).
+    /// The length `DB.store` would persist, or `None` when its
+    /// preconditions fail: every layer must hold the same number of local
+    /// rows, and the noted tokens must cover the session's KV positions.
     /// The final generated token is sampled but not yet forward-passed, so
     /// its KV does not exist; exactly that off-by-one is tolerated.
     pub fn storable_len(&self) -> Option<usize> {
         let total = self.total_len();
-        (self.tokens.len() == total || self.tokens.len() == total + 1).then_some(total)
+        let noted = self.tokens.len() == total || self.tokens.len() == total + 1;
+        let local = &self.view.local;
+        let layers_agree = (1..local.n_layers()).all(|l| local.seq_len(l) == local.seq_len(0));
+        (noted && layers_agree).then_some(total)
     }
 
     /// Records the token ids the engine is processing, so `DB.store` can

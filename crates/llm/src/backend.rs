@@ -30,6 +30,16 @@ pub struct StepInput {
 
 /// Attention + KV-cache service interface (the `Session.update` /
 /// `Session.attention` pair of Table 2, fused into one per-layer call).
+///
+/// **Ordering contract.** For each layer, calls arrive in position order:
+/// an `attend` at `layer` carries the token right after the ones `layer`
+/// already holds. Layers do not advance together:
+/// [`Model::prefill`](crate::Model::prefill) runs a chunk of tokens through
+/// layer `l` before layer `l + 1`, so a layer may run ahead of the next by
+/// fewer than [`PREFILL_CHUNK`](crate::PREFILL_CHUNK) positions (and, if a
+/// prefill is interrupted, stay that far apart). A backend therefore keys
+/// every piece of sequence state by layer, and an implementation that does
+/// so sees exactly the calls, per layer, of a token-at-a-time loop.
 pub trait AttentionBackend {
     /// Appends this step's K/V to `layer`'s cache, then returns the attention
     /// output for every query head (causal: the new token attends to all
@@ -42,7 +52,9 @@ pub trait AttentionBackend {
 
 /// Exact full attention over an in-process KV cache — the paper's "coupled
 /// architecture" (① in Table 1) and the quality reference for every sparse
-/// method.
+/// method. `Clone` forks the sequence: both copies continue from the same
+/// cache.
+#[derive(Clone)]
 pub struct FullKvBackend {
     cache: KvCache,
     gqa_group: usize,

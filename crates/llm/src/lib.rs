@@ -8,7 +8,11 @@
 //! * [`ModelConfig`] — structural hyperparameters (layers, GQA heads, RoPE),
 //! * [`Tokenizer`] — a byte-level tokenizer with BOS/EOS specials,
 //! * [`Model`] — embeddings, RMSNorm, GQA self-attention, SwiGLU MLP, tied
-//!   LM head, with deterministic seeded weights,
+//!   LM head, with deterministic seeded weights. One layer loop carries a
+//!   chunk of up to [`PREFILL_CHUNK`] tokens through each layer before the
+//!   next: a prefill walks the prompt in such chunks, so every weight
+//!   matrix is read once per chunk rather than once per token, and a
+//!   decode step is the one-token chunk,
 //! * [`AttentionBackend`] — the seam the paper drew between the inference
 //!   engine and the attention/KV-cache service. [`FullKvBackend`] is the
 //!   "coupled architecture" reference (exact full attention over an
@@ -31,6 +35,6 @@ pub mod weights;
 pub use backend::{AttentionBackend, FullKvBackend, StepInput};
 pub use config::ModelConfig;
 pub use kv::{HeadKv, KvCache};
-pub use model::Model;
+pub use model::{Model, PREFILL_CHUNK};
 pub use rope::Rope;
 pub use tokenizer::Tokenizer;

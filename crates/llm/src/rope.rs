@@ -31,13 +31,27 @@ impl Rope {
 
     /// Rotates `x` (one head vector) in place for sequence position `pos`.
     pub fn apply(&self, x: &mut [f32], pos: usize) {
-        debug_assert_eq!(x.len(), self.inv_freq.len() * 2);
-        for (i, &f) in self.inv_freq.iter().enumerate() {
-            let angle = pos as f32 * f;
-            let (sin, cos) = angle.sin_cos();
-            let (a, b) = (x[2 * i], x[2 * i + 1]);
-            x[2 * i] = a * cos - b * sin;
-            x[2 * i + 1] = a * sin + b * cos;
+        debug_assert_eq!(x.len(), self.head_dim());
+        Self::rotate(x, self.angles(pos));
+    }
+
+    /// The `(sin, cos)` of every coordinate pair's angle at `pos`, in pair
+    /// order. One position's table serves every query and key head of
+    /// every layer, so a forward pass computes it once per token.
+    pub fn angles(&self, pos: usize) -> impl Iterator<Item = (f32, f32)> + '_ {
+        self.inv_freq
+            .iter()
+            .map(move |&f| (pos as f32 * f).sin_cos())
+    }
+
+    /// Rotates `x` in place by a table of [`Rope::angles`], one `(sin,
+    /// cos)` per coordinate pair: bitwise [`Rope::apply`] at the table's
+    /// position.
+    pub fn rotate(x: &mut [f32], angles: impl IntoIterator<Item = (f32, f32)>) {
+        for (pair, (sin, cos)) in x.chunks_exact_mut(2).zip(angles) {
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a * cos - b * sin;
+            pair[1] = a * sin + b * cos;
         }
     }
 

@@ -16,12 +16,15 @@ pub fn matvec(w: &VecStore, x: &[f32]) -> Vec<f32> {
     out
 }
 
-/// RMS normalization: `x / rms(x) * gain`, written into a fresh vector.
-pub fn rms_norm(x: &[f32], gain: &[f32], eps: f32) -> Vec<f32> {
+/// RMS normalization: `out = x / rms(x) * gain`.
+pub fn rms_norm(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) {
     debug_assert_eq!(x.len(), gain.len());
+    debug_assert_eq!(x.len(), out.len());
     let ms: f32 = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
     let inv = 1.0 / (ms + eps).sqrt();
-    x.iter().zip(gain).map(|(v, g)| v * inv * g).collect()
+    for ((o, v), g) in out.iter_mut().zip(x).zip(gain) {
+        *o = v * inv * g;
+    }
 }
 
 /// SiLU activation `x * sigmoid(x)`.
@@ -154,7 +157,8 @@ mod tests {
     fn rms_norm_unit_rms() {
         let x = vec![3.0f32, -4.0];
         let g = vec![1.0f32, 1.0];
-        let y = rms_norm(&x, &g, 0.0);
+        let mut y = vec![0.0; x.len()];
+        rms_norm(&x, &g, 0.0, &mut y);
         let ms: f32 = y.iter().map(|v| v * v).sum::<f32>() / y.len() as f32;
         assert!((ms - 1.0).abs() < 1e-5);
     }

@@ -1,6 +1,8 @@
 //! Property tests for the transformer substrate.
 
-use alaya_llm::{AttentionBackend, FullKvBackend, Model, ModelConfig, Rope, Tokenizer};
+use alaya_llm::{
+    AttentionBackend, FullKvBackend, Model, ModelConfig, Rope, Tokenizer, PREFILL_CHUNK,
+};
 use alaya_vector::dot;
 use proptest::prelude::*;
 
@@ -47,9 +49,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Prefilling token-by-token is exactly equivalent to one prefill call
-    /// (the cache fully captures sequence state).
+    /// (the cache fully captures sequence state), for prompts of up to
+    /// three chunks: the same logits and the same K/V bits in every layer.
     #[test]
-    fn incremental_prefill_equals_batch(tokens in prop::collection::vec(0u32..255, 2..12)) {
+    fn incremental_prefill_equals_batch(
+        tokens in prop::collection::vec(0u32..255, 2..(2 * PREFILL_CHUNK + 20)),
+    ) {
         let cfg = ModelConfig::tiny();
         let model = Model::new(cfg.clone());
 
@@ -62,7 +67,14 @@ proptest! {
             b = model.forward_token(t, i, &mut stepwise);
         }
         prop_assert_eq!(a, b);
-        prop_assert_eq!(all_at_once.seq_len(0), stepwise.seq_len(0));
+        for layer in 0..cfg.n_layers {
+            prop_assert_eq!(all_at_once.seq_len(layer), tokens.len());
+            for h in 0..cfg.n_kv_heads {
+                let (x, y) = (all_at_once.cache().head(layer, h), stepwise.cache().head(layer, h));
+                prop_assert_eq!(x.keys.as_flat(), y.keys.as_flat());
+                prop_assert_eq!(x.values.as_flat(), y.values.as_flat());
+            }
+        }
     }
 
     /// Logits are always finite regardless of input tokens.

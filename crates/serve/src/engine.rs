@@ -477,8 +477,11 @@ impl ServeEngine {
     /// window, copies of the tokens, query samples and plan log), so this
     /// session and its co-batched tenants keep serving while [`Db::store`]
     /// merges the KV and builds the indexes. A session whose noted tokens
-    /// do not cover its KV positions is [`ServeError::TokensNotNoted`], and
-    /// a build that panics is [`ServeError::StoreFailed`] with the panic's
+    /// do not cover its KV positions is [`ServeError::TokensNotNoted`], one
+    /// whose tokens are noted but whose layers hold different numbers of
+    /// KV positions (an interrupted prefill) is
+    /// [`ServeError::UnevenLayers`], and a build
+    /// that panics is [`ServeError::StoreFailed`] with the panic's
     /// message. Either way nothing is published and the session stays
     /// usable.
     pub fn store(&self, id: SessionId) -> Result<ContextId, ServeError> {
@@ -487,9 +490,20 @@ impl ServeEngine {
             let state = slot.lock();
             let session = &state.session;
             if session.storable_len().is_none() {
-                return Err(ServeError::TokensNotNoted {
-                    noted: session.tokens().len(),
-                    positions: session.total_len(),
+                let n_layers = self.db.config().model.n_layers;
+                let positions = (0..n_layers).map(|layer| session.seq_len(layer));
+                let shortest = positions.clone().min().unwrap_or(0);
+                let longest = positions.max().unwrap_or(0);
+                // A step still in flight (its layers apart, its token not
+                // noted yet) is a token not noted; layers apart under
+                // noted tokens are a prefill that stopped mid-chunk.
+                return Err(if shortest < longest && session.tokens().len() >= longest {
+                    ServeError::UnevenLayers { shortest, longest }
+                } else {
+                    ServeError::TokensNotNoted {
+                        noted: session.tokens().len(),
+                        positions: session.total_len(),
+                    }
                 });
             }
             session.clone()
@@ -618,6 +632,12 @@ impl AttentionBackend for EngineBackend<'_> {
             .expect("session evicted while a model was driving it")
     }
 }
+
+/// The token-major forward pass, shared with `alaya-llm`'s own
+/// bit-for-bit tests.
+#[cfg(test)]
+#[path = "../../llm/tests/support/token_major.rs"]
+mod token_major;
 
 #[cfg(test)]
 mod tests {
@@ -829,6 +849,49 @@ mod tests {
         assert_eq!(eng.db().gpu().in_use(), 0);
     }
 
+    /// A session whose layers hold different numbers of rows (a prefill
+    /// that stopped mid-chunk) is not storable: a typed error, nothing
+    /// published, and the session serves on and stores once its layers
+    /// agree. Before, `storable_len` read layer 0 alone, so the first
+    /// session below published a context whose layer 1 held 2 rows for 3
+    /// tokens, and the second panicked in the coarse-index build.
+    #[test]
+    fn storing_uneven_layers_is_a_typed_error_and_the_session_lives_on() {
+        let (eng, cfg) = engine();
+        let queries = vec![vec![1.0; cfg.head_dim]; cfg.n_q_heads];
+        let kv = vec![vec![0.5; cfg.head_dim]; cfg.n_kv_heads];
+        let step = |sid, layer| eng.update(sid, &queries, &kv, &kv, layer).unwrap();
+
+        let (sid, _) = eng.admit(&[1, 2, 3]).unwrap();
+        (0..3).for_each(|_| step(sid, 0));
+        (0..2).for_each(|_| step(sid, 1));
+        eng.note_tokens(sid, &[1, 2, 3]).unwrap();
+        let want = ServeError::UnevenLayers {
+            shortest: 2,
+            longest: 3,
+        };
+        assert_eq!(eng.store(sid).unwrap_err(), want);
+
+        let (only_first, _) = eng.admit(&[4]).unwrap();
+        step(only_first, 0);
+        eng.note_tokens(only_first, &[4]).unwrap();
+        let want = ServeError::UnevenLayers {
+            shortest: 0,
+            longest: 1,
+        };
+        assert_eq!(eng.store(only_first).unwrap_err(), want);
+        assert_eq!(eng.db().n_contexts(), 0);
+
+        step(sid, 1);
+        let ctx = eng.db().context(eng.store(sid).unwrap()).unwrap();
+        assert_eq!(ctx.len(), 3);
+        assert!((0..cfg.n_layers).all(|layer| ctx.kv.seq_len(layer) == 3));
+        for id in [sid, only_first] {
+            eng.close(id).unwrap();
+        }
+        assert_eq!(eng.db().gpu().in_use(), 0);
+    }
+
     /// A build that panics reaches the caller as a typed error, and the
     /// engine is otherwise untouched. Before any prefill the session holds
     /// 0 positions and 0 noted tokens, so `storable_len()` is `Some(0)` and
@@ -934,5 +997,83 @@ mod tests {
         let (sid2, trunc2) = eng.admit(&prompt).unwrap();
         assert!(trunc2.len() < prompt.len());
         eng.close(sid2).unwrap();
+    }
+
+    /// A chunked prefill over a partly reused stored context, driven
+    /// through a bare `Session` and through `EngineBackend`, equals the
+    /// token-major reference driving a `Session`: the same logits, local
+    /// K/V rows, query samples and set of plans. Layer 0 runs ahead of
+    /// layer 1 by up to a chunk, and every piece of session state is keyed
+    /// by layer, so neither side can tell.
+    #[test]
+    fn chunked_prefill_through_a_session_is_the_token_major_loop() {
+        use alaya_core::{DbConfig, Session};
+        use alaya_llm::{FullKvBackend, PREFILL_CHUNK};
+        use std::collections::BTreeSet;
+
+        let cfg = ModelConfig::tiny();
+        let model = Model::new(cfg.clone());
+        // A 1-byte GPU budget plans DIPR: on Flat at layer 0, on Fine above.
+        let db = Arc::new(Db::new(DbConfig {
+            gpu: MemoryTracker::new(1),
+            ..DbConfig::for_tests(cfg.clone())
+        }));
+        let context: Vec<u32> = (0..150).map(|i| (i * 37 % 256) as u32).collect();
+        let mut kv = FullKvBackend::new(&cfg);
+        model.prefill(&context, 0, &mut kv);
+        db.import(context.clone(), kv.into_cache());
+        // Reuse 100 of the 150 stored tokens, then prefill past one chunk.
+        let prompt: Vec<u32> = (context[..100].iter().copied())
+            .chain((0..PREFILL_CHUNK as u32 + 26).map(|i| i * 11 % 256))
+            .collect();
+
+        let (mut want, truncated) = db.create_session(&prompt);
+        let start = want.reused_len();
+        assert_eq!(start, 100);
+        let want_logits =
+            super::token_major::TokenMajor::new(&cfg).prefill(&truncated, start, &mut want);
+
+        let (mut session, _) = db.create_session(&prompt);
+        let session_logits = model.prefill(&truncated, start, &mut session);
+
+        let eng = ServeEngine::with_options(
+            Arc::clone(&db),
+            ServeConfig {
+                admission: Some(MemoryTracker::unbounded()),
+                ..Default::default()
+            },
+        );
+        let (sid, served_truncated) = eng.admit(&prompt).unwrap();
+        assert_eq!(served_truncated, truncated);
+        let served_logits = model.prefill(&truncated, start, &mut eng.backend(sid));
+        let served = eng.slot(sid).unwrap().lock().session.clone();
+        eng.close(sid).unwrap();
+
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let state = |s: &Session| {
+            let mut rows = Vec::new();
+            for layer in 0..cfg.n_layers {
+                for h in 0..cfg.n_kv_heads {
+                    let (k, v) = s.full_kv(layer, h);
+                    rows.extend([bits(k.as_flat()), bits(v.as_flat())]);
+                }
+                for q in s.query_samples().layer(layer) {
+                    rows.push(bits(q.as_flat()));
+                }
+            }
+            let plans: BTreeSet<String> = s.plan_log().iter().map(|p| p.explain()).collect();
+            (rows, plans)
+        };
+        let (want_rows, want_plans) = state(&want);
+        assert_eq!(want_plans.len(), 2, "{want_plans:?}");
+        for (what, logits, got) in [
+            ("session", session_logits, &session),
+            ("engine", served_logits, &served),
+        ] {
+            assert_eq!(bits(&logits), bits(&want_logits), "{what} logits");
+            let (rows, plans) = state(got);
+            assert!(rows == want_rows, "{what} K/V rows or query samples");
+            assert_eq!(plans, want_plans, "{what} plans");
+        }
     }
 }

@@ -64,6 +64,16 @@ pub enum ServeError {
         /// KV positions the session holds.
         positions: usize,
     },
+    /// `store` was called on a session whose layers hold different numbers
+    /// of KV positions: a prefill runs a chunk through one layer before the
+    /// next, and this one stopped mid-chunk. Nothing was stored and the
+    /// session stays usable.
+    UnevenLayers {
+        /// KV positions of the layer that holds fewest.
+        shortest: usize,
+        /// KV positions of the layer that holds most.
+        longest: usize,
+    },
     /// Typed backpressure: the scheduler queue holds its configured
     /// number of requests and the request was rejected *at submission*
     /// (it never occupied a queue slot). Retry after `retry_after_hint` —
@@ -106,7 +116,8 @@ impl ServeError {
             | ServeError::InvalidShape { .. }
             | ServeError::StoreFailed(_)
             | ServeError::EmptyPrompt
-            | ServeError::TokensNotNoted { .. } => false,
+            | ServeError::TokensNotNoted { .. }
+            | ServeError::UnevenLayers { .. } => false,
         }
     }
 }
@@ -139,6 +150,10 @@ impl std::fmt::Display for ServeError {
             ServeError::TokensNotNoted { noted, positions } => write!(
                 f,
                 "session knows {noted} tokens but holds {positions} positions; call note_tokens()"
+            ),
+            ServeError::UnevenLayers { shortest, longest } => write!(
+                f,
+                "session layers hold {shortest} to {longest} positions; finish the prefill before storing"
             ),
             ServeError::Overloaded {
                 queued_requests,
@@ -213,6 +228,10 @@ mod tests {
                 noted: 0,
                 positions: 12,
             },
+            ServeError::UnevenLayers {
+                shortest: 2,
+                longest: 3,
+            },
         ];
         for e in &all {
             // The exhaustiveness guard proper.
@@ -227,7 +246,8 @@ mod tests {
                 | ServeError::Overloaded { .. }
                 | ServeError::DeadlineExceeded { .. }
                 | ServeError::EmptyPrompt
-                | ServeError::TokensNotNoted { .. } => {}
+                | ServeError::TokensNotNoted { .. }
+                | ServeError::UnevenLayers { .. } => {}
             }
         }
         all.into()
@@ -252,7 +272,7 @@ mod tests {
     #[test]
     fn retry_classification_is_exhaustive_and_stable() {
         let want = [
-            false, true, false, false, false, true, false, true, true, false, false,
+            false, true, false, false, false, true, false, true, true, false, false, false,
         ];
         let got: Vec<bool> = witnesses().iter().map(|e| e.is_retryable()).collect();
         assert_eq!(got, want);
