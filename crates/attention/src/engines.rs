@@ -145,15 +145,6 @@ impl TopKRetrieval {
             ef: 160,
         }
     }
-
-    /// Table 5 "Top2000": `[128+512] + 2K` tokens.
-    pub fn paper_top2000() -> Self {
-        Self {
-            window: WindowSpec::paper_default(),
-            k: 2000,
-            ef: 2400,
-        }
-    }
 }
 
 impl SparseAttention for TopKRetrieval {

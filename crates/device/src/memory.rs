@@ -122,12 +122,6 @@ impl MemoryTracker {
     fn release(&self, bytes: u64) {
         self.in_use.fetch_sub(bytes, Ordering::AcqRel);
     }
-
-    /// Resets the peak high-water mark to the current usage (between
-    /// experiment phases).
-    pub fn reset_peak(&self) {
-        self.peak.store(self.in_use(), Ordering::Release);
-    }
 }
 
 /// RAII reservation of device memory; releases on drop.
@@ -198,8 +192,6 @@ mod tests {
         drop(b);
         assert_eq!(t.peak(), 900);
         assert_eq!(t.in_use(), 0);
-        t.reset_peak();
-        assert_eq!(t.peak(), 0);
     }
 
     #[test]

@@ -22,15 +22,14 @@ use parking_lot::RwLock;
 use alaya_core::session::{execute, AttentionJob};
 use alaya_core::stored::ContextId;
 use alaya_core::Db;
-use alaya_device::clock::{Clock, SystemClock};
+use alaya_device::clock::Clock;
 use alaya_device::memory::MemoryTracker;
 use alaya_device::pool::{self, WorkStealingPool};
 use alaya_llm::backend::{AttentionBackend, StepInput};
 
 use crate::admission::{per_token_bytes, session_bytes};
 use crate::scheduler::{
-    self, close_span, BatchPolicy, Job, Pending, SchedulerCore, ServeError, SessionSlot, SlotState,
-    SpanEnd,
+    self, close_span, Job, Pending, SchedulerCore, ServeError, SessionSlot, SlotState, SpanEnd,
 };
 use crate::telemetry::{LaneStats, TelemetrySnapshot};
 
@@ -47,14 +46,14 @@ pub struct SessionId(pub u64);
 /// Engine construction options.
 ///
 /// The defaults serve without shedding: no deadlines, dispatch
-/// immediately, and the batch and queue bounds of
-/// [`BatchPolicy::default`] — limits sized to stay invisible until the
-/// server is genuinely drowning, at which point submissions get typed
-/// [`ServeError::Overloaded`] backpressure instead of queueing without
-/// bound. The dispatch window, deadline and queue bound are explicit
-/// policy; the execution estimate behind `retry_after_hint` and the
-/// deadline-shedding margin is measured (an EWMA of observed batch
-/// times), never configured.
+/// immediately, and a bound of 4096 queued requests — sized to stay
+/// invisible until the server is genuinely drowning, at which point
+/// submissions get typed [`ServeError::Overloaded`] backpressure instead
+/// of queueing without bound. The dispatch window, deadline and queue
+/// bound are explicit policy; the batch bound is the fixed
+/// [`MAX_BATCH`](crate::scheduler::MAX_BATCH), and the execution estimate
+/// behind `retry_after_hint` and the deadline-shedding margin is measured
+/// (an EWMA of observed batch times), never configured.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Worker threads for execution. `0` (the default) shares the
@@ -76,25 +75,25 @@ pub struct ServeConfig {
     /// deadlines via [`ServeEngine::attention_with_deadline`] override
     /// this.
     pub default_deadline: Option<Duration>,
-    /// Queue-depth bound; submissions beyond it are rejected with
-    /// [`ServeError::Overloaded`]. Default 4096.
+    /// Queue-depth bound in requests (at least 1); submissions beyond it
+    /// are rejected with [`ServeError::Overloaded`]. Default 4096.
     pub max_queue_requests: usize,
     /// Time source for deadlines and dispatch windows. `None` (the
-    /// default) uses the monotonic [`SystemClock`]; the substitution seam
+    /// default) uses the monotonic
+    /// [`SystemClock`](alaya_device::clock::SystemClock); the substitution seam
     /// for a [`ManualClock`](alaya_device::clock::ManualClock).
     pub clock: Option<Arc<dyn Clock>>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let policy = BatchPolicy::default();
         Self {
             threads: 0,
             max_local_tokens: 256,
             admission: None,
-            dispatch_window: policy.window,
+            dispatch_window: Duration::ZERO,
             default_deadline: None,
-            max_queue_requests: policy.max_queue_requests,
+            max_queue_requests: 4096,
             clock: None,
         }
     }
@@ -139,22 +138,8 @@ impl ServeEngine {
         } else {
             Arc::new(WorkStealingPool::new(opts.threads))
         };
+        let core = Arc::new(SchedulerCore::new(&opts));
         let tracker = opts.admission.unwrap_or_else(|| Arc::clone(db.gpu()));
-
-        // DRR quantum: worst-case attended tokens for one request (the
-        // stored window plus the full session-local cap), so one round of
-        // credit dispatches roughly one worst-case request.
-        let cfg = db.config();
-        let quantum = cfg.window.initial + cfg.window.last + opts.max_local_tokens;
-        let policy = BatchPolicy {
-            window: opts.dispatch_window,
-            max_queue_requests: opts.max_queue_requests.max(1),
-            quantum: quantum.max(1) as u64,
-            ..BatchPolicy::default()
-        };
-        let clock: Arc<dyn Clock> = opts.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
-
-        let core = Arc::new(SchedulerCore::new(policy, clock));
         // Fold the lower layers' cells into the engine's registry so one
         // `telemetry()` snapshot covers the whole stack (scheduler, pool,
         // DB). Registration is first-wins: engines sharing the global pool
@@ -190,41 +175,20 @@ impl ServeEngine {
 
     /// A point-in-time telemetry snapshot: the classic counters, the
     /// per-stage span histograms (`queue`/`plan`/`exec`/`total`), span
-    /// lifecycle counts, per-tenant lane stats, the calibrated execution
-    /// estimate, the last flight-recorder panic dump, and the full metric
-    /// registry (renderable to JSON / Prometheus text).
+    /// lifecycle counts, per-session outcome counts, the calibrated
+    /// execution estimate, the last flight-recorder panic dump, and the
+    /// full metric registry (renderable to JSON / Prometheus text; the
+    /// queue depth is its `serve.queue.depth` gauge).
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        // Snapshot the session table first and release its read lock
-        // *before* touching the queue lock: observability must add no
-        // `serve.sessions` → `serve.sched.queue` lock-order edge (neither
-        // lock is ever held across the other anywhere else).
-        let session_slots: Vec<(SessionId, Arc<SessionSlot>)> = {
-            let sessions = self.sessions.read();
-            sessions
-                .iter()
-                .map(|(&id, s)| (id, Arc::clone(s)))
-                .collect()
-        };
-        let overview: HashMap<usize, (usize, u64)> = {
-            let q = self.core.queue.lock();
-            q.lane_overview()
-                .into_iter()
-                .map(|(key, queued, deficit)| (key, (queued, deficit)))
-                .collect()
-        };
-        let mut lanes: Vec<LaneStats> = session_slots
-            .into_iter()
-            .map(|(id, slot)| {
-                let key = Arc::as_ptr(&slot) as usize;
-                let (queued, deficit) = overview.get(&key).copied().unwrap_or((0, 0));
-                LaneStats {
-                    session: id,
-                    queued,
-                    deficit,
-                    executed: slot.lane.executed.get(),
-                    shed_deadline: slot.lane.shed_deadline.get(),
-                    rejected_overload: slot.lane.rejected_overload.get(),
-                }
+        let mut lanes: Vec<LaneStats> = self
+            .sessions
+            .read()
+            .iter()
+            .map(|(&id, slot)| LaneStats {
+                session: id,
+                executed: slot.lane.executed.get(),
+                shed_deadline: slot.lane.shed_deadline.get(),
+                rejected_overload: slot.lane.rejected_overload.get(),
             })
             .collect();
         lanes.sort_by_key(|l| l.session);
@@ -330,9 +294,7 @@ impl ServeEngine {
         self.append(id, queries, keys, values, layer).map(|_| ())
     }
 
-    /// `update`, returning the slot and the DRR cost of an attention
-    /// request that follows: growth reservation, write and cost read under
-    /// one session-lock hold.
+    /// `update`, returning the slot for an attention request that follows.
     fn append(
         &self,
         id: SessionId,
@@ -340,7 +302,7 @@ impl ServeEngine {
         keys: &[Vec<f32>],
         values: &[Vec<f32>],
         layer: usize,
-    ) -> Result<(Arc<SessionSlot>, u64), ServeError> {
+    ) -> Result<Arc<SessionSlot>, ServeError> {
         self.check_layer(layer)?;
         let model = &self.db.config().model;
         self.check_shape(queries, "query", model.n_q_heads)?;
@@ -356,9 +318,8 @@ impl ServeEngine {
             state.covered_tokens += chunk;
         }
         state.session.update(queries, keys, values, layer);
-        let cost = state.drr_cost();
         drop(state);
-        Ok((slot, cost))
+        Ok(slot)
     }
 
     /// Records token ids for a later [`ServeEngine::store`].
@@ -399,11 +360,11 @@ impl ServeEngine {
     pub fn attention_with_deadline(
         &self,
         id: SessionId,
-        queries: Vec<Vec<f32>>,
+        queries: &[Vec<f32>],
         layer: usize,
         deadline: Duration,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.submit(id, &queries, layer, Some(deadline))
+        self.submit(id, queries, layer, Some(deadline))
     }
 
     fn submit(
@@ -415,11 +376,7 @@ impl ServeEngine {
     ) -> Result<Vec<Vec<f32>>, ServeError> {
         self.check_layer(layer)?;
         self.check_shape(queries, "query", self.db.config().model.n_q_heads)?;
-        let slot = self.slot(id)?;
-        // The session lock is released before enqueue, so this adds no
-        // lock-order edge to the queue.
-        let cost = slot.lock().drr_cost();
-        self.enqueue(slot, queries, layer, deadline, cost)
+        self.enqueue(self.slot(id)?, queries, layer, deadline)
     }
 
     /// Queues a checked request, blocks until the scheduler hands back its
@@ -431,7 +388,6 @@ impl ServeEngine {
         queries: &[Vec<f32>],
         layer: usize,
         deadline: Option<Duration>,
-        cost: u64,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
         let enqueued = self.core.clock.now();
         let (tx, rx) = mpsc::channel();
@@ -441,7 +397,6 @@ impl ServeEngine {
             reply: tx,
             enqueued,
             deadline: deadline.map(|d| enqueued.saturating_add(d)),
-            cost,
         })?;
         let job = rx.recv().map_err(|_| ServeError::ShuttingDown)??;
         let share = (self.pool.threads() / self.live.load(Ordering::Relaxed).max(1)).max(1);
@@ -451,15 +406,15 @@ impl ServeEngine {
     /// `update` + `attention` in one call — the `AttentionBackend::attend`
     /// shape, for engine loops driving a session through the scheduler.
     /// Checks the step and looks the session up once, and takes its lock
-    /// once (growth reservation, write, DRR cost).
+    /// once (growth reservation and write).
     pub fn attend(
         &self,
         id: SessionId,
         layer: usize,
         input: StepInput,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        let (slot, cost) = self.append(id, &input.queries, &input.keys, &input.values, layer)?;
-        self.enqueue(slot, &input.queries, layer, self.default_deadline, cost)
+        let slot = self.append(id, &input.queries, &input.keys, &input.values, layer)?;
+        self.enqueue(slot, &input.queries, layer, self.default_deadline)
     }
 
     /// Cached tokens at `layer` (reused prefix + local window).
@@ -790,10 +745,9 @@ mod tests {
     #[test]
     fn default_dispatch_policy_is_pinned() {
         let (eng, _) = engine();
-        let policy = &eng.core.policy;
-        assert_eq!(policy.max_batch, 64);
-        assert_eq!(policy.window, Duration::ZERO);
-        assert_eq!(policy.max_queue_requests, 4096);
+        assert_eq!(scheduler::MAX_BATCH, 64);
+        assert_eq!(eng.core.window, Duration::ZERO);
+        assert_eq!(eng.core.max_queue_requests, 4096);
         assert_eq!(eng.default_deadline, None);
         assert_eq!(eng.telemetry().est_exec, Duration::ZERO);
     }

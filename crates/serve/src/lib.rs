@@ -12,7 +12,9 @@
 //!   occupy at most the workers per live session, so under load each
 //!   requester runs its own heads).
 //! * **Scheduler** ([`scheduler`]) — accepts attention requests from many
-//!   sessions, groups the ones that target the same
+//!   sessions into one arrival-order queue, takes them off it in batches of
+//!   at most [`MAX_BATCH`](scheduler::MAX_BATCH), groups the ones that
+//!   target the same
 //!   `(stored context, layer, reused prefix)` so the optimizer plans once
 //!   per group instead of once per request, and hands each request its
 //!   session snapshot and plan through a per-request channel; the
@@ -30,14 +32,12 @@
 //!   the session admitted and its bytes reserved until close), so an
 //!   overloaded server returns [`ServeError::OutOfMemory`] instead of
 //!   thrashing (or panicking).
-//! * **Overload control** ([`error`], plus the scheduler's
-//!   [`BatchPolicy`]) — batch size, dispatch window and deadline are
-//!   explicit policy ([`ServeConfig`]), the queue is bounded by request
-//!   count with typed [`ServeError::Overloaded`] backpressure, requests
-//!   carry deadlines and are shed with [`ServeError::DeadlineExceeded`]
-//!   when they can no longer be met, and per-session deficit-round-robin
-//!   keeps one heavy tenant from monopolizing consecutive batches. Every
-//!   accepted request gets exactly one reply from the scheduler — a job
+//! * **Overload control** ([`error`]) — dispatch window, deadline and
+//!   queue bound are explicit policy ([`ServeConfig`]), the queue is
+//!   bounded by request count with typed [`ServeError::Overloaded`]
+//!   backpressure, and requests carry deadlines and are shed with
+//!   [`ServeError::DeadlineExceeded`] when they can no longer be met.
+//!   Every accepted request gets exactly one reply from the scheduler — a job
 //!   or a typed error — and its span closes exactly once, there or on the
 //!   requester that executed it. The `instrumented` feature compiles in
 //!   deterministic failpoints (execution and worker panics, slow
@@ -48,8 +48,8 @@
 //!   (`enqueue → batch-assemble → plan → requester exec`, or the
 //!   shed/reject exits) into log-bucketed per-stage histograms; each
 //!   outcome is counted once, in its span cell, and [`SchedulerStats`]
-//!   reads its outcome fields from there. Per-tenant lane stats ride the
-//!   session slots, and a ring-buffer flight recorder keeps the events
+//!   reads its outcome fields from there. Per-session outcome counts ride
+//!   the session slots, and a ring-buffer flight recorder keeps the events
 //!   leading up to a planning or execution panic as a dump in the
 //!   snapshot. Each request's time from its batch's start to its
 //!   execution end feeds an EWMA that is the scheduler's only execution
@@ -72,5 +72,5 @@ pub mod telemetry;
 pub use alaya_device::pool::{self, Scope, WorkStealingPool};
 pub use engine::{ServeConfig, ServeEngine, SessionId};
 pub use error::ServeError;
-pub use scheduler::{BatchPolicy, SchedulerStats};
+pub use scheduler::SchedulerStats;
 pub use telemetry::{LaneStats, SpanCounts, StageBreakdown, StageStats, TelemetrySnapshot};

@@ -5,21 +5,20 @@
 //! hands each one back to the thread that asked for it, which executes it.
 //! The scheduler:
 //!
-//! 1. **Collects** a batch under the dispatch policy ([`BatchPolicy`]):
-//!    *bounded size* (`max_batch` — the batch ahead of a request must not
-//!    eat its latency budget), a *dispatch window* (an under-full batch
-//!    lingers up to `window` collecting batchmates, buying the
-//!    cross-session plan sharing below), *deficit-round-robin
-//!    fairness* across sessions (each lane banks `quantum` cost units per
-//!    round and dispatches while its deficit covers the head request's
-//!    cost, so a million-token tenant cannot monopolize consecutive
-//!    batches), and *deadline shedding* (a request whose deadline cannot
-//!    be met anymore — `now` plus the measured per-batch execution
-//!    estimate is past it — is answered with a typed
-//!    [`ServeError::DeadlineExceeded`] instead of executing). Queue depth
-//!    is bounded at submission, by request count: `SchedulerCore::enqueue`
+//! 1. **Collects** a batch off the front of one arrival-order queue:
+//!    *bounded size* (at most [`MAX_BATCH`] requests, so the planning ahead
+//!    of a request stays bounded however deep the queue is), a *dispatch
+//!    window* (an under-full batch lingers up to
+//!    [`ServeConfig::dispatch_window`] collecting batchmates, buying the
+//!    cross-session plan sharing below), and *deadline shedding* (a
+//!    request whose deadline cannot be met anymore — `now` plus the
+//!    measured per-batch execution estimate is past it — is answered with
+//!    a typed [`ServeError::DeadlineExceeded`] instead of executing).
+//!    Queue depth is bounded at submission, by request count
+//!    ([`ServeConfig::max_queue_requests`]): `SchedulerCore::enqueue`
 //!    rejects with [`ServeError::Overloaded`] rather than queueing without
-//!    bound.
+//!    bound. One queue in arrival order keeps each session's requests in
+//!    the order they were made.
 //! 2. **Plans and snapshots** each request under its session's lock, one
 //!    lock at a time. Requests are grouped by `(stored context, layer,
 //!    reused prefix)`; sessions in one group have identical [`QuerySpec`]s,
@@ -64,6 +63,8 @@
 //! request before it returns.
 //!
 //! [`SessionView`]: alaya_core::session::SessionView
+//! [`ServeConfig::dispatch_window`]: crate::engine::ServeConfig::dispatch_window
+//! [`ServeConfig::max_queue_requests`]: crate::engine::ServeConfig::max_queue_requests
 //! [`QuerySpec`]: alaya_query::optimizer::QuerySpec
 //! [`ManualClock`]: alaya_device::clock::ManualClock
 
@@ -81,11 +82,12 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use alaya_core::session::SessionView;
 use alaya_core::stored::ContextId;
 use alaya_core::Session;
-use alaya_device::clock::Clock;
+use alaya_device::clock::{Clock, SystemClock};
 use alaya_device::memory::MemoryGuard;
 use alaya_query::optimizer::Plan;
 use alaya_telemetry::Event;
 
+use crate::engine::ServeConfig;
 use crate::telemetry::{nanos, LaneCounters, SchedTelemetry};
 
 pub use crate::error::ServeError;
@@ -96,39 +98,9 @@ pub use crate::error::ServeError;
 #[cfg(feature = "instrumented")]
 pub const CHAOS_BATCH_DELAY: &str = "serve.sched.batch_delay";
 
-/// A request heavier than `COST_CLAMP * quantum` is billed as exactly
-/// that: its lane then waits at most `COST_CLAMP` DRR rounds between
-/// dispatches, bounding how long fairness can starve a giant tenant.
-const COST_CLAMP: u64 = 8;
-
-/// Dispatch policy: how the scheduler bounds its batches and its queue.
-/// Built from [`ServeConfig`](crate::engine::ServeConfig); the defaults
-/// here are the engine's defaults.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum requests per dispatched batch.
-    pub max_batch: usize,
-    /// How long an under-full batch lingers for batchmates. Zero = never
-    /// linger (dispatch whatever is queued immediately).
-    pub window: Duration,
-    /// Queue bound: submissions beyond this many queued requests are
-    /// rejected with [`ServeError::Overloaded`].
-    pub max_queue_requests: usize,
-    /// Cost units (attended tokens) each session lane banks per DRR
-    /// round.
-    pub quantum: u64,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self {
-            max_batch: 64,
-            window: Duration::ZERO,
-            max_queue_requests: 4096,
-            quantum: 512,
-        }
-    }
-}
+/// Most requests the scheduler plans in one batch; the rest wait for the
+/// next. Also the unit of `retry_after_hint`'s "batches ahead".
+pub const MAX_BATCH: usize = 64;
 
 /// One registered session: its one lock and its telemetry lane.
 pub(crate) struct SessionSlot {
@@ -146,15 +118,6 @@ pub(crate) struct SlotState {
     /// The admission reservation, grown in place by one chunk each time the
     /// local KV outgrows what it covers; dropping the slot releases it.
     pub(crate) reservation: MemoryGuard,
-}
-
-impl SlotState {
-    /// DRR cost of an attention request: the attended tokens it makes the
-    /// batch touch (shared prefix + reservation-covered local KV, a cheap
-    /// upper bound).
-    pub(crate) fn drr_cost(&self) -> u64 {
-        (self.session.reused_len() as u64).saturating_add(self.covered_tokens as u64)
-    }
 }
 
 impl SessionSlot {
@@ -200,9 +163,6 @@ pub(crate) struct Pending {
     pub(crate) enqueued: Duration,
     /// Absolute scheduler-clock deadline; `None` = never shed.
     pub(crate) deadline: Option<Duration>,
-    /// DRR cost in attended tokens (reused prefix + covered local KV):
-    /// the work this request makes the batch do.
-    pub(crate) cost: u64,
 }
 
 /// Monotonic scheduler counters (observability + batching assertions in
@@ -227,124 +187,46 @@ pub struct SchedulerStats {
     pub rejected_overload: u64,
 }
 
-/// One session's FIFO lane in the deficit-round-robin queue.
-#[derive(Default)]
-struct TenantLane {
-    /// Banked dispatch credit, in cost units (attended tokens).
-    deficit: u64,
-    queue: VecDeque<Pending>,
-}
-
-/// The scheduler's queue: per-session lanes served deficit-round-robin.
-/// Requests from one session stay FIFO (the per-session ordering
-/// contract); *across* sessions, dispatch order is deficit-weighted so
-/// expensive tenants cannot monopolize consecutive batches.
-#[derive(Default)]
-pub(crate) struct SchedQueue {
-    /// Lane per live session, keyed by slot address. A lane exists only
-    /// while it has queued requests (its deficit resets when it empties —
-    /// an idle session must not bank credit).
-    lanes: HashMap<usize, TenantLane>,
-    /// Round-robin order over `lanes` keys.
-    rr: VecDeque<usize>,
-    n_queued: usize,
-}
-
-impl SchedQueue {
-    pub(crate) fn len(&self) -> usize {
-        self.n_queued
-    }
-
-    /// Instantaneous per-lane view for telemetry: `(slot key, queued
-    /// requests, banked deficit)` per live lane. Idle sessions have no
-    /// lane (their deficit reset when the lane drained).
-    pub(crate) fn lane_overview(&self) -> Vec<(usize, usize, u64)> {
-        self.lanes
-            .iter()
-            .map(|(&key, lane)| (key, lane.queue.len(), lane.deficit))
-            .collect()
-    }
-
-    fn push(&mut self, p: Pending) {
-        let key = slot_key(&p.slot);
-        self.n_queued += 1;
-        if !self.lanes.contains_key(&key) {
-            self.rr.push_back(key);
+/// Pops the next batch off the front of `queue`: up to [`MAX_BATCH`]
+/// requests in arrival order, shedding on the way every request whose
+/// deadline can no longer be met (`now + est_exec` at or past it;
+/// `est_exec` is the measured per-batch execution estimate). Returns
+/// `(batch, shed)`; their union is nonempty whenever the queue is.
+fn collect(
+    queue: &mut VecDeque<Pending>,
+    est_exec: Duration,
+    now: Duration,
+) -> (Vec<Pending>, Vec<Pending>) {
+    let mut batch = Vec::new();
+    let mut shed = Vec::new();
+    while batch.len() < MAX_BATCH {
+        let Some(p) = queue.pop_front() else {
+            break;
+        };
+        if p.deadline
+            .is_some_and(|dl| now.saturating_add(est_exec) >= dl)
+        {
+            shed.push(p);
+        } else {
+            batch.push(p);
         }
-        self.lanes.entry(key).or_default().queue.push_back(p);
     }
-
-    /// Collects the next batch by deficit round robin, shedding requests
-    /// whose deadline can no longer be met (`now + est_exec` past it;
-    /// `est_exec` is the measured per-batch execution estimate).
-    /// Returns `(batch, shed)`. Progress guarantee: when the queue is
-    /// nonempty the union is nonempty — each unvisited-lane round banks
-    /// another `quantum`, and costs are clamped to `COST_CLAMP * quantum`,
-    /// so some head request becomes dispatchable within `COST_CLAMP`
-    /// rounds.
-    fn collect(
-        &mut self,
-        policy: &BatchPolicy,
-        est_exec: Duration,
-        now: Duration,
-    ) -> (Vec<Pending>, Vec<Pending>) {
-        let mut batch = Vec::new();
-        let mut shed = Vec::new();
-        while batch.len() < policy.max_batch {
-            let Some(key) = self.rr.pop_front() else {
-                break;
-            };
-            let Some(lane) = self.lanes.get_mut(&key) else {
-                continue;
-            };
-            lane.deficit = lane.deficit.saturating_add(policy.quantum);
-            while batch.len() < policy.max_batch {
-                let Some(head) = lane.queue.front() else {
-                    break;
-                };
-                let expired = head
-                    .deadline
-                    .is_some_and(|dl| now.saturating_add(est_exec) >= dl);
-                if expired {
-                    // Shedding consumes no deficit: the lane did no work.
-                    if let Some(p) = lane.queue.pop_front() {
-                        self.n_queued -= 1;
-                        shed.push(p);
-                    }
-                    continue;
-                }
-                let cost = head
-                    .cost
-                    .max(1)
-                    .min(policy.quantum.saturating_mul(COST_CLAMP));
-                if cost > lane.deficit {
-                    break;
-                }
-                lane.deficit -= cost;
-                if let Some(p) = lane.queue.pop_front() {
-                    self.n_queued -= 1;
-                    batch.push(p);
-                }
-            }
-            if lane.queue.is_empty() {
-                self.lanes.remove(&key);
-            } else {
-                self.rr.push_back(key);
-            }
-        }
-        (batch, shed)
-    }
+    (batch, shed)
 }
 
 /// State shared between the engine (producer side) and the scheduler
 /// thread (consumer side). It holds no pool: the scheduler executes
 /// nothing.
 pub(crate) struct SchedulerCore {
-    pub(crate) queue: Mutex<SchedQueue>,
+    /// Queued requests in arrival order.
+    pub(crate) queue: Mutex<VecDeque<Pending>>,
     pub(crate) cv: Condvar,
     pub(crate) shutdown: AtomicBool,
     pub(crate) stats: SchedTelemetry,
-    pub(crate) policy: BatchPolicy,
+    /// How long an under-full batch lingers for batchmates.
+    pub(crate) window: Duration,
+    /// Submissions beyond this many queued requests are rejected.
+    pub(crate) max_queue_requests: usize,
     pub(crate) clock: Arc<dyn Clock>,
     /// Armed failpoint registry (chaos builds only); a `OnceLock` rather
     /// than a lock so probing it adds no lock site and no ordering edges.
@@ -353,14 +235,20 @@ pub(crate) struct SchedulerCore {
 }
 
 impl SchedulerCore {
-    pub(crate) fn new(policy: BatchPolicy, clock: Arc<dyn Clock>) -> Self {
+    /// The dispatch window, queue bound and clock of `opts` (the
+    /// monotonic [`SystemClock`] when it names none).
+    pub(crate) fn new(opts: &ServeConfig) -> Self {
         Self {
-            queue: Mutex::new_named(SchedQueue::default(), "serve.sched.queue"),
+            queue: Mutex::new_named(VecDeque::new(), "serve.sched.queue"),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats: SchedTelemetry::new(),
-            policy,
-            clock,
+            window: opts.dispatch_window,
+            max_queue_requests: opts.max_queue_requests.max(1),
+            clock: opts
+                .clock
+                .clone()
+                .unwrap_or_else(|| Arc::new(SystemClock::new())),
             #[cfg(feature = "instrumented")]
             chaos: OnceLock::new(),
         }
@@ -378,8 +266,8 @@ impl SchedulerCore {
         self.stats.spans_opened.inc();
         let mut q = self.queue.lock();
         let queued = q.len();
-        if queued < self.policy.max_queue_requests {
-            q.push(p);
+        if queued < self.max_queue_requests {
+            q.push_back(p);
             self.stats.queue_depth.set(q.len() as i64);
             self.cv.notify_one();
             return Ok(());
@@ -402,7 +290,7 @@ impl SchedulerCore {
     /// first batch has been observed — "come back after the queue has
     /// turned over at least once", not "hammer immediately").
     fn retry_after_hint(&self, queued: usize) -> Duration {
-        let batches_ahead = (queued / self.policy.max_batch.max(1) + 1) as u32;
+        let batches_ahead = (queued / MAX_BATCH + 1) as u32;
         let est = self.stats.est_exec();
         let per_batch = if est.is_zero() {
             Duration::from_millis(1)
@@ -421,7 +309,7 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
         let (batch, shed) = {
             let mut q = core.queue.lock();
             loop {
-                if q.n_queued == 0 {
+                if q.is_empty() {
                     if core.shutdown.load(Ordering::Acquire) {
                         return;
                     }
@@ -433,16 +321,16 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
                 // Both exits are checked — elapsed clock time for the
                 // injectable clock, and the real `wait_for` timeout as
                 // the liveness backstop when a test clock never advances.
-                let window = core.policy.window;
+                let window = core.window;
                 if !window.is_zero()
-                    && q.n_queued < core.policy.max_batch
+                    && q.len() < MAX_BATCH
                     && !core.shutdown.load(Ordering::Acquire)
                 {
                     let opened = core.clock.now();
                     loop {
                         let elapsed = core.clock.now().saturating_sub(opened);
                         if elapsed >= window
-                            || q.n_queued >= core.policy.max_batch
+                            || q.len() >= MAX_BATCH
                             || core.shutdown.load(Ordering::Acquire)
                         {
                             break;
@@ -453,14 +341,10 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
                     }
                 }
                 // The shed margin is the EWMA of observed batch times,
-                // read fresh per collect.
-                let out = q.collect(&core.policy, core.stats.est_exec(), core.clock.now());
-                if out.0.is_empty() && out.1.is_empty() {
-                    // Lost a race (another collect drained the queue
-                    // between wait and here); re-check from the top.
-                    continue;
-                }
-                core.stats.queue_depth.set(q.n_queued as i64);
+                // read fresh per collect. Only this thread pops, so the
+                // queue is still nonempty and so is what `collect` returns.
+                let out = collect(&mut q, core.stats.est_exec(), core.clock.now());
+                core.stats.queue_depth.set(q.len() as i64);
                 break out;
             }
         };
@@ -615,7 +499,7 @@ fn dispatch(core: &SchedulerCore, batch: Vec<Pending>) {
 /// equal [`QuerySpec`](alaya_query::optimizer::QuerySpec)s.
 type GroupKey = (Option<ContextId>, usize, usize);
 
-/// A session slot's address: its DRR lane key and its recorder key.
+/// A session slot's address: its flight-recorder key.
 fn slot_key(slot: &SessionSlot) -> usize {
     std::ptr::from_ref(slot) as usize
 }
@@ -676,7 +560,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::engine::run_job;
     use alaya_core::{Db, DbConfig};
-    use alaya_device::clock::{ManualClock, SystemClock};
+    use alaya_device::clock::ManualClock;
     use alaya_device::memory::MemoryTracker;
     use alaya_device::pool::WorkStealingPool;
     use alaya_llm::backend::AttentionBackend as _;
@@ -695,7 +579,7 @@ pub(crate) mod tests {
     }
 
     fn core_for_tests() -> SchedulerCore {
-        SchedulerCore::new(BatchPolicy::default(), Arc::new(SystemClock::new()))
+        SchedulerCore::new(&ServeConfig::default())
     }
 
     type ReplyRx = mpsc::Receiver<Result<Job, ServeError>>;
@@ -703,7 +587,6 @@ pub(crate) mod tests {
     fn pending(
         slot: &Arc<SessionSlot>,
         layer: usize,
-        cost: u64,
         deadline: Option<Duration>,
     ) -> (Pending, ReplyRx) {
         let (tx, rx) = mpsc::channel();
@@ -714,7 +597,6 @@ pub(crate) mod tests {
                 reply: tx,
                 enqueued: Duration::ZERO,
                 deadline,
-                cost,
             },
             rx,
         )
@@ -768,10 +650,10 @@ pub(crate) mod tests {
             .map(|_| gaussian_vec(&mut rng, model_cfg.head_dim, 1.0))
             .collect();
 
-        let (p1, r1) = pending(&s1, 1, 1, None);
-        let (p2, r2) = pending(&s2, 1, 1, None);
-        let (p3, r3) = pending(&s3, 1, 1, None);
-        let (p4, r4) = pending(&s1, 0, 1, None);
+        let (p1, r1) = pending(&s1, 1, None);
+        let (p2, r2) = pending(&s2, 1, None);
+        let (p3, r3) = pending(&s3, 1, None);
+        let (p4, r4) = pending(&s1, 0, None);
         dispatch(&core, vec![p1, p2, p3, p4]);
 
         let out1 = serve(&core, &pool, &r1, &s1, &queries, 1).unwrap();
@@ -814,8 +696,8 @@ pub(crate) mod tests {
         let core = core_for_tests();
         let pool = WorkStealingPool::new(2);
         let queries = vec![vec![1.0; model_cfg.head_dim]; model_cfg.n_q_heads];
-        let (p1, rx1) = pending(&slot, 0, 1, None);
-        let (p2, rx2) = pending(&slot, 0, 1, None);
+        let (p1, rx1) = pending(&slot, 0, None);
+        let (p2, rx2) = pending(&slot, 0, None);
         dispatch(&core, vec![p1, p2]);
         let a = serve(&core, &pool, &rx1, &slot, &queries, 0).unwrap();
         let b = serve(&core, &pool, &rx2, &slot, &queries, 0).unwrap();
@@ -904,7 +786,7 @@ pub(crate) mod tests {
             let pool = WorkStealingPool::new(threads);
             let (batch, replies): (Vec<_>, Vec<_>) = requests
                 .iter()
-                .map(|&(slot, layer)| pending(slot, layer, 1, None))
+                .map(|&(slot, layer)| pending(slot, layer, None))
                 .unzip();
             dispatch(&core, batch);
             std::thread::scope(|s| {
@@ -955,7 +837,7 @@ pub(crate) mod tests {
         let core = core_for_tests();
         let pool = WorkStealingPool::new(2);
         let (batch, replies): (Vec<_>, Vec<_>) =
-            slots.iter().map(|slot| pending(slot, 1, 1, None)).unzip();
+            slots.iter().map(|slot| pending(slot, 1, None)).unzip();
         dispatch(&core, batch);
         assert_eq!(pool.stats().tasks_executed(), 0, "dispatch ran a task");
         let jobs: Vec<Job> = replies.iter().map(|rx| one_reply(rx).unwrap()).collect();
@@ -984,7 +866,7 @@ pub(crate) mod tests {
         let core = core_for_tests();
         let pool = WorkStealingPool::new(2);
         let (batch, replies): (Vec<_>, Vec<_>) =
-            slots.iter().map(|slot| pending(slot, 1, 1, None)).unzip();
+            slots.iter().map(|slot| pending(slot, 1, None)).unzip();
         dispatch(&core, batch);
         let jobs: Vec<Job> = replies.iter().map(|rx| one_reply(rx).unwrap()).collect();
         assert_eq!(base.strong_count(), idle + 2, "one snapshot per job");
@@ -1016,8 +898,8 @@ pub(crate) mod tests {
         let core = Arc::new(core_for_tests());
         let pool = WorkStealingPool::new(2);
         // Queued before the scheduler thread starts: one batch.
-        let (good, good_rx) = pending(&good_slot, 0, 1, None);
-        let (bad, bad_rx) = pending(&bad_slot, PANICKING_LAYER, 1, None);
+        let (good, good_rx) = pending(&good_slot, 0, None);
+        let (bad, bad_rx) = pending(&bad_slot, PANICKING_LAYER, None);
         core.enqueue(good).unwrap();
         core.enqueue(bad).unwrap();
         let sched = {
@@ -1034,7 +916,7 @@ pub(crate) mod tests {
 
         // The thread lives on, and the panic released the session lock.
         for slot in [&good_slot, &bad_slot] {
-            let (p, rx) = pending(slot, 0, 1, None);
+            let (p, rx) = pending(slot, 0, None);
             core.enqueue(p).unwrap();
             assert!(serve(&core, &pool, &rx, slot, &queries, 0).is_ok());
         }
@@ -1071,8 +953,8 @@ pub(crate) mod tests {
         // attention panics (the engine rejects this shape up front; here
         // the job is run directly to test the backstop).
         let bad = vec![vec![0.0; model_cfg.head_dim]; model_cfg.n_q_heads * 4];
-        let (p1, rx1) = pending(&good_slot, 0, 1, None);
-        let (p2, rx2) = pending(&bad_slot, 0, 1, None);
+        let (p1, rx1) = pending(&good_slot, 0, None);
+        let (p2, rx2) = pending(&bad_slot, 0, None);
         dispatch(&core, vec![p1, p2]);
 
         assert!(serve(&core, &pool, &rx1, &good_slot, &good, 0).is_ok());
@@ -1089,60 +971,9 @@ pub(crate) mod tests {
         let dump = core.stats.recorder.last_panic_dump().unwrap();
         assert!(dump.contains("execution panicked"), "{dump}");
 
-        let (p3, rx3) = pending(&bad_slot, 0, 1, None);
+        let (p3, rx3) = pending(&bad_slot, 0, None);
         dispatch(&core, vec![p3]);
         assert!(serve(&core, &pool, &rx3, &bad_slot, &good, 0).is_ok());
-    }
-
-    /// DRR fairness: a heavy tenant with many queued expensive requests
-    /// cannot crowd a light tenant out of the next batch.
-    #[test]
-    fn drr_lets_light_tenants_through_a_heavy_backlog() {
-        let model_cfg = ModelConfig::tiny();
-        let db = Db::new(DbConfig::for_tests(model_cfg.clone()));
-        let heavy = slot_for(&db, &[1, 2, 3]);
-        let light = slot_for(&db, &[4, 5, 6]);
-
-        let policy = BatchPolicy {
-            max_batch: 4,
-            quantum: 10,
-            ..BatchPolicy::default()
-        };
-        let mut queue = SchedQueue::default();
-        // Heavy enqueues first: 8 requests at 8x the quantum each (the
-        // clamp ceiling). Light follows with 2 cheap requests.
-        let mut rxs = Vec::new();
-        for _ in 0..8 {
-            let (p, rx) = pending(&heavy, 0, 80, None);
-            queue.push(p);
-            rxs.push(rx);
-        }
-        for _ in 0..2 {
-            let (p, rx) = pending(&light, 1, 1, None);
-            queue.push(p);
-            rxs.push(rx);
-        }
-
-        let (batch, shed) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
-        assert!(shed.is_empty());
-        assert_eq!(batch.len(), 4);
-        let light_in_batch = batch.iter().filter(|p| p.layer == 1).count();
-        assert_eq!(
-            light_in_batch, 2,
-            "both light requests dispatch in the first batch despite the heavy backlog"
-        );
-        assert_eq!(queue.len(), 6, "remaining heavy requests stay queued");
-
-        // The heavy tenant is not starved either: successive collects
-        // drain its lane.
-        let mut drained = 0;
-        while queue.len() > 0 {
-            let (b, s) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
-            assert!(s.is_empty());
-            assert!(!b.is_empty(), "collect must make progress");
-            drained += b.len();
-        }
-        assert_eq!(drained, 6);
     }
 
     /// Bounded queue: submissions beyond the configured depth are rejected
@@ -1154,19 +985,16 @@ pub(crate) mod tests {
         let db = Db::new(DbConfig::for_tests(model_cfg.clone()));
         let slot = slot_for(&db, &[1, 2, 3]);
 
-        let core = SchedulerCore::new(
-            BatchPolicy {
-                max_queue_requests: 2,
-                ..BatchPolicy::default()
-            },
-            Arc::new(SystemClock::new()),
-        );
+        let core = SchedulerCore::new(&ServeConfig {
+            max_queue_requests: 2,
+            ..ServeConfig::default()
+        });
         // No scheduler thread: the queue just fills.
-        let (p1, _r1) = pending(&slot, 0, 1, None);
-        let (p2, _r2) = pending(&slot, 0, 1, None);
+        let (p1, _r1) = pending(&slot, 0, None);
+        let (p2, _r2) = pending(&slot, 0, None);
         core.enqueue(p1).unwrap();
         core.enqueue(p2).unwrap();
-        let (p3, _r3) = pending(&slot, 0, 1, None);
+        let (p3, _r3) = pending(&slot, 0, None);
         match core.enqueue(p3) {
             Err(ServeError::Overloaded {
                 queued_requests,
@@ -1191,71 +1019,88 @@ pub(crate) mod tests {
         let slot = slot_for(&db, &[1, 2, 3]);
 
         let clock = ManualClock::new();
-        let policy = BatchPolicy::default();
-        let mut queue = SchedQueue::default();
-        let (expired, _r1) = pending(&slot, 0, 1, Some(Duration::from_millis(10)));
-        let (alive, _r2) = pending(&slot, 1, 1, Some(Duration::from_secs(60)));
-        let (forever, _r3) = pending(&slot, 0, 1, None);
-        queue.push(expired);
-        queue.push(alive);
-        queue.push(forever);
+        let mut queue = VecDeque::new();
+        let (expired, _r1) = pending(&slot, 0, Some(Duration::from_millis(10)));
+        let (alive, _r2) = pending(&slot, 1, Some(Duration::from_secs(60)));
+        let (forever, _r3) = pending(&slot, 0, None);
+        queue.extend([expired, alive, forever]);
 
         clock.advance(Duration::from_millis(11));
-        let (batch, shed) = queue.collect(&policy, Duration::ZERO, clock.now());
+        let (batch, shed) = collect(&mut queue, Duration::ZERO, clock.now());
         assert_eq!(shed.len(), 1, "only the expired request is shed");
         assert_eq!(shed[0].deadline, Some(Duration::from_millis(10)));
         assert_eq!(batch.len(), 2);
-        assert_eq!(queue.len(), 0);
+        assert!(queue.is_empty());
 
         // The deadline boundary itself sheds (est_exec = 0, now == dl):
         // a request that cannot finish strictly inside its deadline is
         // counted as failed by the SLO, so executing it wastes capacity.
-        let mut queue = SchedQueue::default();
-        let (boundary, _r4) = pending(&slot, 0, 1, Some(clock.now()));
-        queue.push(boundary);
-        let (batch, shed) = queue.collect(&policy, Duration::ZERO, clock.now());
+        let (boundary, _r4) = pending(&slot, 0, Some(clock.now()));
+        queue.push_back(boundary);
+        let (batch, shed) = collect(&mut queue, Duration::ZERO, clock.now());
         assert!(batch.is_empty());
         assert_eq!(shed.len(), 1);
 
         // A non-zero execution estimate widens the margin: a deadline
         // inside `now + est` is shed, one outside it executes.
         let est = Duration::from_millis(5);
-        let mut queue = SchedQueue::default();
         let inside = clock.now() + Duration::from_millis(4);
         let outside = clock.now() + Duration::from_millis(6);
-        let (too_late, _r5) = pending(&slot, 0, 1, Some(inside));
-        let (in_time, _r6) = pending(&slot, 1, 1, Some(outside));
-        queue.push(too_late);
-        queue.push(in_time);
-        let (batch, shed) = queue.collect(&policy, est, clock.now());
+        let (too_late, _r5) = pending(&slot, 0, Some(inside));
+        let (in_time, _r6) = pending(&slot, 1, Some(outside));
+        queue.extend([too_late, in_time]);
+        let (batch, shed) = collect(&mut queue, est, clock.now());
         assert_eq!(shed.len(), 1);
         assert_eq!(shed[0].deadline, Some(inside));
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].deadline, Some(outside));
     }
 
-    /// Batches respect `max_batch` and the remainder stays queued in
-    /// arrival order per session.
+    /// The tests below queue request `i` at layer `i`, so a batch's
+    /// layers read its members' arrival order.
+    fn arrival_order(batch: &[Pending]) -> Vec<usize> {
+        batch.iter().map(|p| p.layer).collect()
+    }
+
+    /// 150 requests from 3 sessions, interleaved, leave in batches of
+    /// `MAX_BATCH`, `MAX_BATCH` and the 22 left over, each in arrival
+    /// order.
     #[test]
     fn batches_are_bounded_by_policy() {
         let model_cfg = ModelConfig::tiny();
         let db = Db::new(DbConfig::for_tests(model_cfg.clone()));
-        let slot = slot_for(&db, &[1, 2, 3]);
-        let policy = BatchPolicy {
-            max_batch: 3,
-            ..BatchPolicy::default()
-        };
-        let mut queue = SchedQueue::default();
-        for _ in 0..8 {
-            let (p, _r) = pending(&slot, 0, 1, None);
-            queue.push(p);
+        let slots = [1, 2, 3].map(|t| slot_for(&db, &[t]));
+        let mut queue: VecDeque<Pending> = (0..150)
+            .map(|i| pending(&slots[i % 3], i, None).0)
+            .collect();
+        let mut next = 0;
+        for want in [64, 64, 22] {
+            let (batch, shed) = collect(&mut queue, Duration::ZERO, Duration::ZERO);
+            assert!(shed.is_empty());
+            assert_eq!(
+                arrival_order(&batch),
+                (next..next + want).collect::<Vec<_>>()
+            );
+            next += want;
         }
-        let (b1, _) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
-        assert_eq!(b1.len(), 3);
-        let (b2, _) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
-        assert_eq!(b2.len(), 3);
-        let (b3, _) = queue.collect(&policy, Duration::ZERO, Duration::ZERO);
-        assert_eq!(b3.len(), 2);
-        assert_eq!(queue.len(), 0);
+        assert_eq!(next, 150);
+        assert!(queue.is_empty());
+    }
+
+    /// An expired request in the middle of the backlog is shed where it
+    /// stands, and the requests around it keep their order.
+    #[test]
+    fn an_expired_request_mid_queue_is_shed_and_the_rest_keep_order() {
+        let model_cfg = ModelConfig::tiny();
+        let db = Db::new(DbConfig::for_tests(model_cfg.clone()));
+        let slots = [1, 2].map(|t| slot_for(&db, &[t]));
+        let now = Duration::from_secs(1);
+        let mut queue: VecDeque<Pending> = (0..5)
+            .map(|i| pending(&slots[i % 2], i, (i == 2).then_some(now)).0)
+            .collect();
+        let (batch, shed) = collect(&mut queue, Duration::ZERO, now);
+        assert_eq!(arrival_order(&shed), [2]);
+        assert_eq!(arrival_order(&batch), [0, 1, 3, 4]);
+        assert!(queue.is_empty());
     }
 }

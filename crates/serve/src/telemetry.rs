@@ -227,15 +227,10 @@ impl SpanCounts {
     }
 }
 
-/// One tenant lane's view: instantaneous queue state plus lifetime
-/// outcome counters.
+/// One admitted session's lifetime outcome counts.
 #[derive(Clone, Debug)]
 pub struct LaneStats {
     pub session: SessionId,
-    /// Requests currently queued in this session's DRR lane.
-    pub queued: usize,
-    /// The lane's banked DRR deficit (0 when the lane is idle).
-    pub deficit: u64,
     pub executed: u64,
     pub shed_deadline: u64,
     pub rejected_overload: u64,
@@ -250,7 +245,7 @@ pub struct TelemetrySnapshot {
     pub stats: SchedulerStats,
     pub stages: StageBreakdown,
     pub spans: SpanCounts,
-    /// Per-admitted-session lane stats, sorted by session id.
+    /// Per-admitted-session outcome counts, sorted by session id.
     pub lanes: Vec<LaneStats>,
     /// The EWMA-calibrated per-batch execution estimate currently driving
     /// `retry_after_hint` and deadline shedding.

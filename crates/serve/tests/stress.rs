@@ -548,7 +548,7 @@ fn deadline_shed_is_typed_retryable_and_releases_reservations() {
 
     // A per-request deadline overrides the hopeless default and serves.
     let out = engine
-        .attention_with_deadline(sid, queries.clone(), 0, Duration::from_secs(60))
+        .attention_with_deadline(sid, &queries, 0, Duration::from_secs(60))
         .unwrap();
     assert_eq!(out.len(), model_cfg.n_q_heads);
 

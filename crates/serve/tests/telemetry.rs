@@ -42,16 +42,20 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
     }
 
     // Lane stats attribute the executed requests to this session while
-    // it is still admitted.
+    // it is still admitted, and nothing is left queued.
     let t = engine.telemetry();
     assert_eq!(t.lanes.len(), 1);
     assert_eq!(t.lanes[0].session, sid);
     assert_eq!(t.lanes[0].executed, EXECUTED as u64);
-    assert_eq!(t.lanes[0].queued, 0, "quiesced lane holds nothing");
+    assert_eq!(
+        t.registry.gauge("serve.queue.depth"),
+        Some(0),
+        "quiesced queue holds nothing"
+    );
 
     // Phase 2 — shed: an already-expired deadline sheds deterministically.
     for _ in 0..SHED {
-        match engine.attention_with_deadline(sid, queries.clone(), 0, Duration::ZERO) {
+        match engine.attention_with_deadline(sid, &queries, 0, Duration::ZERO) {
             Err(ServeError::DeadlineExceeded { .. }) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }

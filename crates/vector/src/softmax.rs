@@ -441,18 +441,6 @@ impl OnlineSoftmax {
         self.acc.iter().map(|&a| a / self.sum).collect()
     }
 
-    /// Writes the output into `out` without allocating.
-    pub fn write_output(&self, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.acc.len());
-        if self.sum == 0.0 {
-            out.fill(0.0);
-            return;
-        }
-        for (o, &a) in out.iter_mut().zip(self.acc.iter()) {
-            *o = a / self.sum;
-        }
-    }
-
     /// The running maximum score (`-inf` when empty). Exposed so the window
     /// cache can seed DIPRS with the best-so-far inner product (§7.1).
     pub fn max_score(&self) -> f32 {
@@ -642,15 +630,5 @@ mod tests {
         assert_eq!(os.output(), vec![0.0; 3]);
         assert!(os.is_empty());
         assert_eq!(os.max_score(), f32::NEG_INFINITY);
-    }
-
-    #[test]
-    fn write_output_matches_output() {
-        let mut os = OnlineSoftmax::new(2);
-        os.push(0.7, &[3.0, -1.0]);
-        os.push(-0.2, &[0.5, 4.0]);
-        let mut buf = [0.0f32; 2];
-        os.write_output(&mut buf);
-        assert_close(&buf, &os.output(), 1e-7);
     }
 }
