@@ -5,7 +5,7 @@
 //! see `shims/README.md`), every decision here is a pure function of the
 //! harness-chosen seed. A [`Chaos`] registry holds named *failpoints*
 //! ("sites"); production code asks [`Chaos::should_fire`] at the site and
-//! injects its fault (a panic, an I/O error, a delay) when told to. Each
+//! injects its fault (a panic or a delay) when told to. Each
 //! site draws from its own splitmix64 stream, seeded from
 //! `global seed ⊕ FNV-1a(site name)`, so
 //!
@@ -20,8 +20,8 @@
 //! unconditionally at zero behavioral cost. Call/fire counters per site
 //! let tests assert the fault actually happened.
 //!
-//! The crate is a leaf on purpose: no alaya dependencies, so device,
-//! storage and serve can all hold failpoints without dependency cycles.
+//! The crate is a leaf on purpose: no alaya dependencies, so device and
+//! serve can both hold failpoints without dependency cycles.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -2,7 +2,7 @@
 //!
 //! # Stored contexts are a bounded cache
 //!
-//! Publishing a context (`import`, `store`, `adopt`) is a cache insert.
+//! Publishing a context (`import`, `store`) is a cache insert.
 //! Under the one `core.db.contexts` write-lock hold that makes the new
 //! context visible, two rules run:
 //!
@@ -26,7 +26,7 @@
 //! # Lock order
 //!
 //! `core.db.contexts` is a leaf: nothing is locked under it. Publication
-//! (`import`, `store`, `adopt`) builds outside it and takes the write lock
+//! (`import`, `store`) builds outside it and takes the write lock
 //! only to hand out an id or to insert; lookups ([`Db::context`],
 //! [`Db::create_session`]) take the read lock alone and release it before
 //! any attention runs. Callers hold none of their own locks across a DB
@@ -139,7 +139,6 @@ impl ContextTable {
 pub struct DbStats {
     sessions_created: Arc<Counter>,
     contexts_imported: Arc<Counter>,
-    contexts_adopted: Arc<Counter>,
     contexts_superseded: Arc<Counter>,
     contexts_evicted: Arc<Counter>,
     context_bytes: Arc<Gauge>,
@@ -154,10 +153,6 @@ impl DbStats {
     /// Contexts published through `import`/`store`.
     pub fn contexts_imported(&self) -> u64 {
         self.contexts_imported.get()
-    }
-    /// Contexts adopted from external assembly ([`Db::adopt`]).
-    pub fn contexts_adopted(&self) -> u64 {
-        self.contexts_adopted.get()
     }
     /// Contexts removed because a later publication extended (or equalled)
     /// their token sequence.
@@ -186,7 +181,6 @@ impl DbStats {
     pub fn register_into(&self, registry: &Registry) {
         registry.register_counter("core.db.sessions_created", &self.sessions_created);
         registry.register_counter("core.db.contexts_imported", &self.contexts_imported);
-        registry.register_counter("core.db.contexts_adopted", &self.contexts_adopted);
         registry.register_counter("core.db.contexts_superseded", &self.contexts_superseded);
         registry.register_counter("core.db.contexts_evicted", &self.contexts_evicted);
         registry.register_gauge("core.db.context_bytes", &self.context_bytes);
@@ -307,30 +301,6 @@ impl Db {
         id
     }
 
-    /// Adopts an externally assembled context (e.g. one loaded from the
-    /// vector file system by [`crate::persist::load_context`]) into this
-    /// DB's reuse pool. The context keeps its original id only when this
-    /// DB never handed that id out; otherwise it is re-numbered — an id
-    /// absent from the table may still name an evicted context that open
-    /// sessions serve from, and the scheduler groups shared plans by it.
-    /// (Ids in the upper half of the space are re-numbered too, so a
-    /// corrupt persisted id cannot walk the allocator into overflow.)
-    pub fn adopt(&self, mut ctx: StoredContext) -> ContextId {
-        let bytes = ctx.bytes();
-        let (id, _removed) = {
-            let mut contexts = self.contexts.write();
-            if (contexts.next_id..u64::MAX / 2).contains(&ctx.id.0) {
-                // Keep the allocator ahead of adopted ids.
-                contexts.next_id = ctx.id.0 + 1;
-            } else {
-                ctx.id = contexts.alloc_id();
-            }
-            (ctx.id, self.insert_locked(&mut contexts, ctx, bytes))
-        };
-        self.stats.contexts_adopted.inc();
-        id
-    }
-
     fn alloc_id(&self) -> ContextId {
         self.contexts.write().alloc_id()
     }
@@ -342,31 +312,21 @@ impl Db {
         if ctx.key_trained_layers() > 0 {
             self.stats.graphs_without_queries.inc();
         }
+        // The removed entries free their KV and graphs once the lock is
+        // released, at the end of this function.
         let _removed = {
             let mut contexts = self.contexts.write();
-            self.insert_locked(&mut contexts, ctx, bytes)
+            let removed = contexts.insert(ctx, bytes, self.cfg.context_budget_bytes);
+            self.stats
+                .contexts_superseded
+                .add(removed.superseded.len() as u64);
+            self.stats
+                .contexts_evicted
+                .add(removed.evicted.len() as u64);
+            self.stats.context_bytes.set(contexts.bytes as i64);
+            removed
         };
         self.stats.contexts_imported.inc();
-    }
-
-    /// The cache insert, on an already held write lock. Returns the
-    /// removed entries so the caller frees their KV and graphs after it
-    /// released the lock.
-    fn insert_locked(
-        &self,
-        contexts: &mut ContextTable,
-        ctx: StoredContext,
-        bytes: u64,
-    ) -> Removed {
-        let removed = contexts.insert(ctx, bytes, self.cfg.context_budget_bytes);
-        self.stats
-            .contexts_superseded
-            .add(removed.superseded.len() as u64);
-        self.stats
-            .contexts_evicted
-            .add(removed.evicted.len() as u64);
-        self.stats.context_bytes.set(contexts.bytes as i64);
-        removed
     }
 
     /// `DB.store(session)`: materializes the session's full state — reused
@@ -679,40 +639,5 @@ mod tests {
             .expect("the published context is never the victim");
         assert!(big.bytes() > db.config().context_budget_bytes);
         assert_eq!(db.n_contexts(), 1);
-    }
-
-    /// With eviction, "absent from the table" no longer means "never
-    /// used": adopt must not hand a live session's base id to another
-    /// context.
-    #[test]
-    fn adopt_never_reissues_an_id() {
-        let (db, model) = db_with_room_for(1, 40);
-        let x = import_context(&db, &model, &seq(0, 40));
-        let (session, _) = db.create_session(&seq(0, 41));
-        import_context(&db, &model, &seq(100, 40));
-        assert!(db.context(x).is_none(), "x was evicted");
-        assert_eq!(
-            session.base().unwrap().id,
-            x,
-            "and a session still holds it"
-        );
-
-        // A context persisted under x's id comes back under a fresh one.
-        let persisted = |id: u64, first: u32| {
-            let tokens = seq(first, 40);
-            let kv = prefilled(&model, &tokens);
-            StoredContext::build(ContextId(id), tokens, kv, None, db.config())
-        };
-        let fresh = db.adopt(persisted(x.0, 200));
-        assert_eq!(fresh, ContextId(2), "renumbered past every id handed out");
-        assert_eq!(db.context(fresh).unwrap().tokens, seq(200, 40));
-
-        // An id this DB never handed out is kept, and the allocator moves
-        // past it.
-        assert_eq!(db.adopt(persisted(7, 50)), ContextId(7));
-        assert_eq!(import_context(&db, &model, &seq(150, 40)), ContextId(8));
-        // One that would leave the allocator no room is not.
-        assert_eq!(db.adopt(persisted(u64::MAX, 10)), ContextId(9));
-        assert_eq!(db.stats().contexts_adopted(), 3);
     }
 }

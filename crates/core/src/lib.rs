@@ -3,8 +3,10 @@
 //! This crate assembles the substrates into the system of Figure 3: the
 //! **user interface** ([`Db`], [`Session`] — Table 2's abstractions), the
 //! **query processing engine** (plans from `alaya-query`'s optimizer,
-//! executed by `alaya-attention`'s engines) and the **vector storage
-//! engine** (`alaya-storage`, reached through spill/restore helpers).
+//! executed by `alaya-attention`'s engines) and the in-memory store of
+//! contexts. The paper's third part, a vector storage engine for the tier
+//! below GPU HBM, has no counterpart: a CPU-only process has no such
+//! boundary, so stored contexts live in host memory alone.
 //!
 //! The integration contract mirrors Figure 4: an inference engine replaces
 //! its in-process KV cache (`DynamicCache` / [`alaya_llm::FullKvBackend`])
@@ -30,12 +32,10 @@
 
 pub mod config;
 pub mod db;
-pub mod persist;
 pub mod session;
 pub mod stored;
 
 pub use config::DbConfig;
 pub use db::{Db, DbStats};
-pub use persist::{load_context, save_context};
 pub use session::Session;
 pub use stored::{ContextId, StoredContext};

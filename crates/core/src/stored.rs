@@ -1,6 +1,6 @@
 //! Stored contexts: prompt tokens + KV cache + per-head vector indexes.
 //!
-//! A stored context is what `DB.import` / `DB.store` persist and what
+//! A stored context is what `DB.import` / `DB.store` publish and what
 //! `DB.create_session` reuses. Fine-grained graphs are built once per KV
 //! head (GQA sharing, §7.2) from retained query samples; coarse block
 //! indexes are kept per head for the optimizer's high-budget plan.
@@ -166,29 +166,6 @@ impl StoredContext {
             graphs,
             coarse,
             key_trained_layers,
-        }
-    }
-
-    /// Reassembles a stored context from persisted parts: KV cache and
-    /// pre-built graphs (from the vector file system); coarse indexes are
-    /// rebuilt from the keys (cheap summaries, not persisted).
-    pub fn assemble(
-        id: ContextId,
-        tokens: Vec<u32>,
-        kv: KvCache,
-        graphs: Vec<Vec<Option<NeighborGraph>>>,
-        cfg: &DbConfig,
-    ) -> Self {
-        assert_eq!(graphs.len(), kv.n_layers(), "one graph row per layer");
-        let coarse = build_coarse(&kv, cfg);
-        Self {
-            id,
-            tokens,
-            kv,
-            graphs,
-            coarse,
-            // Persisted graphs do not record how they were trained.
-            key_trained_layers: 0,
         }
     }
 

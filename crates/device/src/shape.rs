@@ -4,10 +4,8 @@
 //! would keep resident when serving Llama-3-8B at the paper's context
 //! lengths (Figure 9's memory axis) is computed from this shape.
 
-use serde::{Deserialize, Serialize};
-
 /// Structural description of a transformer model (no weights, just shape).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelShape {
     /// Transformer layer count.
     pub n_layers: usize,

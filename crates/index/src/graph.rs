@@ -2,12 +2,12 @@
 //!
 //! [`NeighborGraph`] is what the fine-grained index builder (RoarGraph)
 //! produces and the structure DIPRS traverses: a *frozen* CSR adjacency
-//! (`offsets` + one flat `neighbors` array, the layout the storage tier can
-//! write without re-encoding) with a designated entry point, plus the one
-//! best-first beam search for maximum-inner-product queries and the
-//! ACORN-style frontier gather (§7.1) that every predicate-aware traversal
-//! expands nodes through. Graphs are assembled in a mutable
-//! [`GraphBuilder`] and frozen once; nothing mutates a `NeighborGraph`.
+//! (`offsets` + one flat `neighbors` array) with a designated entry
+//! point, plus the one best-first beam search for maximum-inner-product
+//! queries and the ACORN-style frontier gather (§7.1) that every
+//! predicate-aware traversal expands nodes through. Graphs are assembled
+//! in a mutable [`GraphBuilder`] and frozen once; nothing mutates a
+//! `NeighborGraph`.
 //!
 //! Traversals keep their working state — visited stamps, candidate list,
 //! frontier ids, scores, the beam's heaps — in one per-thread
@@ -312,62 +312,6 @@ impl NeighborGraph {
             }
         }
     }
-
-    /// Serializes the graph to a flat little-endian byte buffer
-    /// (`[n, entry, degree_0, nbrs_0.., degree_1, ...]`), the on-disk format
-    /// of vector-index blocks in the storage engine.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.edge_count() * 4 + self.len() * 4);
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.entry.to_le_bytes());
-        for id in 0..self.len() as u32 {
-            let list = self.neighbors(id);
-            out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for &n in list {
-                out.extend_from_slice(&n.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Deserializes a graph written by [`NeighborGraph::to_bytes`] straight
-    /// into the CSR vectors. Returns `None` on truncated or malformed
-    /// input. Every count read from `bytes` is bounded by the words that
-    /// remain before anything is allocated for it, so a hostile header
-    /// cannot request more memory than the input's own length.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut words = bytes
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
-        let n = words.next()? as usize;
-        let entry = words.next()?;
-        // Each node costs at least its degree word.
-        if n > words.len() || (n > 0 && entry as usize >= n) {
-            return None;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        // What is not a degree word is at most an edge.
-        let mut neighbors = Vec::with_capacity(words.len() - n);
-        offsets.push(0);
-        for _ in 0..n {
-            let deg = words.next()? as usize;
-            if deg > words.len() {
-                return None;
-            }
-            for v in words.by_ref().take(deg) {
-                if v as usize >= n {
-                    return None;
-                }
-                neighbors.push(v);
-            }
-            offsets.push(u32::try_from(neighbors.len()).ok()?);
-        }
-        Some(Self {
-            offsets,
-            neighbors,
-            entry,
-        })
-    }
 }
 
 /// Generation-stamped visited array used by all graph traversals: a slot
@@ -518,20 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn serialization_round_trip() {
-        let mut g = GraphBuilder::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(1, 3);
-        g.add_edge(3, 0);
-        g.set_entry(2);
-        let g = g.freeze();
-        let bytes = g.to_bytes();
-        let back = NeighborGraph::from_bytes(&bytes).unwrap();
-        assert_eq!(g, back);
-    }
-
-    #[test]
     fn bytes_is_the_csr_footprint() {
         let mut rng = seeded(12);
         let base = gaussian_store(&mut rng, 300, 8, 1.0);
@@ -544,42 +474,8 @@ mod tests {
             4 * (g.offsets.capacity() + g.neighbors.capacity()) + header
         );
         assert_eq!(rg.bytes(), g.bytes());
-        // Frozen and decoded graphs are allocated at their exact size.
+        // A frozen graph is allocated at its exact size.
         assert_eq!(g.bytes(), 4 * (g.len() + 1 + g.edge_count()) + header);
-        let back = NeighborGraph::from_bytes(&g.to_bytes()).unwrap();
-        assert_eq!(back.bytes(), g.bytes());
-    }
-
-    #[test]
-    fn deserialization_rejects_garbage() {
-        assert!(NeighborGraph::from_bytes(&[1, 2, 3]).is_none());
-        // Neighbor id out of range.
-        let mut g = GraphBuilder::new(2);
-        g.add_edge(0, 1);
-        let mut bytes = g.freeze().to_bytes();
-        let len = bytes.len();
-        bytes[len - 4..].copy_from_slice(&99u32.to_le_bytes());
-        assert!(NeighborGraph::from_bytes(&bytes).is_none());
-    }
-
-    #[test]
-    fn deserialization_bounds_node_count_by_input_length() {
-        // Hostile header: a node count far beyond what the remaining bytes
-        // could hold must be rejected before an allocation is sized from it
-        // (`with_capacity(u32::MAX + 1)` offsets aborts the process).
-        let mut huge_n = u32::MAX.to_le_bytes().to_vec();
-        huge_n.extend_from_slice(&0u32.to_le_bytes());
-        assert!(NeighborGraph::from_bytes(&huge_n).is_none());
-    }
-
-    #[test]
-    fn deserialization_bounds_degree_by_input_length() {
-        // Same for one node's degree word.
-        let mut huge_deg = Vec::new();
-        for word in [1u32, 0, u32::MAX] {
-            huge_deg.extend_from_slice(&word.to_le_bytes());
-        }
-        assert!(NeighborGraph::from_bytes(&huge_deg).is_none());
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! Index traversal only needs two operations — "score this id against the
 //! query" and "copy this vector out" — so the search algorithms are generic
-//! over [`VectorSource`]. The in-memory implementation is
-//! [`alaya_vector::VecStore`]; `alaya-storage` provides a buffer-manager-
-//! backed implementation so the same DIPRS code runs over disk-resident KV
-//! caches (§7.3).
+//! over [`VectorSource`]. [`alaya_vector::VecStore`] is the one
+//! implementation; the provided methods are the generic fallbacks for a
+//! source without contiguous rows.
 
 use alaya_vector::{dot, VecStore};
 

@@ -2,7 +2,6 @@
 
 use alaya_index::coarse::{BlockScoring, CoarseIndex, BOUND_LANES};
 use alaya_index::flat::FlatIndex;
-use alaya_index::graph::{GraphBuilder, NeighborGraph};
 use alaya_index::knn::exact_knn;
 use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
 use alaya_vector::topk::ScoredIdx;
@@ -108,22 +107,6 @@ proptest! {
             RoarGraph::build(&base, &queries, params).into_graph()
         };
         prop_assert_eq!(build(1), build(threads));
-    }
-
-    /// Graph (de)serialization is a lossless round trip of the frozen type
-    /// for arbitrary topologies, and the decoded CSR is allocated at the
-    /// same (exact) size as the frozen one.
-    #[test]
-    fn graph_bytes_round_trip(edges in prop::collection::vec((0u32..30, 0u32..30), 0..120), entry in 0u32..30) {
-        let mut g = GraphBuilder::new(30);
-        for (a, b) in edges {
-            g.add_edge(a, b);
-        }
-        g.set_entry(entry);
-        let g = g.freeze();
-        let back = NeighborGraph::from_bytes(&g.to_bytes());
-        prop_assert_eq!(back.as_ref().map(NeighborGraph::bytes), Some(g.bytes()));
-        prop_assert_eq!(back, Some(g));
     }
 
     /// Flat top-k with a predicate equals filtering after an unfiltered

@@ -316,11 +316,10 @@ fn time_outside_clock(file: &SourceFile, out: &mut Vec<Finding>) {
 /// machine-readable output the caller is producing and hides state from
 /// the recorder's post-mortem dumps. Binaries (bench, lint) are exempt —
 /// printing is their job.
-const NO_PRINT_CRATES: [&str; 5] = [
+const NO_PRINT_CRATES: [&str; 4] = [
     "crates/serve/src/",
     "crates/core/src/",
     "crates/device/src/",
-    "crates/storage/src/",
     "crates/telemetry/src/",
 ];
 
@@ -473,7 +472,7 @@ mod tests {
         assert!(eprint[0].message.starts_with("eprintln!"));
         // Test code, binaries, and harness crates may print freely.
         let test = findings(
-            "crates/storage/src/a.rs",
+            "crates/core/src/a.rs",
             "#[cfg(test)]\nmod tests {\n fn t() { println!(\"dbg\"); }\n}\n",
         );
         assert!(test.is_empty());

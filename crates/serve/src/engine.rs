@@ -31,7 +31,7 @@ use crate::admission::{per_token_bytes, session_bytes};
 use crate::scheduler::{
     self, close_span, Job, Pending, SchedulerCore, ServeError, SessionSlot, SlotState, SpanEnd,
 };
-use crate::telemetry::{LaneStats, TelemetrySnapshot};
+use crate::telemetry::{SessionStats, TelemetrySnapshot};
 
 /// Failpoint: a requester panics inside the containment wrapper around
 /// its job's execution, the way a panicking head would, whatever the share
@@ -180,19 +180,19 @@ impl ServeEngine {
     /// full metric registry (renderable to JSON / Prometheus text; the
     /// queue depth is its `serve.queue.depth` gauge).
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut lanes: Vec<LaneStats> = self
+        let mut sessions: Vec<SessionStats> = self
             .sessions
             .read()
             .iter()
-            .map(|(&id, slot)| LaneStats {
+            .map(|(&id, slot)| SessionStats {
                 session: id,
-                executed: slot.lane.executed.get(),
-                shed_deadline: slot.lane.shed_deadline.get(),
-                rejected_overload: slot.lane.rejected_overload.get(),
+                executed: slot.outcomes.executed.get(),
+                shed_deadline: slot.outcomes.shed_deadline.get(),
+                rejected_overload: slot.outcomes.rejected_overload.get(),
             })
             .collect();
-        lanes.sort_by_key(|l| l.session);
-        TelemetrySnapshot::collect(&self.core.stats, lanes)
+        sessions.sort_by_key(|s| s.session);
+        TelemetrySnapshot::collect(&self.core.stats, sessions)
     }
 
     /// Arms deterministic fault injection: the scheduler and every

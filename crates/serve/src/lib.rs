@@ -73,4 +73,4 @@ pub use alaya_device::pool::{self, Scope, WorkStealingPool};
 pub use engine::{ServeConfig, ServeEngine, SessionId};
 pub use error::ServeError;
 pub use scheduler::SchedulerStats;
-pub use telemetry::{LaneStats, SpanCounts, StageBreakdown, StageStats, TelemetrySnapshot};
+pub use telemetry::{SessionStats, SpanCounts, StageBreakdown, StageStats, TelemetrySnapshot};

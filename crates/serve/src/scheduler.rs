@@ -88,7 +88,7 @@ use alaya_query::optimizer::Plan;
 use alaya_telemetry::Event;
 
 use crate::engine::ServeConfig;
-use crate::telemetry::{nanos, LaneCounters, SchedTelemetry};
+use crate::telemetry::{nanos, SchedTelemetry, SessionCounters};
 
 pub use crate::error::ServeError;
 
@@ -102,11 +102,11 @@ pub const CHAOS_BATCH_DELAY: &str = "serve.sched.batch_delay";
 /// next. Also the unit of `retry_after_hint`'s "batches ahead".
 pub const MAX_BATCH: usize = 64;
 
-/// One registered session: its one lock and its telemetry lane.
+/// One registered session: its one lock and its outcome counters.
 pub(crate) struct SessionSlot {
     state: Mutex<SlotState>,
-    /// Per-session outcome counters for the telemetry lane view.
-    pub(crate) lane: LaneCounters,
+    /// Per-session outcome counters, read by `ServeEngine::telemetry`.
+    pub(crate) outcomes: SessionCounters,
 }
 
 /// What the session lock guards: the session and the device reservation
@@ -124,7 +124,7 @@ impl SessionSlot {
     pub(crate) fn new(state: SlotState) -> Self {
         Self {
             state: Mutex::new_named(state, "serve.session"),
-            lane: LaneCounters::default(),
+            outcomes: SessionCounters::default(),
         }
     }
 
@@ -274,7 +274,7 @@ impl SchedulerCore {
         }
         drop(q);
         self.stats.spans_rejected.inc();
-        p.slot.lane.rejected_overload.inc();
+        p.slot.outcomes.rejected_overload.inc();
         let now = nanos(self.clock.now());
         let key = slot_key(&p.slot) as u64;
         let event = Event::new(now, "serve.reject.overload", key, queued as u64, 0);
@@ -375,7 +375,7 @@ pub(crate) enum SpanEnd {
 }
 
 /// Closes a queued request's span now: counts its outcome once (the span
-/// cell and, for executed and shed requests, its lane's cell), records its
+/// cell and, for executed and shed requests, its session's cell), records its
 /// stages, folds a dispatched request's batch start → now into the EWMA,
 /// and records it in the flight recorder. Returns the time since
 /// `enqueued`.
@@ -399,12 +399,12 @@ pub(crate) fn close_span(
             // reconciles against its own measurements.
             stats.stage_total.record(nanos(waited));
             stats.spans_executed.inc();
-            slot.lane.executed.inc();
+            slot.outcomes.executed.inc();
             "serve.reply.ok"
         }
         SpanEnd::Shed => {
             stats.spans_shed.inc();
-            slot.lane.shed_deadline.inc();
+            slot.outcomes.shed_deadline.inc();
             "serve.shed.deadline"
         }
         SpanEnd::Panicked { batch_start } => {
@@ -1007,7 +1007,7 @@ pub(crate) mod tests {
         }
         assert_eq!(core.queue.lock().len(), 2, "rejected request took no slot");
         assert_eq!(core.stats.snapshot().rejected_overload, 1);
-        assert_eq!(slot.lane.rejected_overload.get(), 1);
+        assert_eq!(slot.outcomes.rejected_overload.get(), 1);
     }
 
     /// Deadline shedding is driven by the injectable clock: requests whose

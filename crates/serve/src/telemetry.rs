@@ -158,10 +158,10 @@ impl SchedTelemetry {
     }
 }
 
-/// Per-session (lane) counters, carried on the session slot (detached
+/// Per-session outcome counters, carried on the session slot (detached
 /// telemetry cells, not in the registry).
 #[derive(Default)]
-pub(crate) struct LaneCounters {
+pub(crate) struct SessionCounters {
     pub(crate) executed: Counter,
     pub(crate) shed_deadline: Counter,
     pub(crate) rejected_overload: Counter,
@@ -229,7 +229,7 @@ impl SpanCounts {
 
 /// One admitted session's lifetime outcome counts.
 #[derive(Clone, Debug)]
-pub struct LaneStats {
+pub struct SessionStats {
     pub session: SessionId,
     pub executed: u64,
     pub shed_deadline: u64,
@@ -246,7 +246,7 @@ pub struct TelemetrySnapshot {
     pub stages: StageBreakdown,
     pub spans: SpanCounts,
     /// Per-admitted-session outcome counts, sorted by session id.
-    pub lanes: Vec<LaneStats>,
+    pub sessions: Vec<SessionStats>,
     /// The EWMA-calibrated per-batch execution estimate currently driving
     /// `retry_after_hint` and deadline shedding.
     pub est_exec: Duration,
@@ -259,7 +259,7 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    pub(crate) fn collect(stats: &SchedTelemetry, lanes: Vec<LaneStats>) -> Self {
+    pub(crate) fn collect(stats: &SchedTelemetry, sessions: Vec<SessionStats>) -> Self {
         Self {
             stats: stats.snapshot(),
             stages: StageBreakdown {
@@ -276,7 +276,7 @@ impl TelemetrySnapshot {
                 rejected: stats.spans_rejected.get(),
                 panicked: stats.spans_panicked.get(),
             },
-            lanes,
+            sessions,
             est_exec: stats.est_exec(),
             last_panic_dump: stats.recorder.last_panic_dump(),
             registry: stats.registry.snapshot(),

@@ -22,10 +22,6 @@
 //!   sheds and rejections — the `MemoryTracker` is back to baseline.
 //! * **The scheduler survives every injected fault** and serves a clean
 //!   round once the failpoints exhaust.
-//!
-//! Storage-fault injection (`storage.device.*` sites) is proven at its
-//! own layer in `alaya_storage::failpoint`; the serving stack does not
-//! touch block devices.
 #![cfg(feature = "instrumented")]
 
 use std::sync::{Arc, Barrier};

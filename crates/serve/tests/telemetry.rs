@@ -1,6 +1,6 @@
 //! Request-lifecycle telemetry acceptance: every request the scheduler
 //! sees opens exactly one span and closes it exactly once, stage
-//! histograms count what actually ran, and per-tenant lane stats
+//! histograms count what actually ran, and per-session outcome stats
 //! attribute outcomes to the right session.
 
 use std::sync::{Arc, Barrier};
@@ -41,12 +41,12 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
         engine.attention(sid, &queries, 0).unwrap();
     }
 
-    // Lane stats attribute the executed requests to this session while
+    // Session stats attribute the executed requests to this session while
     // it is still admitted, and nothing is left queued.
     let t = engine.telemetry();
-    assert_eq!(t.lanes.len(), 1);
-    assert_eq!(t.lanes[0].session, sid);
-    assert_eq!(t.lanes[0].executed, EXECUTED as u64);
+    assert_eq!(t.sessions.len(), 1);
+    assert_eq!(t.sessions[0].session, sid);
+    assert_eq!(t.sessions[0].executed, EXECUTED as u64);
     assert_eq!(
         t.registry.gauge("serve.queue.depth"),
         Some(0),
@@ -61,7 +61,7 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
         }
     }
     let t = engine.telemetry();
-    assert_eq!(t.lanes[0].shed_deadline, SHED as u64);
+    assert_eq!(t.sessions[0].shed_deadline, SHED as u64);
     engine.close(sid).unwrap();
 
     // Phase 3 — rejected: a synchronized burst into a MAX_QUEUE-slot
@@ -114,8 +114,8 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
     assert_eq!(t2.spans.rejected, rejected);
     assert_eq!(t2.spans.executed, CALLERS as u64 - rejected);
 
-    // All sessions closed, nothing leaked, lanes empty again.
-    assert_eq!(t.lanes.len() + t2.lanes.len(), 0);
+    // All sessions closed, nothing leaked, no session stats left.
+    assert_eq!(t.sessions.len() + t2.sessions.len(), 0);
     assert_eq!(db.gpu().in_use(), 0);
     assert_eq!(db2.gpu().in_use(), 0);
 }
@@ -181,8 +181,7 @@ fn stage_histograms_and_registry_rendering_track_execution() {
     let prom = t.registry.to_prometheus();
     assert!(prom.contains("serve_span_executed 8"), "prometheus: {prom}");
     // Pool and db metrics registered into the same per-engine registry
-    // surface alongside the scheduler's (buffer-manager stats register
-    // per `BufferManager`, which persistence creates on demand).
+    // surface alongside the scheduler's.
     assert!(
         t.registry.counter("device.pool.tasks_executed").is_some(),
         "pool stats must register into the engine registry"

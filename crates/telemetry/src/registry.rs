@@ -77,7 +77,7 @@ impl Registry {
 
     /// Attaches an externally owned counter under `name` (used by
     /// components that keep their own cells — e.g. the device pool, the
-    /// storage buffer manager — so one cell can serve both the owner's
+    /// DB's lifetime counters — so one cell can serve both the owner's
     /// accessors and a registry snapshot). First registration wins.
     pub fn register_counter(&self, name: &str, c: &Arc<Counter>) {
         self.lock()

@@ -7,8 +7,7 @@
 //! * [`serve`] — concurrent multi-session serving: scheduler, pool, admission,
 //! * [`query`] — query types, DIPRS, and the optimizer,
 //! * [`index`] — flat / graph / coarse vector indexes,
-//! * [`storage`] — the vector file system and buffer manager,
-//! * [`device`] — device model, memory tracking, SLOs,
+//! * [`device`] — GPU-memory accounting, the work-stealing pool, clocks,
 //! * [`workloads`] — synthetic evaluation workloads,
 //! * [`vector`] — numeric primitives.
 
@@ -19,6 +18,5 @@ pub use alaya_index as index;
 pub use alaya_llm as llm;
 pub use alaya_query as query;
 pub use alaya_serve as serve;
-pub use alaya_storage as storage;
 pub use alaya_vector as vector;
 pub use alaya_workloads as workloads;

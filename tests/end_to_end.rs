@@ -6,57 +6,9 @@ use std::sync::Arc;
 use alayadb::attention::{DiprsAttention, FullAttention, SparseAttention, WindowSpec};
 use alayadb::core::{Db, DbConfig};
 use alayadb::device::memory::MemoryTracker;
-use alayadb::index::flat::FlatIndex;
-use alayadb::index::roargraph::{RoarGraph, RoarGraphParams};
 use alayadb::llm::{AttentionBackend, FullKvBackend, Model, ModelConfig, Tokenizer};
-use alayadb::query::diprs::{diprs, DiprsParams};
-use alayadb::storage::{BufferManager, BufferedVectorSource, MemDevice, VectorFile};
-use alayadb::vector::rng::{gaussian_store, seeded};
+use alayadb::vector::rng::seeded;
 use alayadb::workloads::{evaluate_engine, Task, TaskKind};
-
-/// Storage → index → query: DIPRS runs unchanged over a disk-resident KV
-/// head through the buffer manager, with identical results to memory.
-#[test]
-fn diprs_over_vector_file_system_matches_memory() {
-    let mut rng = seeded(71);
-    let dim = 16;
-    let keys = gaussian_store(&mut rng, 400, dim, 1.0);
-    let train = gaussian_store(&mut rng, 150, dim, 1.0);
-    let graph = RoarGraph::build(&keys, &train, RoarGraphParams::default()).into_graph();
-
-    // Spill the keys into a vector file behind a tiny buffer pool.
-    let mgr = BufferManager::new(8);
-    let file = VectorFile::create(mgr, Arc::new(MemDevice::new(512)), dim).unwrap();
-    for row in keys.iter() {
-        file.append(row).unwrap();
-    }
-    // The graph itself round-trips through the index-block chain.
-    file.write_graph(&graph.to_bytes()).unwrap();
-    let loaded =
-        alayadb::index::graph::NeighborGraph::from_bytes(&file.read_graph().unwrap().unwrap())
-            .unwrap();
-    assert_eq!(loaded, graph);
-
-    let disk = BufferedVectorSource::new(Arc::new(file));
-    let params = DiprsParams {
-        beta: 2.0,
-        l0: 32,
-        max_visits: usize::MAX,
-    };
-    let q = gaussian_store(&mut rng, 1, dim, 1.0);
-    let mem_res = diprs(&graph, &keys, q.row(0), &params, None);
-    let disk_res = diprs(&loaded, &disk, q.row(0), &params, None);
-    let mem_ids: Vec<usize> = mem_res.tokens.iter().map(|t| t.idx).collect();
-    let disk_ids: Vec<usize> = disk_res.tokens.iter().map(|t| t.idx).collect();
-    assert_eq!(
-        mem_ids, disk_ids,
-        "storage backend must not change the query answer"
-    );
-    assert!(
-        disk.file().buffer().stats().evictions() > 0,
-        "the tiny pool must have evicted"
-    );
-}
 
 /// Workloads → attention: DIPRS beats fixed top-k on a task whose
 /// criticality varies, at comparable quality budgets (the Figure 6 story,
@@ -143,9 +95,9 @@ fn plans_shift_with_gpu_budget_and_stay_correct() {
 }
 
 /// The whole public surface in one pass: tokenizer → model → DB → session
-/// → store → reuse → storage spill of the stored context's index.
+/// → store → reuse.
 #[test]
-fn full_lifecycle_with_index_spill() {
+fn full_lifecycle_generate_store_reuse() {
     let model_cfg = ModelConfig::tiny();
     let model = Model::new(model_cfg.clone());
     let tok = Tokenizer::new();
@@ -158,33 +110,7 @@ fn full_lifecycle_with_index_spill() {
     let reply = model.generate(&truncated, 6, &mut session);
     session.note_tokens(&reply);
     let id = db.store(&session);
-    let stored = db.context(id).unwrap();
-
-    // Spill one head's keys + graph to the vector file system and read
-    // them back (what a tiered deployment would persist).
-    let head = stored.kv.head(1, 0);
-    let mgr = BufferManager::new(16);
-    let file = VectorFile::create(mgr, Arc::new(MemDevice::new(512)), head.keys.dim()).unwrap();
-    for row in head.keys.iter() {
-        file.append(row).unwrap();
-    }
-    if let Some(g) = stored.graph(1, 0) {
-        file.write_graph(&g.to_bytes()).unwrap();
-        let back =
-            alayadb::index::graph::NeighborGraph::from_bytes(&file.read_graph().unwrap().unwrap())
-                .unwrap();
-        assert_eq!(&back, g);
-    }
-    let disk = BufferedVectorSource::new(Arc::new(file));
-
-    // Flat search must agree between the stored head and its spill.
-    let q = head.keys.row(0);
-    let a = FlatIndex.search_topk(&head.keys, q, 5);
-    let b = FlatIndex.search_topk(&disk, q, 5);
-    assert_eq!(
-        a.iter().map(|s| s.idx).collect::<Vec<_>>(),
-        b.iter().map(|s| s.idx).collect::<Vec<_>>()
-    );
+    assert!(db.context(id).is_some());
 
     // And the stored context serves a reuse session.
     let (s2, trunc2) = db.create_session(&prompt);
