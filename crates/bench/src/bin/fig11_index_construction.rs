@@ -40,5 +40,5 @@ fn main() {
             );
         }
     }
-    finish("fig11_index_construction", &rows, fig11::check(&rows));
+    finish(fig11::check(&rows));
 }

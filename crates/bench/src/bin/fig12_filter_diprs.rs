@@ -37,5 +37,5 @@ fn main() {
             last.index_size as f64 / first.index_size as f64,
         );
     }
-    finish("fig12_filter_diprs", &rows, fig12::check(&rows));
+    finish(fig12::check(&rows));
 }

@@ -30,5 +30,5 @@ fn main() {
         mean(|p| p.dipr_tokens)
     );
     println!("(paper annotates 4592.18 vs 4648.99 at beta=110 on the real model)");
-    finish("fig5_head_variance", &points, fig5::check(&points));
+    finish(fig5::check(&points));
 }

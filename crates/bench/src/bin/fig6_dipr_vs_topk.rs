@@ -33,5 +33,5 @@ fn main() {
             );
         }
     }
-    finish("fig6_dipr_vs_topk", &points, fig6::check(&points));
+    finish(fig6::check(&points));
 }

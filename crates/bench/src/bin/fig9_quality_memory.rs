@@ -26,5 +26,5 @@ fn main() {
             );
         }
     }
-    finish("fig9_quality_memory", &points, fig9::check(&points));
+    finish(fig9::check(&points));
 }

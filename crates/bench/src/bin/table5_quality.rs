@@ -33,5 +33,5 @@ fn main() {
         cells.push(format!("{:.1}", r.average));
         print_row(&cells, &widths);
     }
-    finish("table5_quality", &rows, table5::check(&rows));
+    finish(table5::check(&rows));
 }

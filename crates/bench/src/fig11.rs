@@ -13,7 +13,6 @@ use alaya_index::roargraph::RoarGraphParams;
 use alaya_index::sharing::{build_shared_indexes, SharingConfig};
 use alaya_vector::rng::{gaussian_store, seeded};
 use alaya_vector::VecStore;
-use serde::Serialize;
 
 use crate::{min_max, Verdict, DIM};
 
@@ -28,7 +27,7 @@ const SAMPLE_RATIO: f64 = 0.4;
 pub const BYTES_TOLERANCE: f64 = 0.05;
 
 /// One layer's index build.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BuildRow {
     /// Keys per head.
     pub context_len: usize,

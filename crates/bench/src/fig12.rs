@@ -16,7 +16,6 @@ use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
 use alaya_query::diprs::{diprs_filtered, diprs_filtered_naive, DiprsParams};
 use alaya_vector::rng::{gaussian_store, seeded};
 use alaya_vector::topk::ScoredIdx;
-use serde::Serialize;
 
 use crate::{min_max, Verdict, DIM};
 
@@ -26,7 +25,7 @@ const RATIOS: [f64; 5] = [1.0, 0.8, 0.6, 0.4, 0.2];
 pub const MIN_RECALL: f64 = 0.9;
 
 /// One index size.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FilterRow {
     /// Stored context length.
     pub index_size: usize,

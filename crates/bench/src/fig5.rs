@@ -8,7 +8,6 @@
 
 use alaya_index::flat::FlatIndex;
 use alaya_workloads::{head_profile, synth_head, tokens_for_recovery};
-use serde::Serialize;
 
 use crate::{min_max, Verdict, DIM};
 
@@ -23,7 +22,7 @@ pub const MIN_SPREAD: f64 = 10.0;
 pub const MAX_RATIO_VARIATION: f64 = 2.0;
 
 /// One sampled head.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HeadPoint {
     /// Layer index.
     pub layer: usize,

@@ -10,7 +10,6 @@
 use alaya_index::flat::FlatIndex;
 use alaya_vector::topk::ScoredIdx;
 use alaya_workloads::{Task, TaskInstance, TaskKind};
-use serde::Serialize;
 
 use crate::{answers, Verdict, DIM};
 
@@ -21,7 +20,7 @@ const KS: [usize; 7] = [25, 50, 100, 200, 400, 800, 1200];
 const BETAS_LOGIT: [f32; 7] = [1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0];
 
 /// One point of a sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Task display name.
     pub task: String,

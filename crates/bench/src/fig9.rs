@@ -13,7 +13,6 @@ use alaya_attention::{
 };
 use alaya_device::ModelShape;
 use alaya_workloads::{evaluate_engines, Task, TaskKind};
-use serde::Serialize;
 
 use crate::{fmt_bytes, Verdict, DIM};
 
@@ -26,7 +25,7 @@ const PAPER_CTX: usize = 129_000;
 const CACHE_FRACS: [f64; 5] = [0.02, 0.05, 0.12, 0.25, 0.5];
 
 /// One (method, memory) point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MemPoint {
     /// Task display name.
     pub task: String,

@@ -13,13 +13,9 @@
 //! when its predicate fails. PAPER.md, "Evaluation shape reproduced here",
 //! maps each claim to its predicate, test and binary.
 
-use std::io::Write as _;
-use std::path::PathBuf;
-
 use alaya_attention::{attend_selected, WindowSpec};
 use alaya_vector::topk::ScoredIdx;
 use alaya_workloads::TaskInstance;
-use serde::Serialize;
 
 pub mod fig11;
 pub mod fig12;
@@ -102,10 +98,9 @@ pub fn print_header(cells: &[&str], widths: &[usize]) {
     println!("{}", "-".repeat(total));
 }
 
-/// Ends a reproduction binary: writes `rows` to `results/<experiment>.json`,
-/// prints the verdict, and exits with status 1 if the claim failed.
-pub fn finish<T: Serialize + ?Sized>(experiment: &str, rows: &T, verdict: Verdict) {
-    write_json(experiment, rows);
+/// Ends a reproduction binary: prints the verdict and exits with status 1
+/// if the claim failed.
+pub fn finish(verdict: Verdict) {
     match verdict {
         Ok(headline) => println!("\nclaim holds: {headline}"),
         Err(why) => {
@@ -113,34 +108,6 @@ pub fn finish<T: Serialize + ?Sized>(experiment: &str, rows: &T, verdict: Verdic
             std::process::exit(1);
         }
     }
-}
-
-/// Writes an experiment's JSON record into `results/` at the workspace
-/// root.
-fn write_json<T: Serialize + ?Sized>(experiment: &str, value: &T) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{experiment}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(
-            serde_json::to_string_pretty(value)
-                .unwrap_or_default()
-                .as_bytes(),
-        );
-        eprintln!("[wrote {}]", path.display());
-    }
-}
-
-/// `results/` directory at the workspace root (falls back to CWD).
-fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
-    let base = std::env::var("CARGO_MANIFEST_DIR")
-        .map(PathBuf::from)
-        .map(|p| p.join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    base.join("results")
 }
 
 /// Formats seconds human-readably (µs/ms/s).

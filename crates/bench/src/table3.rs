@@ -10,7 +10,6 @@
 use alaya_attention::attend_all;
 use alaya_index::flat::FlatIndex;
 use alaya_workloads::{Task, TaskKind};
-use serde::Serialize;
 
 use crate::{answers, min_max, Verdict, DIM};
 
@@ -25,7 +24,7 @@ const SLACK: usize = 1;
 pub const MIN_SPREAD: f64 = 10.0;
 
 /// One task's row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TaskRow {
     /// Task display name.
     pub task: String,

@@ -15,7 +15,6 @@ use alaya_attention::{
     DiprsAttention, FullAttention, InfLlm, SparseAttention, StreamingLlm, TopKRetrieval, WindowSpec,
 };
 use alaya_workloads::{evaluate_engines, EngineScore, Task, TaskKind};
-use serde::Serialize;
 
 use crate::{Verdict, DIM};
 
@@ -24,7 +23,7 @@ use crate::{Verdict, DIM};
 pub const FULL_ATTENTION_SLACK: f64 = 1.0;
 
 /// One method's row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MethodRow {
     /// Engine display name.
     pub method: String,

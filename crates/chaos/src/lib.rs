@@ -4,8 +4,8 @@
 //! like the proptest shim (which seeds every test case from its test path,
 //! see `shims/README.md`), every decision here is a pure function of the
 //! harness-chosen seed. A [`Chaos`] registry holds named *failpoints*
-//! ("sites"); production code asks [`Chaos::should_fire`] at the site and
-//! injects its fault (a panic or a delay) when told to. Each
+//! ("sites"); production code probes a site through [`Chaos::fire_panic`]
+//! or [`Chaos::fire_delay`], which inject the fault when the site fires. Each
 //! site draws from its own splitmix64 stream, seeded from
 //! `global seed ⊕ FNV-1a(site name)`, so
 //!
@@ -14,7 +14,7 @@
 //!   ambient entropy (none is ever read);
 //! * adding a new site does not perturb existing sites' sequences.
 //!
-//! Sites are *armed* by tests ([`Chaos::arm`], [`Chaos::arm_limited`],
+//! Sites are *armed* by tests ([`Chaos::arm_limited`],
 //! [`Chaos::arm_delay`]); an unarmed site always answers "don't fire" and
 //! does not advance its stream, so production code can probe sites
 //! unconditionally at zero behavioral cost. Call/fire counters per site
@@ -111,11 +111,6 @@ impl Chaos {
         );
     }
 
-    /// Arms `site` to fire with `probability` on each call, forever.
-    pub fn arm(&self, site: &str, probability: f64) {
-        self.arm_site(site, probability, None, None);
-    }
-
     /// Arms `site` to fire with `probability`, at most `max_fires` times
     /// total — the shape most chaos tests want ("inject a few faults, then
     /// let the system prove it recovered").
@@ -138,7 +133,7 @@ impl Chaos {
 
     /// Asks whether the fault at `site` should be injected on this call.
     /// Unarmed sites never fire.
-    pub fn should_fire(&self, site: &str) -> bool {
+    fn should_fire(&self, site: &str) -> bool {
         let mut sites = self.sites.lock();
         let Some(s) = sites.get_mut(site) else {
             return false;
@@ -159,8 +154,8 @@ impl Chaos {
         fire
     }
 
-    /// Delay-site variant of [`Chaos::should_fire`]: `Some(delay)` when
-    /// the site fires. Unarmed (or delay-less) sites return `None`.
+    /// Probes a delay site: `Some(delay)` when the site fires. Unarmed
+    /// (or delay-less) sites return `None`.
     pub fn fire_delay(&self, site: &str) -> Option<Duration> {
         let delay = self.sites.lock().get(site).and_then(|s| s.delay)?;
         if self.should_fire(site) {
@@ -170,10 +165,9 @@ impl Chaos {
         }
     }
 
-    /// Panic-site variant of [`Chaos::should_fire`]: panics, naming
-    /// `site`, when the site fires. A component probes it inside its own
-    /// containment wrapper, so the injected panic walks the path a real one
-    /// there would.
+    /// Probes a panic site: panics, naming `site`, when the site fires. A
+    /// component probes it inside its own containment wrapper, so the
+    /// injected panic walks the path a real one there would.
     pub fn fire_panic(&self, site: &str) {
         if self.should_fire(site) {
             panic!("chaos: injected panic at {site}");
@@ -221,8 +215,8 @@ mod tests {
     fn same_seed_same_site_same_decision_sequence() {
         let a = Chaos::new(42);
         let b = Chaos::new(42);
-        a.arm("x", 0.5);
-        b.arm("x", 0.5);
+        a.arm_limited("x", 0.5, u64::MAX);
+        b.arm_limited("x", 0.5, u64::MAX);
         let seq_a: Vec<bool> = (0..256).map(|_| a.should_fire("x")).collect();
         let seq_b: Vec<bool> = (0..256).map(|_| b.should_fire("x")).collect();
         assert_eq!(seq_a, seq_b);
@@ -233,9 +227,9 @@ mod tests {
     fn different_seeds_or_sites_give_different_streams() {
         let a = Chaos::new(1);
         let b = Chaos::new(2);
-        a.arm("x", 0.5);
-        a.arm("y", 0.5);
-        b.arm("x", 0.5);
+        a.arm_limited("x", 0.5, u64::MAX);
+        a.arm_limited("y", 0.5, u64::MAX);
+        b.arm_limited("x", 0.5, u64::MAX);
         let xa: Vec<bool> = (0..256).map(|_| a.should_fire("x")).collect();
         let ya: Vec<bool> = (0..256).map(|_| a.should_fire("y")).collect();
         let xb: Vec<bool> = (0..256).map(|_| b.should_fire("x")).collect();
@@ -246,7 +240,7 @@ mod tests {
     #[test]
     fn fire_rate_tracks_probability() {
         let chaos = Chaos::new(9);
-        chaos.arm("p", 0.25);
+        chaos.arm_limited("p", 0.25, u64::MAX);
         let n = 4096;
         let fired = (0..n).filter(|_| chaos.should_fire("p")).count();
         let rate = fired as f64 / n as f64;
@@ -261,7 +255,7 @@ mod tests {
         chaos.arm_limited("lim", 1.0, 3);
         let fired = (0..100).filter(|_| chaos.should_fire("lim")).count();
         assert_eq!(fired, 3, "exactly max_fires injections");
-        chaos.arm("always", 1.0);
+        chaos.arm_limited("always", 1.0, u64::MAX);
         assert!((0..50).all(|_| chaos.should_fire("always")));
     }
 
@@ -291,9 +285,9 @@ mod tests {
     #[test]
     fn rearming_resets_the_stream() {
         let chaos = Chaos::new(11);
-        chaos.arm("r", 0.5);
+        chaos.arm_limited("r", 0.5, u64::MAX);
         let first: Vec<bool> = (0..64).map(|_| chaos.should_fire("r")).collect();
-        chaos.arm("r", 0.5);
+        chaos.arm_limited("r", 0.5, u64::MAX);
         let second: Vec<bool> = (0..64).map(|_| chaos.should_fire("r")).collect();
         assert_eq!(first, second, "arming rewinds the site to call index 0");
     }

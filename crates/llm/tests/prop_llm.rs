@@ -6,10 +6,22 @@ use alaya_llm::{
 use alaya_vector::dot;
 use proptest::prelude::*;
 
+/// Strings of at most 200 chars, mostly printable ASCII with an arbitrary
+/// Unicode scalar one time in five, never a newline.
+fn text() -> impl Strategy<Value = String> {
+    prop::collection::vec((0u32..10, 0x20u32..0x7f, 0u32..0x11_0000), 0..=200).prop_map(|draws| {
+        draws
+            .into_iter()
+            .filter_map(|(pick, ascii, any)| char::from_u32(if pick < 8 { ascii } else { any }))
+            .filter(|&c| c != '\n')
+            .collect()
+    })
+}
+
 proptest! {
     /// Byte-level tokenizer round-trips arbitrary strings.
     #[test]
-    fn tokenizer_round_trip(s in ".{0,200}") {
+    fn tokenizer_round_trip(s in text()) {
         let t = Tokenizer::new();
         prop_assert_eq!(t.decode(&t.encode(&s)), s);
     }

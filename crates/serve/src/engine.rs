@@ -177,8 +177,8 @@ impl ServeEngine {
     /// per-stage span histograms (`queue`/`plan`/`exec`/`total`), span
     /// lifecycle counts, per-session outcome counts, the calibrated
     /// execution estimate, the last flight-recorder panic dump, and the
-    /// full metric registry (renderable to JSON / Prometheus text; the
-    /// queue depth is its `serve.queue.depth` gauge).
+    /// full metric registry (the queue depth is its `serve.queue.depth`
+    /// gauge).
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut sessions: Vec<SessionStats> = self
             .sessions

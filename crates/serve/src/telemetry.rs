@@ -253,8 +253,8 @@ pub struct TelemetrySnapshot {
     /// The flight recorder's most recent panic dump, if any planning or
     /// execution has panicked.
     pub last_panic_dump: Option<String>,
-    /// Every registered metric (renderable via
-    /// [`RegistrySnapshot::to_json`] / `to_prometheus`).
+    /// Every registered metric, read by name through
+    /// [`RegistrySnapshot::counter`] / `gauge` / `histogram`.
     pub registry: RegistrySnapshot,
 }
 

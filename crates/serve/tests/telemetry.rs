@@ -122,8 +122,8 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
 
 /// Stage histograms count per-request observations for exactly the spans
 /// that executed, the EWMA's input histogram counts one observation per
-/// executed request, and the registry renders every serve metric to JSON
-/// and Prometheus text.
+/// executed request, and the registry snapshot carries every serve metric
+/// by name.
 #[test]
 fn stage_histograms_and_registry_rendering_track_execution() {
     const REQUESTS: usize = 8;
@@ -162,7 +162,7 @@ fn stage_histograms_and_registry_rendering_track_execution() {
     // zero.
     assert!(t.est_exec > Duration::ZERO);
 
-    // The registry snapshot carries the serve cells and renders.
+    // The registry snapshot carries the serve cells.
     assert_eq!(
         t.registry.counter("serve.span.executed"),
         Some(REQUESTS as u64)
@@ -176,10 +176,6 @@ fn stage_histograms_and_registry_rendering_track_execution() {
         assert_eq!(t.registry.counter(cell), None, "{cell}");
     }
     assert_eq!(t.registry.gauge("serve.queue.bytes"), None);
-    let json = t.registry.to_json();
-    assert!(json.contains("\"serve.span.executed\":8"), "json: {json}");
-    let prom = t.registry.to_prometheus();
-    assert!(prom.contains("serve_span_executed 8"), "prometheus: {prom}");
     // Pool and db metrics registered into the same per-engine registry
     // surface alongside the scheduler's.
     assert!(

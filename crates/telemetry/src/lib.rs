@@ -13,9 +13,11 @@
 //!   carry at most ~1.6% relative error) and covers the full `u64` range,
 //!   which makes it safe to feed raw nanosecond latencies.
 //! * **A [`Registry`]** of named metrics with a consistent
-//!   [`snapshot`](Registry::snapshot) that renders to JSON and
-//!   Prometheus-style text. Registration and snapshotting are cold paths
-//!   behind a `std::sync::Mutex`; recording never touches it.
+//!   [`snapshot`](Registry::snapshot) whose cells are read by name
+//!   ([`RegistrySnapshot::counter`], `gauge`, `histogram`); nothing renders
+//!   it to text, since no endpoint serves one. Registration and
+//!   snapshotting are cold paths behind a `std::sync::Mutex`; recording
+//!   never touches it.
 //! * **A [`FlightRecorder`]** — a fixed-size ring of recent span/event
 //!   records that a caller which caught a panic freezes into a dump for
 //!   post-mortem debugging. The dump is kept, not printed: the last one is

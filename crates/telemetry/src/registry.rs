@@ -1,4 +1,4 @@
-//! The named-metric registry and its snapshot renderers.
+//! The named-metric registry and its snapshots.
 //!
 //! Registration and snapshotting are cold paths behind a
 //! `std::sync::Mutex` (deliberately *not* the workspace lock shim: an
@@ -118,38 +118,12 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
-/// A point-in-time copy of a [`Registry`], sorted by name, renderable to
-/// JSON and Prometheus-style text. Rendering is hand-rolled: the crate is
-/// dependency-free, so no serde.
+/// A point-in-time copy of a [`Registry`], sorted by name; readers look
+/// cells up by name and kind.
 #[derive(Clone, Debug, Default)]
 pub struct RegistrySnapshot {
     /// `(name, value)` pairs, sorted by name.
     pub metrics: Vec<(String, MetricValue)>,
-}
-
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Prometheus metric names allow `[a-zA-Z0-9_:]`; dotted workspace names
-/// map dots (and anything else) to underscores.
-fn prom_name(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 impl RegistrySnapshot {
@@ -175,99 +149,6 @@ impl RegistrySnapshot {
             MetricValue::Histogram(h) if n == name => Some(h),
             _ => None,
         })
-    }
-
-    /// Renders the snapshot as a JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}` where
-    /// each histogram carries totals, p50/p90/p99, and its occupied
-    /// buckets as `[lo, hi, count]` triples.
-    pub fn to_json(&self) -> String {
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut hists = String::new();
-        for (name, value) in &self.metrics {
-            match value {
-                MetricValue::Counter(c) => {
-                    if !counters.is_empty() {
-                        counters.push(',');
-                    }
-                    counters.push('"');
-                    json_escape(name, &mut counters);
-                    counters.push_str(&format!("\":{c}"));
-                }
-                MetricValue::Gauge(g) => {
-                    if !gauges.is_empty() {
-                        gauges.push(',');
-                    }
-                    gauges.push('"');
-                    json_escape(name, &mut gauges);
-                    gauges.push_str(&format!("\":{g}"));
-                }
-                MetricValue::Histogram(h) => {
-                    if !hists.is_empty() {
-                        hists.push(',');
-                    }
-                    hists.push('"');
-                    json_escape(name, &mut hists);
-                    hists.push_str(&format!(
-                        "\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                        h.count,
-                        h.sum,
-                        h.min,
-                        h.max,
-                        h.quantile(0.50),
-                        h.quantile(0.90),
-                        h.quantile(0.99),
-                    ));
-                    for (i, b) in h.buckets.iter().enumerate() {
-                        if i > 0 {
-                            hists.push(',');
-                        }
-                        hists.push_str(&format!("[{},{},{}]", b.lo, b.hi, b.count));
-                    }
-                    hists.push_str("]}");
-                }
-            }
-        }
-        format!(
-            "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
-        )
-    }
-
-    /// Renders the snapshot as Prometheus-style exposition text:
-    /// counters/gauges as single samples, histograms as cumulative
-    /// `_bucket{le=...}` samples over the occupied buckets plus
-    /// `_sum`/`_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.metrics {
-            let pname = prom_name(name);
-            match value {
-                MetricValue::Counter(c) => {
-                    out.push_str(&format!("# TYPE {pname} counter\n{pname} {c}\n"));
-                }
-                MetricValue::Gauge(g) => {
-                    out.push_str(&format!("# TYPE {pname} gauge\n{pname} {g}\n"));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!("# TYPE {pname} histogram\n"));
-                    let mut cum = 0u64;
-                    for b in &h.buckets {
-                        cum += b.count;
-                        // Upper bound is exclusive internally; le is
-                        // inclusive of hi - 1.
-                        out.push_str(&format!(
-                            "{pname}_bucket{{le=\"{}\"}} {cum}\n",
-                            b.hi.saturating_sub(1)
-                        ));
-                    }
-                    out.push_str(&format!("{pname}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-                    out.push_str(&format!("{pname}_sum {}\n", h.sum));
-                    out.push_str(&format!("{pname}_count {}\n", h.count));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -304,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_json_and_prometheus() {
+    fn snapshot_reads_each_kind_by_name() {
         let r = Registry::new();
         r.counter("a.requests").add(5);
         r.gauge("a.depth").set(-2);
@@ -319,40 +200,5 @@ mod tests {
         assert_eq!(hs.count, 4);
         assert_eq!(hs.min, 10);
         assert_eq!(hs.max, 1_000_000);
-
-        let json = snap.to_json();
-        assert!(json.contains("\"a.requests\":5"), "{json}");
-        assert!(json.contains("\"a.depth\":-2"), "{json}");
-        assert!(json.contains("\"count\":4"), "{json}");
-        // Hand-rolled JSON must stay structurally sane: balanced braces,
-        // balanced brackets, no trailing commas before closers.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
-        );
-        assert!(!json.contains(",}") && !json.contains(",]"), "{json}");
-
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE a_requests counter"), "{prom}");
-        assert!(prom.contains("a_requests 5"), "{prom}");
-        assert!(prom.contains("# TYPE a_depth gauge"), "{prom}");
-        assert!(prom.contains("a_latency_bucket{le=\"+Inf\"} 4"), "{prom}");
-        assert!(prom.contains("a_latency_count 4"), "{prom}");
-    }
-
-    #[test]
-    fn empty_registry_renders_empty_objects() {
-        let snap = Registry::new().snapshot();
-        assert_eq!(
-            snap.to_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
-        );
-        assert_eq!(snap.to_prometheus(), "");
     }
 }

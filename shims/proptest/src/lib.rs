@@ -13,9 +13,9 @@
 //! * **Subset surface.** `proptest!`, `prop_assert!`, `prop_assert_eq!`,
 //!   `#![proptest_config(ProptestConfig::with_cases(n))]`, range and tuple
 //!   strategies, `prop::collection::vec`, `prop::bool::ANY`, `Just`,
-//!   `prop_map`, `prop_flat_map`.
+//!   `prop_map`, `prop_flat_map`, `prop_filter`. String patterns are not
+//!   strategies: a test that wants strings maps a vec of drawn chars.
 
-mod regex;
 pub mod strategy;
 pub mod test_runner;
 

@@ -116,15 +116,6 @@ impl<T: Clone> Strategy for Just<T> {
     }
 }
 
-impl Strategy for &str {
-    type Value = String;
-
-    /// String patterns are regex generators, as in proptest.
-    fn generate(&self, rng: &mut TestRng) -> String {
-        crate::regex::generate(self, rng)
-    }
-}
-
 /// Uniformly random `bool` (`prop::bool::ANY`).
 #[derive(Clone, Copy, Debug)]
 pub struct AnyBool;

@@ -4,10 +4,12 @@
 //! * [`core`] — the `DB` / `Session` public API,
 //! * [`llm`] — the transformer substrate and `AttentionBackend` seam,
 //! * [`attention`] — the attention executor and the evaluation engines over it,
-//! * [`serve`] — concurrent multi-session serving: scheduler, pool, admission,
+//! * [`serve`] — concurrent multi-session serving: scheduler, admission,
+//!   overload control,
 //! * [`query`] — query types, DIPRS, and the optimizer,
 //! * [`index`] — flat / graph / coarse vector indexes,
 //! * [`device`] — GPU-memory accounting, the work-stealing pool, clocks,
+//! * [`telemetry`] — metric cells, the named registry, the flight recorder,
 //! * [`workloads`] — synthetic evaluation workloads,
 //! * [`vector`] — numeric primitives.
 
@@ -18,5 +20,6 @@ pub use alaya_index as index;
 pub use alaya_llm as llm;
 pub use alaya_query as query;
 pub use alaya_serve as serve;
+pub use alaya_telemetry as telemetry;
 pub use alaya_vector as vector;
 pub use alaya_workloads as workloads;
