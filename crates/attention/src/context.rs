@@ -54,8 +54,8 @@ impl HeadContext {
         self.graph = Some(RoarGraph::build(&self.keys, train_queries, params).into_graph());
     }
 
-    /// Attaches an externally built graph (e.g. loaded from the vector file
-    /// system or shared across a GQA group).
+    /// Attaches an externally built graph (e.g. one shared across a GQA
+    /// group).
     pub fn set_graph(&mut self, graph: NeighborGraph) {
         assert_eq!(graph.len(), self.keys.len(), "graph must index every key");
         self.graph = Some(graph);

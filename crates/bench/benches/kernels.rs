@@ -306,29 +306,6 @@ fn bench_softmax(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_online_softmax_merge(c: &mut Criterion) {
-    // The data-centric aggregation step: merging window and retrieved
-    // partitions.
-    let mut rng = seeded(4);
-    let dim = 128;
-    let values = gaussian_store(&mut rng, 1024, dim, 1.0);
-    let scores = gaussian_vec(&mut rng, 1024, 2.0);
-    c.bench_function("online_softmax_partition_merge", |bench| {
-        bench.iter(|| {
-            let mut a = OnlineSoftmax::new(dim);
-            let mut b = OnlineSoftmax::new(dim);
-            for (i, &score) in scores.iter().enumerate().take(512) {
-                a.push(score, values.row(i));
-            }
-            for (i, &score) in scores.iter().enumerate().skip(512) {
-                b.push(score, values.row(i));
-            }
-            a.merge(&b);
-            a.output()
-        })
-    });
-}
-
 fn bench_softmax_tile(c: &mut Criterion) {
     // The tiled online softmax under every attention path (served plans and
     // the model's prefill): score plus absorb, 64 rows per tile. The
@@ -431,6 +408,6 @@ fn time_per_row<O>(iters: u64, rows: usize, mut f: impl FnMut() -> O) -> Duratio
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_coarse, bench_scan_scoring, bench_softmax, bench_softmax_tile, bench_online_softmax_merge, bench_prefill
+    targets = bench_dot, bench_l2_sq, bench_dot_many, bench_roofline, bench_traversal, bench_knn, bench_coarse, bench_scan_scoring, bench_softmax, bench_softmax_tile, bench_prefill
 }
 criterion_main!(benches);

@@ -109,11 +109,20 @@ impl StoredContext {
                         Cow::Borrowed(r.layer(layer))
                     }
                     _ => {
+                        // One key sample per KV head, held by the group's
+                        // first query head: `build_shared_indexes` joins
+                        // the group's samples, and copies of the same rows
+                        // would add no edge, only stage-1 kNN work.
                         key_trained_layers += 1;
                         (0..n_kv * group)
                             .map(|qh| {
                                 let keys = &kv.head(layer, qh / group).keys;
-                                sample_rows(keys, (keys.len() / 2).max(1))
+                                let rows = if qh % group == 0 {
+                                    (keys.len() / 2).max(1)
+                                } else {
+                                    0
+                                };
+                                sample_rows(keys, rows)
                             })
                             .collect()
                     }
@@ -261,6 +270,7 @@ fn build_coarse(kv: &KvCache, cfg: &DbConfig) -> Vec<Vec<CoarseIndex>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alaya_index::roargraph::RoarGraph;
     use alaya_llm::ModelConfig;
     use alaya_vector::rng::{gaussian_vec, seeded};
 
@@ -340,6 +350,39 @@ mod tests {
         }
         let ctx = StoredContext::build(ContextId(2), (0..60).collect(), kv, Some(&r), &cfg);
         assert!(ctx.graph(1, 0).is_some());
+    }
+
+    #[test]
+    fn key_trained_graphs_equal_a_build_on_one_key_sample_per_query_head() {
+        // Without query samples a KV head trains on one key sample, which
+        // must give the graph that `group` copies of it, one per query head
+        // of the group, give.
+        let model = ModelConfig::small();
+        let cfg = DbConfig::for_tests(model.clone());
+        let group = model.gqa_group_size();
+        assert!(group > 1);
+        let n = 300;
+        let kv = fake_kv(&model, n, 4);
+        let ctx = StoredContext::build(ContextId(3), (0..n as u32).collect(), kv, None, &cfg);
+        let flat = cfg.optimizer.flat_layers;
+        assert_eq!(ctx.key_trained_layers(), model.n_layers - flat);
+        let per_head = ((n as f64 * cfg.sample_ratio).ceil() as usize).div_ceil(group);
+        for layer in flat..model.n_layers {
+            for h in 0..model.n_kv_heads {
+                let keys = &ctx.kv.head(layer, h).keys;
+                let sample = sample_rows(&sample_rows(keys, n / 2), per_head);
+                let mut copies = VecStore::new(keys.dim());
+                for _ in 0..group {
+                    copies.extend_from(&sample);
+                }
+                let want = RoarGraph::build(keys, &copies, cfg.index_params).into_graph();
+                assert_eq!(
+                    ctx.graph(layer, h),
+                    Some(&want),
+                    "layer {layer} kv head {h}"
+                );
+            }
+        }
     }
 
     #[test]

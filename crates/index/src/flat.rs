@@ -7,26 +7,25 @@
 //! ground-truth oracle used by tests and recall measurements.
 
 use alaya_vector::topk::{top_k_indices, top_k_scored, ScoredIdx};
+use alaya_vector::VecStore;
 
-use crate::source::VectorSource;
-
-/// Brute-force scan index over a [`VectorSource`].
+/// Brute-force scan index over a [`VecStore`].
 ///
-/// Stateless: borrows the source per query, so it never holds a stale copy
+/// Stateless: borrows the store per query, so it never holds a stale copy
 /// of a growing KV cache.
 ///
-/// Every search scores the whole source through one
-/// [`VectorSource::score_range`] block call (the sequential-bandwidth path
-/// the optimizer picks this index for), so in-memory sources run the tiled
-/// multi-lane kernel instead of one dispatch per key, and builds a
-/// [`ScoredIdx`] only for ids that survive selection.
+/// Every search scores the whole store through one
+/// [`VecStore::dot_block`] call (the sequential-bandwidth path the optimizer
+/// picks this index for), so it runs the tiled multi-lane kernel instead of
+/// one call per key, and builds a [`ScoredIdx`] only for ids that survive
+/// selection.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlatIndex;
 
-/// `q` against every id of `source`, in id order.
-fn score_all<S: VectorSource>(source: &S, q: &[f32]) -> Vec<f32> {
+/// `q` against every row of `source`, in id order.
+fn score_all(source: &VecStore, q: &[f32]) -> Vec<f32> {
     let mut scores = vec![0.0f32; source.len()];
-    source.score_range(q, 0, &mut scores);
+    source.dot_block(q, 0, &mut scores);
     scores
 }
 
@@ -34,14 +33,14 @@ impl FlatIndex {
     /// Exact top-`k` by inner product. Results are sorted descending. Ids
     /// scoring NaN sort last and are only returned once every finite score
     /// is exhausted.
-    pub fn search_topk<S: VectorSource>(&self, source: &S, q: &[f32], k: usize) -> Vec<ScoredIdx> {
+    pub fn search_topk(&self, source: &VecStore, q: &[f32], k: usize) -> Vec<ScoredIdx> {
         top_k_indices(&score_all(source, q), k)
     }
 
     /// Exact top-`k` among ids satisfying `predicate` (attribute filtering).
-    pub fn search_topk_filtered<S: VectorSource>(
+    pub fn search_topk_filtered(
         &self,
-        source: &S,
+        source: &VecStore,
         q: &[f32],
         k: usize,
         predicate: impl Fn(u32) -> bool,
@@ -60,7 +59,7 @@ impl FlatIndex {
     /// maximum (Definition 3). Results sorted descending by score.
     ///
     /// Returns an empty vector for an empty source.
-    pub fn search_dipr<S: VectorSource>(&self, source: &S, q: &[f32], beta: f32) -> Vec<ScoredIdx> {
+    pub fn search_dipr(&self, source: &VecStore, q: &[f32], beta: f32) -> Vec<ScoredIdx> {
         self.search_dipr_filtered(source, q, beta, |_| true)
     }
 
@@ -70,9 +69,9 @@ impl FlatIndex {
     /// NaN never becomes the band maximum (`f32::max` skips it), so a
     /// poisoned key degrades to "not critical" instead of corrupting the
     /// result set.
-    pub fn search_dipr_filtered<S: VectorSource>(
+    pub fn search_dipr_filtered(
         &self,
-        source: &S,
+        source: &VecStore,
         q: &[f32],
         beta: f32,
         predicate: impl Fn(u32) -> bool,
@@ -98,7 +97,6 @@ impl FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alaya_vector::VecStore;
 
     fn store() -> VecStore {
         // ids 0..5 with increasing first coordinate.
@@ -158,11 +156,11 @@ mod tests {
         predicate: impl Fn(u32) -> bool,
         select: impl Fn(&mut Vec<ScoredIdx>),
     ) -> Vec<(usize, u32)> {
-        let mut scored: Vec<ScoredIdx> = (0..VectorSource::len(s) as u32)
+        let mut scored: Vec<ScoredIdx> = (0..s.len() as u32)
             .filter(|&i| predicate(i))
             .map(|i| ScoredIdx {
                 idx: i as usize,
-                score: s.score(q, i),
+                score: s.dot_row(q, i as usize),
             })
             .collect();
         select(&mut scored);

@@ -19,8 +19,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use alaya_vector::topk::ScoredIdx;
-
-use crate::source::VectorSource;
+use alaya_vector::VecStore;
 
 /// Mutable adjacency lists over vector ids `0..len`: the construction-time
 /// form of a [`NeighborGraph`].
@@ -177,13 +176,7 @@ impl NeighborGraph {
     ///
     /// This is the standard graph-ANNS search the paper's top-k baseline
     /// uses; DIPRS (in `alaya-query`) replaces it for DIPR queries.
-    pub fn search_topk<S: VectorSource>(
-        &self,
-        source: &S,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-    ) -> Vec<ScoredIdx> {
+    pub fn search_topk(&self, source: &VecStore, q: &[f32], k: usize, ef: usize) -> Vec<ScoredIdx> {
         self.search_topk_filtered(source, q, k, ef, |_| true)
     }
 
@@ -191,16 +184,15 @@ impl NeighborGraph {
     /// — the query optimizer's plan for `TopK + filter` on a fine index.
     /// Nodes expand through [`NeighborGraph::gather_frontier`], so excluded
     /// nodes are walked through, never returned.
-    pub fn search_topk_filtered<S, P>(
+    pub fn search_topk_filtered<P>(
         &self,
-        source: &S,
+        source: &VecStore,
         q: &[f32],
         k: usize,
         ef: usize,
         predicate: P,
     ) -> Vec<ScoredIdx>
     where
-        S: VectorSource,
         P: Fn(u32) -> bool,
     {
         if self.is_empty() || k == 0 {
@@ -232,7 +224,7 @@ impl NeighborGraph {
                  beam: &mut BinaryHeap<ScoredIdx>,
                  results: &mut BinaryHeap<Reverse<ScoredIdx>>| {
                     scores.resize(fresh.len(), 0.0);
-                    source.score_block(q, fresh, scores);
+                    source.dot_ids(q, fresh, scores);
                     for (&id, &score) in fresh.iter().zip(scores.iter()) {
                         let item = ScoredIdx {
                             idx: id as usize,
@@ -259,7 +251,7 @@ impl NeighborGraph {
             } else {
                 beam.push(ScoredIdx {
                     idx: self.entry as usize,
-                    score: source.score(q, self.entry),
+                    score: source.dot_row(q, self.entry as usize),
                 });
             }
 
@@ -376,7 +368,7 @@ thread_local! {
 
 /// Runs `f` with this thread's [`TraversalScratch`]. The scratch is moved
 /// out for the duration of the call, so a traversal started from inside `f`
-/// (a predicate or source that itself searches) gets an empty one instead
+/// (a predicate that itself searches) gets an empty one instead
 /// of a borrow panic.
 pub fn with_scratch<R>(f: impl FnOnce(&mut TraversalScratch) -> R) -> R {
     let mut scratch = SCRATCH.with(Cell::take);
@@ -389,7 +381,6 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut TraversalScratch) -> R) -> R {
 mod tests {
     use super::*;
     use alaya_vector::rng::{gaussian_store, seeded};
-    use alaya_vector::VecStore;
 
     use crate::flat::FlatIndex;
     use crate::roargraph::{RoarGraph, RoarGraphParams};

@@ -26,7 +26,6 @@ pub mod graph;
 pub mod knn;
 pub mod roargraph;
 pub mod sharing;
-pub mod source;
 
 pub use coarse::{BlockScoring, CoarseIndex};
 pub use flat::FlatIndex;
@@ -34,4 +33,3 @@ pub use graph::NeighborGraph;
 pub use knn::exact_knn;
 pub use roargraph::{RoarGraph, RoarGraphParams};
 pub use sharing::{build_shared_indexes, SharingConfig};
-pub use source::VectorSource;

@@ -7,8 +7,8 @@
 //! sweep returns is on [`diprs_filtered`].
 
 use alaya_index::graph::{with_scratch, NeighborGraph, TraversalScratch};
-use alaya_index::source::VectorSource;
 use alaya_vector::topk::ScoredIdx;
+use alaya_vector::VecStore;
 
 /// DIPRS tuning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -56,9 +56,9 @@ pub struct DiprsResult {
 /// maximum inner product already known from the GPU-cached window seeds the
 /// best-so-far value, tightening pruning from the first step. Pass `None`
 /// for the plain algorithm.
-pub fn diprs<S: VectorSource>(
+pub fn diprs(
     graph: &NeighborGraph,
-    source: &S,
+    source: &VecStore,
     q: &[f32],
     params: &DiprsParams,
     seed_max_ip: Option<f32>,
@@ -80,7 +80,7 @@ pub fn diprs<S: VectorSource>(
 /// step takes *every* candidate not yet expanded, `C[i..len)`, gathers
 /// their frontiers in list order into one id block
 /// ([`NeighborGraph::gather_frontier`], the expansion the beam search
-/// shares), scores the block with one `score_block` call, then applies
+/// shares), scores the block with one [`VecStore::dot_ids`] call, then applies
 /// `tryAppend` (lines 10-14) over it in the same order. The result is bit
 /// for bit the sweep's:
 ///
@@ -103,16 +103,15 @@ pub fn diprs<S: VectorSource>(
 /// take one after another; the gathers of one wave are independent of each
 /// other too, which is what lets the branch-free visited test in
 /// `gather_frontier` run ahead across candidates.
-pub fn diprs_filtered<S, P>(
+pub fn diprs_filtered<P>(
     graph: &NeighborGraph,
-    source: &S,
+    source: &VecStore,
     q: &[f32],
     params: &DiprsParams,
     seed_max_ip: Option<f32>,
     predicate: P,
 ) -> DiprsResult
 where
-    S: VectorSource,
     P: Fn(u32) -> bool,
 {
     let mut result = DiprsResult::seeded(seed_max_ip);
@@ -135,7 +134,7 @@ where
         // fail the predicate; it then only serves as a traversal seed.
         let entry = graph.entry();
         visited.insert(entry);
-        let entry_score = source.score(q, entry);
+        let entry_score = source.dot_row(q, entry as usize);
         result.visited += 1;
         if predicate(entry) {
             result.try_append(c, params, entry, entry_score);
@@ -145,7 +144,7 @@ where
             let remaining = params.max_visits.saturating_sub(result.visited);
             let block = &frontier[..frontier.len().min(remaining)];
             scores.resize(block.len(), 0.0);
-            source.score_block(q, block, scores);
+            source.dot_ids(q, block, scores);
             for (&k, &score) in block.iter().zip(scores.iter()) {
                 result.visited += 1;
                 result.try_append(c, params, k, score);
@@ -183,16 +182,15 @@ where
 /// are pruned outright, with no 2-hop widening. This "severely disrupts the
 /// connectivity of the graph index structure" — kept as the ablation
 /// baseline against [`diprs_filtered`].
-pub fn diprs_filtered_naive<S, P>(
+pub fn diprs_filtered_naive<P>(
     graph: &NeighborGraph,
-    source: &S,
+    source: &VecStore,
     q: &[f32],
     params: &DiprsParams,
     seed_max_ip: Option<f32>,
     predicate: P,
 ) -> DiprsResult
 where
-    S: VectorSource,
     P: Fn(u32) -> bool,
 {
     let mut result = DiprsResult::seeded(seed_max_ip);
@@ -211,7 +209,7 @@ where
         let entry = graph.entry();
         visited.insert(entry);
         if predicate(entry) {
-            let score = source.score(q, entry);
+            let score = source.dot_row(q, entry as usize);
             result.visited += 1;
             result.try_append(c, params, entry, score);
         }
@@ -228,7 +226,7 @@ where
                 if result.visited >= params.max_visits {
                     break;
                 }
-                let score = source.score(q, n);
+                let score = source.dot_row(q, n as usize);
                 result.visited += 1;
                 result.try_append(c, params, n, score);
             }
@@ -285,7 +283,6 @@ mod tests {
     use alaya_index::graph::GraphBuilder;
     use alaya_index::roargraph::{RoarGraph, RoarGraphParams};
     use alaya_vector::rng::{gaussian_store, seeded};
-    use alaya_vector::VecStore;
 
     fn fixture(n: usize, dim: usize, seed: u64) -> (NeighborGraph, VecStore, VecStore) {
         let mut rng = seeded(seed);

@@ -125,7 +125,7 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
 /// executed request, and the registry snapshot carries every serve metric
 /// by name.
 #[test]
-fn stage_histograms_and_registry_rendering_track_execution() {
+fn stage_histograms_and_registry_cells_track_execution() {
     const REQUESTS: usize = 8;
 
     let (engine, model_cfg, _db) = tiny_engine(ServeConfig::default());

@@ -26,6 +26,6 @@ pub mod store;
 pub mod topk;
 
 pub use ops::{argmax, axpy, dot, dot_many, dot_many_multi, l2_norm, l2_sq, normalize, scale};
-pub use softmax::{exp_approx, log_sum_exp, softmax_in_place, OnlineSoftmax, SOFTMAX_REL_TOL};
+pub use softmax::{exp_approx, softmax_in_place, OnlineSoftmax, SOFTMAX_REL_TOL};
 pub use store::VecStore;
 pub use topk::{top_k_indices, ScoredIdx};

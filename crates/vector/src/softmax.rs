@@ -1,17 +1,16 @@
-//! Numerically-stable softmax and the streaming log-sum-exp accumulator.
+//! Numerically-stable softmax and the streaming softmax accumulator.
 //!
 //! [`softmax_in_place`] is the batch kernel: it fuses the max / exp / sum
 //! phases into vectorizable sweeps built on a polynomial `exp` so the whole
 //! distribution is computed at SIMD width (the previous implementation spent
 //! ~90% of its time in scalar `libm` `expf` calls). [`OnlineSoftmax`]
 //! implements the FlashAttention-style online softmax: a running
-//! `(max, sum, weighted-output)` triple that can absorb attention scores one
-//! partition at a time and can *merge* with another accumulator. The merge
-//! identity is what the paper's data-centric attention engine (§7.2) relies
-//! on: partial attention over the GPU-cached window and partial attention
-//! over the CPU-retrieved tokens are computed independently and aggregated
-//! into the exact same output full softmax attention would give over the
-//! union of the two token sets.
+//! `(max, sum, weighted-output)` triple that absorbs attention scores one
+//! partition at a time. Absorbing partitions one after another into one
+//! accumulator is what the paper's data-centric attention engine (§7.2)
+//! relies on: partial attention over the GPU-cached window and over the
+//! CPU-retrieved tokens lands in the same accumulator, whose output is the
+//! one full softmax attention would give over the union of the token sets.
 //!
 //! # Exactness contract
 //!
@@ -42,7 +41,8 @@
 //! [`OnlineSoftmax::push`] (scalar `libm` exp, a rescale per new max) the
 //! output moves by ~1e-7 relative; against an exact f64 softmax-weighted sum
 //! it stays within the bound `tests/prop_vector.rs` names `TILE_REL_TOL`.
-//! `push` and [`OnlineSoftmax::merge`] keep the scalar exponential.
+//! Single-row `push` is the only path left whose weights use the scalar
+//! exponential.
 //!
 //! `softmax_in_place` trades exact `libm` rounding for the same fused
 //! vectorized pipeline:
@@ -231,19 +231,6 @@ pub fn softmax_in_place(x: &mut [f32]) {
     }
 }
 
-/// `log(Σ exp(x_i))`, computed stably. Returns `-inf` for empty input.
-pub fn log_sum_exp(x: &[f32]) -> f32 {
-    if x.is_empty() {
-        return f32::NEG_INFINITY;
-    }
-    let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if m == f32::NEG_INFINITY {
-        return f32::NEG_INFINITY;
-    }
-    let s: f32 = x.iter().map(|&xi| (xi - m).exp()).sum();
-    m + s.ln()
-}
-
 /// Keys scored and absorbed per tile in [`OnlineSoftmax::push_rows`] and
 /// [`OnlineSoftmax::push_ids`]: big enough to amortize the block's one max
 /// and one rescale, small enough that the score buffer lives on the stack.
@@ -254,9 +241,8 @@ const SCORE_BLOCK: usize = 64;
 /// Maintains the invariant that after absorbing scores `z_1..z_n` with value
 /// vectors `v_1..v_n`, [`OnlineSoftmax::output`] equals
 /// `Σ softmax(z)_i · v_i` up to f32 rounding, regardless of how the scores
-/// were partitioned across [`OnlineSoftmax::push`], the tiled
-/// [`OnlineSoftmax::push_rows`]/[`OnlineSoftmax::push_ids`] and
-/// [`OnlineSoftmax::merge`] calls.
+/// were partitioned across [`OnlineSoftmax::push`] and the tiled
+/// [`OnlineSoftmax::push_rows`]/[`OnlineSoftmax::push_ids`] calls.
 ///
 /// For a given sequence of calls the bits are fixed (see the module docs for
 /// the tile's association), so sequential and scheduler-batched attention,
@@ -406,31 +392,6 @@ impl OnlineSoftmax {
         }
     }
 
-    /// Merges another accumulator into this one.
-    ///
-    /// Equivalent to having pushed all of `other`'s `(score, value)` pairs
-    /// into `self` directly. This is the data-centric aggregation step.
-    pub fn merge(&mut self, other: &OnlineSoftmax) {
-        debug_assert_eq!(self.dim(), other.dim());
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            self.max = other.max;
-            self.sum = other.sum;
-            self.acc.copy_from_slice(&other.acc);
-            return;
-        }
-        let m = self.max.max(other.max);
-        let cs = (self.max - m).exp();
-        let co = (other.max - m).exp();
-        self.sum = self.sum * cs + other.sum * co;
-        for (a, &b) in self.acc.iter_mut().zip(other.acc.iter()) {
-            *a = *a * cs + b * co;
-        }
-        self.max = m;
-    }
-
     /// The softmax-weighted output `Σ softmax(z)_i · v_i`.
     ///
     /// Returns the zero vector if nothing has been absorbed.
@@ -562,14 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn log_sum_exp_matches_direct() {
-        let x = [0.5f32, -1.0, 2.0];
-        let direct = x.iter().map(|v| v.exp()).sum::<f32>().ln();
-        assert!((log_sum_exp(&x) - direct).abs() < 1e-5);
-        assert_eq!(log_sum_exp(&[]), f32::NEG_INFINITY);
-    }
-
-    #[test]
     fn online_matches_reference_single_pass() {
         let scores = [0.3f32, -0.5, 1.2, 0.0];
         let values: Vec<Vec<f32>> = vec![
@@ -586,42 +539,6 @@ mod tests {
             os.push(*s, v);
         }
         assert_close(&os.output(), &want, 1e-5);
-    }
-
-    #[test]
-    fn merge_equals_monolithic() {
-        let scores = [0.3f32, -0.5, 1.2, 0.0, 2.5, -3.0];
-        let values: Vec<Vec<f32>> = (0..6)
-            .map(|i| vec![i as f32, (i as f32).sin(), 1.0])
-            .collect();
-        let refs: Vec<&[f32]> = values.iter().map(|v| v.as_slice()).collect();
-        let want = reference(&scores, &refs);
-
-        // Split into two partitions, accumulate independently, merge.
-        let mut a = OnlineSoftmax::new(3);
-        let mut b = OnlineSoftmax::new(3);
-        for i in 0..3 {
-            a.push(scores[i], &values[i]);
-        }
-        for i in 3..6 {
-            b.push(scores[i], &values[i]);
-        }
-        a.merge(&b);
-        assert_close(&a.output(), &want, 1e-5);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineSoftmax::new(2);
-        a.push(1.0, &[1.0, 2.0]);
-        let snapshot = a.output();
-        let empty = OnlineSoftmax::new(2);
-        a.merge(&empty);
-        assert_close(&a.output(), &snapshot, 1e-7);
-
-        let mut e = OnlineSoftmax::new(2);
-        e.merge(&a);
-        assert_close(&e.output(), &snapshot, 1e-7);
     }
 
     #[test]

@@ -86,9 +86,21 @@ fn block_kernels_equal_per_row_dot_bitwise_for_every_tile_remainder() {
             dot_many(&q, &store.as_flat()[..n * d], &mut many);
             assert_eq!(bits(&many), want[..n], "dot_many d={d} n={n}");
 
+            let row_bits: Vec<u32> = (0..n + 2).map(|i| store.dot_row(&q, i).to_bits()).collect();
+            assert_eq!(row_bits, want, "dot_row d={d} n={n}");
+
             let mut block = vec![f32::NAN; n];
             store.dot_block(&q, 2, &mut block);
             assert_eq!(bits(&block), want[2..], "dot_block d={d} n={n}");
+
+            // An interior block: starts past row 0 and ends before the last row.
+            let mut interior = vec![f32::NAN; n];
+            store.dot_block(&q, 1, &mut interior);
+            assert_eq!(
+                bits(&interior),
+                want[1..=n],
+                "interior dot_block d={d} n={n}"
+            );
 
             let mut rows = vec![f32::NAN; n + 2];
             store.dot_rows(&q, &mut rows);
