@@ -24,7 +24,15 @@ pub struct DbConfig {
     /// Fine-index construction parameters.
     pub index_params: RoarGraphParams,
     /// Fraction of keys used as training queries for index construction
-    /// (§9.2.1 uses 40%).
+    /// (§9.2.1 uses 40%). It sizes the merged training set of a KV head's
+    /// graph, drawn evenly across the group's query heads:
+    /// `ceil(ceil(ratio * n) / group)` rows from each. A layer trained from
+    /// query samples gets the full fraction. A key-trained layer (every
+    /// `Db::import`, see [`StoredContext::build`]) has one key sample per
+    /// KV head, so it trains on one head's share alone: 205 distinct keys
+    /// of 2048 at ratio 0.4 and group 4, i.e. 10 %, not 40 %.
+    ///
+    /// [`StoredContext::build`]: crate::stored::StoredContext::build
     pub sample_ratio: f64,
     /// Coarse-index block size in tokens.
     pub coarse_block_size: usize,

@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use alaya_device::memory::MemoryTracker;
 use alaya_llm::kv::{HeadKv, KvCache};
-use alaya_telemetry::{Counter, Gauge, Registry};
+use alaya_telemetry::{Counter, Gauge};
 use parking_lot::RwLock;
 
 use crate::config::DbConfig;
@@ -133,16 +133,16 @@ impl ContextTable {
     }
 }
 
-/// Lifetime counters for one [`Db`] — telemetry cells, registerable into
-/// an engine's metric registry via [`DbStats::register_into`].
+/// Lifetime counters for one [`Db`]: telemetry cells, read through
+/// [`Db::stats`].
 #[derive(Default)]
 pub struct DbStats {
-    sessions_created: Arc<Counter>,
-    contexts_imported: Arc<Counter>,
-    contexts_superseded: Arc<Counter>,
-    contexts_evicted: Arc<Counter>,
-    context_bytes: Arc<Gauge>,
-    graphs_without_queries: Arc<Counter>,
+    sessions_created: Counter,
+    contexts_imported: Counter,
+    contexts_superseded: Counter,
+    contexts_evicted: Counter,
+    context_bytes: Gauge,
+    graphs_without_queries: Counter,
 }
 
 impl DbStats {
@@ -175,19 +175,6 @@ impl DbStats {
     /// DIPRS recall read off such graphs is the fallback's, not the index's.
     pub fn graphs_without_queries(&self) -> u64 {
         self.graphs_without_queries.get()
-    }
-    /// Attaches these cells to `registry` under `core.db.*`. First
-    /// registration wins; the getters read the same cells either way.
-    pub fn register_into(&self, registry: &Registry) {
-        registry.register_counter("core.db.sessions_created", &self.sessions_created);
-        registry.register_counter("core.db.contexts_imported", &self.contexts_imported);
-        registry.register_counter("core.db.contexts_superseded", &self.contexts_superseded);
-        registry.register_counter("core.db.contexts_evicted", &self.contexts_evicted);
-        registry.register_gauge("core.db.context_bytes", &self.context_bytes);
-        registry.register_counter(
-            "core.db.graphs_without_queries",
-            &self.graphs_without_queries,
-        );
     }
 }
 

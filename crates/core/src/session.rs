@@ -57,8 +57,8 @@ pub struct SessionView {
     reused_len: usize,
     local: Arc<KvCache>,
     window: WindowSpec,
-    /// Graph-search list size of non-top-k plans: the configured DIPRS
-    /// capacity threshold.
+    /// Graph-search list size of non-top-k plans. No setting of its own:
+    /// it is top-k's `k` reused, `OptimizerConfig::default_k` floored at 16.
     l0: usize,
     gqa_group: usize,
 }
@@ -88,8 +88,9 @@ impl SessionView {
     /// its head's view.
     fn attend_query_head(&self, q: &[f32], qh: usize, layer: usize, plan: &Plan) -> Vec<f32> {
         let view = self.head_view(layer, qh / self.gqa_group);
-        // Graph-search list size: a 2k beam for top-k, the configured DIPRS
-        // capacity threshold otherwise.
+        // Graph-search list size: a 2k beam for top-k, otherwise `l0`,
+        // which is the optimizer's default k (at least 16), not a DIPRS
+        // setting of its own.
         let l0 = match plan {
             Plan::Sparse {
                 query: QueryType::TopK { k },
@@ -133,63 +134,45 @@ pub struct AttentionJob<'a> {
 /// the pool is above 1.
 const PARALLEL_MIN_ROWS: usize = 512;
 
-/// Runs `jobs` on `pool` and returns each job's per-head outputs, in job
-/// and head order. `share` is the number of pool workers the call may
-/// occupy. A share of 1 runs every head on the calling thread, whatever
-/// the heads read. Above 1, a job whose plan reads fewer than
-/// `PARALLEL_MIN_ROWS` rows per head is one task, and a larger one is one
-/// task per head. Rows are the executor's [`rows_read`], not the context
-/// length: a TopK-on-Coarse head reads its block summaries, retrieved
-/// blocks and windows, and any other plan its whole sequence. A call that
-/// comes to a single task runs on the calling thread; otherwise the caller
-/// helps the pool until its tasks are done. Its callers are
-/// [`Session::attention`], whose share is the whole pool, and the serving
-/// engine, whose requesting threads each run their own request's job here
-/// with the workers the other live sessions leave them. Every head is one
-/// independent [`attend`] call writing its own slot, so the outputs are
-/// bitwise those of [`Session::attention_sequential`] for any share,
-/// worker count or steal order.
-pub fn execute(
-    pool: &WorkStealingPool,
-    share: usize,
-    jobs: &[AttentionJob<'_>],
-) -> Vec<Vec<Vec<f32>>> {
+/// Runs `job` on `pool` and returns its per-head outputs, in head order.
+/// `share` is the number of pool workers the call may occupy. A share of 1
+/// runs every head on the calling thread, whatever the heads read. Above
+/// 1, a job whose plan reads fewer than `PARALLEL_MIN_ROWS` rows per head
+/// runs on the calling thread too, and a larger one is one pool task per
+/// head, which the caller helps run until they are done. Rows are the
+/// executor's [`rows_read`], not the context length: a TopK-on-Coarse head
+/// reads its block summaries, retrieved blocks and windows, and any other
+/// plan its whole sequence. Its callers are [`Session::attention`], whose
+/// share is the whole pool, and the serving engine, whose requesting
+/// threads each run their own request's job here with the workers the
+/// other live sessions leave them. Every head is one independent
+/// [`attend`] call writing its own slot, so the outputs are bitwise those
+/// of [`Session::attention_sequential`] for any share, worker count or
+/// steal order.
+pub fn execute(pool: &WorkStealingPool, share: usize, job: AttentionJob<'_>) -> Vec<Vec<f32>> {
+    let AttentionJob {
+        view,
+        queries,
+        layer,
+        plan,
+    } = job;
     // Heads of one job share a plan and a sequence, so the first one's
     // rows stand for all of them.
-    let per_head = |job: &AttentionJob<'_>| {
-        rows_read(&job.view.head_view(job.layer, 0), job.view.window, job.plan) >= PARALLEL_MIN_ROWS
-    };
-    let tasks: usize = jobs
-        .iter()
-        .map(|job| if per_head(job) { job.queries.len() } else { 1 })
-        .sum();
-    if share <= 1 || tasks <= 1 {
-        return jobs
-            .iter()
-            .map(|job| job.view.attend_all(job.queries, job.layer, job.plan))
-            .collect();
+    let per_head = rows_read(&view.head_view(layer, 0), view.window, plan) >= PARALLEL_MIN_ROWS;
+    if share <= 1 || !per_head || queries.len() <= 1 {
+        return view.attend_all(queries, layer, plan);
     }
-    let mut outputs: Vec<Vec<Vec<f32>>> = jobs
-        .iter()
-        .map(|job| vec![Vec::new(); job.queries.len()])
-        .collect();
+    let mut out = vec![Vec::new(); queries.len()];
     // Each task is spawned as it is built and captures the job's fields,
     // not `&job`: collecting boxed tasks first, or reading through `&job`
     // inside the task, measured 5–10 % slower TPOT on `long_coarse` and
     // `long_dipr`.
     pool.scope(|s| {
-        for (job, out) in jobs.iter().zip(&mut outputs) {
-            let (view, queries, layer, plan) = (job.view, job.queries, job.layer, job.plan);
-            if per_head(job) {
-                for ((qh, slot), q) in out.iter_mut().enumerate().zip(queries) {
-                    s.spawn(move || *slot = view.attend_query_head(q, qh, layer, plan));
-                }
-            } else {
-                s.spawn(move || *out = view.attend_all(queries, layer, plan));
-            }
+        for ((qh, slot), q) in out.iter_mut().enumerate().zip(queries) {
+            s.spawn(move || *slot = view.attend_query_head(q, qh, layer, plan));
         }
     });
-    outputs
+    out
 }
 
 impl Session {
@@ -397,9 +380,7 @@ impl Session {
             plan,
         };
         let pool = pool::global();
-        execute(pool, pool.threads(), &[job])
-            .pop()
-            .unwrap_or_default()
+        execute(pool, pool.threads(), job)
     }
 
     /// One query head's attention under a pre-computed `plan` (`qh` is the
@@ -438,7 +419,6 @@ mod tests {
     use super::*;
     use alaya_device::memory::MemoryTracker;
     use alaya_llm::ModelConfig;
-    use alaya_telemetry::Registry;
     use alaya_vector::rng::{gaussian_vec, seeded};
 
     use crate::Db;
@@ -478,11 +458,11 @@ mod tests {
 
     /// Fan-out follows the call's share of the pool and the rows a plan
     /// reads, not the context length. Over a 520-token stored context, a
-    /// TopK-on-Coarse job reads ~70 rows per head and runs as one task,
-    /// while a DIPR job may scan all 521 and, given a share above 1, runs
-    /// one task per head. A share of 1 runs every job on the calling
-    /// thread. Either way the outputs are the sequential oracle's, bit for
-    /// bit.
+    /// TopK-on-Coarse job reads ~70 rows per head and runs on the calling
+    /// thread, while a DIPR job may scan all 521 and, given a share above
+    /// 1, runs one pool task per head. A share of 1 runs every job on the
+    /// calling thread. Either way the outputs are the sequential oracle's,
+    /// bit for bit.
     #[test]
     fn fan_out_counts_the_rows_a_plan_reads() {
         let model = ModelConfig::tiny();
@@ -526,53 +506,29 @@ mod tests {
         assert_eq!(plans[1].explain(), "DIPR(beta=4) on Fine");
         let views: Vec<SessionView> = sessions.iter().map(|(_, s)| s.snapshot()).collect();
         assert!(views.iter().all(|v| v.seq_len(layer) >= PARALLEL_MIN_ROWS));
-        let jobs: Vec<AttentionJob> = views
-            .iter()
-            .zip(&plans)
-            .map(|(view, plan)| AttentionJob {
-                view,
-                queries: &queries,
-                layer,
-                plan,
-            })
-            .collect();
         let want: Vec<Vec<Vec<f32>>> = sessions
             .into_iter()
             .map(|(_, mut s)| s.attention_sequential(&queries, layer))
             .collect();
 
         let heads = model.n_q_heads as u64;
-        // With a share of 2: Coarse alone is one task, which runs on the
-        // calling thread; DIPR alone is one task per head; together, one
-        // plus one per head. With a share of 1, nothing reaches the pool.
-        for (batch, share, tasks) in [
-            (0..1, 2, 0),
-            (1..2, 2, heads),
-            (0..2, 2, 1 + heads),
-            (1..2, 1, 0),
-            (0..2, 1, 0),
-        ] {
-            // A task is counted just after it signals its scope, so the
-            // count is read once dropping the pool has joined its workers.
+        // With a share of 2, Coarse runs on the calling thread and DIPR is
+        // one task per head. With a share of 1, nothing reaches the pool.
+        for (i, share, tasks) in [(0, 2, 0), (1, 2, heads), (0, 1, 0), (1, 1, 0)] {
             let pool = WorkStealingPool::new(2);
-            let registry = Registry::new();
-            pool.stats().register_into(&registry);
-            let executed = registry.counter("device.pool.tasks_executed");
-            let got = execute(&pool, share, &jobs[batch.clone()]);
-            drop(pool);
-            assert_eq!(executed.get(), tasks, "jobs {batch:?}, share {share}");
-            let bits = |out: &[Vec<Vec<f32>>]| -> Vec<u32> {
-                out.iter()
-                    .flatten()
-                    .flatten()
-                    .map(|x| x.to_bits())
-                    .collect()
+            let job = AttentionJob {
+                view: &views[i],
+                queries: &queries,
+                layer,
+                plan: &plans[i],
             };
-            assert_eq!(
-                bits(&got),
-                bits(&want[batch.clone()]),
-                "jobs {batch:?}, share {share}"
-            );
+            let got = execute(&pool, share, job);
+            let what = format!("{}, share {share}", plans[i].explain());
+            assert_eq!(pool.stats().tasks_executed(), tasks, "{what}");
+            let bits = |out: &[Vec<f32>]| -> Vec<u32> {
+                out.iter().flatten().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want[i]), "{what}");
         }
     }
 }

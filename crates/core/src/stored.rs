@@ -80,7 +80,11 @@ impl StoredContext {
     /// `queries` supplies decode-distribution training vectors; when absent
     /// (e.g. `DB.import` of a bare KV cache), sampled keys stand in — the
     /// graph then degrades toward a base-data kNN graph, which is the
-    /// documented fallback.
+    /// documented fallback. Such a key-trained layer trains each KV head's
+    /// graph on `ceil(ceil(sample_ratio * n) / group)` distinct keys, the
+    /// share of one query head of the group: 10 % of the keys at the
+    /// default ratio 0.4 and a group of 4, not the full
+    /// [`DbConfig::sample_ratio`].
     pub fn build(
         id: ContextId,
         tokens: Vec<u32>,

@@ -34,22 +34,22 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use alaya_telemetry::{Counter, Registry};
+use alaya_telemetry::Counter;
 use parking_lot::{Condvar, Mutex};
 
-/// Lifetime counters for one pool. Telemetry cells (single relaxed RMWs
-/// off the queue locks), registerable into an engine's metric registry
-/// via [`PoolStats::register_into`].
+/// Lifetime counters for one pool: telemetry cells, single relaxed RMWs
+/// off the queue locks.
 #[derive(Default)]
 pub struct PoolStats {
-    tasks_executed: Arc<Counter>,
-    tasks_stolen: Arc<Counter>,
-    panics_contained: Arc<Counter>,
+    tasks_executed: Counter,
+    tasks_stolen: Counter,
+    panics_contained: Counter,
 }
 
 impl PoolStats {
     /// Tasks run to completion — by workers, and by scope owners helping
-    /// while they wait.
+    /// while they wait. A task is counted before it signals its scope, so
+    /// once [`WorkStealingPool::scope`] returns its tasks are all in.
     pub fn tasks_executed(&self) -> u64 {
         self.tasks_executed.get()
     }
@@ -64,15 +64,6 @@ impl PoolStats {
     /// re-raises each).
     pub fn panics_contained(&self) -> u64 {
         self.panics_contained.get()
-    }
-
-    /// Attaches these cells to `registry` under `device.pool.*` so an
-    /// engine-level snapshot covers the execution substrate. First
-    /// registration wins; the getters read the same cells either way.
-    pub fn register_into(&self, registry: &Registry) {
-        registry.register_counter("device.pool.tasks_executed", &self.tasks_executed);
-        registry.register_counter("device.pool.tasks_stolen", &self.tasks_stolen);
-        registry.register_counter("device.pool.panics_contained", &self.panics_contained);
     }
 }
 
@@ -166,19 +157,18 @@ impl Shared {
 }
 
 /// Runs one task. Every task is a [`Scope::spawn`] wrapper that catches
-/// its own panic, so nothing unwinds out of here: not through a worker
-/// thread, and not through the owner-helping loop in
+/// its own panic and counts itself, so nothing unwinds out of here: not
+/// through a worker thread, and not through the owner-helping loop in
 /// [`WorkStealingPool::scope`], whose early exit would free a frame that
 /// still-running tasks borrow.
-fn run_task(stats: &PoolStats, task: Task) {
+fn run_task(task: Task) {
     (task.f)();
-    stats.tasks_executed.inc();
 }
 
 fn worker_loop(shared: Arc<Shared>, id: usize) {
     loop {
         if let Some(task) = shared.find_task(id) {
-            run_task(&shared.stats, task);
+            run_task(task);
             continue;
         }
         let guard = shared.idle.lock();
@@ -197,7 +187,7 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
         if let Some(task) = shared.find_task(id) {
             shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
             drop(guard);
-            run_task(&shared.stats, task);
+            run_task(task);
             continue;
         }
         // Long backstop: the registration protocol above cannot miss a
@@ -299,7 +289,7 @@ impl WorkStealingPool {
         // an unrelated long task it stole.
         while state.remaining.load(Ordering::Acquire) > 0 {
             if let Some(task) = self.shared.find_scope_task(scope_id) {
-                run_task(&self.shared.stats, task);
+                run_task(task);
                 continue;
             }
             let mut guard = state.done.lock();
@@ -423,8 +413,6 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             )
         };
         let scope = Arc::as_ptr(&self.state) as usize;
-        let panics = Arc::clone(&self.pool.shared.stats.panics_contained);
-        #[cfg(feature = "instrumented")]
         let shared = Arc::clone(&self.pool.shared);
         self.pool.shared.push(Task {
             scope,
@@ -434,17 +422,21 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                 // panic does (panicked flag, remaining decrement, owner
                 // re-raise) — injecting outside it would instead leak
                 // `remaining` and deadlock the scope.
-                let guarded = AssertUnwindSafe(move || {
+                let guarded = AssertUnwindSafe(|| {
                     #[cfg(feature = "instrumented")]
                     if let Some(chaos) = shared.chaos.get() {
                         chaos.fire_panic(CHAOS_TASK_PANIC);
                     }
                     task();
                 });
+                let stats = &shared.stats;
                 if catch_unwind(guarded).is_err() {
                     state.panicked.store(true, Ordering::Release);
-                    panics.inc();
+                    stats.panics_contained.inc();
                 }
+                // Counted before `remaining` drops: an owner that sees
+                // its scope done sees every one of its tasks counted.
+                stats.tasks_executed.inc();
                 if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                     let _g = state.done.lock();
                     state.cv.notify_all();
@@ -537,6 +529,35 @@ mod tests {
         assert!(caught.is_err());
         // The pool survives the panic and keeps executing.
         assert_eq!(pool.map(3, |i| i), vec![0, 1, 2]);
+    }
+
+    /// A task is counted before it signals its scope, so the count is
+    /// exact the moment `scope` returns — for tasks run by workers, by the
+    /// helping owner, and for tasks that panicked.
+    #[test]
+    fn tasks_are_counted_before_their_scope_returns() {
+        let pool = WorkStealingPool::new(2);
+        let mut spawned = 0;
+        for round in 0..200u64 {
+            let n = 1 + (round % 7) as usize;
+            let mut out = vec![0u64; n];
+            pool.scope(|s| {
+                for (i, slot) in out.iter_mut().enumerate() {
+                    s.spawn(move || *slot = round * i as u64);
+                }
+            });
+            spawned += n as u64;
+            assert_eq!(pool.stats().tasks_executed(), spawned, "round {round}");
+        }
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn(|| panic!("boom"));
+                s.spawn(|| {});
+            });
+        }));
+        assert!(caught.is_err());
+        assert_eq!(pool.stats().tasks_executed(), spawned + 2);
+        assert_eq!(pool.stats().panics_contained(), 1);
     }
 
     #[test]

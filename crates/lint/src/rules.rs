@@ -163,7 +163,7 @@ fn no_unwrap_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
 /// Call fragments that hand work to the pool or run attention; holding a
 /// lock guard across them risks deadlock (pool workers may need the same
 /// lock) and serializes the batch. `execute(` is the attention fan-out
-/// (`execute(pool, share, &[job])`); `db.store(` runs an index build's
+/// (`execute(pool, share, job)`); `db.store(` runs an index build's
 /// pool scope on the caller. A bare `.store(` would also match atomic
 /// stores. A fragment right after `fn ` is a declaration, not a call.
 const POOL_CALLS: [&str; 7] = [
@@ -311,11 +311,10 @@ fn time_outside_clock(file: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 /// Library crates whose non-test code must not write to stdout/stderr:
-/// the serving stack reports through `alaya-telemetry` (counters, spans,
-/// the flight recorder), and a stray `println!` both corrupts any
-/// machine-readable output the caller is producing and hides state from
-/// the recorder's post-mortem dumps. Binaries (bench, lint) are exempt —
-/// printing is their job.
+/// the serving stack reports through typed `alaya-telemetry` cells
+/// (counters, span cells, stage histograms) and typed errors, and a stray
+/// `println!` corrupts any machine-readable output the caller is
+/// producing. Binaries (bench, lint) are exempt — printing is their job.
 const NO_PRINT_CRATES: [&str; 4] = [
     "crates/serve/src/",
     "crates/core/src/",
@@ -429,8 +428,8 @@ mod tests {
         assert_eq!(typed.len(), 1);
         // The attention fan-out and a store's index build are pool calls.
         for call in [
-            "execute(pool, share, &[job]).pop().unwrap_or_default()",
-            "execute(pool::global(), threads, &[job]);",
+            "execute(pool, share, job)",
+            "execute(pool::global(), threads, job);",
             "self.db.store(&snapshot);",
         ] {
             let held = findings(

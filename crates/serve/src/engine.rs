@@ -24,14 +24,14 @@ use alaya_core::stored::ContextId;
 use alaya_core::Db;
 use alaya_device::clock::Clock;
 use alaya_device::memory::MemoryTracker;
-use alaya_device::pool::{self, WorkStealingPool};
+use alaya_device::pool::{self, PoolStats, WorkStealingPool};
 use alaya_llm::backend::{AttentionBackend, StepInput};
 
 use crate::admission::{per_token_bytes, session_bytes};
 use crate::scheduler::{
     self, close_span, Job, Pending, SchedulerCore, ServeError, SessionSlot, SlotState, SpanEnd,
 };
-use crate::telemetry::{SessionStats, TelemetrySnapshot};
+use crate::telemetry::TelemetrySnapshot;
 
 /// Failpoint: a requester panics inside the containment wrapper around
 /// its job's execution, the way a panicking head would, whatever the share
@@ -140,12 +140,6 @@ impl ServeEngine {
         };
         let core = Arc::new(SchedulerCore::new(&opts));
         let tracker = opts.admission.unwrap_or_else(|| Arc::clone(db.gpu()));
-        // Fold the lower layers' cells into the engine's registry so one
-        // `telemetry()` snapshot covers the whole stack (scheduler, pool,
-        // DB). Registration is first-wins: engines sharing the global pool
-        // each see the same shared cells.
-        pool.stats().register_into(&core.stats.registry);
-        db.stats().register_into(&core.stats.registry);
         let sched_core = Arc::clone(&core);
         let scheduler = std::thread::Builder::new()
             .name("alaya-serve-scheduler".into())
@@ -173,26 +167,20 @@ impl ServeEngine {
         &self.db
     }
 
-    /// A point-in-time telemetry snapshot: the classic counters, the
-    /// per-stage span histograms (`queue`/`plan`/`exec`/`total`), span
-    /// lifecycle counts, per-session outcome counts, the calibrated
-    /// execution estimate, the last flight-recorder panic dump, and the
-    /// full metric registry (the queue depth is its `serve.queue.depth`
-    /// gauge).
+    /// A point-in-time telemetry snapshot: the scheduler counters (span
+    /// lifecycle counts included), the per-stage span histograms
+    /// (`queue`/`plan`/`exec`/`total`) and the calibrated execution
+    /// estimate. The DB's counters are [`Db::stats`], the pool's
+    /// [`ServeEngine::pool_stats`].
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut sessions: Vec<SessionStats> = self
-            .sessions
-            .read()
-            .iter()
-            .map(|(&id, slot)| SessionStats {
-                session: id,
-                executed: slot.outcomes.executed.get(),
-                shed_deadline: slot.outcomes.shed_deadline.get(),
-                rejected_overload: slot.outcomes.rejected_overload.get(),
-            })
-            .collect();
-        sessions.sort_by_key(|s| s.session);
-        TelemetrySnapshot::collect(&self.core.stats, sessions)
+        TelemetrySnapshot::collect(&self.core.stats)
+    }
+
+    /// The counters of the pool requests fan out over: the engine's own
+    /// when [`ServeConfig::threads`] is positive, otherwise the
+    /// process-wide pool's, which every user of that pool moves.
+    pub fn pool_stats(&self) -> &PoolStats {
+        self.pool.stats()
     }
 
     /// Arms deterministic fault injection: the scheduler and every
@@ -400,7 +388,7 @@ impl ServeEngine {
         })?;
         let job = rx.recv().map_err(|_| ServeError::ShuttingDown)??;
         let share = (self.pool.threads() / self.live.load(Ordering::Relaxed).max(1)).max(1);
-        run_job(&self.core, &self.pool, share, &slot, queries, layer, job)
+        run_job(&self.core, &self.pool, share, queries, layer, job)
     }
 
     /// `update` + `attention` in one call — the `AttentionBackend::attend`
@@ -505,14 +493,13 @@ impl Drop for ServeEngine {
 /// [`execute`] call, which may fan a long request's heads out over `share`
 /// of `pool`'s workers — and closes its span. A panic there, on this
 /// thread or a pool task's, fails this request alone with
-/// [`ServeError::ExecutionPanicked`] and freezes a flight-recorder dump.
+/// [`ServeError::ExecutionPanicked`] and closes its span as panicked.
 /// The snapshot is dropped before this returns, so the caller's next
 /// `update` finds its local window unshared.
 pub(crate) fn run_job(
     core: &SchedulerCore,
     pool: &WorkStealingPool,
     share: usize,
-    slot: &SessionSlot,
     queries: &[Vec<f32>],
     layer: usize,
     job: Job,
@@ -535,7 +522,7 @@ pub(crate) fn run_job(
             layer,
             plan: &plan,
         };
-        execute(pool, share, &[job]).pop().unwrap_or_default()
+        execute(pool, share, job)
     }));
     drop(view);
     let end = match &out {
@@ -543,16 +530,9 @@ pub(crate) fn run_job(
             started,
             batch_start,
         },
-        Err(_) => {
-            // Freeze the flight recorder first: the events leading up to
-            // the panic are the post-mortem.
-            core.stats
-                .recorder
-                .dump_on_panic("scheduler batch execution panicked");
-            SpanEnd::Panicked { batch_start }
-        }
+        Err(_) => SpanEnd::Panicked { batch_start },
     };
-    close_span(core, slot, enqueued, end);
+    close_span(core, enqueued, end);
     out.map_err(|_| ServeError::ExecutionPanicked)
 }
 
@@ -916,7 +896,7 @@ mod tests {
         twin.update(&q, &k, &v, 1);
         let want = twin.attention_sequential(&q, 1);
         assert!(twin.plan_log()[0].explain().starts_with("DIPR"));
-        let tasks = || eng.pool.stats().tasks_executed();
+        let tasks = || eng.pool_stats().tasks_executed();
 
         let before = tasks();
         assert_eq!(eng.attention(a, &q, 1).unwrap(), want);

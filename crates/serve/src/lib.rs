@@ -48,18 +48,19 @@
 //!   (`enqueue → batch-assemble → plan → requester exec`, or the
 //!   shed/reject exits) into log-bucketed per-stage histograms; each
 //!   outcome is counted once, in its span cell, and [`SchedulerStats`]
-//!   reads its outcome fields from there. Per-session outcome counts ride
-//!   the session slots, and a ring-buffer flight recorder keeps the events
-//!   leading up to a planning or execution panic as a dump in the
-//!   snapshot. Each request's time from its batch's start to its
-//!   execution end feeds an EWMA that is the scheduler's only execution
-//!   estimate, so `retry_after_hint` and deadline shedding track the live
-//!   machine. [`ServeEngine::telemetry`] exposes the whole view.
+//!   reads its outcome and span fields from there. Every count is a typed
+//!   field, kept once and recorded lock-free. Each request's time from
+//!   its batch's start to its execution end feeds an EWMA that is the
+//!   scheduler's only execution estimate, so `retry_after_hint` and
+//!   deadline shedding track the live machine. [`ServeEngine::telemetry`]
+//!   exposes the scheduler's view; the DB and the pool keep their own
+//!   counters ([`Db::stats`], [`ServeEngine::pool_stats`]).
 //!
 //! [`ServeEngine`] packages the layers behind a handle-based API:
 //! `admit → update/attention (any thread) → store/close`.
 //!
 //! [`Db`]: alaya_core::Db
+//! [`Db::stats`]: alaya_core::Db::stats
 //! [`Session::attention_sequential`]: alaya_core::Session::attention_sequential
 //! [`MemoryTracker`]: alaya_device::MemoryTracker
 
@@ -73,4 +74,4 @@ pub use alaya_device::pool::{self, Scope, WorkStealingPool};
 pub use engine::{ServeConfig, ServeEngine, SessionId};
 pub use error::ServeError;
 pub use scheduler::SchedulerStats;
-pub use telemetry::{SessionStats, SpanCounts, StageBreakdown, StageStats, TelemetrySnapshot};
+pub use telemetry::{StageBreakdown, StageStats, TelemetrySnapshot};

@@ -85,10 +85,9 @@ use alaya_core::Session;
 use alaya_device::clock::{Clock, SystemClock};
 use alaya_device::memory::MemoryGuard;
 use alaya_query::optimizer::Plan;
-use alaya_telemetry::Event;
 
 use crate::engine::ServeConfig;
-use crate::telemetry::{nanos, SchedTelemetry, SessionCounters};
+use crate::telemetry::{nanos, SchedTelemetry};
 
 pub use crate::error::ServeError;
 
@@ -102,11 +101,9 @@ pub const CHAOS_BATCH_DELAY: &str = "serve.sched.batch_delay";
 /// next. Also the unit of `retry_after_hint`'s "batches ahead".
 pub const MAX_BATCH: usize = 64;
 
-/// One registered session: its one lock and its outcome counters.
+/// One registered session: its one lock.
 pub(crate) struct SessionSlot {
     state: Mutex<SlotState>,
-    /// Per-session outcome counters, read by `ServeEngine::telemetry`.
-    pub(crate) outcomes: SessionCounters,
 }
 
 /// What the session lock guards: the session and the device reservation
@@ -124,7 +121,6 @@ impl SessionSlot {
     pub(crate) fn new(state: SlotState) -> Self {
         Self {
             state: Mutex::new_named(state, "serve.session"),
-            outcomes: SessionCounters::default(),
         }
     }
 
@@ -166,7 +162,8 @@ pub(crate) struct Pending {
 }
 
 /// Monotonic scheduler counters (observability + batching assertions in
-/// tests and benches).
+/// tests and benches). Once in-flight requests drain, every opened span
+/// has closed: `opened == closed()`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Attention requests dispatched in a batch: executed, or panicked in
@@ -185,6 +182,19 @@ pub struct SchedulerStats {
     /// Submissions rejected at enqueue because the queue was at its
     /// request bound.
     pub rejected_overload: u64,
+    /// Spans opened: every submission that reached the queue's front door.
+    pub opened: u64,
+    /// Requests whose requester executed them.
+    pub executed: u64,
+    /// Requests whose batch's planning or own execution panicked.
+    pub panicked: u64,
+}
+
+impl SchedulerStats {
+    /// Spans closed so far, by any outcome.
+    pub fn closed(&self) -> u64 {
+        self.executed + self.shed_deadline + self.rejected_overload + self.panicked
+    }
 }
 
 /// Pops the next batch off the front of `queue`: up to [`MAX_BATCH`]
@@ -242,7 +252,7 @@ impl SchedulerCore {
             queue: Mutex::new_named(VecDeque::new(), "serve.sched.queue"),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            stats: SchedTelemetry::new(),
+            stats: SchedTelemetry::default(),
             window: opts.dispatch_window,
             max_queue_requests: opts.max_queue_requests.max(1),
             clock: opts
@@ -256,9 +266,9 @@ impl SchedulerCore {
 
     /// Queues a request, or rejects it with [`ServeError::Overloaded`]
     /// when the queue is at its request bound. A rejected request never
-    /// occupies a slot: it is counted, recorded and dropped here, after
-    /// the queue lock is released, so freeing its session `Arc` (possibly
-    /// the last reference) runs lock-free.
+    /// occupies a slot: it is counted and dropped here, after the queue
+    /// lock is released, so freeing its session `Arc` (possibly the last
+    /// reference) runs lock-free.
     pub(crate) fn enqueue(&self, p: Pending) -> Result<(), ServeError> {
         // Span opens at the front door; exactly one close follows —
         // rejected here, shed or plan-panicked in `finish`, or executed or
@@ -268,17 +278,11 @@ impl SchedulerCore {
         let queued = q.len();
         if queued < self.max_queue_requests {
             q.push_back(p);
-            self.stats.queue_depth.set(q.len() as i64);
             self.cv.notify_one();
             return Ok(());
         }
         drop(q);
         self.stats.spans_rejected.inc();
-        p.slot.outcomes.rejected_overload.inc();
-        let now = nanos(self.clock.now());
-        let key = slot_key(&p.slot) as u64;
-        let event = Event::new(now, "serve.reject.overload", key, queued as u64, 0);
-        self.stats.recorder.record(event);
         Err(ServeError::Overloaded {
             queued_requests: queued,
             retry_after_hint: self.retry_after_hint(queued),
@@ -343,9 +347,7 @@ pub(crate) fn run(core: Arc<SchedulerCore>) {
                 // The shed margin is the EWMA of observed batch times,
                 // read fresh per collect. Only this thread pops, so the
                 // queue is still nonempty and so is what `collect` returns.
-                let out = collect(&mut q, core.stats.est_exec(), core.clock.now());
-                core.stats.queue_depth.set(q.len() as i64);
-                break out;
+                break collect(&mut q, core.stats.est_exec(), core.clock.now());
             }
         };
 
@@ -374,21 +376,14 @@ pub(crate) enum SpanEnd {
     Panicked { batch_start: Duration },
 }
 
-/// Closes a queued request's span now: counts its outcome once (the span
-/// cell and, for executed and shed requests, its session's cell), records its
-/// stages, folds a dispatched request's batch start → now into the EWMA,
-/// and records it in the flight recorder. Returns the time since
-/// `enqueued`.
-pub(crate) fn close_span(
-    core: &SchedulerCore,
-    slot: &SessionSlot,
-    enqueued: Duration,
-    end: SpanEnd,
-) -> Duration {
+/// Closes a queued request's span now: counts its outcome once, in its
+/// span cell, records its stages and folds a dispatched request's batch
+/// start → now into the EWMA. Returns the time since `enqueued`.
+pub(crate) fn close_span(core: &SchedulerCore, enqueued: Duration, end: SpanEnd) -> Duration {
     let stats = &core.stats;
     let now = core.clock.now();
     let waited = now.saturating_sub(enqueued);
-    let kind = match end {
+    match end {
         SpanEnd::Executed {
             started,
             batch_start,
@@ -399,24 +394,13 @@ pub(crate) fn close_span(
             // reconciles against its own measurements.
             stats.stage_total.record(nanos(waited));
             stats.spans_executed.inc();
-            slot.outcomes.executed.inc();
-            "serve.reply.ok"
         }
-        SpanEnd::Shed => {
-            stats.spans_shed.inc();
-            slot.outcomes.shed_deadline.inc();
-            "serve.shed.deadline"
-        }
+        SpanEnd::Shed => stats.spans_shed.inc(),
         SpanEnd::Panicked { batch_start } => {
             stats.observe_batch(now.saturating_sub(batch_start));
             stats.spans_panicked.inc();
-            "serve.reply.panicked"
         }
-    };
-    let key = slot_key(slot) as u64;
-    stats
-        .recorder
-        .record(Event::new(nanos(now), kind, key, nanos(waited), 0));
+    }
     waited
 }
 
@@ -432,7 +416,7 @@ fn finish(core: &SchedulerCore, p: Pending, job: Result<Job, SpanEnd>) {
     } = p;
     let result = job.map_err(|end| {
         let shed = matches!(end, SpanEnd::Shed);
-        let queued_for = close_span(core, &slot, enqueued, end);
+        let queued_for = close_span(core, enqueued, end);
         if shed {
             ServeError::DeadlineExceeded { queued_for }
         } else {
@@ -459,13 +443,6 @@ fn dispatch(core: &SchedulerCore, batch: Vec<Pending>) {
     #[cfg(feature = "instrumented")]
     if let Some(chaos) = core.chaos.get() {
         if let Some(delay) = chaos.fire_delay(CHAOS_BATCH_DELAY) {
-            core.stats.recorder.record(Event::new(
-                nanos(t_batch0),
-                "chaos.batch_delay",
-                0,
-                nanos(delay),
-                batch.len() as u64,
-            ));
             std::thread::sleep(delay);
         }
     }
@@ -480,11 +457,6 @@ fn dispatch(core: &SchedulerCore, batch: Vec<Pending>) {
             }
         }
         Err(_) => {
-            // Freeze the flight recorder first: the events leading up to
-            // the panic are the post-mortem.
-            core.stats
-                .recorder
-                .dump_on_panic("scheduler batch planning panicked");
             for p in batch {
                 let end = SpanEnd::Panicked {
                     batch_start: t_batch0,
@@ -498,11 +470,6 @@ fn dispatch(core: &SchedulerCore, batch: Vec<Pending>) {
 /// `(stored context, layer, reused prefix)`: requests with equal keys have
 /// equal [`QuerySpec`](alaya_query::optimizer::QuerySpec)s.
 type GroupKey = (Option<ContextId>, usize, usize);
-
-/// A session slot's address: its flight-recorder key.
-fn slot_key(slot: &SessionSlot) -> usize {
-    std::ptr::from_ref(slot) as usize
-}
 
 /// Plans and snapshots `batch`, returning one job per member in order.
 /// The scheduler keeps no snapshot: each lives in its job until the
@@ -616,12 +583,11 @@ pub(crate) mod tests {
         core: &SchedulerCore,
         pool: &WorkStealingPool,
         rx: &ReplyRx,
-        slot: &SessionSlot,
         queries: &[Vec<f32>],
         layer: usize,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
         let job = one_reply(rx)?;
-        run_job(core, pool, pool.threads(), slot, queries, layer, job)
+        run_job(core, pool, pool.threads(), queries, layer, job)
     }
 
     /// One batch, four requests: three sessions over the same stored
@@ -656,10 +622,10 @@ pub(crate) mod tests {
         let (p4, r4) = pending(&s1, 0, None);
         dispatch(&core, vec![p1, p2, p3, p4]);
 
-        let out1 = serve(&core, &pool, &r1, &s1, &queries, 1).unwrap();
-        let out2 = serve(&core, &pool, &r2, &s2, &queries, 1).unwrap();
-        let out3 = serve(&core, &pool, &r3, &s3, &queries, 1).unwrap();
-        let out4 = serve(&core, &pool, &r4, &s1, &queries, 0).unwrap();
+        let out1 = serve(&core, &pool, &r1, &queries, 1).unwrap();
+        let out2 = serve(&core, &pool, &r2, &queries, 1).unwrap();
+        let out3 = serve(&core, &pool, &r3, &queries, 1).unwrap();
+        let out4 = serve(&core, &pool, &r4, &queries, 0).unwrap();
         let stats = core.stats.snapshot();
         assert_eq!(stats.requests, 4);
         assert_eq!(stats.batches, 1);
@@ -699,8 +665,8 @@ pub(crate) mod tests {
         let (p1, rx1) = pending(&slot, 0, None);
         let (p2, rx2) = pending(&slot, 0, None);
         dispatch(&core, vec![p1, p2]);
-        let a = serve(&core, &pool, &rx1, &slot, &queries, 0).unwrap();
-        let b = serve(&core, &pool, &rx2, &slot, &queries, 0).unwrap();
+        let a = serve(&core, &pool, &rx1, &queries, 0).unwrap();
+        let b = serve(&core, &pool, &rx2, &queries, 0).unwrap();
         assert_eq!(a, b);
         assert_eq!(core.stats.snapshot().plans_computed, 1);
     }
@@ -792,9 +758,9 @@ pub(crate) mod tests {
             std::thread::scope(|s| {
                 for (i, rx) in replies.into_iter().enumerate() {
                     let (core, pool) = (&core, &pool);
-                    let ((slot, layer), q, want) = (requests[i], &queries[i], &want[i]);
+                    let ((_, layer), q, want) = (requests[i], &queries[i], &want[i]);
                     s.spawn(move || {
-                        let got = serve(core, pool, &rx, slot, q, layer).unwrap();
+                        let got = serve(core, pool, &rx, q, layer).unwrap();
                         assert_eq!(&got, want, "request {i} on {threads} workers");
                     });
                 }
@@ -842,7 +808,7 @@ pub(crate) mod tests {
         assert_eq!(pool.stats().tasks_executed(), 0, "dispatch ran a task");
         let jobs: Vec<Job> = replies.iter().map(|rx| one_reply(rx).unwrap()).collect();
         for ((i, job), share) in jobs.into_iter().enumerate().zip([1, 2]) {
-            let got = run_job(&core, &pool, share, &slots[i], &queries[i], 1, job);
+            let got = run_job(&core, &pool, share, &queries[i], 1, job);
             assert_eq!(got.unwrap(), want[i]);
             if share == 1 {
                 assert_eq!(pool.stats().tasks_executed(), 0, "a share of 1 fanned out");
@@ -871,7 +837,7 @@ pub(crate) mod tests {
         let jobs: Vec<Job> = replies.iter().map(|rx| one_reply(rx).unwrap()).collect();
         assert_eq!(base.strong_count(), idle + 2, "one snapshot per job");
         for (i, job) in jobs.into_iter().enumerate() {
-            run_job(&core, &pool, 2, &slots[i], &queries[i], 1, job).unwrap();
+            run_job(&core, &pool, 2, &queries[i], 1, job).unwrap();
             assert_eq!(base.strong_count(), idle + 1 - i, "reply {i}");
         }
     }
@@ -882,8 +848,7 @@ pub(crate) mod tests {
 
     /// The scheduler thread's own backstop, end to end: a panic while
     /// planning a batch answers each member with one `ExecutionPanicked`,
-    /// closes every member's span as panicked and freezes a dump, and the
-    /// thread goes on to plan the next batches for the same sessions.
+    /// closes every member's span as panicked, and the thread goes on to plan the next batches for the same sessions.
     #[test]
     fn panicking_batch_is_contained_and_replied() {
         let model_cfg = ModelConfig::tiny();
@@ -911,14 +876,12 @@ pub(crate) mod tests {
         }
         let t = &core.stats;
         assert_eq!((t.spans_panicked.get(), t.batches.get()), (2, 1));
-        let dump = t.recorder.last_panic_dump().unwrap();
-        assert!(dump.contains("planning panicked"), "{dump}");
 
         // The thread lives on, and the panic released the session lock.
         for slot in [&good_slot, &bad_slot] {
             let (p, rx) = pending(slot, 0, None);
             core.enqueue(p).unwrap();
-            assert!(serve(&core, &pool, &rx, slot, &queries, 0).is_ok());
+            assert!(serve(&core, &pool, &rx, &queries, 0).is_ok());
         }
         assert_eq!(t.spans_executed.get(), 2);
 
@@ -932,8 +895,7 @@ pub(crate) mod tests {
 
     /// A job that panics on its requester fails that request alone: each
     /// member of the batch gets one reply, the batchmate's job executes,
-    /// the panicked span closes once with a frozen flight-recorder dump,
-    /// both count as dispatched, and the session whose job panicked serves
+    /// the panicked span closes once, both count as dispatched, and the session whose job panicked serves
     /// its next request.
     #[test]
     fn mixed_panicking_batch_replies_once_to_every_member() {
@@ -957,23 +919,18 @@ pub(crate) mod tests {
         let (p2, rx2) = pending(&bad_slot, 0, None);
         dispatch(&core, vec![p1, p2]);
 
-        assert!(serve(&core, &pool, &rx1, &good_slot, &good, 0).is_ok());
+        assert!(serve(&core, &pool, &rx1, &good, 0).is_ok());
         assert_eq!(
-            serve(&core, &pool, &rx2, &bad_slot, &bad, 0),
+            serve(&core, &pool, &rx2, &bad, 0),
             Err(ServeError::ExecutionPanicked)
         );
         let stats = core.stats.snapshot();
-        let spans = (
-            core.stats.spans_executed.get(),
-            core.stats.spans_panicked.get(),
-        );
+        let spans = (stats.executed, stats.panicked);
         assert_eq!((spans, stats.requests, stats.batches), ((1, 1), 2, 1));
-        let dump = core.stats.recorder.last_panic_dump().unwrap();
-        assert!(dump.contains("execution panicked"), "{dump}");
 
         let (p3, rx3) = pending(&bad_slot, 0, None);
         dispatch(&core, vec![p3]);
-        assert!(serve(&core, &pool, &rx3, &bad_slot, &good, 0).is_ok());
+        assert!(serve(&core, &pool, &rx3, &good, 0).is_ok());
     }
 
     /// Bounded queue: submissions beyond the configured depth are rejected
@@ -1007,7 +964,6 @@ pub(crate) mod tests {
         }
         assert_eq!(core.queue.lock().len(), 2, "rejected request took no slot");
         assert_eq!(core.stats.snapshot().rejected_overload, 1);
-        assert_eq!(slot.outcomes.rejected_overload.get(), 1);
     }
 
     /// Deadline shedding is driven by the injectable clock: requests whose

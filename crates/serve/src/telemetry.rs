@@ -1,5 +1,5 @@
-//! Serve-side observability: the scheduler's metrics, request-span
-//! aggregation, and the flight recorder, all built on `alaya-telemetry`.
+//! Serve-side observability: the scheduler's metrics and request-span
+//! aggregation, built on `alaya-telemetry`.
 //!
 //! Every request that enters the scheduler's queue opens a span and closes
 //! it exactly once — `rejected` at the queue bound, `shed` when its
@@ -14,72 +14,58 @@
 //! aggregate into log-bucketed histograms; nothing here reads time itself,
 //! and nothing on the hot path locks or allocates.
 //!
-//! The same cells the registry snapshots also *drive* the scheduler: each
-//! executed or panicked request's time from its batch's start (the chaos
-//! batch delay included) to its span's close feeds an EWMA
-//! whose estimate sizes `retry_after_hint` and the deadline-shedding
-//! margin, so backpressure tracks the live machine.
+//! The cells also *drive* the scheduler: each executed or panicked
+//! request's time from its batch's start (the chaos batch delay included)
+//! to its span's close feeds an EWMA whose estimate sizes
+//! `retry_after_hint` and the deadline-shedding margin, so backpressure
+//! tracks the live machine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use alaya_telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
-};
+use alaya_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot};
 
-use crate::engine::SessionId;
 use crate::scheduler::SchedulerStats;
-
-/// Flight-recorder capacity: enough to hold the last few batches' worth
-/// of per-request events around a failure, small enough to stay resident.
-const FLIGHT_RECORDER_EVENTS: usize = 512;
 
 /// EWMA weight: `new = old + (obs - old) / 2^EWMA_SHIFT`. 1/8 converges
 /// in a few batches without letting one chaos-delayed outlier own the
 /// estimate.
 const EWMA_SHIFT: u32 = 3;
 
-/// `Duration` → saturating nanoseconds (histogram/recorder unit).
+/// `Duration` → saturating nanoseconds (the histograms' unit).
 #[inline]
 pub(crate) fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The scheduler's telemetry bundle: registry-backed counters (the
-/// single source of truth behind [`SchedulerStats`] snapshots), span
-/// counters, per-stage histograms, the queue-depth gauge, the flight
-/// recorder, and the EWMA-calibrated execution estimate.
+/// The scheduler's telemetry: the batch counters and span cells behind
+/// [`SchedulerStats`], per-stage histograms, and the EWMA-calibrated
+/// execution estimate.
+#[derive(Default)]
 pub(crate) struct SchedTelemetry {
-    pub(crate) registry: Arc<Registry>,
-    pub(crate) recorder: Arc<FlightRecorder>,
-
     // Batch cells of SchedulerStats.
-    pub(crate) batches: Arc<Counter>,
-    pub(crate) plans_computed: Arc<Counter>,
-    pub(crate) shared_plan_requests: Arc<Counter>,
-    pub(crate) max_batch: Arc<Gauge>,
+    pub(crate) batches: Counter,
+    pub(crate) plans_computed: Counter,
+    pub(crate) shared_plan_requests: Counter,
+    pub(crate) max_batch: Gauge,
 
     // Span lifecycle, one cell per outcome: opened == executed + shed +
     // rejected + panicked once the system quiesces.
-    pub(crate) spans_opened: Arc<Counter>,
-    pub(crate) spans_executed: Arc<Counter>,
-    pub(crate) spans_shed: Arc<Counter>,
-    pub(crate) spans_rejected: Arc<Counter>,
-    pub(crate) spans_panicked: Arc<Counter>,
+    pub(crate) spans_opened: Counter,
+    pub(crate) spans_executed: Counter,
+    pub(crate) spans_shed: Counter,
+    pub(crate) spans_rejected: Counter,
+    pub(crate) spans_panicked: Counter,
 
     // Per-stage latency histograms (nanoseconds, per request).
-    pub(crate) stage_queue: Arc<Histogram>,
-    pub(crate) stage_plan: Arc<Histogram>,
-    pub(crate) stage_exec: Arc<Histogram>,
-    pub(crate) stage_total: Arc<Histogram>,
+    pub(crate) stage_queue: Histogram,
+    pub(crate) stage_plan: Histogram,
+    pub(crate) stage_exec: Histogram,
+    pub(crate) stage_total: Histogram,
     /// Per executed or panicked request: batch start (chaos delay
     /// included) → its span's close — the EWMA's input, kept as a
     /// histogram so the calibration is auditable.
-    pub(crate) batch_exec: Arc<Histogram>,
-
-    /// Queued requests (set under the queue lock; a plain relaxed store).
-    pub(crate) queue_depth: Arc<Gauge>,
+    pub(crate) batch_exec: Histogram,
 
     /// EWMA-calibrated per-batch execution estimate in nanoseconds; zero
     /// until the first observation. Every requester writes it (an atomic
@@ -89,42 +75,22 @@ pub(crate) struct SchedTelemetry {
 }
 
 impl SchedTelemetry {
-    pub(crate) fn new() -> Self {
-        let registry = Arc::new(Registry::new());
-        let r = &registry;
-        Self {
-            recorder: Arc::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS)),
-            batches: r.counter("serve.sched.batches"),
-            plans_computed: r.counter("serve.sched.plans_computed"),
-            shared_plan_requests: r.counter("serve.sched.shared_plan_requests"),
-            max_batch: r.gauge("serve.sched.max_batch"),
-            spans_opened: r.counter("serve.span.opened"),
-            spans_executed: r.counter("serve.span.executed"),
-            spans_shed: r.counter("serve.span.shed"),
-            spans_rejected: r.counter("serve.span.rejected"),
-            spans_panicked: r.counter("serve.span.panicked"),
-            stage_queue: r.histogram("serve.stage.queue"),
-            stage_plan: r.histogram("serve.stage.plan"),
-            stage_exec: r.histogram("serve.stage.exec"),
-            stage_total: r.histogram("serve.stage.total"),
-            batch_exec: r.histogram("serve.batch.exec"),
-            queue_depth: r.gauge("serve.queue.depth"),
-            est_exec_nanos: AtomicU64::new(0),
-            registry,
-        }
-    }
-
     /// The [`SchedulerStats`] snapshot: batch cells as they are, outcome
     /// fields read off the span cells (`requests` = executed + panicked).
     pub(crate) fn snapshot(&self) -> SchedulerStats {
+        let executed = self.spans_executed.get();
+        let panicked = self.spans_panicked.get();
         SchedulerStats {
-            requests: self.spans_executed.get() + self.spans_panicked.get(),
+            requests: executed + panicked,
             batches: self.batches.get(),
             plans_computed: self.plans_computed.get(),
             shared_plan_requests: self.shared_plan_requests.get(),
             max_batch: self.max_batch.get().max(0) as u64,
             shed_deadline: self.spans_shed.get(),
             rejected_overload: self.spans_rejected.get(),
+            opened: self.spans_opened.get(),
+            executed,
+            panicked,
         }
     }
 
@@ -156,15 +122,6 @@ impl SchedTelemetry {
             .est_exec_nanos
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fold);
     }
-}
-
-/// Per-session outcome counters, carried on the session slot (detached
-/// telemetry cells, not in the registry).
-#[derive(Default)]
-pub(crate) struct SessionCounters {
-    pub(crate) executed: Counter,
-    pub(crate) shed_deadline: Counter,
-    pub(crate) rejected_overload: Counter,
 }
 
 /// Latency summary of one span stage (or of the EWMA's input), extracted
@@ -209,57 +166,20 @@ pub struct StageBreakdown {
     pub batch_exec: StageStats,
 }
 
-/// Span lifecycle counters. Once in-flight requests drain,
-/// `opened == executed + shed + rejected + panicked`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanCounts {
-    pub opened: u64,
-    pub executed: u64,
-    pub shed: u64,
-    pub rejected: u64,
-    pub panicked: u64,
-}
-
-impl SpanCounts {
-    /// Spans closed so far, by any outcome.
-    pub fn closed(&self) -> u64 {
-        self.executed + self.shed + self.rejected + self.panicked
-    }
-}
-
-/// One admitted session's lifetime outcome counts.
-#[derive(Clone, Debug)]
-pub struct SessionStats {
-    pub session: SessionId,
-    pub executed: u64,
-    pub shed_deadline: u64,
-    pub rejected_overload: u64,
-}
-
 /// A point-in-time view of the engine's telemetry, from
 /// [`ServeEngine::telemetry`](crate::ServeEngine::telemetry).
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
-    /// The classic scheduler counters; the outcome fields are the span
-    /// counts under their older names.
+    /// The scheduler counters, outcome and span counts included.
     pub stats: SchedulerStats,
     pub stages: StageBreakdown,
-    pub spans: SpanCounts,
-    /// Per-admitted-session outcome counts, sorted by session id.
-    pub sessions: Vec<SessionStats>,
     /// The EWMA-calibrated per-batch execution estimate currently driving
     /// `retry_after_hint` and deadline shedding.
     pub est_exec: Duration,
-    /// The flight recorder's most recent panic dump, if any planning or
-    /// execution has panicked.
-    pub last_panic_dump: Option<String>,
-    /// Every registered metric, read by name through
-    /// [`RegistrySnapshot::counter`] / `gauge` / `histogram`.
-    pub registry: RegistrySnapshot,
 }
 
 impl TelemetrySnapshot {
-    pub(crate) fn collect(stats: &SchedTelemetry, sessions: Vec<SessionStats>) -> Self {
+    pub(crate) fn collect(stats: &SchedTelemetry) -> Self {
         Self {
             stats: stats.snapshot(),
             stages: StageBreakdown {
@@ -269,17 +189,7 @@ impl TelemetrySnapshot {
                 total: StageStats::from_hist(&stats.stage_total.snapshot()),
                 batch_exec: StageStats::from_hist(&stats.batch_exec.snapshot()),
             },
-            spans: SpanCounts {
-                opened: stats.spans_opened.get(),
-                executed: stats.spans_executed.get(),
-                shed: stats.spans_shed.get(),
-                rejected: stats.spans_rejected.get(),
-                panicked: stats.spans_panicked.get(),
-            },
-            sessions,
             est_exec: stats.est_exec(),
-            last_panic_dump: stats.recorder.last_panic_dump(),
-            registry: stats.registry.snapshot(),
         }
     }
 }

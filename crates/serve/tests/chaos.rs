@@ -267,14 +267,13 @@ fn import_long_context(db: &Db, model_cfg: &ModelConfig, seed: u64) -> Vec<u32> 
     ctx
 }
 
-/// An injected worker panic ([`CHAOS_TASK_PANIC`]) freezes a
-/// flight-recorder dump: the black box is retrievable from
-/// [`TelemetrySnapshot::last_panic_dump`], names the failure, and carries
-/// the ring's recent events for context. The panicked request's span
-/// closes as `panicked`, and the ledger still balances. Its one session
-/// has the whole pool as its share, so its heads run as pool tasks.
+/// An injected worker panic ([`CHAOS_TASK_PANIC`]) fails the one request
+/// whose head it hit with `ExecutionPanicked`: its span closes as
+/// `panicked`, the ledger still balances, and the session serves its next
+/// request. Its one session has the whole pool as its share, so its heads
+/// run as pool tasks.
 #[test]
-fn injected_panic_freezes_a_flight_recorder_dump() {
+fn injected_worker_panic_fails_one_request_and_the_session_serves_on() {
     let model_cfg = ModelConfig::tiny();
     // A 1-byte GPU budget plans DIPR, which may scan the whole context.
     // Admissions are charged to their own tracker, so the budget only
@@ -300,10 +299,8 @@ fn injected_panic_freezes_a_flight_recorder_dump() {
     let (sid, _) = engine.admit(&[ctx, vec![2]].concat()).unwrap();
     engine.update(sid, &queries, &kv, &kv, 0).unwrap();
 
-    // One clean request first, so the ring holds a reply event the dump
-    // can show as context.
+    // One clean request first.
     engine.attention(sid, &queries, 0).unwrap();
-    assert_eq!(engine.telemetry().last_panic_dump, None);
 
     let chaos = Chaos::new(0x00B1_ACB0);
     chaos.arm_limited(CHAOS_TASK_PANIC, 1.0, 1);
@@ -313,29 +310,18 @@ fn injected_panic_freezes_a_flight_recorder_dump() {
         other => panic!("expected ExecutionPanicked, got {other:?}"),
     }
 
-    let t = engine.telemetry();
-    assert_eq!(t.spans.panicked, 1);
-    assert_eq!(t.spans.opened, t.spans.closed(), "ledger balances");
+    let t = engine.telemetry().stats;
+    assert_eq!(t.panicked, 1);
+    assert_eq!(t.opened, t.closed(), "ledger balances");
     assert_eq!(
-        t.spans.executed + t.spans.panicked,
-        t.stats.requests,
+        t.executed + t.panicked,
+        t.requests,
         "the panicked request still counts as dispatched"
     );
-    let dump = t.last_panic_dump.expect("panic must freeze a dump");
-    assert!(
-        dump.contains("scheduler batch execution panicked"),
-        "dump names the failure: {dump}"
-    );
-    assert!(
-        dump.contains("serve.reply.ok"),
-        "dump carries the pre-panic ring context: {dump}"
-    );
 
-    // The failpoint exhausted: the same session serves again, and the
-    // frozen dump survives later healthy traffic.
+    // The failpoint exhausted: the same session serves again.
     let out = engine.attention(sid, &queries, 0).unwrap();
     assert_eq!(out.len(), model_cfg.n_q_heads);
-    assert!(engine.telemetry().last_panic_dump.is_some());
     engine.close(sid).unwrap();
     assert_eq!(admission.in_use(), 0);
 }

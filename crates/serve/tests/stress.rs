@@ -231,12 +231,7 @@ fn store_while_serving_publishes_atomically_and_never_blocks_attention() {
             ..Default::default()
         },
     );
-    let pool_tasks = || {
-        let t = engine.telemetry();
-        t.registry
-            .counter("device.pool.tasks_executed")
-            .unwrap_or(0)
-    };
+    let pool_tasks = || engine.pool_stats().tasks_executed();
     let dim = model_cfg.head_dim;
 
     let mut prompt = context.clone();

@@ -1,7 +1,7 @@
 //! Request-lifecycle telemetry acceptance: every request the scheduler
 //! sees opens exactly one span and closes it exactly once, stage
-//! histograms count what actually ran, and per-session outcome stats
-//! attribute outcomes to the right session.
+//! histograms count what actually ran, and the DB's cache counters move
+//! on a store/reuse loop.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -41,17 +41,9 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
         engine.attention(sid, &queries, 0).unwrap();
     }
 
-    // Session stats attribute the executed requests to this session while
-    // it is still admitted, and nothing is left queued.
-    let t = engine.telemetry();
-    assert_eq!(t.sessions.len(), 1);
-    assert_eq!(t.sessions[0].session, sid);
-    assert_eq!(t.sessions[0].executed, EXECUTED as u64);
-    assert_eq!(
-        t.registry.gauge("serve.queue.depth"),
-        Some(0),
-        "quiesced queue holds nothing"
-    );
+    let t = engine.telemetry().stats;
+    assert_eq!(t.executed, EXECUTED as u64);
+    assert_eq!(t.opened, t.closed(), "quiesced: every span closed");
 
     // Phase 2 — shed: an already-expired deadline sheds deterministically.
     for _ in 0..SHED {
@@ -60,8 +52,7 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
-    let t = engine.telemetry();
-    assert_eq!(t.sessions[0].shed_deadline, SHED as u64);
+    assert_eq!(engine.telemetry().stats.shed_deadline, SHED as u64);
     engine.close(sid).unwrap();
 
     // Phase 3 — rejected: a synchronized burst into a MAX_QUEUE-slot
@@ -98,34 +89,32 @@ fn every_request_closes_exactly_one_span_and_reconciles_with_stats() {
 
     // The ledger balances on both engines (telemetry is per-engine).
     for (eng, what) in [(&engine, "serial engine"), (&engine2, "burst engine")] {
-        let t = eng.telemetry();
+        let t = eng.telemetry().stats;
         assert_eq!(
-            t.spans.opened,
-            t.spans.closed(),
+            t.opened,
+            t.closed(),
             "{what}: every opened span must close exactly once"
         );
-        assert_eq!(t.spans.panicked, 0, "{what}: nothing injected a panic");
-        assert_eq!(t.last_panic_dump, None, "{what}");
+        assert_eq!(t.panicked, 0, "{what}: nothing injected a panic");
     }
-    let t = engine.telemetry();
-    assert_eq!(t.spans.executed, EXECUTED as u64);
-    assert_eq!(t.spans.shed, SHED as u64);
-    let t2 = engine2.telemetry();
-    assert_eq!(t2.spans.rejected, rejected);
-    assert_eq!(t2.spans.executed, CALLERS as u64 - rejected);
+    let t = engine.telemetry().stats;
+    assert_eq!(t.executed, EXECUTED as u64);
+    assert_eq!(t.shed_deadline, SHED as u64);
+    let t2 = engine2.telemetry().stats;
+    assert_eq!(t2.rejected_overload, rejected);
+    assert_eq!(t2.executed, CALLERS as u64 - rejected);
 
-    // All sessions closed, nothing leaked, no session stats left.
-    assert_eq!(t.sessions.len() + t2.sessions.len(), 0);
+    // All sessions closed, nothing leaked.
+    assert_eq!(engine.n_sessions() + engine2.n_sessions(), 0);
     assert_eq!(db.gpu().in_use(), 0);
     assert_eq!(db2.gpu().in_use(), 0);
 }
 
 /// Stage histograms count per-request observations for exactly the spans
-/// that executed, the EWMA's input histogram counts one observation per
-/// executed request, and the registry snapshot carries every serve metric
-/// by name.
+/// that executed, and the EWMA's input histogram counts one observation
+/// per executed request.
 #[test]
-fn stage_histograms_and_registry_cells_track_execution() {
+fn stage_histograms_track_execution() {
     const REQUESTS: usize = 8;
 
     let (engine, model_cfg, _db) = tiny_engine(ServeConfig::default());
@@ -141,7 +130,7 @@ fn stage_histograms_and_registry_cells_track_execution() {
     // The requester records its request's observations before
     // `attention` returns, so the snapshot needs no wait.
     let t = engine.telemetry();
-    assert_eq!(t.spans.executed, REQUESTS as u64);
+    assert_eq!(t.stats.executed, REQUESTS as u64);
 
     // One observation per executed request in every per-request stage and
     // in the EWMA's input.
@@ -161,36 +150,11 @@ fn stage_histograms_and_registry_cells_track_execution() {
     // Executed batches took nonzero wall time, so the EWMA moved off
     // zero.
     assert!(t.est_exec > Duration::ZERO);
-
-    // The registry snapshot carries the serve cells.
-    assert_eq!(
-        t.registry.counter("serve.span.executed"),
-        Some(REQUESTS as u64)
-    );
-    // Each outcome has one cell: the span cell.
-    for cell in [
-        "serve.sched.requests",
-        "serve.sched.shed_deadline",
-        "serve.sched.rejected_overload",
-    ] {
-        assert_eq!(t.registry.counter(cell), None, "{cell}");
-    }
-    assert_eq!(t.registry.gauge("serve.queue.bytes"), None);
-    // Pool and db metrics registered into the same per-engine registry
-    // surface alongside the scheduler's.
-    assert!(
-        t.registry.counter("device.pool.tasks_executed").is_some(),
-        "pool stats must register into the engine registry"
-    );
-    assert!(
-        t.registry.counter("core.db.sessions_created").is_some(),
-        "db stats must register into the engine registry"
-    );
 }
 
-/// The context cache's cells ride in the engine's registry and move on a
-/// store/reuse loop: turns that extend what they stored supersede it,
-/// and conversations beyond the byte budget evict the oldest.
+/// The context cache's counters move on a store/reuse loop served through
+/// an engine: turns that extend what they stored supersede it, and
+/// conversations beyond the byte budget evict the oldest.
 #[test]
 fn context_cache_cells_move_on_a_store_reuse_loop() {
     const CONVERSATIONS: u32 = 4;
@@ -205,15 +169,11 @@ fn context_cache_cells_move_on_a_store_reuse_loop() {
     }));
     let engine = ServeEngine::new(Arc::clone(&db));
 
-    let t = engine.telemetry();
-    for cell in [
-        "core.db.contexts_superseded",
-        "core.db.contexts_evicted",
-        "core.db.graphs_without_queries",
-    ] {
-        assert_eq!(t.registry.counter(cell), Some(0), "{cell} is registered");
-    }
-    assert_eq!(t.registry.gauge("core.db.context_bytes"), Some(0));
+    let stats = db.stats();
+    assert_eq!(stats.contexts_superseded(), 0);
+    assert_eq!(stats.contexts_evicted(), 0);
+    assert_eq!(stats.graphs_without_queries(), 0);
+    assert_eq!(stats.context_bytes(), 0);
 
     let mut largest = 0;
     for c in 0..CONVERSATIONS {
@@ -230,38 +190,27 @@ fn context_cache_cells_move_on_a_store_reuse_loop() {
 
             // The gauge is the resident bytes, within one context of the
             // budget at every publish.
-            let bytes = engine.telemetry().registry.gauge("core.db.context_bytes");
-            assert!(bytes > Some(0) && bytes <= Some((BUDGET + largest) as i64));
+            let bytes = stats.context_bytes();
+            assert!(bytes > 0 && bytes <= BUDGET + largest);
         }
     }
 
-    let t = engine.telemetry();
     let stores = u64::from(CONVERSATIONS) * TURNS as u64;
-    assert_eq!(
-        t.registry.counter("core.db.contexts_imported"),
-        Some(stores)
-    );
+    assert_eq!(stats.contexts_imported(), stores);
     // Every turn after a conversation's first extends its previous store.
     assert_eq!(
-        t.registry.counter("core.db.contexts_superseded"),
-        Some(stores - u64::from(CONVERSATIONS))
+        stats.contexts_superseded(),
+        stores - u64::from(CONVERSATIONS)
     );
-    let evicted = t.registry.counter("core.db.contexts_evicted").unwrap();
+    let evicted = stats.contexts_evicted();
     assert!(evicted >= 1, "four conversations do not fit {BUDGET} bytes");
     assert_eq!(
         db.n_contexts() as u64 + evicted,
         u64::from(CONVERSATIONS),
         "one resident context per conversation, minus the evicted"
     );
-    assert_eq!(
-        t.registry.gauge("core.db.context_bytes"),
-        Some(db.stats().context_bytes() as i64)
-    );
     // Every publication was a served store with sampled queries.
-    assert_eq!(
-        t.registry.counter("core.db.graphs_without_queries"),
-        Some(0)
-    );
+    assert_eq!(stats.graphs_without_queries(), 0);
 }
 
 /// Telemetry is engine-scoped: traffic on one engine must not appear in
@@ -278,7 +227,7 @@ fn engines_do_not_alias_each_others_spans() {
     busy.attention(sid, &queries, 0).unwrap();
     busy.close(sid).unwrap();
 
-    assert_eq!(busy.telemetry().spans.opened, 1);
-    assert_eq!(idle.telemetry().spans.opened, 0);
+    assert_eq!(busy.telemetry().stats.opened, 1);
+    assert_eq!(idle.telemetry().stats.opened, 0);
     assert_eq!(idle.telemetry().stats.requests, 0);
 }

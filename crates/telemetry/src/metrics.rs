@@ -13,10 +13,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -33,26 +29,17 @@ impl Counter {
     }
 }
 
-/// A point-in-time level (queue depth, bytes in flight, high-water
-/// marks). Signed so derived gauges can go negative.
+/// A point-in-time level (resident bytes, high-water marks). Signed so
+/// derived gauges can go negative.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,
 }
 
 impl Gauge {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Ratchets the gauge up to `v` (high-water-mark semantics).
@@ -251,16 +238,15 @@ impl HistogramSnapshot {
     }
 }
 
-/// Exposed for tests and for snapshot consumers that want to reason about
-/// resolution: the width of the bucket `v` falls into.
-pub fn bucket_width_of(v: u64) -> u64 {
-    let (lo, hi) = bucket_bounds(bucket_index(v));
-    hi - lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The width of the bucket `v` falls into.
+    fn bucket_width_of(v: u64) -> u64 {
+        let (lo, hi) = bucket_bounds(bucket_index(v));
+        hi - lo
+    }
 
     #[test]
     fn bucket_index_is_monotonic_and_self_consistent() {
@@ -310,13 +296,12 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-3);
+        let g = Gauge::default();
+        g.set(4);
         assert_eq!(g.get(), 4);
         g.record_max(2);
         assert_eq!(g.get(), 4, "record_max never lowers");

@@ -9,7 +9,7 @@
 //! * [`query`] — query types, DIPRS, and the optimizer,
 //! * [`index`] — flat / graph / coarse vector indexes,
 //! * [`device`] — GPU-memory accounting, the work-stealing pool, clocks,
-//! * [`telemetry`] — metric cells, the named registry, the flight recorder,
+//! * [`telemetry`] — lock-free metric cells: counters, gauges, histograms,
 //! * [`workloads`] — synthetic evaluation workloads,
 //! * [`vector`] — numeric primitives.
 
