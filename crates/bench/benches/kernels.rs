@@ -351,23 +351,28 @@ fn bench_softmax_tile(c: &mut Criterion) {
 }
 
 fn bench_prefill(c: &mut Criterion) {
-    // The model's prefill, which builds every stored context: a 512-token
-    // prompt on the small model into a `FullKvBackend`, per token. Beside
-    // it, the projection kernel it runs per chunk: one `dot_rows_multi` of
-    // 64 token rows against `w_gate` (512 x 256, 512 KB), against the 64
-    // single-row `dot_rows` a token-at-a-time pass makes, per (token, row).
+    // The model's prefill, which builds every stored context: a 512- and a
+    // 2048-token prompt (the `long_*` stored contexts, where attention
+    // dominates) on the small model into a `FullKvBackend`, per token.
+    // Beside it, the projection kernel it runs per chunk: one
+    // `dot_rows_multi` of 64 token rows against `w_gate` (512 x 256,
+    // 512 KB), against the 64 single-row `dot_rows` a token-at-a-time pass
+    // makes, per (token, row).
     let mut group = c.benchmark_group("prefill");
     let cfg = ModelConfig::small();
     let model = Model::new(cfg.clone());
-    let tokens: Vec<u32> = (0..512).map(|i| (i * 7919 % 256) as u32).collect();
-    group.bench_function(BenchmarkId::new("model_per_token", "small_512"), |bench| {
-        bench.iter_custom(|iters| {
-            time_per_row(iters, tokens.len(), || {
-                let mut backend = FullKvBackend::new(&cfg);
-                model.prefill(black_box(&tokens), 0, &mut backend)
+    for n in [512usize, 2048] {
+        let tokens: Vec<u32> = (0..n).map(|i| (i * 7919 % 256) as u32).collect();
+        let id = BenchmarkId::new("model_per_token", format!("small_{n}"));
+        group.bench_function(id, |bench| {
+            bench.iter_custom(|iters| {
+                time_per_row(iters, n, || {
+                    let mut backend = FullKvBackend::new(&cfg);
+                    model.prefill(black_box(&tokens), 0, &mut backend)
+                })
             })
-        })
-    });
+        });
+    }
 
     let w_gate = &ModelWeights::generate(&cfg).layers[0].w_gate;
     let rows = 64usize;

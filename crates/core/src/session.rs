@@ -409,6 +409,13 @@ impl AttentionBackend for Session {
         self.attention(&input.queries, layer)
     }
 
+    /// [`Session::update`] alone: the K/V and the query samples that
+    /// `Db::store` trains `layer`'s graphs on, with no plan and no
+    /// attention.
+    fn append(&mut self, layer: usize, input: StepInput) {
+        self.update(&input.queries, &input.keys, &input.values, layer);
+    }
+
     fn seq_len(&self, layer: usize) -> usize {
         self.view.seq_len(layer)
     }

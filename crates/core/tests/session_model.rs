@@ -3,8 +3,13 @@
 //! `Session` must preserve (full-attention plans) or approximate (sparse
 //! plans) the model's behaviour.
 
-use alaya_core::{Db, DbConfig};
-use alaya_llm::{AttentionBackend, FullKvBackend, Model, ModelConfig, Tokenizer};
+#[path = "../../llm/tests/support/token_major.rs"]
+mod token_major;
+
+use alaya_core::{Db, DbConfig, Session};
+use alaya_device::memory::MemoryTracker;
+use alaya_llm::{AttentionBackend, FullKvBackend, Model, ModelConfig, Tokenizer, PREFILL_CHUNK};
+use token_major::TokenMajor;
 
 fn close(a: &[f32], b: &[f32], tol: f32) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < tol)
@@ -241,4 +246,95 @@ fn full_kv_matches_coupled_cache() {
             );
         }
     }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every query sample, per (layer, query head), as bits.
+fn sample_bits(s: &Session, cfg: &ModelConfig) -> Vec<Vec<u32>> {
+    (0..cfg.n_layers)
+        .flat_map(|layer| s.query_samples().layer(layer))
+        .map(|q| bits(q.as_flat()))
+        .collect()
+}
+
+/// A model prefill through a `Session`, which appends the prompt's rows at
+/// the last layer instead of attending them, stores the context the
+/// token-major loop stores: the same logits and query samples before the
+/// store, and the same K/V and graphs after it. The last layer is the one
+/// with graphs here (`flat_layers` = 1 of 2), trained on exactly the
+/// samples those appends record.
+#[test]
+fn a_prefilled_session_stores_the_token_major_context() {
+    let cfg = ModelConfig::tiny();
+    let model = Model::new(cfg.clone());
+    // A 1-byte GPU budget plans DIPR: on Flat at layer 0, on Fine above.
+    let db = Db::new(DbConfig {
+        gpu: MemoryTracker::new(1),
+        ..DbConfig::for_tests(cfg.clone())
+    });
+    let context: Vec<u32> = (0..150).map(|i| (i * 37 % 256) as u32).collect();
+    let mut kv = FullKvBackend::new(&cfg);
+    model.prefill(&context, 0, &mut kv);
+    db.import(context.clone(), kv.into_cache());
+    // Reuse 100 of the 150 stored tokens, then prefill past one chunk.
+    let prompt: Vec<u32> = (context[..100].iter().copied())
+        .chain((0..PREFILL_CHUNK as u32 + 26).map(|i| i * 11 % 256))
+        .collect();
+
+    let (mut want, truncated) = db.create_session(&prompt);
+    let start = want.reused_len();
+    assert_eq!(start, 100);
+    let want_logits = TokenMajor::new(&cfg).prefill(&truncated, start, &mut want);
+    let (mut got, _) = db.create_session(&prompt);
+    let got_logits = model.prefill(&truncated, start, &mut got);
+
+    assert_eq!(bits(&got_logits), bits(&want_logits), "logits");
+    let last = cfg.n_layers - 1;
+    assert_eq!(
+        got.query_samples().layer(last)[0].len(),
+        truncated.len(),
+        "every prompt row samples its queries at the last layer"
+    );
+    assert!(
+        sample_bits(&got, &cfg) == sample_bits(&want, &cfg),
+        "query samples"
+    );
+
+    // Both sessions are built before either store: a store publishes a
+    // context the next `create_session` would reuse.
+    let stored = |s: &mut Session| {
+        s.note_tokens(&truncated);
+        db.context(db.store(s)).expect("just published")
+    };
+    let (want, got) = (stored(&mut want), stored(&mut got));
+    assert_eq!(got.tokens, want.tokens);
+    for layer in 0..cfg.n_layers {
+        for h in 0..cfg.n_kv_heads {
+            let (g, w) = (got.kv.head(layer, h), want.kv.head(layer, h));
+            assert_eq!(
+                bits(g.keys.as_flat()),
+                bits(w.keys.as_flat()),
+                "keys {layer}/{h}"
+            );
+            assert_eq!(
+                bits(g.values.as_flat()),
+                bits(w.values.as_flat()),
+                "values {layer}/{h}"
+            );
+            assert_eq!(
+                got.graph(layer, h),
+                want.graph(layer, h),
+                "graph {layer}/{h}"
+            );
+        }
+    }
+    assert!(got.graph(last, 0).is_some(), "the last layer has graphs");
+    assert_eq!(
+        got.key_trained_layers(),
+        0,
+        "graphs trained on query samples"
+    );
 }

@@ -5,10 +5,12 @@
 //! engine *here*: the engine computes Q/K/V projections and hands them to a
 //! backend that owns both the KV cache and the attention computation, getting
 //! only the attention outputs back (never the cache contents). This trait is
-//! that interface. [`FullKvBackend`] is the coupled-architecture reference
-//! (exact full attention, cache held in-process); `alaya_core::Session`
-//! implements the same trait by routing each call through AlayaDB's query
-//! processing engine.
+//! that interface: [`AttentionBackend::attend`] absorbs a step and attends
+//! it, [`AttentionBackend::append`] only absorbs it, for the prompt rows
+//! whose attention output nothing reads. [`FullKvBackend`] is the
+//! coupled-architecture reference (exact full attention, cache held
+//! in-process); `alaya_core::Session` implements the same trait by routing
+//! each call through AlayaDB's query processing engine.
 
 use alaya_vector::softmax::OnlineSoftmax;
 
@@ -28,23 +30,41 @@ pub struct StepInput {
     pub values: Vec<Vec<f32>>,
 }
 
-/// Attention + KV-cache service interface (the `Session.update` /
-/// `Session.attention` pair of Table 2, fused into one per-layer call).
+/// Attention + KV-cache service interface: Table 2's `Session.update` is
+/// [`AttentionBackend::append`], and `Session.update` followed by
+/// `Session.attention` is [`AttentionBackend::attend`], fused into one
+/// per-layer call.
 ///
 /// **Ordering contract.** For each layer, calls arrive in position order:
-/// an `attend` at `layer` carries the token right after the ones `layer`
-/// already holds. Layers do not advance together:
+/// an `attend` or an `append` at `layer` carries the token right after the
+/// ones `layer` already holds. Layers do not advance together:
 /// [`Model::prefill`](crate::Model::prefill) runs a chunk of tokens through
 /// layer `l` before layer `l + 1`, so a layer may run ahead of the next by
 /// fewer than [`PREFILL_CHUNK`](crate::PREFILL_CHUNK) positions (and, if a
 /// prefill is interrupted, stay that far apart). A backend therefore keys
 /// every piece of sequence state by layer, and an implementation that does
-/// so sees exactly the calls, per layer, of a token-at-a-time loop.
+/// so sees, per layer, the steps of a token-at-a-time loop in its order,
+/// with an `append` where that loop would attend an output nothing reads.
 pub trait AttentionBackend {
     /// Appends this step's K/V to `layer`'s cache, then returns the attention
     /// output for every query head (causal: the new token attends to all
     /// cached tokens including itself).
     fn attend(&mut self, layer: usize, input: StepInput) -> Vec<Vec<f32>>;
+
+    /// Appends this step's K/V to `layer`'s cache, with whatever else the
+    /// backend records per step (query samples, say), without attending.
+    /// [`Model::prefill`](crate::Model::prefill) calls it at the last layer
+    /// for every prompt row but the one whose logits it returns: no later
+    /// computation reads those rows' attention outputs.
+    ///
+    /// The default attends and discards the output. An override must leave
+    /// exactly the state `attend` would leave, so that no later call, and
+    /// nothing stored from the backend, can tell the two apart; only a log
+    /// of the attention calls themselves (a session's plan log) may record
+    /// the call as absent.
+    fn append(&mut self, layer: usize, input: StepInput) {
+        self.attend(layer, input);
+    }
 
     /// Number of tokens cached for `layer`.
     fn seq_len(&self, layer: usize) -> usize;
@@ -98,6 +118,10 @@ impl AttentionBackend for FullKvBackend {
                 acc.output()
             })
             .collect()
+    }
+
+    fn append(&mut self, layer: usize, input: StepInput) {
+        self.cache.push_token(layer, &input.keys, &input.values);
     }
 
     fn seq_len(&self, layer: usize) -> usize {

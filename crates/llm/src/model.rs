@@ -84,7 +84,8 @@ impl Model {
 
     /// Runs one token through the stack at sequence position `pos`,
     /// returning next-token logits: the one-token chunk of
-    /// [`Model::prefill`], so both share one layer loop.
+    /// [`Model::prefill`], so both share one layer loop. Its one row feeds
+    /// the logits, so it attends at every layer and appends nowhere.
     pub fn forward_token(
         &self,
         token: u32,
@@ -100,9 +101,14 @@ impl Model {
     ///
     /// The prompt runs in chunks of [`PREFILL_CHUNK`] tokens, one layer at
     /// a time: within a chunk, layer `l` attends every token, in position
-    /// order, before layer `l + 1` sees the first. The LM head runs on the
-    /// last token only. Logits and every K/V row the backend receives are
-    /// bitwise those of one [`Model::forward_token`] per token.
+    /// order, before layer `l + 1` sees the first. The last layer and the
+    /// LM head run on the last token only: every other token's K/V reaches
+    /// the last layer through [`AttentionBackend::append`], and its
+    /// attention output, `wo` and MLP are skipped there, because nothing
+    /// reads them. For `N` tokens and `L` layers the backend gets
+    /// `(L − 1)·N + 1` `attend` calls and `N − 1` `append` calls. Logits
+    /// and every K/V row the backend receives are bitwise those of one
+    /// [`Model::forward_token`] per token.
     pub fn prefill(
         &self,
         tokens: &[u32],
@@ -114,7 +120,10 @@ impl Model {
     }
 
     /// Runs `tokens` (at positions from `start_pos`) through the stack in
-    /// chunks of [`PREFILL_CHUNK`] and returns the last token's logits.
+    /// chunks of [`PREFILL_CHUNK`] and returns the last token's logits. Of
+    /// the last layer, only the last token attends and runs `wo` and the
+    /// MLP; the final chunk's other rows, and every row of an earlier
+    /// chunk, only append their K/V there.
     fn forward(
         &self,
         tokens: &[u32],
@@ -124,10 +133,10 @@ impl Model {
         let cfg = &self.cfg;
         let hidden = cfg.hidden_dim();
         let mut s = Scratch::new(cfg, tokens.len().min(PREFILL_CHUNK));
-        let mut pos = start_pos;
-        for chunk in tokens.chunks(PREFILL_CHUNK) {
-            self.forward_chunk(chunk, pos, backend, &mut s);
-            pos += chunk.len();
+        let n_chunks = tokens.len().div_ceil(PREFILL_CHUNK);
+        for (i, chunk) in tokens.chunks(PREFILL_CHUNK).enumerate() {
+            let pos = start_pos + i * PREFILL_CHUNK;
+            self.forward_chunk(chunk, pos, i + 1 == n_chunks, backend, &mut s);
         }
 
         // Tied LM head on the last token: logits = embedding · final_norm(x).
@@ -138,12 +147,15 @@ impl Model {
         matvec(&self.weights.embedding, h)
     }
 
-    /// Carries one chunk (at positions from `pos`) through every layer,
-    /// leaving its final residual rows in `s.x`.
+    /// Carries one chunk (at positions from `pos`) through every layer.
+    /// At the last layer every row appends its K/V, except the chunk's last
+    /// row when `final_chunk` holds: it attends, runs `wo` and the MLP, and
+    /// is the one row of `s.x` whose final residual the LM head may read.
     fn forward_chunk(
         &self,
         chunk: &[u32],
         pos: usize,
+        final_chunk: bool,
         backend: &mut dyn AttentionBackend,
         s: &mut Scratch,
     ) {
@@ -168,7 +180,15 @@ impl Model {
             row.copy_from_slice(self.weights.embedding.row(t as usize));
         }
 
+        let n_layers = self.weights.layers.len();
         for (layer, lw) in self.weights.layers.iter().enumerate() {
+            // Rows from `live` on attend and go on through `wo` and the
+            // MLP; the rows before it only append their K/V.
+            let live = match (layer + 1 == n_layers, final_chunk) {
+                (false, _) => 0,
+                (true, true) => n - 1,
+                (true, false) => n,
+            };
             // Self-attention block: project every row, then attend one
             // token at a time, in position order.
             norm_rows(x, &lw.attn_norm, eps, h);
@@ -187,21 +207,30 @@ impl Model {
                         })
                         .collect()
                 };
-                let head_outs = backend.attend(
-                    layer,
-                    StepInput {
-                        queries: heads(&q[t * hidden..(t + 1) * hidden], true),
-                        keys: heads(&k[t * kv..(t + 1) * kv], true),
-                        values: heads(&v[t * kv..(t + 1) * kv], false),
-                    },
-                );
+                let input = StepInput {
+                    queries: heads(&q[t * hidden..(t + 1) * hidden], true),
+                    keys: heads(&k[t * kv..(t + 1) * kv], true),
+                    values: heads(&v[t * kv..(t + 1) * kv], false),
+                };
+                if t < live {
+                    backend.append(layer, input);
+                    continue;
+                }
+                let head_outs = backend.attend(layer, input);
                 debug_assert_eq!(head_outs.len(), cfg.n_q_heads);
                 let row = &mut attn[t * hidden..(t + 1) * hidden];
                 for (dst, o) in row.chunks_exact_mut(hd).zip(&head_outs) {
                     dst.copy_from_slice(o);
                 }
             }
-            lw.wo.dot_rows_multi(attn, out);
+            if live == n {
+                continue;
+            }
+            let x = &mut x[live * hidden..];
+            let h = &mut h[live * hidden..];
+            let out = &mut out[live * hidden..];
+            let (gate, up) = (&mut gate[live * ffn..], &mut up[live * ffn..]);
+            lw.wo.dot_rows_multi(&attn[live * hidden..], out);
             add_rows(x, out);
 
             // SwiGLU MLP block.

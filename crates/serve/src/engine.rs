@@ -554,11 +554,25 @@ pub struct EngineBackend<'a> {
     id: SessionId,
 }
 
+impl EngineBackend<'_> {
+    /// The trait has no error channel: a serving error ends the model's
+    /// drive here, with one message for every call.
+    fn served<T>(result: Result<T, ServeError>) -> T {
+        result
+            .unwrap_or_else(|e| panic!("serving error while a model was driving the session: {e}"))
+    }
+}
+
 impl AttentionBackend for EngineBackend<'_> {
     fn attend(&mut self, layer: usize, input: StepInput) -> Vec<Vec<f32>> {
-        self.engine
-            .attend(self.id, layer, input)
-            .unwrap_or_else(|e| panic!("serving error while a model was driving the session: {e}"))
+        Self::served(self.engine.attend(self.id, layer, input))
+    }
+
+    /// [`ServeEngine::update`]: the append half of `attend`, with no
+    /// scheduler round trip.
+    fn append(&mut self, layer: usize, input: StepInput) {
+        let (queries, keys, values) = (&input.queries, &input.keys, &input.values);
+        Self::served(self.engine.update(self.id, queries, keys, values, layer));
     }
 
     fn seq_len(&self, layer: usize) -> usize {
@@ -936,9 +950,12 @@ mod tests {
     /// A chunked prefill over a partly reused stored context, driven
     /// through a bare `Session` and through `EngineBackend`, equals the
     /// token-major reference driving a `Session`: the same logits, local
-    /// K/V rows, query samples and set of plans. Layer 0 runs ahead of
-    /// layer 1 by up to a chunk, and every piece of session state is keyed
-    /// by layer, so neither side can tell.
+    /// K/V rows, query samples and set of plans; and once the engine
+    /// stores it, the same K/V and graphs as the reference's store.
+    /// Layer 0 runs ahead of layer 1 by up to a chunk, and every piece of
+    /// session state is keyed by layer, so neither side can tell; at the
+    /// last layer, every prompt row but the final one only appends, which
+    /// records the same K/V and the query samples the graphs train on.
     #[test]
     fn chunked_prefill_through_a_session_is_the_token_major_loop() {
         use alaya_core::{DbConfig, Session};
@@ -981,7 +998,6 @@ mod tests {
         assert_eq!(served_truncated, truncated);
         let served_logits = model.prefill(&truncated, start, &mut eng.backend(sid));
         let served = eng.slot(sid).unwrap().lock().session.clone();
-        eng.close(sid).unwrap();
 
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         let state = |s: &Session| {
@@ -1008,6 +1024,25 @@ mod tests {
             let (rows, plans) = state(got);
             assert!(rows == want_rows, "{what} K/V rows or query samples");
             assert_eq!(plans, want_plans, "{what} plans");
+        }
+
+        // The engine's store against the reference's (`session_model.rs`
+        // pins `Db::store` of the bare session). Stores come last: a
+        // published context would change what the admission above reuses.
+        want.note_tokens(&truncated);
+        let want = db.context(db.store(&want)).unwrap();
+        eng.note_tokens(sid, &truncated).unwrap();
+        let served = db.context(eng.store(sid).unwrap()).unwrap();
+        eng.close(sid).unwrap();
+        assert!(want.graph(cfg.n_layers - 1, 0).is_some());
+        assert_eq!(served.tokens, want.tokens);
+        for layer in 0..cfg.n_layers {
+            for h in 0..cfg.n_kv_heads {
+                let (g, w) = (served.kv.head(layer, h), want.kv.head(layer, h));
+                assert_eq!(bits(g.keys.as_flat()), bits(w.keys.as_flat()), "keys");
+                assert_eq!(bits(g.values.as_flat()), bits(w.values.as_flat()), "values");
+                assert_eq!(served.graph(layer, h), want.graph(layer, h), "graph");
+            }
         }
     }
 }
